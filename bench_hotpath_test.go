@@ -462,6 +462,9 @@ func BenchmarkMultipathAllocate(b *testing.B) {
 		rep.BestAlt = &rep.Paths[1]
 		reports = append(reports, rep)
 	}
+	// MultipathAllocate orders reports in place; every pass starts from
+	// the same arrival (map) order, as a fresh Reports() would give it.
+	arrival := append([]*altpath.PrefixReport(nil), reports...)
 	var cfg core.MultipathConfig
 	prev := core.MultipathPrior(core.MultipathAllocate(proj, inv, reports, prior, nil, alloc, cfg))
 	if len(prev) == 0 {
@@ -471,9 +474,64 @@ func BenchmarkMultipathAllocate(b *testing.B) {
 	b.ResetTimer()
 	var out []core.Override
 	for i := 0; i < b.N; i++ {
+		copy(reports, arrival)
 		out = core.MultipathAllocate(proj, inv, reports, prior, prev, alloc, cfg)
 	}
 	if len(out) == 0 {
 		b.Fatal("steady-state pass produced no overrides")
+	}
+}
+
+// flatSource is an altpath path model: RTT and loss by egress port.
+type flatSource struct{}
+
+func (flatSource) RTTForRoute(_ netip.Prefix, r *rib.Route) float64 {
+	return 20 + 7*float64(r.EgressIF)
+}
+
+func (flatSource) LossForRoute(_ netip.Prefix, r *rib.Route) float64 {
+	return 0.002 * float64(r.EgressIF%4)
+}
+
+// BenchmarkMeasureRoundReports measures the optimizer's measurement
+// stage at the paper-scale PoP's shape: 4 000 prefixes with 3–4 organic
+// routes each (≈14 000 windows, all full), one MeasureRound plus one
+// Reports per op. Steady state allocates only the three report arenas;
+// the ceiling below fails the benchmark if per-window or per-prefix
+// allocation creeps back in.
+func BenchmarkMeasureRoundReports(b *testing.B) {
+	const allocCeiling = 8
+	tab := rib.NewTable(rib.DefaultPolicy())
+	prefixes := make([]netip.Prefix, 4000)
+	for i := range prefixes {
+		p := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0}), 24)
+		prefixes[i] = p
+		for j := 0; j < 3+i%2; j++ {
+			ord := (i + j) % 32
+			tab.Add(hotRoute(p, ord, ord%16))
+		}
+	}
+	m, err := altpath.NewMeasurer(altpath.Config{Routes: tab, Source: flatSource{}, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var reports []*altpath.PrefixReport
+	op := func() {
+		m.MeasureRound(prefixes)
+		reports = m.Reports()
+	}
+	for round := 0; round < 64/4; round++ { // fill every 64-sample window
+		op()
+	}
+	if len(reports) != len(prefixes) || reports[0].Paths[0].N != 64 {
+		b.Fatalf("warmup: %d reports, primary N=%d", len(reports), reports[0].Paths[0].N)
+	}
+	if got := testing.AllocsPerRun(3, op); got > allocCeiling {
+		b.Fatalf("%.0f allocs per MeasureRound+Reports, ceiling %d", got, allocCeiling)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
 	}
 }

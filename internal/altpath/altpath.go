@@ -9,10 +9,11 @@
 package altpath
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"net/netip"
-	"sort"
+	"slices"
 	"sync"
 
 	"edgefabric/internal/rib"
@@ -21,6 +22,11 @@ import (
 // RTTSource "measures" one flow routed via a specific route — in the
 // simulator, the path-performance model; in production, a sampled
 // connection's TCP RTT.
+//
+// The source is a path model, not a per-flow sampler: MeasureRound calls
+// it once per (prefix, path) per round and adds its own per-sample noise,
+// so the result must be a function of (p, r) for the duration of a round.
+// LossSource is held to the same contract.
 type RTTSource interface {
 	// RTTForRoute returns the RTT in milliseconds a flow to prefix p
 	// experiences when routed via r.
@@ -57,7 +63,7 @@ type Config struct {
 	// Default 2 ms.
 	NoiseMS float64
 	// WindowSamples bounds the per-path sample buffer; older samples
-	// fall off. Default 64.
+	// fall off. Default 64, at most MaxWindowSamples.
 	WindowSamples int
 	// Seed drives sampling noise.
 	Seed int64
@@ -115,43 +121,83 @@ type Measurer struct {
 	mu       sync.Mutex
 	rng      *rand.Rand
 	byPrefix map[netip.Prefix]*prefixWindows
+	views    []rib.RouteView // MeasureRound's RIB snapshot, reused across rounds
 }
 
 // prefixWindows holds one prefix's measurement state: a window per
-// currently-measured peer, plus the route-table generation the set was
-// last reconciled against.
+// currently-measured peer (at most a handful, so a slice scanned
+// linearly), plus the route-table generation the set was last
+// reconciled against.
 type prefixWindows struct {
-	paths map[netip.Addr]*window
+	paths []window
 	gen   uint64
 }
 
+// find returns the window measuring peer's path, or nil.
+func (pw *prefixWindows) find(peer netip.Addr) *window {
+	for i := range pw.paths {
+		if pw.paths[i].route.PeerAddr == peer {
+			return &pw.paths[i]
+		}
+	}
+	return nil
+}
+
+// MaxWindowSamples is the largest Config.WindowSamples: a window's order
+// index addresses its ring slots with one byte each.
+const MaxWindowSamples = 256
+
+// window is one path's sample ring in arrival order plus an order index
+// over it: order lists the ring's slot numbers ascending by RTT, kept
+// current by add, so a percentile is a single indexed read instead of a
+// copy and a sort. Samples must not be NaN (MeasureRound clamps).
 type window struct {
 	samples []float64
 	retrans []float64
+	order   []uint8
 	next    int
 	primary bool
-	route   *rib.Route
+	route   *rib.Route // never nil; its PeerAddr keys the window
 }
 
 func (w *window) add(rtt, loss float64, max int) {
-	if len(w.samples) < max {
+	slot := len(w.samples)
+	if slot < max {
 		w.samples = append(w.samples, rtt)
 		w.retrans = append(w.retrans, loss)
-		return
+		w.order = append(w.order, 0)
+	} else {
+		// Full: the oldest sample's slot is reused; close its gap in the
+		// order index first.
+		slot = w.next
+		w.next = (w.next + 1) % max
+		at := bytes.IndexByte(w.order, uint8(slot))
+		copy(w.order[at:], w.order[at+1:])
+		w.samples[slot] = rtt
+		w.retrans[slot] = loss
 	}
-	w.samples[w.next] = rtt
-	w.retrans[w.next] = loss
-	w.next = (w.next + 1) % len(w.samples)
+	// Binary-search the insertion point among the n indexed samples
+	// (after any equal values) and open a gap there.
+	n := len(w.order) - 1
+	lo, hi := 0, n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if w.samples[w.order[mid]] <= rtt {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	copy(w.order[lo+1:], w.order[lo:n])
+	w.order[lo] = uint8(slot)
 }
 
+// percentile returns sorted(samples)[int(q*(n-1))].
 func (w *window) percentile(q float64) float64 {
 	if len(w.samples) == 0 {
 		return 0
 	}
-	sorted := append([]float64(nil), w.samples...)
-	sort.Float64s(sorted)
-	idx := int(q * float64(len(sorted)-1))
-	return sorted[idx]
+	return w.samples[w.order[int(q*float64(len(w.samples)-1))]]
 }
 
 func (w *window) meanRetrans() float64 {
@@ -171,6 +217,7 @@ func (w *window) meanRetrans() float64 {
 func (w *window) reset() {
 	w.samples = w.samples[:0]
 	w.retrans = w.retrans[:0]
+	w.order = w.order[:0]
 	w.next = 0
 }
 
@@ -179,6 +226,9 @@ func NewMeasurer(cfg Config) (*Measurer, error) {
 	cfg.setDefaults()
 	if cfg.Routes == nil || cfg.Source == nil {
 		return nil, fmt.Errorf("altpath: Routes and Source required")
+	}
+	if cfg.WindowSamples < 1 || cfg.WindowSamples > MaxWindowSamples {
+		return nil, fmt.Errorf("altpath: WindowSamples %d outside [1, %d]", cfg.WindowSamples, MaxWindowSamples)
 	}
 	m := &Measurer{
 		cfg:      cfg,
@@ -208,10 +258,16 @@ func NewMeasurer(cfg Config) (*Measurer, error) {
 func (m *Measurer) MeasureRound(prefixes []netip.Prefix) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	// One read-lock for the whole round; the views share the table's
+	// immutable route slices.
+	m.views = m.cfg.Routes.SnapshotRoutesInto(prefixes, m.views)
+	defer clear(m.views) // don't pin superseded route slices between rounds
 	measured := 0
-	for _, p := range prefixes {
-		gen := m.cfg.Routes.Generation(p)
-		routes := organic(m.cfg.Routes.Routes(p))
+	for i, p := range prefixes {
+		routes := m.views[i].Routes
+		if m.views[i].Injected > 0 {
+			routes = organic(routes)
+		}
 		pw := m.byPrefix[p]
 		if len(routes) < 2 {
 			// No measurable alternate (or no routes at all): drop any
@@ -221,31 +277,31 @@ func (m *Measurer) MeasureRound(prefixes []netip.Prefix) int {
 			}
 			continue
 		}
-		if pw == nil {
-			pw = &prefixWindows{paths: make(map[netip.Addr]*window), gen: gen}
+		limit := min(len(routes), 1+m.cfg.MaxAltPaths)
+		if gen := m.views[i].Gen; pw == nil {
+			pw = &prefixWindows{paths: make([]window, 0, limit), gen: gen}
 			m.byPrefix[p] = pw
 		} else if pw.gen != gen {
-			m.reconcileLocked(pw, routes)
+			pw.reconcile(routes)
 			pw.gen = gen
 		}
-		limit := min(len(routes), 1+m.cfg.MaxAltPaths)
-		for i := 0; i < limit; i++ {
-			r := routes[i]
-			w, ok := pw.paths[r.PeerAddr]
-			if !ok {
-				w = &window{}
-				pw.paths[r.PeerAddr] = w
+		for k, r := range routes[:limit] {
+			w := pw.find(r.PeerAddr)
+			if w == nil {
+				pw.paths = append(pw.paths, window{route: r})
+				w = &pw.paths[len(pw.paths)-1]
 			}
-			w.primary = i == 0
+			w.primary = k == 0
 			w.route = r
+			base := m.cfg.Source.RTTForRoute(p, r)
+			var loss float64
+			if m.loss != nil {
+				loss = m.loss.LossForRoute(p, r)
+			}
 			for s := 0; s < m.cfg.SamplesPerRound; s++ {
-				rtt := m.cfg.Source.RTTForRoute(p, r) + m.rng.NormFloat64()*m.cfg.NoiseMS
-				if rtt < 0.1 {
+				rtt := base + m.rng.NormFloat64()*m.cfg.NoiseMS
+				if !(rtt >= 0.1) { // floor; also keeps NaN out of the order index
 					rtt = 0.1
-				}
-				var loss float64
-				if m.loss != nil {
-					loss = m.loss.LossForRoute(p, r)
 				}
 				w.add(rtt, loss, m.cfg.WindowSamples)
 			}
@@ -255,29 +311,29 @@ func (m *Measurer) MeasureRound(prefixes []netip.Prefix) int {
 	return measured
 }
 
-// reconcileLocked aligns one prefix's window set with its current
-// organic routes after a table change: windows for withdrawn peers are
-// pruned, every surviving primary flag is cleared (MeasureRound re-marks
-// the current preferred route, including windows beyond the measured
-// limit that would otherwise keep a stale flag), and windows whose
-// peer's route changed path identity are reset.
-func (m *Measurer) reconcileLocked(pw *prefixWindows, routes []*rib.Route) {
-	current := make(map[netip.Addr]*rib.Route, len(routes))
-	for _, r := range routes {
-		current[r.PeerAddr] = r
-	}
-	for peer, w := range pw.paths {
-		r, ok := current[peer]
-		if !ok {
-			delete(pw.paths, peer)
+// reconcile aligns one prefix's window set with its current organic
+// routes after a table change: windows for withdrawn peers are pruned,
+// every surviving primary flag is cleared (MeasureRound re-marks the
+// current preferred route, including windows beyond the measured limit
+// that would otherwise keep a stale flag), and windows whose peer's
+// route changed path identity are reset.
+func (pw *prefixWindows) reconcile(routes []*rib.Route) {
+	kept := pw.paths[:0]
+	for _, w := range pw.paths {
+		i := slices.IndexFunc(routes, func(r *rib.Route) bool { return r.PeerAddr == w.route.PeerAddr })
+		if i < 0 {
 			continue
 		}
+		r := routes[i]
 		w.primary = false
-		if w.route != nil && (w.route.NextHop != r.NextHop || w.route.EgressIF != r.EgressIF) {
+		if w.route.NextHop != r.NextHop || w.route.EgressIF != r.EgressIF {
 			w.reset()
 		}
 		w.route = r
+		kept = append(kept, w)
 	}
+	clear(pw.paths[len(kept):]) // release the pruned windows' buffers
+	pw.paths = kept
 }
 
 // organic filters out controller-injected routes: measurements compare
@@ -297,60 +353,82 @@ func organic(routes []*rib.Route) []*rib.Route {
 func (m *Measurer) Report(p netip.Prefix) *PrefixReport {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.reportLocked(p)
-}
-
-func (m *Measurer) reportLocked(p netip.Prefix) *PrefixReport {
 	pw := m.byPrefix[p]
 	if pw == nil {
 		return nil
 	}
-	var paths []PathStat
-	for _, w := range pw.paths {
+	rep := &PrefixReport{}
+	if _, ok := pw.report(p, rep, make([]PathStat, 0, len(pw.paths))); !ok {
+		return nil
+	}
+	return rep
+}
+
+// report fills rep from the prefix's non-empty windows, carving its
+// Paths from the tail of stats (which must have the capacity: BestAlt
+// points into it). It returns the extended arena, or the arena as given
+// and false when the prefix has no measured primary.
+func (pw *prefixWindows) report(p netip.Prefix, rep *PrefixReport, stats []PathStat) ([]PathStat, bool) {
+	start := len(stats)
+	for i := range pw.paths {
+		w := &pw.paths[i]
 		if len(w.samples) == 0 {
 			continue
 		}
-		paths = append(paths, PathStat{
+		ps := PathStat{
 			Route:       w.route,
 			Primary:     w.primary,
 			P50:         w.percentile(0.50),
 			P90:         w.percentile(0.90),
 			RetransFrac: w.meanRetrans(),
 			N:           len(w.samples),
-		})
-	}
-	if len(paths) == 0 {
-		return nil
-	}
-	sort.Slice(paths, func(a, b int) bool {
-		if paths[a].Primary != paths[b].Primary {
-			return paths[a].Primary
 		}
-		return paths[a].P50 < paths[b].P50
-	})
-	if !paths[0].Primary {
-		return nil // no primary measured
-	}
-	rep := &PrefixReport{Prefix: p, Paths: paths}
-	for i := 1; i < len(paths); i++ {
-		if rep.BestAlt == nil || paths[i].P50 < rep.BestAlt.P50 {
-			rep.BestAlt = &paths[i]
+		// Insertion sort: primary first, then ascending P50.
+		stats = append(stats, ps)
+		j := len(stats) - 1
+		for ; j > start && statBefore(&ps, &stats[j-1]); j-- {
+			stats[j] = stats[j-1]
 		}
+		stats[j] = ps
 	}
-	if rep.BestAlt != nil {
+	paths := stats[start:len(stats):len(stats)]
+	if len(paths) == 0 || !paths[0].Primary {
+		return stats[:start], false // no primary measured
+	}
+	*rep = PrefixReport{Prefix: p, Paths: paths}
+	if len(paths) > 1 {
+		// Alternates are P50-ascending, so the first is the fastest.
+		rep.BestAlt = &paths[1]
 		rep.GapMS = paths[0].P50 - rep.BestAlt.P50
 	}
-	return rep
+	return stats, true
+}
+
+func statBefore(a, b *PathStat) bool {
+	if a.Primary != b.Primary {
+		return a.Primary
+	}
+	return a.P50 < b.P50
 }
 
 // Reports returns reports for all measured prefixes, in unspecified
-// order.
+// order. The result is the caller's: every call builds it in three
+// fresh allocations (path stats, reports, pointers) shared by nothing
+// else.
 func (m *Measurer) Reports() []*PrefixReport {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	nStats := 0
+	for _, pw := range m.byPrefix {
+		nStats += len(pw.paths)
+	}
+	stats := make([]PathStat, 0, nStats)
+	reps := make([]PrefixReport, len(m.byPrefix))
 	out := make([]*PrefixReport, 0, len(m.byPrefix))
-	for p := range m.byPrefix {
-		if rep := m.reportLocked(p); rep != nil {
+	for p, pw := range m.byPrefix {
+		rep := &reps[len(out)]
+		var ok bool
+		if stats, ok = pw.report(p, rep, stats); ok {
 			out = append(out, rep)
 		}
 	}

@@ -317,10 +317,12 @@ func TestMeasurerGapCDFDenominator(t *testing.T) {
 	// where only the primary has samples (its alternates were measured
 	// zero times, e.g. the prefix just became multipath-visible).
 	p5 := netip.MustParsePrefix("10.0.9.0/24")
+	routes := tab.Routes(prefixes(1)[0])
+	only := window{route: routes[0], primary: true}
+	only.add(20, 0, 64)
+	only.add(20, 0, 64)
 	m.mu.Lock()
-	m.byPrefix[p5] = &prefixWindows{paths: map[netip.Addr]*window{
-		netip.MustParseAddr("172.20.0.1"): {samples: []float64{20, 20}, retrans: []float64{0, 0}, primary: true},
-	}}
+	m.byPrefix[p5] = &prefixWindows{paths: []window{only, {route: routes[1]}}}
 	m.mu.Unlock()
 	if rep := m.Report(p5); rep == nil || rep.BestAlt != nil {
 		t.Fatalf("setup: want primary-only report, got %+v", rep)

@@ -69,7 +69,7 @@ type injRouter struct {
 	// A multipath prefix is recorded only once every member UPDATE was
 	// taken. Cleared when the session drops — BGP semantics already
 	// withdrew everything the session carried.
-	delivered map[netip.Prefix]string
+	delivered map[netip.Prefix]overrideSig
 }
 
 // NewInjector returns an Injector; wire routers with AddRouter or
@@ -129,7 +129,7 @@ func (inj *Injector) clearDelivered(addr netip.Addr) {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
 	if r, ok := inj.routers[addr]; ok {
-		r.delivered = make(map[netip.Prefix]string)
+		r.delivered = make(map[netip.Prefix]overrideSig)
 	}
 }
 
@@ -146,7 +146,7 @@ func (inj *Injector) addRouterPeer(addr netip.Addr, dial func(ctx context.Contex
 		return nil, err
 	}
 	inj.mu.Lock()
-	inj.routers[addr] = &injRouter{addr: addr, peer: peer, delivered: make(map[netip.Prefix]string)}
+	inj.routers[addr] = &injRouter{addr: addr, peer: peer, delivered: make(map[netip.Prefix]overrideSig)}
 	inj.mu.Unlock()
 	return peer, nil
 }
@@ -264,19 +264,31 @@ func overrideCommunities(o Override) []uint32 {
 // overrideSig is the identity of an override on the wire: a router
 // holding a delivery with the same signature needs no updates. Single
 // detours key on the next hop (matching the pre-multipath behavior);
-// weighted sets key on the ordered members and their weights.
-func overrideSig(o Override) string {
+// weighted sets key on the ordered members and their weights. It is a
+// comparable value as wide as the wire encoding's slots, so the
+// per-cycle diff formats and allocates nothing; slots are packed bytes
+// (17 each) because every router's delivery record holds one per prefix.
+type overrideSig struct {
+	members uint8 // 0 for a single detour, which fills slot 0 alone
+	slots   [rib.MaxMultipathSlots]struct {
+		nextHop   [16]byte // Addr.As16: BGP next hops carry no zone
+		weightPct uint8
+	}
+}
+
+func sigOf(o *Override) (sig overrideSig) {
 	if len(o.Multipath) == 0 {
-		return o.Via.NextHop.String()
+		sig.slots[0].nextHop = o.Via.NextHop.As16()
+		return sig
 	}
-	var b strings.Builder
-	for i, pw := range o.Multipath {
-		if i > 0 {
-			b.WriteByte('|')
-		}
-		fmt.Fprintf(&b, "%s@%d", pw.Via.NextHop, pw.WeightPct)
+	// Members past the last wire slot never reach a router as distinct
+	// routes, so they are not part of what it holds.
+	members := o.Multipath[:min(len(o.Multipath), len(sig.slots))]
+	sig.members = uint8(len(members))
+	for i, pw := range members {
+		sig.slots[i].nextHop, sig.slots[i].weightPct = pw.Via.NextHop.As16(), uint8(pw.WeightPct)
 	}
-	return b.String()
+	return sig
 }
 
 // annUnit is one UPDATE-able announcement: a single-path override is
@@ -360,7 +372,7 @@ func (inj *Injector) Sync(desired []Override) (SyncResult, error) {
 	for _, r := range up {
 		var wd []netip.Prefix
 		for prefix, sig := range r.delivered {
-			if cur, ok := want[prefix]; ok && overrideSig(cur) == sig {
+			if cur, ok := want[prefix]; ok && sigOf(&cur) == sig {
 				continue
 			}
 			wd = append(wd, prefix)
@@ -382,7 +394,7 @@ func (inj *Injector) Sync(desired []Override) (SyncResult, error) {
 	for _, r := range up {
 		var adds []Override
 		for prefix, o := range want {
-			if sig, ok := r.delivered[prefix]; ok && sig == overrideSig(o) {
+			if sig, ok := r.delivered[prefix]; ok && sig == sigOf(&o) {
 				continue
 			}
 			adds = append(adds, o)
@@ -399,7 +411,7 @@ func (inj *Injector) Sync(desired []Override) (SyncResult, error) {
 	// announcement changed); it enters once at least one router took it.
 	var errNoRouter error
 	for prefix, old := range inj.installed {
-		if cur, ok := want[prefix]; ok && overrideSig(cur) == overrideSig(old) {
+		if cur, ok := want[prefix]; ok && sigOf(&cur) == sigOf(&old) {
 			continue
 		}
 		delete(inj.installed, prefix)
@@ -444,7 +456,7 @@ func (inj *Injector) reannounce(addr netip.Addr) {
 	}
 	var stray []netip.Prefix
 	for prefix, sig := range r.delivered {
-		if cur, ok := inj.installed[prefix]; !ok || overrideSig(cur) != sig {
+		if cur, ok := inj.installed[prefix]; !ok || sigOf(&cur) != sig {
 			stray = append(stray, prefix)
 		}
 	}
@@ -459,7 +471,7 @@ func (inj *Injector) reannounce(addr netip.Addr) {
 	}
 	var adds []Override
 	for prefix, o := range inj.installed {
-		if sig, ok := r.delivered[prefix]; ok && sig == overrideSig(o) {
+		if sig, ok := r.delivered[prefix]; ok && sig == sigOf(&o) {
 			continue
 		}
 		adds = append(adds, o)
@@ -502,18 +514,13 @@ func announcedPrefixes(u *bgp.Update) ([]netip.Prefix, netip.Addr) {
 // prefix whose members were only partially taken (session raced down
 // mid-set) is not reported: it retries next cycle, and the session
 // drop that caused the partial already withdrew the router's state.
-func announceToRouter(r *injRouter, adds []Override) map[netip.Prefix]string {
+func announceToRouter(r *injRouter, adds []Override) map[netip.Prefix]overrideSig {
 	if len(adds) == 0 {
 		return nil
 	}
 	var units []annUnit
-	expected := make(map[netip.Prefix]int, len(adds))
-	sigs := make(map[netip.Prefix]string, len(adds))
 	for _, o := range adds {
-		us := announceUnits(o)
-		units = append(units, us...)
-		expected[o.Prefix] = len(us)
-		sigs[o.Prefix] = overrideSig(o)
+		units = append(units, announceUnits(o)...)
 	}
 	got := make(map[netip.Prefix]int)
 	for _, u := range announceUpdates(units) {
@@ -528,10 +535,10 @@ func announceToRouter(r *injRouter, adds []Override) map[netip.Prefix]string {
 			got[p]++
 		}
 	}
-	done := make(map[netip.Prefix]string, len(got))
-	for p, n := range got {
-		if n == expected[p] {
-			done[p] = sigs[p]
+	done := make(map[netip.Prefix]overrideSig, len(got))
+	for i := range adds {
+		if o := &adds[i]; got[o.Prefix] == max(1, len(o.Multipath)) {
+			done[o.Prefix] = sigOf(o)
 		}
 	}
 	return done

@@ -216,7 +216,7 @@ func TestAnnounceUpdatesMultipathSlots(t *testing.T) {
 		{Via: alt, ToIF: 3, WeightPct: 60, RateBps: 1.2e9},
 		{Via: primary, ToIF: 0, WeightPct: 40, RateBps: 0.8e9},
 	}
-	if overrideSig(o) == overrideSig(o2) {
+	if sigOf(&o) == sigOf(&o2) {
 		t.Error("signatures equal across weight change")
 	}
 }

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"net/netip"
-	"sort"
+	"slices"
 
 	"edgefabric/internal/altpath"
+	"edgefabric/internal/rib"
 )
 
 // This file implements the weighted multipath optimizer: the perf pass
@@ -103,10 +105,11 @@ func MultipathPrior(overrides []Override) map[netip.Prefix]Override {
 
 // mpMember is one candidate member during weight computation.
 type mpMember struct {
-	stat  altpath.PathStat
-	hdrm  float64 // spare bps below target on the member's interface
-	limit float64 // target-utilization bps bound
-	share float64 // assigned bps
+	stat   *altpath.PathStat
+	hdrm   float64 // spare bps below target on the member's interface
+	limit  float64 // target-utilization bps bound
+	share  float64 // assigned bps
+	weight float64 // assignShares scratch: this iteration's spread weight
 }
 
 // MultipathAllocate computes weighted multipath overrides from
@@ -117,6 +120,8 @@ type mpMember struct {
 // and retransmit fraction. prior is the overload pass's result (its
 // moves take precedence and its capacity consumption is accounted);
 // prev is the previous cycle's installed multipath set (hysteresis).
+// reports is reordered in place (largest gap first, ties by prefix), so
+// the result does not depend on the order it arrives in.
 func MultipathAllocate(
 	proj *Projection,
 	inv *Inventory,
@@ -168,14 +173,21 @@ func MultipathAllocateTraced(
 	}
 
 	// Biggest measured gains first, so a bounded budget fixes the worst
-	// performers.
-	sorted := append([]*altpath.PrefixReport(nil), reports...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a].GapMS > sorted[b].GapMS })
+	// performers; the prefix tie-break makes the order total.
+	slices.SortFunc(reports, func(a, b *altpath.PrefixReport) int {
+		if c := cmp.Compare(b.GapMS, a.GapMS); c != 0 {
+			return c
+		}
+		return rib.ComparePrefixes(a.Prefix, b.Prefix)
+	})
 
 	moves := 0
 	budgetSpent := false
 	var out []Override
-	for _, rep := range sorted {
+	// Per-prefix scratch, bounded by MaxPaths and reused across prefixes.
+	scratch := make([]mpMember, 0, cfg.MaxPaths)
+	fresh := make([]PathWeight, 0, cfg.MaxPaths)
+	for _, rep := range reports {
 		if len(rep.Paths) == 0 || !rep.Paths[0].Primary || rep.Paths[0].Route == nil {
 			continue // degenerate report: no primary measurement
 		}
@@ -186,7 +198,7 @@ func MultipathAllocateTraced(
 		if !ok {
 			continue // no demand measured for the prefix
 		}
-		primary := rep.Paths[0]
+		primary := &rep.Paths[0]
 		prefIF := plan.Preferred.EgressIF
 		prefCap := capOf(prefIF)
 		util := 0.0
@@ -244,9 +256,9 @@ func MultipathAllocateTraced(
 		// the primary's median, clean enough, sampled enough, one per
 		// egress port (the fastest wins a port).
 		rate := plan.RateBps
-		byIF := make(map[int]bool, cfg.MaxPaths)
-		var members []*mpMember
-		for _, ps := range rep.Paths {
+		members := scratch[:0]
+		for i := range rep.Paths {
+			ps := &rep.Paths[i]
 			if ps.Route == nil {
 				continue
 			}
@@ -275,16 +287,15 @@ func MultipathAllocateTraced(
 				pt.reject(CandidateTrace{Phase: "multipath", Via: ps.Route, Reason: RejectNoInterface})
 				continue
 			}
-			if byIF[ps.Route.EgressIF] {
+			if slices.ContainsFunc(members, func(m mpMember) bool { return m.stat.Route.EgressIF == ps.Route.EgressIF }) {
 				continue // a faster member already holds this port
 			}
-			byIF[ps.Route.EgressIF] = true
 			limit := alloc.Target * info.CapacityBps
 			base := load[ps.Route.EgressIF]
 			if ps.Route.EgressIF == prefIF {
 				base -= rate // the prefix's own demand sits here today
 			}
-			members = append(members, &mpMember{stat: ps, limit: limit, hdrm: math.Max(0, limit-base)})
+			members = append(members, mpMember{stat: ps, limit: limit, hdrm: math.Max(0, limit-base)})
 			if len(members) >= cfg.MaxPaths {
 				break
 			}
@@ -299,7 +310,7 @@ func MultipathAllocateTraced(
 		}
 
 		if !assignShares(members, rate, cfg) {
-			worst := members[0]
+			worst := &members[0]
 			pt.reject(CandidateTrace{
 				Phase: "multipath", Via: worst.stat.Route, Reason: RejectWouldExceedTarget,
 				LoadBps: worst.limit - worst.hdrm, MoveBps: rate, LimitBps: worst.limit,
@@ -333,18 +344,21 @@ func MultipathAllocateTraced(
 			continue
 		}
 
-		o := buildOverride(rep.Prefix, plan, members, rate, rep.GapMS, primary.P50, congested, util)
+		fresh = memberWeights(fresh[:0], members, rate)
 
 		// Hysteresis: same members within HysteresisPct of the installed
 		// weights -> re-affirm the installed set verbatim (refreshing the
 		// rate accounting); the injector sees an identical announcement
-		// and emits no updates.
+		// and emits no updates. Only a new or changed set is rendered.
+		var o Override
 		changed := true
-		if po, ok := prev[rep.Prefix]; ok && sameMembers(po.Multipath, o.Multipath, cfg.HysteresisPct) {
+		if po, ok := prev[rep.Prefix]; ok && sameMembers(po.Multipath, fresh, cfg.HysteresisPct) {
 			if ro, kept := reaffirm(po, plan, load, capOf, alloc); kept {
-				o = ro
-				changed = false
+				o, changed = ro, false
 			}
+		}
+		if changed {
+			o = buildOverride(rep.Prefix, plan, members[0].stat, fresh, rate, rep.GapMS, primary.P50, congested, util)
 		}
 
 		for _, pw := range o.Multipath {
@@ -375,11 +389,11 @@ func MultipathAllocateTraced(
 // headroom discounted by RTT and loss, clamping members at their
 // target-utilization bound and re-spreading the excess. Returns false
 // if the member set cannot absorb the rate below target.
-func assignShares(members []*mpMember, rate float64, cfg MultipathConfig) bool {
+func assignShares(members []mpMember, rate float64, cfg MultipathConfig) bool {
 	var totalHdrm float64
-	for _, m := range members {
-		m.share = 0
-		totalHdrm += m.hdrm
+	for i := range members {
+		members[i].share = 0
+		totalHdrm += members[i].hdrm
 	}
 	if totalHdrm < rate {
 		return false
@@ -387,25 +401,26 @@ func assignShares(members []*mpMember, rate float64, cfg MultipathConfig) bool {
 	remaining := rate
 	for iter := 0; iter < len(members)+1 && remaining > 1; iter++ {
 		var totalW float64
-		weights := make([]float64, len(members))
-		for i, m := range members {
+		for i := range members {
+			m := &members[i]
+			m.weight = 0
 			spare := m.hdrm - m.share
 			if spare <= 0 {
 				continue
 			}
-			w := spare / (m.stat.P50 * (1 + cfg.RetransPenalty*m.stat.RetransFrac))
-			weights[i] = w
-			totalW += w
+			m.weight = spare / (m.stat.P50 * (1 + cfg.RetransPenalty*m.stat.RetransFrac))
+			totalW += m.weight
 		}
 		if totalW == 0 {
 			return false
 		}
 		assigned := 0.0
-		for i, m := range members {
-			if weights[i] == 0 {
+		for i := range members {
+			m := &members[i]
+			if m.weight == 0 {
 				continue
 			}
-			add := remaining * weights[i] / totalW
+			add := remaining * m.weight / totalW
 			if spare := m.hdrm - m.share; add > spare {
 				add = spare
 			}
@@ -420,39 +435,47 @@ func assignShares(members []*mpMember, rate float64, cfg MultipathConfig) bool {
 	return remaining <= 1
 }
 
-// buildOverride renders a final member set (heaviest-first, integer
-// weights summing to 100) into an Override. A set that collapsed to a
-// single non-preferred member becomes a plain whole-prefix perf
-// override.
-func buildOverride(prefix netip.Prefix, plan *PrefixPlan, members []*mpMember, rate, gapMS, primaryP50 float64, congested bool, util float64) Override {
-	sort.Slice(members, func(a, b int) bool { return members[a].share > members[b].share })
-	prefIF := plan.Preferred.EgressIF
+// memberWeights sorts a final member set heaviest-first and appends its
+// integer weights (summing to 100) to dst. A set that collapsed to a
+// single member yields no weights.
+func memberWeights(dst []PathWeight, members []mpMember, rate float64) []PathWeight {
+	slices.SortStableFunc(members, func(a, b mpMember) int { return cmp.Compare(b.share, a.share) })
 	if len(members) == 1 {
-		m := members[0]
-		return Override{
-			Prefix:  prefix,
-			Via:     m.stat.Route,
-			FromIF:  prefIF,
-			ToIF:    m.stat.Route.EgressIF,
-			RateBps: rate,
-			Reason: fmt.Sprintf("alt path %.0fms faster (p50 %.0f vs %.0f)",
-				primaryP50-m.stat.P50, m.stat.P50, primaryP50),
-		}
+		return dst
 	}
-	pws := make([]PathWeight, len(members))
 	total := 0
-	for i, m := range members {
+	for _, m := range members {
 		pct := int(math.Round(100 * m.share / rate))
 		if pct < 1 {
 			pct = 1
 		}
-		pws[i] = PathWeight{Via: m.stat.Route, ToIF: m.stat.Route.EgressIF, WeightPct: pct}
+		dst = append(dst, PathWeight{Via: m.stat.Route, ToIF: m.stat.Route.EgressIF, WeightPct: pct})
 		total += pct
 	}
-	pws[0].WeightPct += 100 - total // rounding remainder to the heaviest
-	for i := range pws {
-		pws[i].RateBps = rate * float64(pws[i].WeightPct) / 100
+	dst[0].WeightPct += 100 - total // rounding remainder to the heaviest
+	for i := range dst {
+		dst[i].RateBps = rate * float64(dst[i].WeightPct) / 100
 	}
+	return dst
+}
+
+// buildOverride renders a final member set into an Override: pws when
+// it has weights (copied; the caller reuses pws), else a plain
+// whole-prefix perf override onto the single non-preferred member best.
+func buildOverride(prefix netip.Prefix, plan *PrefixPlan, best *altpath.PathStat, pws []PathWeight, rate, gapMS, primaryP50 float64, congested bool, util float64) Override {
+	prefIF := plan.Preferred.EgressIF
+	if len(pws) == 0 {
+		return Override{
+			Prefix:  prefix,
+			Via:     best.Route,
+			FromIF:  prefIF,
+			ToIF:    best.Route.EgressIF,
+			RateBps: rate,
+			Reason: fmt.Sprintf("alt path %.0fms faster (p50 %.0f vs %.0f)",
+				primaryP50-best.P50, best.P50, primaryP50),
+		}
+	}
+	pws = slices.Clone(pws)
 	why := "measured gap"
 	if congested {
 		why = fmt.Sprintf("preferred util %.2f", util)
@@ -489,16 +512,12 @@ func sameMembers(old, fresh []PathWeight, tolPct int) bool {
 	if len(old) != len(fresh) || len(old) == 0 {
 		return false
 	}
-	byPeer := make(map[netip.Addr]int, len(old))
-	for _, pw := range old {
-		byPeer[pw.Via.PeerAddr] = pw.WeightPct
-	}
 	for _, pw := range fresh {
-		w, ok := byPeer[pw.Via.PeerAddr]
-		if !ok {
+		i := slices.IndexFunc(old, func(o PathWeight) bool { return o.Via.PeerAddr == pw.Via.PeerAddr })
+		if i < 0 {
 			return false
 		}
-		if d := w - pw.WeightPct; d > tolPct || -d > tolPct {
+		if d := old[i].WeightPct - pw.WeightPct; d > tolPct || -d > tolPct {
 			return false
 		}
 	}
@@ -513,16 +532,15 @@ func reaffirm(po Override, plan *PrefixPlan, load map[int]float64, capOf func(in
 	if len(po.Multipath) == 0 {
 		return Override{}, false
 	}
-	current := make(map[netip.Addr]bool, 1+len(plan.Alternates))
-	current[plan.Preferred.PeerAddr] = true
-	for _, alt := range plan.Alternates {
-		current[alt.PeerAddr] = true
+	current := func(peer netip.Addr) bool {
+		return plan.Preferred.PeerAddr == peer ||
+			slices.ContainsFunc(plan.Alternates, func(alt *rib.Route) bool { return alt.PeerAddr == peer })
 	}
 	rate := plan.RateBps
 	prefIF := plan.Preferred.EgressIF
 	pws := make([]PathWeight, len(po.Multipath))
 	for i, pw := range po.Multipath {
-		if !current[pw.Via.PeerAddr] {
+		if !current(pw.Via.PeerAddr) {
 			return Override{}, false
 		}
 		share := rate * float64(pw.WeightPct) / 100

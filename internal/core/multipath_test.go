@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math/rand"
 	"net/netip"
+	"reflect"
 	"testing"
 
 	"edgefabric/internal/altpath"
@@ -338,5 +340,49 @@ func TestSameMultipath(t *testing.T) {
 	}
 	if SameMultipath(a, nil) {
 		t.Error("set vs nil must compare unequal")
+	}
+}
+
+// Regression (determinism): reports arrive in map order and many share
+// a gap, so with a move budget and a finite alternate port the visiting
+// order decides who gets a set. The (gap, prefix) total order must make
+// the result independent of arrival order.
+func TestMultipathAllocateOrderIndependent(t *testing.T) {
+	inv := testInventory(t)
+	tab := rib.NewTable(rib.DefaultPolicy())
+	demand := make(map[netip.Prefix]float64)
+	var prefixes []netip.Prefix
+	for i := 0; i < 24; i++ {
+		pfx := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 0, byte(i), 0}), 24).String()
+		tab.Add(route(pfx, "172.20.0.1", rib.ClassPrivate, 0, 65010))
+		tab.Add(route(pfx, "172.20.0.3", rib.ClassPublic, 2, 65012, 65010)) // 10G IXP port
+		p := netip.MustParsePrefix(pfx)
+		prefixes = append(prefixes, p)
+		demand[p] = 1e9
+	}
+	proj := Project(tab, demand)
+	build := func() []*altpath.PrefixReport {
+		var reports []*altpath.PrefixReport
+		for i, p := range prefixes {
+			plan := proj.Plans[p]
+			// Three gap classes of eight tied prefixes each.
+			reports = append(reports, mpReport(p.String(), plan.Preferred, 60,
+				altpath.PathStat{Route: plan.Alternates[0], P50: 30 - 5*float64(i%3), N: 32}))
+		}
+		return reports
+	}
+	cfg := MultipathConfig{MinGainMS: 20, MaxMoves: 10}
+	want := MultipathAllocate(proj, inv, build(), nil, nil, AllocatorConfig{}, cfg)
+	if len(want) == 0 || len(want) >= len(prefixes) {
+		t.Fatalf("baseline produced %d overrides; the budget and the IXP port must admit only some of %d", len(want), len(prefixes))
+	}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 20; trial++ {
+		reports := build()
+		rng.Shuffle(len(reports), func(a, b int) { reports[a], reports[b] = reports[b], reports[a] })
+		got := MultipathAllocate(proj, inv, reports, nil, nil, AllocatorConfig{}, cfg)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: overrides depend on report order:\n got %+v\nwant %+v", trial, got, want)
+		}
 	}
 }

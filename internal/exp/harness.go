@@ -293,32 +293,35 @@ func NewHarness(ctx context.Context, cfg HarnessConfig) (*Harness, error) {
 			return nil, err
 		}
 		h.Measurer = meas
+		// measure runs one round over the prefixes that currently have
+		// demand and returns the reports. The prefixes go in
+		// rib.ComparePrefixes order, not map order, so the Measurer's one
+		// sequential noise source is consumed the same way for a seed.
+		var prefixes []netip.Prefix
+		measure := func(proj *core.Projection) []*altpath.PrefixReport {
+			prefixes = prefixes[:0]
+			for p := range proj.Plans {
+				prefixes = append(prefixes, p)
+			}
+			rib.SortPrefixes(prefixes)
+			meas.MeasureRound(prefixes)
+			return meas.Reports()
+		}
 		if cfg.Multipath {
 			mcfg := cfg.MultipathCfg
 			// prev carries the installed multipath sets across cycles so
 			// hysteresis can re-affirm unchanged sets without churn.
 			prev := make(map[netip.Prefix]core.Override)
 			extra = func(proj *core.Projection, alloc *core.AllocResult, tr *core.CycleTrace) []core.Override {
-				var prefixes []netip.Prefix
-				for p := range proj.Plans {
-					prefixes = append(prefixes, p)
-				}
-				meas.MeasureRound(prefixes)
-				out := core.MultipathAllocateTraced(proj, inv, meas.Reports(), alloc, prev, cfg.Allocator, mcfg, tr)
+				out := core.MultipathAllocateTraced(proj, inv, measure(proj), alloc, prev, cfg.Allocator, mcfg, tr)
 				prev = core.MultipathPrior(out)
 				return out
 			}
 		} else {
 			pcfg := cfg.PerfCfg
 			extra = func(proj *core.Projection, alloc *core.AllocResult, tr *core.CycleTrace) []core.Override {
-				// Measure the prefixes that currently have demand, then
-				// fold qualifying gains into this cycle's override set.
-				var prefixes []netip.Prefix
-				for p := range proj.Plans {
-					prefixes = append(prefixes, p)
-				}
-				meas.MeasureRound(prefixes)
-				return core.PerfAllocateTraced(proj, inv, meas.Reports(), alloc, cfg.Allocator, pcfg, tr)
+				// Fold qualifying gains into this cycle's override set.
+				return core.PerfAllocateTraced(proj, inv, measure(proj), alloc, cfg.Allocator, pcfg, tr)
 			}
 		}
 	}

@@ -2,7 +2,7 @@ package rib
 
 import (
 	"net/netip"
-	"sort"
+	"slices"
 )
 
 // ComparePrefixes orders prefixes by address family (IPv4 first), then
@@ -25,5 +25,5 @@ func ComparePrefixes(a, b netip.Prefix) int {
 
 // SortPrefixes sorts ps in ComparePrefixes order.
 func SortPrefixes(ps []netip.Prefix) {
-	sort.Slice(ps, func(i, j int) bool { return ComparePrefixes(ps[i], ps[j]) < 0 })
+	slices.SortFunc(ps, ComparePrefixes)
 }

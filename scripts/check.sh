@@ -18,6 +18,14 @@ go vet ./...
 echo "==> go build ./..."
 go build ./...
 
+# bench/ is its own module (replace edgefabric => ../), so the root
+# build never compiles it and a signature change under internal/ can
+# break bench/sut.go unseen. Vet and build it the way bench/run.sh does:
+# offline, stdlib only. Nothing is written outside the Go build cache.
+echo "==> bench module: go vet + go build (offline)"
+GOFLAGS= GOPROXY=off go -C bench vet .
+GOFLAGS= GOPROXY=off go -C bench build -o /dev/null .
+
 echo "==> go test -race ./..."
 go test -race ./...
 
@@ -53,7 +61,7 @@ go test -count=1 -timeout 4m -run '^TestE18ShiftSmoke$' ./internal/exp
 echo "==> hot-path benchmarks -> BENCH_hotpath.json"
 benchout=$(mktemp)
 go test -run '^$' \
-  -bench='^(BenchmarkProject50k|BenchmarkTableRoutesSorted|BenchmarkRunCycleSteadyState|BenchmarkRunCycleSteadyStateNoTrace|BenchmarkMultipathAllocate|BenchmarkIngestDatagram|BenchmarkDecodeStream|BenchmarkFleetRollup)$' \
+  -bench='^(BenchmarkProject50k|BenchmarkTableRoutesSorted|BenchmarkRunCycleSteadyState|BenchmarkRunCycleSteadyStateNoTrace|BenchmarkMultipathAllocate|BenchmarkMeasureRoundReports|BenchmarkIngestDatagram|BenchmarkDecodeStream|BenchmarkFleetRollup)$' \
   -benchtime=3x -count=2 -benchmem . | tee "$benchout"
 awk -v gover="$(go env GOVERSION)" '
 /^Benchmark/ {
@@ -83,12 +91,15 @@ else
 fi
 mv BENCH_hotpath.json.new BENCH_hotpath.json
 
-# Fuzz smoke: 10 s per wire-format decoder. Catches decode panics the
-# seed corpora miss; a real finding reproduces via the usual testdata
-# crasher files.
-for pkg in ./internal/bgp ./internal/bmp ./internal/sflow; do
-  echo "==> go test -fuzz=FuzzDecode -fuzztime=10s $pkg"
-  go test -run '^$' -fuzz=FuzzDecode -fuzztime=10s "$pkg"
+# Fuzz smoke: 10 s per wire-format decoder, and 10 s of the altpath
+# window's order index against its copy-and-sort oracle. Catches decode
+# panics and order-statistic drift the seed corpora miss; a real finding
+# reproduces via the usual testdata crasher files.
+for target in ./internal/bgp:FuzzDecode ./internal/bmp:FuzzDecode ./internal/sflow:FuzzDecode \
+  ./internal/altpath:FuzzWindowOrderStats; do
+  pkg=${target%%:*} fuzz=${target##*:}
+  echo "==> go test -fuzz=$fuzz -fuzztime=10s $pkg"
+  go test -run '^$' -fuzz="$fuzz" -fuzztime=10s "$pkg"
 done
 
 # API surface gate: the /v1 route list is a golden artifact

@@ -213,13 +213,15 @@ func AllocateStickyTraced(proj *Projection, inv *Inventory, cfg AllocatorConfig,
 	for id, bps := range proj.IfLoadBps {
 		load[id] = bps
 	}
-	capOf := func(id int) float64 {
-		info, ok := inv.InterfaceByID(id)
-		if !ok {
-			return 0
-		}
-		return info.CapacityBps
+	// One read of the inventory per call (never kept across calls): the
+	// loops and sort comparators below ask for capacities thousands of
+	// times, and every Inventory read locks, and Interfaces() also sorts.
+	ifs := inv.Interfaces()
+	capacity := make(map[int]float64, len(ifs))
+	for _, info := range ifs {
+		capacity[info.ID] = info.CapacityBps
 	}
+	capOf := func(id int) float64 { return capacity[id] }
 	moved := make(map[netip.Prefix]bool)
 
 	// candidateDetourRate returns the best feasible detour for moving
@@ -352,10 +354,10 @@ func AllocateStickyTraced(proj *Projection, inv *Inventory, cfg AllocatorConfig,
 	// Interfaces the allocator already failed to drain; skipped when
 	// picking the next-worst so the loop always makes progress.
 	gaveUp := make(map[int]bool)
-	for iter := 0; iter < len(inv.Interfaces())+8; iter++ {
+	for iter := 0; iter < len(ifs)+8; iter++ {
 		// Most overloaded interface by ratio.
 		overIF, overUtil := -1, cfg.Threshold
-		for _, info := range inv.Interfaces() {
+		for _, info := range ifs {
 			if gaveUp[info.ID] {
 				continue
 			}
@@ -379,6 +381,9 @@ func AllocateStickyTraced(proj *Projection, inv *Inventory, cfg AllocatorConfig,
 		type cand struct {
 			plan   *PrefixPlan
 			detour *rib.Route
+			// spare is the detour target's headroom at collection; loads
+			// do not move until the candidates are sorted.
+			spare float64
 		}
 		var cands []cand
 		bucket := proj.PrefixesOnInterface(overIF)
@@ -391,7 +396,7 @@ func AllocateStickyTraced(proj *Projection, inv *Inventory, cfg AllocatorConfig,
 				pt := tr.Prefix(plan.Prefix)
 				pt.setPlan(plan)
 				if d := candidateDetourRate(plan, plan.RateBps, "overload", pt); d != nil {
-					cands = append(cands, cand{plan, d})
+					cands = append(cands, cand{plan, d, cfg.Target*capOf(d.EgressIF) - load[d.EgressIF]})
 					feasible += plan.RateBps
 				} else {
 					pt.outcome(OutcomeNone, nil, "no feasible alternate")
@@ -436,10 +441,8 @@ func AllocateStickyTraced(proj *Projection, inv *Inventory, cfg AllocatorConfig,
 					return 1
 				}
 				// More spare headroom on the detour target first.
-				sa := cfg.Target*capOf(da.EgressIF) - load[da.EgressIF]
-				sb := cfg.Target*capOf(db.EgressIF) - load[db.EgressIF]
-				if sa != sb {
-					if sa > sb {
+				if a.spare != b.spare {
+					if a.spare > b.spare {
 						return -1
 					}
 					return 1
@@ -563,7 +566,7 @@ func AllocateStickyTraced(proj *Projection, inv *Inventory, cfg AllocatorConfig,
 
 		if cfg.MaxDetours > 0 && len(res.Overrides) >= cfg.MaxDetours {
 			// Record any remaining overloads as residual before exiting.
-			for _, info := range inv.Interfaces() {
+			for _, info := range ifs {
 				u := load[info.ID] / info.CapacityBps
 				if u > cfg.Threshold {
 					if _, ok := res.ResidualOverloadBps[info.ID]; !ok {

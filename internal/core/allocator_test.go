@@ -436,3 +436,30 @@ func BenchmarkAllocate10k(b *testing.B) {
 		}
 	}
 }
+
+// TestAllocateReadsCapacityPerCall: the allocator snapshots interface
+// capacities once per call and never across calls, so a capacity change
+// (an OnCapacity event, a brownout) is seen by the very next cycle.
+func TestAllocateReadsCapacityPerCall(t *testing.T) {
+	inv := testInventory(t)
+	tab := buildTable(10)
+	demand := map[netip.Prefix]float64{}
+	for i := 0; i < 10; i++ {
+		demand[netip.MustParsePrefix(fmt.Sprintf("10.0.%d.0/24", i))] = 0.9e9 // 9G on the 10G PNI
+	}
+	proj := Project(tab, demand)
+	cfg := AllocatorConfig{Threshold: 0.95}
+	if res := Allocate(proj, inv, cfg); len(res.Overrides) != 0 {
+		t.Fatalf("90%% utilization produced %d overrides", len(res.Overrides))
+	}
+	if err := inv.SetInterfaceCapacity(0, 5e9); err != nil {
+		t.Fatal(err)
+	}
+	res := Allocate(proj, inv, cfg)
+	if len(res.Overrides) == 0 {
+		t.Fatal("capacity halved between calls, second call still saw the old one")
+	}
+	if left := 9e9 - res.DetouredBps; left > 0.95*5e9 {
+		t.Errorf("drained to %.2fG, want <= %.2fG (95%% of the new capacity)", left/1e9, 0.95*5)
+	}
+}

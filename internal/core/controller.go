@@ -543,6 +543,10 @@ func (c *Controller) finishReport(report *CycleReport, started time.Time) {
 	if len(report.ResidualOverloadBps) > 0 {
 		m.Counter("edgefabric_residual_overload_cycles_total").Inc()
 	}
+	// Announcements the RIB absorbed as no-ops (a BMP re-sync of routes
+	// it already held), brought up to the table's running count.
+	dups := m.Counter("edgefabric_rib_duplicate_announcements_total")
+	dups.Add(c.store.Table().Duplicates() - dups.Value())
 
 	// Cycle watchdog: a cycle that blows its interval budget starves
 	// the loop; count it and let consecutive overruns degrade health.
@@ -711,14 +715,12 @@ func (c *Controller) RunCycle() (report *CycleReport, err error) {
 		HealthReasons:       ih.Reasons,
 		IfUtil:              make(map[int]float64),
 		Overrides:           overrides,
+		DemandBps:           proj.DemandBps,
 		DetouredBps:         detoured,
 		ResidualOverloadBps: alloc.ResidualOverloadBps,
 		Announced:           res.Announced,
 		Withdrawn:           res.Withdrawn,
 		Partial:             res.Partial,
-	}
-	for _, bps := range demand {
-		report.DemandBps += bps
 	}
 	for _, info := range c.cfg.Inventory.Interfaces() {
 		report.IfUtil[info.ID] = proj.IfLoadBps[info.ID] / info.CapacityBps

@@ -360,3 +360,126 @@ func TestRouteStoreBMPFlow(t *testing.T) {
 		t.Error("unknown peer not counted")
 	}
 }
+
+// TestResyncInvisibleToCycle: a BMP re-sync that re-announces exactly
+// what the store holds (a router reconnecting after a feed outage) must
+// not reach the cycle — no journal entries, no re-planned prefix, the
+// very same Override.Via pointers, nothing announced or withdrawn.
+func TestResyncInvisibleToCycle(t *testing.T) {
+	inv := testInventory(t)
+	demand := staticTraffic{}
+	ctrl, err := New(Config{
+		Inventory: inv,
+		Traffic:   demand,
+		LocalAS:   64500,
+		Allocator: AllocatorConfig{Threshold: 0.95},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.Close()
+	_, conn := newFakePR(t, 64500)
+	if err := ctrl.AddInjectionSession(netip.MustParseAddr("10.255.0.1"), conn); err != nil {
+		t.Fatal(err)
+	}
+
+	feed, ctrlEnd := netsim.BufferedPipe()
+	ctrl.AddBMPFeed("pr1", ctrlEnd)
+	exp, err := bmp.NewExporter(feed, "pr1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pni, transit := netip.MustParseAddr("172.20.0.1"), netip.MustParseAddr("172.20.0.9")
+	for _, p := range []struct {
+		addr netip.Addr
+		as   uint32
+	}{{pni, 65010}, {transit, 64601}} {
+		if err := exp.PeerUp(p.addr, p.as, netip.MustParseAddr("10.0.0.7"), netip.MustParseAddr("10.255.0.1")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var prefixes []netip.Prefix
+	for i := 0; i < 10; i++ {
+		p := netip.MustParsePrefix(fmt.Sprintf("10.0.%d.0/24", i))
+		prefixes = append(prefixes, p)
+		demand[p] = 1.2e9 // 12G on the 10G PNI
+	}
+	dump := func() {
+		t.Helper()
+		for _, u := range []struct {
+			peer netip.Addr
+			as   uint32
+			path []uint32
+		}{{pni, 65010, []uint32{65010}}, {transit, 64601, []uint32{64601, 65010}}} {
+			err := exp.Route(u.peer, u.as, &bgp.Update{
+				Attrs: bgp.PathAttrs{HasOrigin: true, ASPath: bgp.Sequence(u.path...), NextHop: u.peer},
+				NLRI:  prefixes,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	tab := ctrl.Store().Table()
+
+	dump()
+	if err := tab.WaitRouteCount(ctx, 2*len(prefixes)); err != nil {
+		t.Fatal(err)
+	}
+	if err := ctrl.WaitReady(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	rep1, err := ctrl.RunCycle()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep1.Overrides) == 0 || rep1.Announced != len(rep1.Overrides) {
+		t.Fatalf("cycle 1: %d overrides, %d announced", len(rep1.Overrides), rep1.Announced)
+	}
+	ver := tab.Version()
+	m := ctrl.Metrics()
+	sweeps := m.Counter("edgefabric_delta_full_sweeps_total").Value()
+	recomputed := m.Counter("edgefabric_delta_recomputed_total").Value()
+
+	dump()
+	for tab.Duplicates() < uint64(2*len(prefixes)) {
+		if ctx.Err() != nil {
+			t.Fatalf("re-sync not absorbed: %d duplicates", tab.Duplicates())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if routes, _, _ := ctrl.Store().Stats(); routes != uint64(4*len(prefixes)) {
+		t.Errorf("Stats routes = %d, want %d (suppressed routes still count at enqueue)", routes, 4*len(prefixes))
+	}
+	// What ProjectDelta is about to read: DeltaStats{Full: false, Changed: 0}.
+	if changed, _, ok := tab.ChangedSince(ctrl.projector.lastVer, nil); !ok || len(changed) != 0 || tab.Version() != ver {
+		t.Fatalf("re-sync reached the journal: %d changed, ok=%v, version %d → %d", len(changed), ok, ver, tab.Version())
+	}
+
+	rep2, err := ctrl.RunCycle()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep2.Announced+rep2.Withdrawn != 0 {
+		t.Errorf("cycle 2 announced %d, withdrew %d, want 0", rep2.Announced, rep2.Withdrawn)
+	}
+	if got := m.Counter("edgefabric_delta_full_sweeps_total").Value(); got != sweeps {
+		t.Errorf("cycle 2 fell back to a full sweep")
+	}
+	if got := m.Counter("edgefabric_delta_recomputed_total").Value(); got != recomputed {
+		t.Errorf("cycle 2 re-planned %d prefixes, want 0", got-recomputed)
+	}
+	if len(rep2.Overrides) != len(rep1.Overrides) {
+		t.Fatalf("overrides %d → %d", len(rep1.Overrides), len(rep2.Overrides))
+	}
+	for i, o := range rep2.Overrides {
+		if was := rep1.Overrides[i]; o.Prefix != was.Prefix || o.Via != was.Via {
+			t.Errorf("override %d: %v via %p, was %v via %p", i, o.Prefix, o.Via, was.Prefix, was.Via)
+		}
+	}
+	if got := m.Counter("edgefabric_rib_duplicate_announcements_total").Value(); got != uint64(2*len(prefixes)) {
+		t.Errorf("edgefabric_rib_duplicate_announcements_total = %d, want %d", got, 2*len(prefixes))
+	}
+}

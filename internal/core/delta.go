@@ -166,7 +166,9 @@ func (pj *Projector) ProjectDelta(routes *rib.Table, demand map[netip.Prefix]flo
 	hh := pj.hhBuf[:0]
 	live := 0
 	routedTouched := false
+	demandBps := 0.0
 	for p, bps := range demand {
+		demandBps += bps
 		if bps <= 0 {
 			continue
 		}
@@ -256,6 +258,7 @@ func (pj *Projector) ProjectDelta(routes *rib.Table, demand map[netip.Prefix]flo
 	pj.lastVer = now
 	pj.hhBuf = hh
 	pj.cur.HeavyThrBps = st.HeavyThr
+	pj.cur.DemandBps = demandBps
 	if collectHH {
 		pj.updateHeavyThr(hh)
 		pj.sinceThr = 0

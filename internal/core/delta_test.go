@@ -206,8 +206,12 @@ func TestProjectDeltaStats(t *testing.T) {
 		t.Fatalf("rate not refreshed in place")
 	}
 
-	// Route change: snapshot-driven recompute.
-	tab.Add(route(target.String(), "172.20.0.9", rib.ClassTransit, 3, 64601))
+	// Route change: snapshot-driven recompute. The MED makes it a change
+	// whether or not the target already had this transit route — an
+	// identical re-announcement is suppressed by the table.
+	changed := route(target.String(), "172.20.0.9", rib.ClassTransit, 3, 64601)
+	changed.MED, changed.HasMED = 7, true
+	tab.Add(changed)
 	_, st = pj.ProjectDelta(tab, demand)
 	if st.Recomputed != 1 || st.Unchanged {
 		t.Fatalf("route-change stats = %+v, want 1 recompute", st)

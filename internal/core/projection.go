@@ -67,6 +67,9 @@ type Projection struct {
 	Plans map[netip.Prefix]*PrefixPlan
 	// UnroutedBps is demand for prefixes with no organic route.
 	UnroutedBps float64
+	// DemandBps is the sum of the whole demand map the projection was
+	// built from, summed by the scan that walks it anyway.
+	DemandBps float64
 	// HeavyThrBps is the heavy-hitter rate threshold in force for this
 	// cycle (0 = every prefix is tracked exactly). The allocator uses
 	// it to consult heavy plans first when draining an overload.
@@ -223,7 +226,9 @@ func (pj *Projector) Project(routes *rib.Table, demand map[netip.Prefix]float64)
 	}
 
 	prefixes, rates := pj.scratch[:0], pj.rates[:0]
+	demandBps := 0.0
 	for p, bps := range demand {
+		demandBps += bps
 		if bps > 0 {
 			prefixes = append(prefixes, p)
 			rates = append(rates, bps)
@@ -267,6 +272,7 @@ func (pj *Projector) Project(routes *rib.Table, demand map[netip.Prefix]float64)
 	}
 
 	proj := &Projection{
+		DemandBps: demandBps,
 		IfLoadBps: make(map[int]float64),
 		Plans:     make(map[netip.Prefix]*PrefixPlan, len(prefixes)),
 		byIF:      make(map[int][]*PrefixPlan),

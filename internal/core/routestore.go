@@ -38,6 +38,12 @@ type RouteStore struct {
 // routeBatchSize bounds buffered ops before an in-line flush.
 const routeBatchSize = 256
 
+// routeSlabMax bounds the routes OnRoute allocates at once, so that a
+// slab stays a size-classed object: a 200-NLRI slab is a 33 KB large
+// object, and what allocating one of those costs depends on how far the
+// sweep of the last GC has got.
+const routeSlabMax = 128
+
 // NewRouteStore returns a store resolving peers against inv. The policy
 // mirrors the routers' import policy so the controller's preference
 // order matches what the routers would choose.
@@ -121,17 +127,17 @@ func (s *RouteStore) OnRoute(router string, m *bmp.RouteMonitoring) {
 	u := m.Update
 	policy := s.table.Policy()
 
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
-	apply := func(prefix netip.Prefix, nextHop netip.Addr) {
-		if !known {
-			s.unknownPeers.Add(1)
-			return
-		}
-		r := &rib.Route{
-			Prefix:      prefix,
-			NextHop:     nextHop,
+	// One flattened AS path per UPDATE and one route slab per routeSlabMax
+	// NLRI, not one of each per NLRI: the table copies each route into its
+	// arena, so nothing retains them.
+	nlri := len(u.NLRI)
+	if u.Attrs.MPReach != nil {
+		nlri += len(u.Attrs.MPReach.NLRI)
+	}
+	var tmpl rib.Route
+	var slab []rib.Route
+	if known && nlri > 0 {
+		tmpl = rib.Route{
 			ASPath:      u.Attrs.FlatASPath(),
 			PathHops:    u.Attrs.PathHopCount(),
 			Origin:      rib.Origin(u.Attrs.Origin),
@@ -143,9 +149,29 @@ func (s *RouteStore) OnRoute(router string, m *bmp.RouteMonitoring) {
 			PeerClass:   info.Class,
 			EgressIF:    info.InterfaceID,
 		}
-		if policy != nil && !policy.Import(r) {
+	}
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+
+	apply := func(prefix netip.Prefix, nextHop netip.Addr) {
+		if !known {
+			s.unknownPeers.Add(1)
 			return
 		}
+		if len(slab) == 0 {
+			slab = make([]rib.Route, min(nlri, routeSlabMax))
+		}
+		nlri-- // NLRI still to come, this one included
+		r := &slab[0]
+		*r = tmpl
+		r.Prefix, r.NextHop = prefix, nextHop
+		if policy != nil && !policy.Import(r) {
+			return // the slot is reused by the next NLRI
+		}
+		slab = slab[1:]
+		// Counted at enqueue even if the table then suppresses it as a
+		// duplicate: Stats consumers pace themselves on routes ingested.
 		s.routesSeen.Add(1)
 		s.batch = append(s.batch, rib.BatchOp{Route: r})
 	}

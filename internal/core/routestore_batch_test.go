@@ -176,3 +176,59 @@ func TestRouteStoreBatchStatsEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestRouteStoreDuplicateUpdateAllocs pins what an absorbed re-sync
+// costs per UPDATE: one flattened AS path and one route slab, whatever
+// the NLRI count — and every policy-accepted route still counts in
+// Stats, which consumers pace themselves on.
+func TestRouteStoreDuplicateUpdateAllocs(t *testing.T) {
+	store := NewRouteStore(testInventory(t))
+	prefixes := make([]string, 200)
+	for i := range prefixes {
+		prefixes[i] = fmt.Sprintf("10.%d.%d.0/24", 20+i/256, i%256)
+	}
+	msg := routeMsg(netip.MustParseAddr("172.20.0.9"), 64601, prefixes...)
+	store.OnRoute("pr1", msg)
+	store.FlushRoutes()
+	ver := store.Table().Version()
+
+	const runs = 20
+	avg := testing.AllocsPerRun(runs, func() {
+		store.OnRoute("pr1", msg)
+		store.FlushRoutes()
+	})
+	if avg > 3 { // the flattened AS path and two slabs (routeSlabMax + the rest)
+		t.Errorf("duplicate 200-NLRI UPDATE + flush allocates %.1f objects, want <= 3", avg)
+	}
+	if got := store.Table().Version(); got != ver {
+		t.Errorf("duplicates moved the table version %d → %d", ver, got)
+	}
+	// AllocsPerRun makes one warm-up call beyond runs.
+	if routes, _, _ := store.Stats(); routes != uint64((runs+2)*len(prefixes)) {
+		t.Errorf("Stats routes = %d, want %d", routes, (runs+2)*len(prefixes))
+	}
+}
+
+// An UPDATE wider than routeSlabMax takes its routes from several slabs,
+// and ops buffered by an earlier UPDATE point into an earlier one: every
+// route must land intact.
+func TestRouteStoreSlabChunks(t *testing.T) {
+	store := NewRouteStore(testInventory(t))
+	prefixes := make([]string, 10+2*routeSlabMax+7)
+	for i := range prefixes {
+		prefixes[i] = fmt.Sprintf("10.%d.%d.0/24", 20+i/256, i%256)
+	}
+	peer := netip.MustParseAddr("172.20.0.9")
+	store.OnRoute("pr1", routeMsg(peer, 64601, prefixes[:10]...)) // buffered, not flushed
+	store.OnRoute("pr1", routeMsg(peer, 64601, prefixes[10:]...))
+	store.FlushRoutes()
+	if got := store.Table().RouteCount(); got != len(prefixes) {
+		t.Fatalf("RouteCount = %d, want %d", got, len(prefixes))
+	}
+	for _, p := range prefixes {
+		rs := store.Routes(netip.MustParsePrefix(p))
+		if len(rs) != 1 || rs[0].PeerAddr != peer || rs[0].Prefix.String() != p {
+			t.Fatalf("%s: stored routes %v", p, rs)
+		}
+	}
+}

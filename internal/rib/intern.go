@@ -1,5 +1,7 @@
 package rib
 
+import "slices"
+
 // Attribute interning: a full Internet table carries the same AS_PATH
 // (and community list) on thousands of routes — every prefix announced
 // by one transit session shares a handful of paths, and a large peer's
@@ -35,18 +37,6 @@ func hashU32(s []uint32) uint64 {
 	return h
 }
 
-func equalU32(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // intern returns the canonical slice equal to s, registering s as the
 // canonical copy when the content is new. Empty input interns to nil so
 // "no path" has a single representation. The returned slice must be
@@ -60,7 +50,7 @@ func (in *u32Interner) intern(s []uint32) []uint32 {
 	}
 	h := hashU32(s)
 	for _, cand := range in.buckets[h] {
-		if equalU32(cand, s) {
+		if slices.Equal(cand, s) {
 			return cand
 		}
 	}

@@ -53,9 +53,12 @@ func TestChangedSinceOverflow(t *testing.T) {
 	v0 := tab.Version()
 	// More than journalCap mutations: the reader that stayed at v0 must
 	// be told to resync, while a reader within the window still works.
+	// The prefixes wrap after 65 536, so the MED varies: an identical
+	// re-announcement would be suppressed, not journaled.
 	for i := 0; i < journalCap+10; i++ {
-		p := fmt.Sprintf("10.%d.%d.0/24", (i>>8)%256, i%256)
-		tab.Add(mkRoute(p, "192.0.2.1", ClassPrivate, 65001))
+		r := mkRoute(fmt.Sprintf("10.%d.%d.0/24", (i>>8)%256, i%256), "192.0.2.1", ClassPrivate, 65001)
+		r.MED, r.HasMED = uint32(i), true
+		tab.Add(r)
 	}
 	if _, _, ok := tab.ChangedSince(v0, nil); ok {
 		t.Error("reader beyond the journal window must get ok=false")

@@ -3,6 +3,7 @@ package rib
 import (
 	"context"
 	"net/netip"
+	"slices"
 	"sync"
 )
 
@@ -38,6 +39,7 @@ type Table struct {
 	lens6   [129]int // count of IPv6 prefixes per bit length
 	version uint64
 	nroutes int
+	dups    uint64 // announcements suppressed as identical (see Add)
 	// waitCh, when non-nil, is closed on the next mutation to wake
 	// WaitChange / WaitRouteCount blockers.
 	waitCh chan struct{}
@@ -75,12 +77,13 @@ func (t *Table) recordChange(p netip.Prefix) {
 	t.journal[idx] = p
 }
 
-// ChangedSince reports the prefixes mutated after table version since,
-// and the version the report is current through (pass it back as the
-// next call's since). The result may repeat a prefix mutated more than
-// once. ok=false means the journal no longer reaches back to since —
-// more than journalCap mutations elapsed, or since is from another
-// table's timeline — and the caller must fall back to a full scan.
+// ChangedSince reports the prefixes whose route set changed after table
+// version since (a re-announcement identical to the stored route is not
+// a change), and the version the report is current through (pass it
+// back as the next call's since). The result may repeat a prefix mutated
+// more than once. ok=false means the journal no longer reaches back to
+// since — more than journalCap mutations elapsed, or since is from
+// another table's timeline — and the caller must fall back to a full scan.
 // Results are appended to dst (reused when it has capacity).
 func (t *Table) ChangedSince(since uint64, dst []netip.Prefix) (changed []netip.Prefix, now uint64, ok bool) {
 	t.mu.RLock()
@@ -117,8 +120,9 @@ func NewTable(policy *Policy) *Table {
 // Policy returns the table's decision-process configuration.
 func (t *Table) Policy() *Policy { return t.policy }
 
-// Version reports a counter incremented on every mutation, usable for
-// cheap change detection.
+// Version reports a counter incremented every time the route set
+// changes — a route inserted, replaced by a different one, or removed;
+// not by an announcement identical to the stored route (see Add).
 func (t *Table) Version() uint64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -161,8 +165,9 @@ func (t *Table) notifyLocked() {
 	}
 }
 
-// WaitChange blocks until the table's version exceeds sinceVersion or
-// ctx is done. It returns nil on change and ctx.Err() on cancellation.
+// WaitChange blocks until the route set changes (the table's version
+// exceeds sinceVersion; a re-sync of routes it already holds wakes
+// nobody) or ctx is done. It returns nil on change, else ctx.Err().
 func (t *Table) WaitChange(ctx context.Context, sinceVersion uint64) error {
 	for {
 		t.mu.Lock()
@@ -207,34 +212,72 @@ func (t *Table) WaitRouteCount(ctx context.Context, n int) error {
 
 // Add inserts or replaces a route. Route identity is (prefix, peer
 // address): a route from the same neighbor for the same prefix replaces
-// the previous one, per BGP implicit-withdraw semantics. Add does not
-// apply import policy; see Accept. It reports whether the best route for
-// the prefix changed. The table takes ownership of r (including its
-// attribute slices); the caller must not mutate it afterward. The
-// stored copy lives in the table's route arena with its AS path and
-// communities interned, so r itself is garbage as soon as Add returns.
+// the previous one, per BGP implicit-withdraw semantics. An announcement
+// equal to the stored route in every Route field changes nothing — the
+// stored *Route, the prefix's generation, Version, the journal and
+// waiters are left alone; it is only counted (Duplicates) — so a BMP
+// re-sync of routes the table holds is invisible to readers. Add does
+// not apply import policy; see Accept. It reports whether the best route
+// for the prefix changed. The table takes ownership of r (including its
+// attribute slices); the caller must not mutate it afterward. The stored
+// copy lives in the table's route arena with its AS path and communities
+// interned, so r itself is garbage as soon as Add returns.
 func (t *Table) Add(r *Route) bool {
 	if r == nil || !r.Prefix.IsValid() {
 		return false
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	changed := t.addLocked(r)
-	t.notifyLocked()
-	return changed
+	added, bestChanged := t.addLocked(r)
+	if added {
+		t.notifyLocked()
+	}
+	return bestChanged
+}
+
+// Duplicates reports how many announcements were suppressed because
+// they equalled the route already stored for their (prefix, peer).
+func (t *Table) Duplicates() uint64 {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.dups
+}
+
+// duplicateOf reports whether the stored route s carries exactly the
+// announcement in, whose masked prefix is p. Every field of Route takes
+// part (TestDuplicateComparesEveryField walks them by reflection).
+func duplicateOf(s, in *Route, p netip.Prefix) bool {
+	return s.Prefix == p && s.NextHop == in.NextHop && s.PathHops == in.PathHops &&
+		s.Origin == in.Origin && s.MED == in.MED && s.HasMED == in.HasMED &&
+		s.LocalPref == in.LocalPref && s.PeerAddr == in.PeerAddr && s.PeerAS == in.PeerAS &&
+		s.PeerClass == in.PeerClass && s.FromIBGP == in.FromIBGP && s.EgressIF == in.EgressIF &&
+		slices.Equal(s.ASPath, in.ASPath) && slices.Equal(s.Communities, in.Communities)
 }
 
 // addLocked is Add's body under an already-held write lock, without the
 // waiter notification — ApplyBatch amortizes both across many routes.
-func (t *Table) addLocked(r *Route) bool {
+// It reports (route stored, best route changed); a duplicate of the
+// stored route is (false, false) and touches nothing.
+func (t *Table) addLocked(r *Route) (added, bestChanged bool) {
 	p := r.Prefix.Masked()
+	e, ok := t.entries[p]
+	if ok {
+		for _, existing := range e.routes {
+			if existing.PeerAddr == r.PeerAddr {
+				if duplicateOf(existing, r, p) {
+					t.dups++
+					return false, false
+				}
+				break
+			}
+		}
+	}
 	r = t.arena.put(r)
 	r.Prefix = p
 	r.ASPath = t.attrs.intern(r.ASPath)
 	r.Communities = t.attrs.intern(r.Communities)
 	t.version++
 	t.recordChange(p)
-	e, ok := t.entries[p]
 	if !ok {
 		e = &tableEntry{}
 		t.entries[p] = e
@@ -271,7 +314,7 @@ func (t *Table) addLocked(r *Route) bool {
 	e.gen = t.version
 	e.ninj = ninj
 	t.nroutes += len(routes) - oldLen
-	return t.finishBest(p, oldBest, e)
+	return true, t.finishBest(p, oldBest, e)
 }
 
 // Accept applies the table's import policy to r and, if accepted, adds
@@ -350,7 +393,8 @@ type BatchOp struct {
 
 // BatchResult summarizes an ApplyBatch call.
 type BatchResult struct {
-	// Added counts routes inserted or replaced.
+	// Added counts routes inserted or replaced; an announcement equal
+	// to the stored route is neither (see Table.Duplicates).
 	Added int
 	// Removed counts withdraw ops that matched a stored route.
 	Removed int
@@ -366,10 +410,10 @@ type BatchResult struct {
 // absorption path: replaying a full table one Add at a time makes every
 // route pay lock handoff and waiter wakeup, and a ~1M-route dump can
 // starve concurrent snapshot readers; batching bounds that to one
-// acquisition per batch. Each op still takes its own table version and
-// journal slot, so ChangedSince consumers see the same per-prefix dirty
-// stream (or the same overflow-to-full-scan signal) as with single
-// mutations.
+// acquisition per batch. Each op that changes the route set takes its
+// own table version and journal slot, so ChangedSince consumers see the
+// same per-prefix dirty stream (or overflow-to-full-scan signal) as with
+// single mutations; a batch of only duplicates wakes no waiter.
 func (t *Table) ApplyBatch(ops []BatchOp) BatchResult {
 	var res BatchResult
 	if len(ops) == 0 {
@@ -384,11 +428,14 @@ func (t *Table) ApplyBatch(ops []BatchOp) BatchResult {
 			if !op.Route.Prefix.IsValid() {
 				continue
 			}
-			if t.addLocked(op.Route) {
+			added, bestChanged := t.addLocked(op.Route)
+			if added {
+				res.Added++
+				mutated = true
+			}
+			if bestChanged {
 				res.BestChanged++
 			}
-			res.Added++
-			mutated = true
 			continue
 		}
 		removed, bestChanged := t.removeLocked(op.Prefix, op.Peer)

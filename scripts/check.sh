@@ -91,12 +91,14 @@ else
 fi
 mv BENCH_hotpath.json.new BENCH_hotpath.json
 
-# Fuzz smoke: 10 s per wire-format decoder, and 10 s of the altpath
-# window's order index against its copy-and-sort oracle. Catches decode
-# panics and order-statistic drift the seed corpora miss; a real finding
-# reproduces via the usual testdata crasher files.
+# Fuzz smoke: 10 s per wire-format decoder, 10 s of the altpath
+# window's order index against its copy-and-sort oracle, and 10 s of
+# rib.Table's write path (adds, duplicate adds, removes, peer flushes,
+# batches) against a naive map model. Catches decode panics,
+# order-statistic drift and journal/version drift the seed corpora miss;
+# a real finding reproduces via the usual testdata crasher files.
 for target in ./internal/bgp:FuzzDecode ./internal/bmp:FuzzDecode ./internal/sflow:FuzzDecode \
-  ./internal/altpath:FuzzWindowOrderStats; do
+  ./internal/altpath:FuzzWindowOrderStats ./internal/rib:FuzzTableModel; do
   pkg=${target%%:*} fuzz=${target##*:}
   echo "==> go test -fuzz=$fuzz -fuzztime=10s $pkg"
   go test -run '^$' -fuzz="$fuzz" -fuzztime=10s "$pkg"

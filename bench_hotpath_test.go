@@ -132,6 +132,56 @@ func BenchmarkProjectDelta1M(b *testing.B) {
 	}
 }
 
+// BenchmarkProjectDeltaFlicker measures the demand-churn path of a delta
+// cycle: a 20k-prefix live set over a 41k-prefix table in which, every
+// cycle, a quarter of the live prefixes vanish and as many new ones
+// appear — the long-tail flicker of an sFlow-fed controller. Each new
+// prefix is snapshotted and planned, each vanished one unhooked from its
+// interface bucket. Steady state allocates plan records by the chunk and
+// little else; the ceiling fails the benchmark if a per-prefix
+// allocation creeps in.
+func BenchmarkProjectDeltaFlicker(b *testing.B) {
+	const (
+		flicker      = 10 * 512 // ten plan chunks a cycle, exactly
+		live         = 4 * flicker
+		universe     = 2 * live
+		allocCeiling = 16
+	)
+	tab, all := hotTable(universe, 3, 16)
+	// One demand map per window position, so the timed operation is the
+	// projection alone; consecutive windows differ by `flicker` prefixes
+	// at each end.
+	windows := make([]map[netip.Prefix]float64, universe/flicker)
+	for w := range windows {
+		windows[w] = make(map[netip.Prefix]float64, live)
+		for j := 0; j < live; j++ {
+			i := (w*flicker + j) % universe
+			p := netip.PrefixFrom(netip.AddrFrom4([4]byte{byte(10 + i>>16), byte(i >> 8), byte(i), 0}), 24)
+			windows[w][p] = all[p]
+		}
+	}
+	pj := &core.Projector{FullSweepEvery: -1}
+	cycle := 0
+	op := func() {
+		proj, st := pj.ProjectDelta(tab, windows[cycle%len(windows)])
+		if cycle > 0 && (st.Full || st.Recomputed != flicker || st.Removed != flicker || len(proj.Plans) != live) {
+			b.Fatalf("cycle %d: %+v, %d plans", cycle, st, len(proj.Plans))
+		}
+		cycle++
+	}
+	for cycle < 2*len(windows) { // every plan chunk and map past its first growth
+		op()
+	}
+	if got := testing.AllocsPerRun(len(windows), op); got > allocCeiling {
+		b.Fatalf("%.0f allocs per flicker cycle, ceiling %d", got, allocCeiling)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
 // BenchmarkTableRoutesSorted measures the preference-ordered route read
 // for one prefix with 16 routes — the RIB read underlying every plan.
 func BenchmarkTableRoutesSorted(b *testing.B) {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"net/netip"
 	"slices"
+	"sync/atomic"
 
 	"edgefabric/internal/rib"
 )
@@ -178,6 +179,13 @@ type AllocResult struct {
 	Retained int
 }
 
+// allocEpoch numbers allocator calls: a call marks the plans it detours
+// by stamping them with its epoch instead of building a set of moved
+// prefixes. One counter for the whole process, so plans shared between
+// projections, or projections allocated by a fleet of controllers,
+// never read another call's stamp as their own.
+var allocEpoch atomic.Uint64
+
 // Allocate runs the paper's greedy overload-mitigation algorithm over a
 // projection: while some interface is projected above threshold, pick
 // the most overloaded one and move whole prefixes from it onto their
@@ -209,20 +217,40 @@ func AllocateStickyTraced(proj *Projection, inv *Inventory, cfg AllocatorConfig,
 	cfg.setDefaults()
 	res := &AllocResult{ResidualOverloadBps: make(map[int]float64)}
 
-	load := make(map[int]float64, len(proj.IfLoadBps))
-	for id, bps := range proj.IfLoadBps {
-		load[id] = bps
-	}
 	// One read of the inventory per call (never kept across calls): the
 	// loops and sort comparators below ask for capacities thousands of
 	// times, and every Inventory read locks, and Interfaces() also sorts.
+	// Working loads and capacities are vectors indexed by interface ID
+	// (NewInventory bounds the IDs), sized to cover the inventory and
+	// every interface the projection loads.
 	ifs := inv.Interfaces()
-	capacity := make(map[int]float64, len(ifs))
+	n := 0
+	if len(ifs) > 0 {
+		n = ifs[len(ifs)-1].ID + 1
+	}
+	for id := range proj.IfLoadBps {
+		n = max(n, id+1)
+	}
+	load, capacity := make([]float64, n), make([]float64, n)
+	for id, bps := range proj.IfLoadBps {
+		if id >= 0 {
+			load[id] = bps
+		}
+	}
 	for _, info := range ifs {
 		capacity[info.ID] = info.CapacityBps
 	}
-	capOf := func(id int) float64 { return capacity[id] }
-	moved := make(map[netip.Prefix]bool)
+	// An alternate's egress interface need not be in the inventory: read
+	// by ID with a bounds check, absent reading as zero.
+	at := func(v []float64, id int) float64 {
+		if uint(id) < uint(len(v)) {
+			return v[id]
+		}
+		return 0
+	}
+	capOf := func(id int) float64 { return at(capacity, id) }
+	// A plan detoured by this call carries the call's epoch.
+	epoch := allocEpoch.Add(1)
 
 	// candidateDetourRate returns the best feasible detour for moving
 	// rate bps of a plan's traffic, given current working loads, or nil.
@@ -309,7 +337,7 @@ func AllocateStickyTraced(proj *Projection, inv *Inventory, cfg AllocatorConfig,
 			pt.setPlan(plan)
 			rate := plan.RateBps * rateShare
 			fromIF := plan.Preferred.EgressIF
-			if load[fromIF] <= cfg.Threshold*capOf(fromIF) {
+			if at(load, fromIF) <= cfg.Threshold*capOf(fromIF) {
 				pt.outcome(OutcomeNone, nil, "sticky detour lapsed: preferred interface below threshold")
 				continue // overload gone; let the detour lapse
 			}
@@ -324,19 +352,20 @@ func AllocateStickyTraced(proj *Projection, inv *Inventory, cfg AllocatorConfig,
 				pt.outcome(OutcomeNone, nil, "sticky detour lapsed: previous detour route withdrawn")
 				continue // the old detour route no longer exists
 			}
-			if load[via.EgressIF]+rate > cfg.Target*capOf(via.EgressIF) {
+			viaLoad, viaLimit := at(load, via.EgressIF), cfg.Target*capOf(via.EgressIF)
+			if viaLimit == 0 || viaLoad+rate > viaLimit {
 				pt.reject(CandidateTrace{
 					Phase: "sticky", Via: via, Reason: RejectWouldExceedTarget,
-					LoadBps: load[via.EgressIF], MoveBps: rate, LimitBps: cfg.Target * capOf(via.EgressIF),
+					LoadBps: viaLoad, MoveBps: rate, LimitBps: viaLimit,
 				})
 				pt.outcome(OutcomeNone, nil, "sticky detour lapsed: no longer feasible")
 				continue // no longer feasible
 			}
-			pt.accept("sticky", via, load[via.EgressIF], rate, cfg.Target*capOf(via.EgressIF), 0)
+			pt.accept("sticky", via, viaLoad, rate, viaLimit, 0)
 			pt.outcome(OutcomeRetained, via, "retained: overload persists")
 			load[fromIF] -= rate
 			load[via.EgressIF] += rate
-			moved[planKey] = true
+			plan.moved = epoch
 			res.Overrides = append(res.Overrides, Override{
 				Prefix:  prefix,
 				SplitOf: old.SplitOf,
@@ -353,7 +382,7 @@ func AllocateStickyTraced(proj *Projection, inv *Inventory, cfg AllocatorConfig,
 
 	// Interfaces the allocator already failed to drain; skipped when
 	// picking the next-worst so the loop always makes progress.
-	gaveUp := make(map[int]bool)
+	gaveUp := make([]bool, n)
 	for iter := 0; iter < len(ifs)+8; iter++ {
 		// Most overloaded interface by ratio.
 		overIF, overUtil := -1, cfg.Threshold
@@ -390,7 +419,7 @@ func AllocateStickyTraced(proj *Projection, inv *Inventory, cfg AllocatorConfig,
 		collect := func(lo, hi float64) float64 {
 			feasible := 0.0
 			for _, plan := range bucket {
-				if moved[plan.Prefix] || plan.RateBps < lo || plan.RateBps >= hi {
+				if plan.moved == epoch || plan.RateBps < lo || plan.RateBps >= hi {
 					continue
 				}
 				pt := tr.Prefix(plan.Prefix)
@@ -488,7 +517,7 @@ func AllocateStickyTraced(proj *Projection, inv *Inventory, cfg AllocatorConfig,
 			}
 			load[overIF] -= c.plan.RateBps
 			load[detour.EgressIF] += c.plan.RateBps
-			moved[c.plan.Prefix] = true
+			c.plan.moved = epoch
 			reason := fmt.Sprintf("if %d projected %.0f%% > %.0f%%",
 				overIF, overUtil*100, cfg.Threshold*100)
 			pt.outcome(OutcomeDetoured, detour, reason)
@@ -507,7 +536,7 @@ func AllocateStickyTraced(proj *Projection, inv *Inventory, cfg AllocatorConfig,
 		if cfg.AllowSplit && load[overIF] > drainBps {
 			var splitCands []*PrefixPlan
 			for _, plan := range proj.PrefixesOnInterface(overIF) {
-				if moved[plan.Prefix] {
+				if plan.moved == epoch {
 					continue
 				}
 				splitCands = append(splitCands, plan)
@@ -540,7 +569,7 @@ func AllocateStickyTraced(proj *Projection, inv *Inventory, cfg AllocatorConfig,
 				}
 				load[overIF] -= half
 				load[detour.EgressIF] += half
-				moved[plan.Prefix] = true
+				plan.moved = epoch
 				reason := fmt.Sprintf("split: if %d projected %.0f%% > %.0f%%, no whole-prefix detour fits",
 					overIF, overUtil*100, cfg.Threshold*100)
 				if pt != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -375,6 +376,11 @@ func TestInventoryValidation(t *testing.T) {
 	if _, err := NewInventory(nil, []InterfaceInfo{{ID: 0, CapacityBps: 0}}); err == nil {
 		t.Error("zero capacity should fail")
 	}
+	for _, id := range []int{-1, maxInterfaceID + 1} {
+		if _, err := NewInventory(nil, []InterfaceInfo{{ID: id, CapacityBps: 1e9}}); err == nil {
+			t.Errorf("interface ID %d should fail", id)
+		}
+	}
 	ifs := []InterfaceInfo{{ID: 0, CapacityBps: 1e9}}
 	if _, err := NewInventory([]PeerInfo{{Name: "x", InterfaceID: 5}}, ifs); err == nil {
 		t.Error("invalid peer addr should fail")
@@ -461,5 +467,51 @@ func TestAllocateReadsCapacityPerCall(t *testing.T) {
 	}
 	if left := 9e9 - res.DetouredBps; left > 0.95*5e9 {
 		t.Errorf("drained to %.2fG, want <= %.2fG (95%% of the new capacity)", left/1e9, 0.95*5)
+	}
+}
+
+// TestAllocateStampsDoNotLeak: the allocator marks a plan it detours by
+// stamping the plan record, and a persistent Projector hands the same
+// records to successive projections — so a stamp left by one call must
+// never read as "already moved" in another. Calls over projections that
+// share every plan decide exactly as calls over fresh ones.
+func TestAllocateStampsDoNotLeak(t *testing.T) {
+	inv := testInventory(t)
+	tab := buildTable(10)
+	demand := map[netip.Prefix]float64{}
+	for i := 0; i < 10; i++ {
+		demand[netip.MustParsePrefix(fmt.Sprintf("10.0.%d.0/24", i))] = 1.2e9 // 12G on the 10G PNI
+	}
+	cfg := AllocatorConfig{Threshold: 0.95}
+	fresh := func(prior map[netip.Prefix]Override) *AllocResult {
+		return AllocateStickyTraced(Project(tab, demand), inv, cfg, prior, nil)
+	}
+
+	pj := &Projector{Workers: 1}
+	first, second := pj.Project(tab, demand), pj.Project(tab, demand)
+	for p, plan := range first.Plans {
+		if second.Plans[p] != plan {
+			t.Fatalf("%v: plan not shared between the two projections", p)
+		}
+	}
+	got1 := AllocateStickyTraced(first, inv, cfg, nil, nil)
+	if len(got1.Overrides) == 0 {
+		t.Fatal("no overrides: nothing was stamped")
+	}
+	if want := fresh(nil); !reflect.DeepEqual(got1, want) {
+		t.Fatalf("first call: %+v, fresh %+v", got1, want)
+	}
+	// Same plans, now stamped, through the no-prior path again and
+	// through the sticky pass.
+	if got := AllocateStickyTraced(second, inv, cfg, nil, nil); !reflect.DeepEqual(got, got1) {
+		t.Fatalf("second projection over stamped plans: %+v, want %+v", got, got1)
+	}
+	prior := map[netip.Prefix]Override{}
+	for _, o := range got1.Overrides[:len(got1.Overrides)/2] {
+		prior[o.Prefix] = o
+	}
+	got2 := AllocateStickyTraced(second, inv, cfg, prior, nil)
+	if want := fresh(prior); !reflect.DeepEqual(got2, want) || got2.Retained == 0 {
+		t.Fatalf("sticky call over stamped plans: %+v, fresh %+v", got2, want)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"net/netip"
+	"slices"
 
 	"edgefabric/internal/rib"
 )
@@ -104,45 +105,38 @@ func (pj *Projector) ProjectDelta(routes *rib.Table, demand map[netip.Prefix]flo
 
 	pj.seq++
 	pj.sinceSweep++
+	cur := pj.cur
 
 	// Dirty pre-pass: journal-touched prefixes that carry demand get a
 	// fresh route snapshot and a re-plan before the demand scan; their
-	// cache entries end up stamped with this cycle's seq, which the
-	// scan reads as "already handled". Everything here is O(route
-	// churn), and it keeps the scan itself free of per-entry dirty-set
-	// lookups.
-	if pj.dirtyStamp == nil {
-		pj.dirtyStamp = make(map[netip.Prefix]uint64)
-	}
+	// records end up stamped with this cycle's seq, which the scan reads
+	// as "already handled". One without demand loses its record here:
+	// left to the removal pass, which a striding cycle can skip, it
+	// would keep routes read before the change and serve them if the
+	// demand came back. Everything here is O(route churn), and it keeps
+	// the scan itself free of per-entry dirty-set lookups.
 	snapP, snapR := pj.snapPrefixes[:0], pj.snapRates[:0]
 	for _, p := range changed {
-		if pj.dirtyStamp[p] == pj.seq {
-			continue // duplicate journal entry
-		}
-		pj.dirtyStamp[p] = pj.seq
-		if bps, ok := demand[p]; ok && bps > 0 {
+		if bps := demand[p]; bps > 0 {
 			snapP = append(snapP, p)
 			snapR = append(snapR, bps)
+		} else if rec := pj.record(p); rec != nil {
+			pj.dropRecord(rec)
+			st.Removed++
 		}
 	}
-	if len(snapP) > 0 {
-		views := routes.SnapshotRoutesInto(snapP, pj.views)
-		pj.views = views
-		for i, p := range snapP {
-			pj.applyRecompute(p, snapR[i], views[i])
-		}
-		st.Recomputed = len(snapP)
-	}
+	st.Recomputed = pj.recompute(routes, snapP, snapR)
 
 	// Demand scan: O(active demand), with the per-entry cost kept
 	// minimal — heavy hitters and this cycle's tail stripe pay one
-	// cache lookup; off-stripe tail entries pay none at all and coast
-	// on their cached rate until their stripe rotates around (or the
+	// record lookup; off-stripe tail entries pay none at all and coast
+	// on their recorded rate until their stripe rotates around (or the
 	// periodic sweep re-reads everything).
 	stride := uint64(1)
 	if pj.TailStride > 1 {
 		stride = uint64(pj.TailStride)
 	}
+	striding := pj.HeavyK > 0 && stride > 1 && pj.hhThr > 0
 	phase := pj.seq % stride
 	// Power-of-two strides (the common configuration) stripe with a mask
 	// instead of a per-entry 64-bit division.
@@ -173,92 +167,76 @@ func (pj *Projector) ProjectDelta(routes *rib.Table, demand map[netip.Prefix]flo
 			continue
 		}
 		live++
-		if pj.HeavyK > 0 {
-			if collectHH && bps >= hhBand {
-				hh = append(hh, bps)
-			}
-			if stride > 1 && pj.hhThr > 0 && bps < pj.hhThr {
-				if s := stripeOf(p); strideMask != 0 {
-					if s&strideMask != phase {
-						continue
-					}
-				} else if s%stride != phase {
+		if collectHH && bps >= hhBand {
+			hh = append(hh, bps)
+		}
+		if striding && bps < pj.hhThr {
+			if s := stripeOf(p); strideMask != 0 {
+				if s&strideMask != phase {
 					continue
 				}
-			}
-		}
-		c, okc := pj.cache[p]
-		if okc {
-			if c.seq == pj.seq {
-				continue // re-planned by the dirty pre-pass
-			}
-			// Routes untouched since the last cycle: the cached route
-			// slices are still valid whatever the demand did.
-			oldRate := c.rate
-			if c.plan != nil {
-				oldRate = c.plan.RateBps
-			}
-			if equalWithin(oldRate, bps, pj.tolFor(oldRate, bps)) {
+			} else if s%stride != phase {
 				continue
 			}
-			st.RateOnly++
-			if c.plan != nil {
-				// byIF buckets are ordered by prefix, so an in-place
-				// rate change never invalidates their sort.
-				pj.cur.IfLoadBps[c.plan.Preferred.EgressIF] += bps - c.plan.RateBps
-				c.plan.RateBps = bps
-				routedTouched = true
-			} else {
-				pj.cur.UnroutedBps += bps - c.rate
-			}
-			c.rate = bps
-			c.seq = pj.seq
-			pj.cache[p] = c
+		}
+		rec := pj.record(p)
+		if rec == nil {
+			// Never projected before: needs a route snapshot.
+			snapP = append(snapP, p)
+			snapR = append(snapR, bps)
 			continue
 		}
-		// Never projected before: needs a route snapshot.
-		snapP = append(snapP, p)
-		snapR = append(snapR, bps)
+		if rec.seq == pj.seq {
+			continue // re-planned by the dirty pre-pass
+		}
+		// Visited: the removal pass reads the stamp as "still demanded".
+		rec.seq = pj.seq
+		// Routes untouched since the last cycle: the record's route
+		// slices are still valid whatever the demand did.
+		if equalWithin(rec.RateBps, bps, pj.tolFor(rec.RateBps, bps)) {
+			continue
+		}
+		st.RateOnly++
+		if rec.Preferred != nil {
+			// byIF buckets are ordered by prefix, so an in-place
+			// rate change never invalidates their sort.
+			cur.IfLoadBps[rec.Preferred.EgressIF] += bps - rec.RateBps
+			routedTouched = true
+		} else {
+			cur.UnroutedBps += bps - rec.RateBps
+		}
+		rec.RateBps = bps
 	}
 	pj.snapPrefixes, pj.snapRates = snapP, snapR
 	st.Live = live
+	st.Recomputed += pj.recompute(routes, snapP, snapR)
 
-	if len(snapP) > 0 {
-		views := routes.SnapshotRoutesInto(snapP, pj.views)
-		pj.views = views
-		for i, p := range snapP {
-			pj.applyRecompute(p, snapR[i], views[i])
-		}
-		st.Recomputed += len(snapP)
-	}
-
-	// Removal pass: the cache mirrors the projection (one entry per
-	// projected or unrouted prefix), and entries are only ever created
-	// for live-demand prefixes, so a cache larger than the live set
-	// means demand vanished somewhere. (With TailStride > 1 a brand-new
-	// off-stripe tail prefix can make the cache lag the live set by a
-	// few cycles in the other direction; it joins when its stripe comes
-	// up, at which point any simultaneous removal surfaces here too.)
-	if len(pj.cache) > live {
-		for p, c := range pj.cache {
-			if bps, ok := demand[p]; ok && bps > 0 {
-				continue
+	// Removal pass: there is one record per projected or unrouted
+	// prefix, and records are only ever created for live-demand
+	// prefixes, so more records than live prefixes means demand vanished
+	// somewhere. Every record the scan or a re-plan visited carries this
+	// cycle's stamp; only when the scan skipped off-stripe entries does
+	// an unstamped record need a demand probe to tell coasting from
+	// gone. (With TailStride > 1 a brand-new off-stripe tail prefix can
+	// make the records lag the live set by a few cycles in the other
+	// direction; it joins when its stripe comes up, at which point any
+	// simultaneous removal surfaces here too.)
+	if len(cur.Plans)+len(pj.unrouted) > live {
+		for _, recs := range [2]map[netip.Prefix]*PrefixPlan{cur.Plans, pj.unrouted} {
+			for _, rec := range recs {
+				if rec.seq == pj.seq || striding && demand[rec.Prefix] > 0 {
+					continue
+				}
+				pj.dropRecord(rec)
+				st.Removed++
 			}
-			pj.dropEntry(p, c)
-			st.Removed++
 		}
-	}
-
-	// Bound the dirty-stamp map: entries from old cycles are dead
-	// weight once the set of churning prefixes rotates.
-	if len(pj.dirtyStamp) > 4096 && len(pj.dirtyStamp) > 4*len(changed) {
-		pj.dirtyStamp = make(map[netip.Prefix]uint64, len(changed))
 	}
 
 	pj.lastVer = now
 	pj.hhBuf = hh
-	pj.cur.HeavyThrBps = st.HeavyThr
-	pj.cur.DemandBps = demandBps
+	cur.HeavyThrBps = st.HeavyThr
+	cur.DemandBps = demandBps
 	if collectHH {
 		pj.updateHeavyThr(hh)
 		pj.sinceThr = 0
@@ -266,7 +244,7 @@ func (pj *Projector) ProjectDelta(routes *rib.Table, demand map[netip.Prefix]flo
 		pj.sinceThr++
 	}
 	st.Unchanged = st.Recomputed == 0 && st.Removed == 0 && !routedTouched
-	return pj.cur, st
+	return cur, st
 }
 
 // ResetDelta discards the projector's incremental state; the next
@@ -278,8 +256,7 @@ func (pj *Projector) ResetDelta() {
 }
 
 // fullSweep rebuilds the projection from scratch via Project and
-// re-anchors all delta state (cache mirror, bucket positions, journal
-// cursor) to it.
+// re-anchors the delta state (live projection, journal cursor) to it.
 func (pj *Projector) fullSweep(routes *rib.Table, demand map[netip.Prefix]float64, st *DeltaStats, reason string) (*Projection, DeltaStats) {
 	st.Full = true
 	st.FullReason = reason
@@ -288,159 +265,152 @@ func (pj *Projector) fullSweep(routes *rib.Table, demand map[netip.Prefix]float6
 	// replayed as dirty next cycle — recomputation is idempotent.
 	now := routes.Version()
 	proj := pj.Project(routes, demand)
-	// Project stamped every live prefix's cache entry with the new seq
-	// (routed and unrouted alike); older entries are leftovers from the
-	// previous delta state and must not survive into the mirror.
-	for p, c := range pj.cache {
-		if c.seq != pj.seq {
-			delete(pj.cache, p)
-		}
-	}
-	proj.bucketPos = make(map[netip.Prefix]int, len(proj.Plans))
-	for _, bucket := range proj.byIF {
-		for i, plan := range bucket {
-			proj.bucketPos[plan.Prefix] = i
-		}
-	}
+	// The table-sized scratch is dropped, not held for the next sweep
+	// many cycles away; delta cycles regrow views to the churn's size.
+	pj.scratch, pj.rates, pj.views = nil, nil, nil
 	pj.cur = proj
 	pj.lastVer = now
 	pj.sinceSweep = 0
 	pj.sinceThr = 0 // Project just refreshed the heavy threshold
-	st.Live = len(pj.cache)
+	st.Live = len(proj.Plans) + len(pj.unrouted)
 	st.Recomputed = len(proj.Plans)
 	return proj, *st
 }
 
+// recompute re-plans the given prefixes (rates aligned) from one bulk
+// route snapshot and returns how many it re-planned: a prefix the
+// journal lists twice is re-planned once, its record's stamp marking it
+// done.
+func (pj *Projector) recompute(routes *rib.Table, prefixes []netip.Prefix, rates []float64) int {
+	if len(prefixes) == 0 {
+		return 0
+	}
+	pj.views = routes.SnapshotRoutesInto(prefixes, pj.views)
+	// Views share the table's route slices; held past the call they
+	// would pin slices the RIB has since replaced.
+	defer clear(pj.views)
+	n := 0
+	for i, p := range prefixes {
+		rec := pj.record(p)
+		if rec != nil && rec.seq == pj.seq {
+			continue
+		}
+		pj.applyRecompute(rec, p, rates[i], pj.views[i])
+		n++
+	}
+	return n
+}
+
 // applyRecompute re-plans one prefix from a fresh route view and splices
 // the result into the live projection, preserving plan pointers (and so
-// byIF bucket slots) whenever the prefix stays routed.
-func (pj *Projector) applyRecompute(p netip.Prefix, bps float64, view rib.RouteView) {
+// byIF bucket slots) whenever the prefix stays routed. rec is the
+// prefix's record, nil when it has none yet.
+func (pj *Projector) applyRecompute(rec *PrefixPlan, p netip.Prefix, bps float64, view rib.RouteView) {
 	cur := pj.cur
-	c, okc := pj.cache[p]
-
-	// Organic route set; nil means unrouted (no routes at all, or only
-	// controller injections — both count as unrouted, as in buildPlan).
-	var organic []*rib.Route
-	if view.Routes != nil && view.Injected < len(view.Routes) {
-		organic = view.Routes
-		if view.Injected > 0 {
-			organic = make([]*rib.Route, 0, len(view.Routes)-view.Injected)
-			for _, r := range view.Routes {
-				if r.PeerClass != rib.ClassController {
-					organic = append(organic, r)
-				}
-			}
-		}
-	}
-
+	organic := organicRoutes(view)
 	switch {
-	case okc && c.plan != nil && organic != nil:
+	case rec != nil && rec.Preferred != nil && organic != nil:
 		// Routed before and after: rewrite the plan in place so
 		// cur.Plans and the byIF bucket keep their pointer.
-		oldIF := c.plan.Preferred.EgressIF
-		cur.IfLoadBps[oldIF] -= c.plan.RateBps
-		c.plan.RateBps = bps
-		c.plan.Preferred = organic[0]
-		c.plan.Alternates = organic[1:]
-		newIF := organic[0].EgressIF
+		oldIF, newIF := rec.Preferred.EgressIF, organic[0].EgressIF
+		cur.IfLoadBps[oldIF] -= rec.RateBps
+		rec.Preferred, rec.Alternates = organic[0], organic[1:]
 		if newIF != oldIF {
-			cur.bucketRemove(p, oldIF)
-			cur.bucketAdd(c.plan, newIF)
-			if len(cur.byIF[oldIF]) == 0 {
-				delete(cur.IfLoadBps, oldIF)
-			}
+			cur.bucketRemove(rec, oldIF)
+			cur.bucketAdd(rec, newIF)
 		}
 		cur.IfLoadBps[newIF] += bps
-	case okc && c.plan != nil:
-		// Routed → unrouted: drop the plan.
-		oldIF := c.plan.Preferred.EgressIF
-		cur.IfLoadBps[oldIF] -= c.plan.RateBps
-		delete(cur.Plans, p)
-		cur.bucketRemove(p, oldIF)
-		if len(cur.byIF[oldIF]) == 0 {
-			delete(cur.IfLoadBps, oldIF)
-		}
+	case rec != nil && rec.Preferred != nil:
+		// Routed → unrouted: drop the plan, which holders of last
+		// cycle's pointers may still read, and note the prefix afresh.
+		pj.dropRecord(rec)
+		rec = pj.noteUnrouted(p)
 		cur.UnroutedBps += bps
-		c.plan = nil
 	case organic == nil:
 		// New or previously-unrouted prefix, still unrouted.
-		if okc {
-			cur.UnroutedBps -= c.rate
+		if rec == nil {
+			rec = pj.noteUnrouted(p)
 		}
+		cur.UnroutedBps -= rec.RateBps
 		cur.UnroutedBps += bps
 	default:
-		// New or previously-unrouted prefix gained a route.
-		if okc {
-			cur.UnroutedBps -= c.rate
+		// New or previously-unrouted prefix gained a route; an unrouted
+		// note, which nothing outside the projector ever saw, becomes
+		// the plan.
+		if rec == nil {
+			rec = pj.alloc.new()
+			rec.Prefix = p
+		} else {
+			pj.dropRecord(rec)
 		}
-		plan := pj.alloc.new()
-		*plan = PrefixPlan{Prefix: p, RateBps: bps, Preferred: organic[0], Alternates: organic[1:]}
-		cur.Plans[p] = plan
-		cur.bucketAdd(plan, organic[0].EgressIF)
+		rec.Preferred, rec.Alternates = organic[0], organic[1:]
+		cur.Plans[p] = rec
+		cur.bucketAdd(rec, organic[0].EgressIF)
 		cur.IfLoadBps[organic[0].EgressIF] += bps
-		c.plan = plan
 	}
-	c.rate = bps
-	c.gen = view.Gen
-	c.seq = pj.seq
-	pj.cache[p] = c
+	rec.RateBps, rec.gen, rec.seq = bps, view.Gen, pj.seq
 }
 
-// dropEntry removes a prefix whose demand vanished from the projection
-// and the cache mirror.
-func (pj *Projector) dropEntry(p netip.Prefix, c cachedPlan) {
+// noteUnrouted creates the record of a demanded prefix with no organic
+// route.
+func (pj *Projector) noteUnrouted(p netip.Prefix) *PrefixPlan {
+	if pj.unrouted == nil {
+		pj.unrouted = make(map[netip.Prefix]*PrefixPlan)
+	}
+	rec := pj.alloc.new()
+	rec.Prefix = p
+	pj.unrouted[p] = rec
+	return rec
+}
+
+// dropRecord takes a record, and the load it accounts for, out of the
+// live projection.
+func (pj *Projector) dropRecord(rec *PrefixPlan) {
 	cur := pj.cur
-	if c.plan != nil {
-		ifID := c.plan.Preferred.EgressIF
-		cur.IfLoadBps[ifID] -= c.plan.RateBps
-		delete(cur.Plans, p)
-		cur.bucketRemove(p, ifID)
-		if len(cur.byIF[ifID]) == 0 {
-			delete(cur.IfLoadBps, ifID)
-		}
-	} else {
-		cur.UnroutedBps -= c.rate
+	if rec.Preferred == nil {
+		cur.UnroutedBps -= rec.RateBps
+		delete(pj.unrouted, rec.Prefix)
+		return
 	}
-	delete(pj.cache, p)
+	ifID := rec.Preferred.EgressIF
+	cur.IfLoadBps[ifID] -= rec.RateBps
+	delete(cur.Plans, rec.Prefix)
+	cur.bucketRemove(rec, ifID)
 }
 
-// bucketAdd appends a plan to an interface's byIF bucket, tracking its
+// bucketAdd appends a plan to an interface's byIF bucket, recording its
 // slot for O(1) removal.
 func (proj *Projection) bucketAdd(plan *PrefixPlan, ifID int) {
 	b := proj.byIF[ifID]
-	proj.bucketPos[plan.Prefix] = len(b)
+	plan.pos = len(b)
 	proj.byIF[ifID] = append(b, plan)
 	proj.ifSorted[ifID] = false
 }
 
 // bucketRemove swap-removes a plan from an interface's byIF bucket by
-// its tracked slot.
-func (proj *Projection) bucketRemove(p netip.Prefix, ifID int) {
+// its recorded slot; an interface left with no plans carries no
+// projected load.
+func (proj *Projection) bucketRemove(plan *PrefixPlan, ifID int) {
 	b := proj.byIF[ifID]
-	pos, ok := proj.bucketPos[p]
-	if !ok || pos >= len(b) || b[pos].Prefix != p {
-		// Positions are exact by construction; tolerate corruption with
-		// a scan rather than dropping load accounting on the floor.
-		pos = -1
-		for i, pl := range b {
-			if pl.Prefix == p {
-				pos = i
-				break
-			}
-		}
-		if pos < 0 {
+	pos := plan.pos
+	if uint(pos) >= uint(len(b)) || b[pos] != plan {
+		// Slots are exact by construction; tolerate corruption with a
+		// scan rather than dropping load accounting on the floor.
+		if pos = slices.Index(b, plan); pos < 0 {
 			return
 		}
 	}
 	last := len(b) - 1
 	if pos != last {
 		b[pos] = b[last]
-		proj.bucketPos[b[pos].Prefix] = pos
+		b[pos].pos = pos
 		proj.ifSorted[ifID] = false
 	}
 	b[last] = nil
 	proj.byIF[ifID] = b[:last]
-	delete(proj.bucketPos, p)
+	if last == 0 {
+		delete(proj.IfLoadBps, ifID)
+	}
 }
 
 // stripeOf maps a prefix to its tail stripe. The low byte is the

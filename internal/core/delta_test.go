@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -532,5 +534,339 @@ func TestKthLargest(t *testing.T) {
 		if got := kthLargest(a, k); got != b[k-1] {
 			t.Fatalf("trial %d: kthLargest(n=%d, k=%d) = %v, want %v", trial, n, k, got, b[k-1])
 		}
+	}
+}
+
+// deltaModel drives a Projector and a naive model of it side by side.
+// The model is the set of prefixes the projector should hold a record
+// for and the rate it last read for each (`seen`): every demanded prefix
+// at its current rate when nothing strides, and under TailStride the
+// same minus what the scan is documented to skip. After every cycle the
+// live projection must equal a from-scratch Project of the table and
+// `seen`, and the record structure must be sound.
+type deltaModel struct {
+	t      *testing.T
+	tab    *rib.Table
+	demand map[netip.Prefix]float64
+	seen   map[netip.Prefix]float64
+	pj     *Projector
+	ver    uint64 // the model's own cursor into the route journal
+	med    uint32 // bumped per announcement so none is a suppressed duplicate
+	cycle  int
+}
+
+const modelPrefixes = 48
+
+var modelPeers = []struct {
+	addr  string
+	class rib.PeerClass
+	ifID  int
+}{
+	{"172.20.0.1", rib.ClassPrivate, 0},
+	{"172.20.0.2", rib.ClassPrivate, 1},
+	{"172.20.0.3", rib.ClassPublic, 2},
+	{"172.20.0.9", rib.ClassTransit, 3},
+}
+
+const modelController = "172.20.0.250"
+
+// Model operations; each takes a prefix ordinal and one argument byte.
+const (
+	opDemandSet  = iota // demand appears or moves
+	opDemandGone        // entry deleted
+	opDemandZero        // entry present at zero
+	opRouteAdd
+	opRouteDel
+	opEgressMove   // a peer's route re-announced on another interface
+	opInject       // controller route beside whatever is there
+	opOnlyInjected // every organic route withdrawn, an injected one left
+	opDupJournal   // the same prefix journaled several times in one cycle
+	opForceSweep
+	opStep
+	modelOps
+)
+
+func newDeltaModel(t *testing.T, stride int) *deltaModel {
+	m := &deltaModel{
+		t:      t,
+		tab:    rib.NewTable(rib.DefaultPolicy()),
+		demand: make(map[netip.Prefix]float64),
+		seen:   make(map[netip.Prefix]float64),
+		pj:     &Projector{Workers: 1, FullSweepEvery: 23, TailStride: stride},
+	}
+	if stride > 1 {
+		m.pj.HeavyK = 6
+	}
+	// Start from a populated PoP so the first cycles have something to
+	// lose: most prefixes routed, a third demanded.
+	for i := 0; i < modelPrefixes; i++ {
+		m.apply(opRouteAdd, i, byte(i))
+		if i%3 == 0 {
+			m.apply(opRouteAdd, i, byte(i+1))
+		}
+		if i%3 != 1 {
+			m.apply(opDemandSet, i, byte(i*5))
+		}
+	}
+	return m
+}
+
+func (m *deltaModel) announce(p netip.Prefix, peer string, class rib.PeerClass, ifID int) {
+	r := route(p.String(), peer, class, ifID, 65000)
+	m.med++
+	r.MED, r.HasMED = m.med, true
+	m.tab.Add(r)
+}
+
+func (m *deltaModel) apply(op, ord int, arg byte) {
+	p := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 0, byte(ord % modelPrefixes), 0}), 24)
+	peer := modelPeers[int(arg)%len(modelPeers)]
+	switch op % modelOps {
+	case opDemandSet:
+		// Whole megabits: every load sum is exact in float64, so the
+		// incremental and from-scratch sums agree whatever their order.
+		m.demand[p] = float64(int(arg)%200+1) * 1e6
+	case opDemandGone:
+		delete(m.demand, p)
+	case opDemandZero:
+		m.demand[p] = 0
+	case opRouteAdd:
+		m.announce(p, peer.addr, peer.class, peer.ifID)
+	case opRouteDel:
+		m.tab.Remove(p, netip.MustParseAddr(peer.addr))
+	case opEgressMove:
+		m.announce(p, peer.addr, peer.class, (peer.ifID+1+int(arg)/4%3)%4)
+	case opInject:
+		m.announce(p, modelController, rib.ClassController, 3)
+	case opOnlyInjected:
+		for _, peer := range modelPeers {
+			m.tab.Remove(p, netip.MustParseAddr(peer.addr))
+		}
+		m.announce(p, modelController, rib.ClassController, 3)
+	case opDupJournal:
+		for i := 0; i < 2+int(arg)%3; i++ {
+			m.announce(p, peer.addr, peer.class, peer.ifID)
+		}
+	case opForceSweep:
+		m.pj.ResetDelta()
+	case opStep:
+		m.step()
+	}
+}
+
+// step runs one delta cycle, advances the model, and compares.
+func (m *deltaModel) step() {
+	t := m.t
+	m.cycle++
+	changed, now, ok := m.tab.ChangedSince(m.ver, nil)
+	if !ok {
+		t.Fatal("model outran the route journal")
+	}
+	m.ver = now
+	got, st := m.pj.ProjectDelta(m.tab, m.demand)
+	label := fmt.Sprintf("cycle %d (stride %d, full=%v %s, thr %v)", m.cycle, m.pj.TailStride, st.Full, st.FullReason, st.HeavyThr)
+
+	live, demandBps := 0, 0.0
+	for _, bps := range m.demand {
+		demandBps += bps
+		if bps > 0 {
+			live++
+		}
+	}
+	if st.Live != live {
+		t.Fatalf("%s: Live = %d, want %d", label, st.Live, live)
+	}
+	stride := uint64(max(m.pj.TailStride, 1))
+	striding := !st.Full && m.pj.HeavyK > 0 && stride > 1 && st.HeavyThr > 0
+	dirty := make(map[netip.Prefix]bool, len(changed))
+	for _, p := range changed {
+		dirty[p] = true
+		// A journaled prefix without demand loses its record at once,
+		// even in a cycle whose removal pass does not run.
+		if m.demand[p] <= 0 {
+			delete(m.seen, p)
+		}
+	}
+	if st.Full {
+		clear(m.seen)
+	}
+	for p, bps := range m.demand {
+		// A striding scan reads a tail rate only on its stripe's cycle;
+		// heavy rates and journaled prefixes are read every cycle.
+		if bps > 0 && (!striding || bps >= st.HeavyThr || dirty[p] || stripeOf(p)%stride == m.pj.seq%stride) {
+			m.seen[p] = bps
+		}
+	}
+	// Vanished demand is noticed once records outnumber live prefixes.
+	if len(m.seen) > live {
+		for p := range m.seen {
+			if m.demand[p] <= 0 {
+				delete(m.seen, p)
+			}
+		}
+	}
+	if !striding && len(m.seen) != live {
+		t.Fatalf("%s: model holds %d prefixes, %d live", label, len(m.seen), live)
+	}
+
+	want := Project(m.tab, m.seen)
+	m.checkRecords(label, got)
+	sameProjection(t, label, got, want)
+	samePlanIndex(t, label, got, want) // sorts the buckets, rewriting pos
+	m.checkRecords(label+" after sort", got)
+	if !floatClose(got.DemandBps, demandBps) {
+		t.Fatalf("%s: DemandBps %v, want %v", label, got.DemandBps, demandBps)
+	}
+}
+
+// checkRecords asserts the structural invariants: one record per
+// prefix the model holds, routed records in Plans and in exactly the
+// bucket slot they name, unrouted ones in neither.
+func (m *deltaModel) checkRecords(label string, got *Projection) {
+	t := m.t
+	if got != m.pj.cur || reflect.ValueOf(m.pj.cache).Pointer() != reflect.ValueOf(got.Plans).Pointer() {
+		t.Fatalf("%s: the cache is not the live projection's Plans", label)
+	}
+	inBuckets := 0
+	for ifID, bucket := range got.byIF {
+		for i, plan := range bucket {
+			if plan.pos != i || got.Plans[plan.Prefix] != plan || plan.Preferred == nil || plan.Preferred.EgressIF != ifID {
+				t.Fatalf("%s: if%d slot %d holds %v (pos %d, preferred %v)", label, ifID, i, plan.Prefix, plan.pos, plan.Preferred)
+			}
+		}
+		inBuckets += len(bucket)
+		if _, loaded := got.IfLoadBps[ifID]; loaded != (len(bucket) > 0) {
+			t.Fatalf("%s: if%d has %d plans but load entry present=%v", label, ifID, len(bucket), loaded)
+		}
+	}
+	if inBuckets != len(got.Plans) {
+		t.Fatalf("%s: %d plans in buckets, %d in Plans", label, inBuckets, len(got.Plans))
+	}
+	unroutedBps := 0.0
+	for p, rec := range m.pj.unrouted {
+		if _, routed := got.Plans[p]; routed || rec.Preferred != nil || rec.Prefix != p {
+			t.Fatalf("%s: unrouted record %v is routed (preferred %v)", label, p, rec.Preferred)
+		}
+		if rec.RateBps != m.seen[p] {
+			t.Fatalf("%s: unrouted %v rate %v, model %v", label, p, rec.RateBps, m.seen[p])
+		}
+		unroutedBps += rec.RateBps
+	}
+	if !floatClose(got.UnroutedBps, unroutedBps) {
+		t.Fatalf("%s: UnroutedBps %v, records sum to %v", label, got.UnroutedBps, unroutedBps)
+	}
+	if n := len(got.Plans) + len(m.pj.unrouted); n != len(m.seen) {
+		t.Fatalf("%s: %d records, model holds %d prefixes", label, n, len(m.seen))
+	}
+	for p := range got.Plans {
+		if _, ok := m.seen[p]; !ok {
+			t.Fatalf("%s: plan for %v, which the model does not hold", label, p)
+		}
+	}
+}
+
+// modelStrides are the TailStride settings the model runs under: off,
+// the power-of-two mask path, and the modulo path.
+var modelStrides = []int{1, 32, 3}
+
+// FuzzProjectDeltaModel decodes the input as three-byte operations
+// (kind, prefix, argument) and holds the delta projector to the model
+// after every cycle.
+func FuzzProjectDeltaModel(f *testing.F) {
+	f.Add(uint8(0), []byte{opStep, 0, 0, opDemandGone, 0, 0, opStep, 0, 0})
+	f.Add(uint8(1), []byte{opStep, 0, 0, opDupJournal, 3, 1, opOnlyInjected, 6, 0, opStep, 0, 0, opEgressMove, 3, 9, opStep, 0, 0})
+	f.Add(uint8(2), flickerOps(rand.New(rand.NewSource(5)), 12))
+	f.Fuzz(func(t *testing.T, strideSel uint8, data []byte) {
+		if len(data) > 3*400 {
+			data = data[:3*400]
+		}
+		m := newDeltaModel(t, modelStrides[int(strideSel)%len(modelStrides)])
+		for ; len(data) >= 3; data = data[3:] {
+			m.apply(int(data[0]), int(data[1]), data[2])
+		}
+		m.step()
+	})
+}
+
+// flickerOps renders `cycles` cycles of long-tail flicker as model
+// operations: each cycle a quarter of the prefixes gain or change demand
+// and a quarter lose it, beside a handful of every kind of route event.
+func flickerOps(rng *rand.Rand, cycles int) []byte {
+	var ops []byte
+	for c := 0; c < cycles; c++ {
+		for i := 0; i < modelPrefixes/4; i++ {
+			ops = append(ops, opDemandSet, byte(rng.Intn(modelPrefixes)), byte(rng.Intn(256)))
+			ops = append(ops, byte(opDemandGone+rng.Intn(2)), byte(rng.Intn(modelPrefixes)), 0)
+		}
+		for i := 0; i < 4; i++ {
+			ops = append(ops, byte(opRouteAdd+rng.Intn(opForceSweep-opRouteAdd)), byte(rng.Intn(modelPrefixes)), byte(rng.Intn(256)))
+		}
+		if rng.Intn(40) == 0 {
+			ops = append(ops, opForceSweep, 0, 0)
+		}
+		ops = append(ops, opStep, 0, 0)
+	}
+	return ops
+}
+
+// TestProjectDeltaFlickerModel: 300 cycles of seeded flicker per stride
+// setting, the live projection equal to the model after every one.
+func TestProjectDeltaFlickerModel(t *testing.T) {
+	for _, stride := range modelStrides {
+		m := newDeltaModel(t, stride)
+		ops := flickerOps(rand.New(rand.NewSource(int64(stride))), 300)
+		for ; len(ops) >= 3; ops = ops[3:] {
+			m.apply(int(ops[0]), int(ops[1]), ops[2])
+		}
+		if m.cycle != 300 {
+			t.Fatalf("stride %d: ran %d cycles", stride, m.cycle)
+		}
+	}
+}
+
+// TestProjectorBytesPerPrefix is a ceiling on what the projector keeps
+// alive per demanded prefix once it has swept and settled into delta
+// cycles: the Plans map, one plan record and one bucket slot. A second
+// prefix-keyed map beside Plans, or table-sized scratch held between
+// sweeps, lands well above it (the four-map projector kept 364 B).
+func TestProjectorBytesPerPrefix(t *testing.T) {
+	const (
+		n       = 50_000
+		ceiling = 200 // bytes per prefix; this design keeps ≈150
+	)
+	tab := rib.NewTable(rib.DefaultPolicy())
+	demand := make(map[netip.Prefix]float64, n)
+	prefixes := make([]netip.Prefix, n)
+	for i := range prefixes {
+		p := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)}), 32)
+		prefixes[i] = p
+		tab.Add(route(p.String(), "172.20.0.1", rib.ClassPrivate, i%3, 65010))
+		tab.Add(route(p.String(), "172.20.0.9", rib.ClassTransit, 3, 64601, 65010))
+		demand[p] = float64(100+i%900) * 1e6
+	}
+	heapLive := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := heapLive()
+	pj := &Projector{Workers: 1}
+	for cycle := 0; cycle < 4; cycle++ { // the sweep, then three delta cycles
+		for i := cycle; i < n; i += 100 {
+			demand[prefixes[i]] *= 1.5
+		}
+		if _, st := pj.ProjectDelta(tab, demand); st.Full != (cycle == 0) {
+			t.Fatalf("cycle %d: full=%v", cycle, st.Full)
+		}
+	}
+	perPrefix := float64(heapLive()-before) / n
+	runtime.KeepAlive(pj)
+	runtime.KeepAlive(tab)
+	runtime.KeepAlive(demand)
+	t.Logf("projector keeps %.0f B per prefix", perPrefix)
+	if perPrefix > ceiling {
+		t.Fatalf("projector keeps %.0f B per prefix, ceiling %d", perPrefix, ceiling)
 	}
 }

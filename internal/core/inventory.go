@@ -75,6 +75,10 @@ type Inventory struct {
 	ifs map[int]InterfaceInfo
 }
 
+// maxInterfaceID bounds InterfaceInfo.ID: the allocator keeps its
+// per-interface working state in vectors indexed by ID.
+const maxInterfaceID = 1<<16 - 1
+
 // NewInventory builds an Inventory, validating referential integrity.
 func NewInventory(peers []PeerInfo, ifs []InterfaceInfo) (*Inventory, error) {
 	inv := &Inventory{
@@ -82,6 +86,9 @@ func NewInventory(peers []PeerInfo, ifs []InterfaceInfo) (*Inventory, error) {
 		ifs:   make(map[int]InterfaceInfo, len(ifs)),
 	}
 	for _, i := range ifs {
+		if i.ID < 0 || i.ID > maxInterfaceID {
+			return nil, fmt.Errorf("core: interface ID %d outside 0..%d", i.ID, maxInterfaceID)
+		}
 		if _, dup := inv.ifs[i.ID]; dup {
 			return nil, fmt.Errorf("core: duplicate interface %d", i.ID)
 		}

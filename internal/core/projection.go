@@ -3,6 +3,7 @@ package core
 import (
 	"net/netip"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -45,6 +46,20 @@ type PrefixPlan struct {
 	Preferred *rib.Route
 	// Alternates are the remaining organic routes, best first.
 	Alternates []*rib.Route
+
+	// The plan is also the one record the projector and the allocator
+	// keep per prefix, so neither holds a prefix-keyed map beside Plans:
+	// pos is the plan's slot in its Projection.byIF bucket, gen the table
+	// generation its routes were read at, seq the projection cycle that
+	// last visited it, and moved the epoch of the allocator call that
+	// last detoured it. A record with a nil Preferred is the projector's
+	// note of a demanded prefix with no organic route (RateBps is the
+	// demand last seen); it lives in Projector.unrouted only, never in
+	// Plans or a bucket.
+	pos   int
+	gen   uint64
+	seq   uint64
+	moved uint64
 }
 
 // Projection is the controller's model of the PoP for one cycle: what
@@ -78,14 +93,10 @@ type Projection struct {
 	// byIF indexes plans by preferred egress interface, built during
 	// projection so the allocator's repeated PrefixesOnInterface calls
 	// don't rescan every plan. Lists are sorted lazily on first access;
-	// ifSorted records which already are.
+	// ifSorted records which already are. byIF[if][plan.pos] == plan, so
+	// the delta path (ProjectDelta) moves or removes plans in O(1).
 	byIF     map[int][]*PrefixPlan
 	ifSorted map[int]bool
-	// bucketPos tracks each plan's slot in its byIF bucket so the
-	// delta path (ProjectDelta) can move or remove plans in O(1). Nil
-	// on one-shot projections; maintained only while a Projection is
-	// the projector's live incremental state.
-	bucketPos map[netip.Prefix]int
 }
 
 // projectParallelMin is the demanded-prefix count below which projection
@@ -127,15 +138,16 @@ type Projector struct {
 	// every cycle.
 	TailStride int
 
-	// nocache drops cross-cycle caching: the one-shot Project uses it
-	// to skip cache bookkeeping that a discarded Projector never reads.
-	nocache bool
-
-	seq     uint64
-	cache   map[netip.Prefix]cachedPlan
-	views   []rib.RouteView
-	scratch []netip.Prefix
-	rates   []float64
+	// seq numbers projection cycles. cache is the plan cache, one record
+	// per routed prefix: it IS the latest projection's Plans map (cur's,
+	// on the delta path), so caching a plan costs no second map. unrouted
+	// holds the records of demanded prefixes with no organic route.
+	seq      uint64
+	cache    map[netip.Prefix]*PrefixPlan
+	unrouted map[netip.Prefix]*PrefixPlan
+	views    []rib.RouteView
+	scratch  []netip.Prefix
+	rates    []float64
 
 	// Delta state (see delta.go): the live projection edited in place,
 	// the journal cursor into the route table, cycles since the last
@@ -143,7 +155,6 @@ type Projector struct {
 	cur          *Projection
 	lastVer      uint64
 	sinceSweep   int
-	dirtyStamp   map[netip.Prefix]uint64
 	changedBuf   []netip.Prefix
 	snapPrefixes []netip.Prefix
 	snapRates    []float64
@@ -153,37 +164,13 @@ type Projector struct {
 	sinceThr     int
 }
 
-type cachedPlan struct {
-	plan *PrefixPlan // nil for a cached unrouted prefix
-	rate float64     // last demand seen (== plan.RateBps when plan != nil)
-	gen  uint64      // table generation the plan was computed at
-	seq  uint64      // last projection cycle the plan was used
-}
-
-// planned pairs a computed plan with the route generation backing it,
-// so the merge phase can refresh the cache.
-type planned struct {
-	plan *PrefixPlan
-	gen  uint64
-}
-
-// projShard accumulates one worker's share of the projection.
+// projShard accumulates one worker's share of the projection. records
+// holds the shard's plans and, with a nil Preferred, its unrouted notes.
 type projShard struct {
-	planned  []planned
+	records  []*PrefixPlan
 	ifLoad   map[int]float64
 	unrouted float64
 	alloc    planChunk
-	// unroutedRecs carries cache records for unrouted prefixes so the
-	// delta path can track them without re-snapshotting every cycle.
-	unroutedRecs []unroutedRec
-}
-
-// unroutedRec is a cache record for a demanded prefix with no organic
-// route.
-type unroutedRec struct {
-	prefix netip.Prefix
-	rate   float64
-	gen    uint64
 }
 
 // planChunk hands out PrefixPlans from fixed-size blocks, trading one
@@ -209,7 +196,7 @@ func (a *planChunk) new() *PrefixPlan {
 // snapshot: a one-shot projection with no cross-cycle cache. The
 // controller uses a persistent Projector instead.
 func Project(routes *rib.Table, demand map[netip.Prefix]float64) *Projection {
-	pj := Projector{nocache: true}
+	var pj Projector
 	return pj.Project(routes, demand)
 }
 
@@ -219,11 +206,9 @@ func Project(routes *rib.Table, demand map[netip.Prefix]float64) *Projection {
 // plan cache.
 func (pj *Projector) Project(routes *rib.Table, demand map[netip.Prefix]float64) *Projection {
 	pj.seq++
-	if pj.cache == nil && !pj.nocache {
-		// Sized up front: growing a million-entry map incrementally
-		// spends seconds zeroing successively larger buckets.
-		pj.cache = make(map[netip.Prefix]cachedPlan, len(demand))
-	}
+	// The cache is about to become this projection's Plans; a live delta
+	// projection would no longer mirror it (fullSweep re-anchors).
+	pj.cur = nil
 
 	prefixes, rates := pj.scratch[:0], pj.rates[:0]
 	demandBps := 0.0
@@ -238,6 +223,9 @@ func (pj *Projector) Project(routes *rib.Table, demand map[netip.Prefix]float64)
 
 	views := routes.SnapshotRoutesInto(prefixes, pj.views)
 	pj.views = views
+	// Views share the table's route slices; held past the call they
+	// would pin slices the RIB has since replaced.
+	defer clear(views)
 
 	workers := pj.Workers
 	if workers <= 0 {
@@ -271,6 +259,8 @@ func (pj *Projector) Project(routes *rib.Table, demand map[netip.Prefix]float64)
 		wg.Wait()
 	}
 
+	// Plans is sized up front: growing a million-entry map incrementally
+	// spends seconds zeroing successively larger buckets.
 	proj := &Projection{
 		DemandBps: demandBps,
 		IfLoadBps: make(map[int]float64),
@@ -278,6 +268,7 @@ func (pj *Projector) Project(routes *rib.Table, demand map[netip.Prefix]float64)
 		byIF:      make(map[int][]*PrefixPlan),
 		ifSorted:  make(map[int]bool),
 	}
+	var unrouted map[netip.Prefix]*PrefixPlan
 	// Merge in shard order so the result is deterministic for a given
 	// shard partition.
 	for i := range shards {
@@ -286,27 +277,23 @@ func (pj *Projector) Project(routes *rib.Table, demand map[netip.Prefix]float64)
 		for id, bps := range s.ifLoad {
 			proj.IfLoadBps[id] += bps
 		}
-		for _, pp := range s.planned {
-			proj.Plans[pp.plan.Prefix] = pp.plan
-			ifID := pp.plan.Preferred.EgressIF
-			proj.byIF[ifID] = append(proj.byIF[ifID], pp.plan)
-			if !pj.nocache {
-				pj.cache[pp.plan.Prefix] = cachedPlan{plan: pp.plan, rate: pp.plan.RateBps, gen: pp.gen, seq: pj.seq}
+		for _, plan := range s.records {
+			if plan.Preferred == nil {
+				if unrouted == nil {
+					unrouted = make(map[netip.Prefix]*PrefixPlan)
+				}
+				unrouted[plan.Prefix] = plan
+				continue
 			}
-		}
-		for _, ur := range s.unroutedRecs {
-			pj.cache[ur.prefix] = cachedPlan{rate: ur.rate, gen: ur.gen, seq: pj.seq}
+			proj.Plans[plan.Prefix] = plan
+			b := proj.byIF[plan.Preferred.EgressIF]
+			plan.pos = len(b)
+			proj.byIF[plan.Preferred.EgressIF] = append(b, plan)
 		}
 	}
-	// Evict plans whose prefixes stopped appearing in demand, amortized:
-	// only sweep once the cache has grown well past the live set.
-	if len(pj.cache) > 2*len(proj.Plans)+1024 {
-		for p, c := range pj.cache {
-			if c.seq != pj.seq {
-				delete(pj.cache, p)
-			}
-		}
-	}
+	// Prefixes that stopped appearing in demand are evicted by not being
+	// carried over.
+	pj.cache, pj.unrouted = proj.Plans, unrouted
 	// The threshold in force during this cycle is what the allocator
 	// should see; refresh it for the next cycle afterwards (rates is
 	// done feeding the shards; quickselect may permute it).
@@ -315,86 +302,81 @@ func (pj *Projector) Project(routes *rib.Table, demand map[netip.Prefix]float64)
 	return proj
 }
 
-// projectShard computes plans for one contiguous chunk of the demanded
-// prefixes into a private accumulator; rates and views are aligned with
-// prefixes. It reads the cache but never writes it (the merge phase
-// does), so shards can run concurrently.
+// record returns the projector's record for a prefix — its plan when
+// routed, its unrouted note otherwise — or nil when it has none.
+func (pj *Projector) record(p netip.Prefix) *PrefixPlan {
+	if rec, ok := pj.cache[p]; ok {
+		return rec
+	}
+	return pj.unrouted[p]
+}
+
+// projectShard computes records for one contiguous chunk of the
+// demanded prefixes into a private accumulator; rates and views are
+// aligned with prefixes. It reads the cache but never writes it (the
+// merge phase replaces it), so shards can run concurrently.
 func (pj *Projector) projectShard(s *projShard, prefixes []netip.Prefix, rates []float64, views []rib.RouteView) {
 	s.ifLoad = make(map[int]float64)
-	s.planned = make([]planned, 0, len(prefixes))
+	s.records = make([]*PrefixPlan, 0, len(prefixes))
 	for i, prefix := range prefixes {
 		bps := rates[i]
 		view := views[i]
-		if view.Routes == nil {
-			s.unrouted += bps
-			if !pj.nocache {
-				s.unroutedRecs = append(s.unroutedRecs, unroutedRec{prefix, bps, 0})
-			}
-			continue
-		}
 		var plan *PrefixPlan
-		if c, ok := pj.cache[prefix]; ok && c.gen == view.Gen {
-			if c.plan == nil {
-				// Same table state that had no organic route last time:
-				// still unrouted, no need to re-filter.
-				s.unrouted += bps
-				s.unroutedRecs = append(s.unroutedRecs, unroutedRec{prefix, bps, view.Gen})
-				continue
-			}
-			if equalWithin(c.plan.RateBps, bps, pj.tolFor(c.plan.RateBps, bps)) {
-				plan = c.plan // routes and demand unchanged: reuse verbatim
-			} else {
-				// Routes unchanged: reuse the filtered organic slices,
-				// refresh only the rate.
-				plan = s.alloc.new()
-				*plan = PrefixPlan{
-					Prefix:     prefix,
-					RateBps:    bps,
-					Preferred:  c.plan.Preferred,
-					Alternates: c.plan.Alternates,
-				}
-			}
-		} else {
+		switch c := pj.record(prefix); {
+		case c == nil || c.gen != view.Gen || view.Routes == nil:
 			plan = buildPlan(&s.alloc, prefix, bps, view)
+		case c.Preferred == nil:
+			// Same table state that had no organic route last time:
+			// still unrouted, no need to re-filter.
+		case equalWithin(c.RateBps, bps, pj.tolFor(c.RateBps, bps)):
+			plan = c // routes and demand unchanged: reuse verbatim
+		default:
+			// Routes unchanged: reuse the filtered organic slices,
+			// refresh only the rate.
+			plan = s.alloc.new()
+			*plan = PrefixPlan{Prefix: prefix, RateBps: bps, Preferred: c.Preferred, Alternates: c.Alternates, gen: c.gen}
 		}
 		if plan == nil {
 			s.unrouted += bps
-			if !pj.nocache {
-				s.unroutedRecs = append(s.unroutedRecs, unroutedRec{prefix, bps, view.Gen})
-			}
-			continue
+			plan = s.alloc.new()
+			*plan = PrefixPlan{Prefix: prefix, RateBps: bps, gen: view.Gen}
+		} else {
+			s.ifLoad[plan.Preferred.EgressIF] += plan.RateBps
 		}
-		s.planned = append(s.planned, planned{plan, view.Gen})
-		s.ifLoad[plan.Preferred.EgressIF] += plan.RateBps
+		s.records = append(s.records, plan)
 	}
 }
 
-// buildPlan filters a prefix's routes down to the organic set and wraps
-// them in a plan, or returns nil when no organic route exists. In the
-// common case of no controller-injected routes (view.Injected == 0,
-// tracked by the table at mutation time) the table's sorted slice is
-// shared outright — no scan, no copy, no sort.
-func buildPlan(alloc *planChunk, prefix netip.Prefix, bps float64, view rib.RouteView) *PrefixPlan {
-	routes := view.Routes
-	if view.Injected == len(routes) {
+// organicRoutes filters a prefix's routes down to the organic set, or
+// returns nil when there is none (no routes at all, or only controller
+// injections). In the common case of no injected routes (view.Injected
+// == 0, tracked by the table at mutation time) the table's sorted slice
+// is shared outright — no scan, no copy, no sort.
+func organicRoutes(view rib.RouteView) []*rib.Route {
+	if view.Injected == len(view.Routes) {
 		return nil
 	}
-	organic := routes
-	if view.Injected > 0 {
-		organic = make([]*rib.Route, 0, len(routes)-view.Injected)
-		for _, r := range routes {
-			if r.PeerClass != rib.ClassController {
-				organic = append(organic, r)
-			}
+	if view.Injected == 0 {
+		return view.Routes
+	}
+	organic := make([]*rib.Route, 0, len(view.Routes)-view.Injected)
+	for _, r := range view.Routes {
+		if r.PeerClass != rib.ClassController {
+			organic = append(organic, r)
 		}
 	}
-	plan := alloc.new()
-	*plan = PrefixPlan{
-		Prefix:     prefix,
-		RateBps:    bps,
-		Preferred:  organic[0],
-		Alternates: organic[1:],
+	return organic
+}
+
+// buildPlan wraps a prefix's organic routes in a plan, or returns nil
+// when it has none.
+func buildPlan(alloc *planChunk, prefix netip.Prefix, bps float64, view rib.RouteView) *PrefixPlan {
+	organic := organicRoutes(view)
+	if organic == nil {
+		return nil
 	}
+	plan := alloc.new()
+	*plan = PrefixPlan{Prefix: prefix, RateBps: bps, Preferred: organic[0], Alternates: organic[1:], gen: view.Gen}
 	return plan
 }
 
@@ -458,6 +440,9 @@ func (p *Projection) OverloadedInterfaces(inv *Inventory, threshold float64) []i
 	return out
 }
 
+// byPrefix orders plans by prefix, the order of a byIF bucket.
+func byPrefix(a, b *PrefixPlan) int { return rib.ComparePrefixes(a.Prefix, b.Prefix) }
+
 // PrefixesOnInterface returns the plans whose preferred route egresses
 // via ifID, in stable (prefix) order. The returned slice is shared with
 // the projection's index; callers must not mutate it.
@@ -465,13 +450,9 @@ func (p *Projection) PrefixesOnInterface(ifID int) []*PrefixPlan {
 	if p.byIF != nil {
 		out := p.byIF[ifID]
 		if !p.ifSorted[ifID] {
-			sort.Slice(out, func(a, b int) bool {
-				return rib.ComparePrefixes(out[a].Prefix, out[b].Prefix) < 0
-			})
-			if p.bucketPos != nil {
-				for i, plan := range out {
-					p.bucketPos[plan.Prefix] = i
-				}
+			slices.SortFunc(out, byPrefix)
+			for i, plan := range out {
+				plan.pos = i
 			}
 			p.ifSorted[ifID] = true
 		}
@@ -484,8 +465,6 @@ func (p *Projection) PrefixesOnInterface(ifID int) []*PrefixPlan {
 			out = append(out, plan)
 		}
 	}
-	sort.Slice(out, func(a, b int) bool {
-		return rib.ComparePrefixes(out[a].Prefix, out[b].Prefix) < 0
-	})
+	slices.SortFunc(out, byPrefix)
 	return out
 }

@@ -486,7 +486,7 @@ func BenchmarkMultipathAllocate(b *testing.B) {
 		b.Fatal(err)
 	}
 	alloc := core.AllocatorConfig{Threshold: 0.95}
-	prior := core.Allocate(proj, inv, alloc)
+	prior := core.AllocateStickyTraced(proj, inv, alloc, nil, nil)
 
 	reports := make([]*altpath.PrefixReport, 0, 10_000)
 	for p := range proj.Plans {
@@ -516,7 +516,7 @@ func BenchmarkMultipathAllocate(b *testing.B) {
 	// the same arrival (map) order, as a fresh Reports() would give it.
 	arrival := append([]*altpath.PrefixReport(nil), reports...)
 	var cfg core.MultipathConfig
-	prev := core.MultipathPrior(core.MultipathAllocate(proj, inv, reports, prior, nil, alloc, cfg))
+	prev := core.MultipathPrior(core.MultipathAllocateTraced(proj, inv, reports, prior, nil, alloc, cfg, nil))
 	if len(prev) == 0 {
 		b.Fatal("warmup installed no multipath sets")
 	}
@@ -525,7 +525,7 @@ func BenchmarkMultipathAllocate(b *testing.B) {
 	var out []core.Override
 	for i := 0; i < b.N; i++ {
 		copy(reports, arrival)
-		out = core.MultipathAllocate(proj, inv, reports, prior, prev, alloc, cfg)
+		out = core.MultipathAllocateTraced(proj, inv, reports, prior, prev, alloc, cfg, nil)
 	}
 	if len(out) == 0 {
 		b.Fatal("steady-state pass produced no overrides")

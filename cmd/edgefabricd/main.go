@@ -253,7 +253,7 @@ func serveStatus(ctx context.Context, addr string, apiSrv *api.Server) {
 		srv.Close()
 	}()
 	go func() {
-		log.Printf("status API on http://%s/v1/ (PoPs: %v; legacy unversioned endpoints deprecated)", addr, apiSrv.PoPNames())
+		log.Printf("status API on http://%s/v1/ (PoPs: %v)", addr, apiSrv.PoPNames())
 		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 			log.Printf("status server: %v", err)
 		}

@@ -57,7 +57,8 @@ func usage() {
 
 commands:
   pops                 list hosted PoPs with state and counters
-  health               fleet health rollup (every PoP's ladder state)
+  health               fleet health rollup (-limit, -after POP), or one
+                       PoP's ladder, feeds and sessions with -pop
   metrics              Prometheus metrics text, pop="..." labels
   overrides            active overrides of one PoP (needs -pop on fleets)
   cycles               recent cycle reports (-limit, -after SEQ)
@@ -81,19 +82,15 @@ func main() {
 
 func run() int {
 	addr := flag.String("addr", "", "edgefabricd status API address (host:port)")
-	statusAlias := flag.String("status", "", "alias for -addr (deprecated)")
 	pop := flag.String("pop", "", "PoP name (optional when the daemon hosts exactly one)")
 	timeout := flag.Duration("timeout", 5*time.Second, "request timeout")
-	limit := flag.Int("limit", 0, "page size for cycles/routes (0 = server default)")
+	limit := flag.Int("limit", 0, "page size for cycles, routes and fleet listings (0 = server default)")
 	after := flag.String("after", "", "pagination cursor: cycle sequence (cycles), prefix (routes), or PoP name (fleet)")
 	dryRun := flag.Bool("dry-run", false, "config: validate and report the would-be change without applying")
 	flag.Usage = usage
 	flag.Parse()
 
 	host := *addr
-	if host == "" {
-		host = *statusAlias
-	}
 	if host == "" {
 		host = "127.0.0.1:8080"
 	}
@@ -182,7 +179,7 @@ func run() int {
 		if *pop != "" {
 			return cli.show("/v1/pops/"+url.PathEscape(*pop)+"/health", nil)
 		}
-		return cli.show("/v1/health", nil)
+		return cli.show("/v1/fleet/health", query)
 	case "metrics":
 		if len(words) != 1 {
 			usage()

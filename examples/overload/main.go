@@ -99,7 +99,7 @@ func main() {
 	}
 
 	// ---- 5. Allocation: drain the PNI below 95%.
-	res := core.Allocate(proj, inv, core.AllocatorConfig{Threshold: 0.95})
+	res := core.AllocateStickyTraced(proj, inv, core.AllocatorConfig{Threshold: 0.95}, nil, nil)
 	fmt.Println("\nallocator decisions:")
 	for _, o := range res.Overrides {
 		fmt.Printf("  detour %-18s %4.1fG  if%d -> if%d via %s (%s)\n",

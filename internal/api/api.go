@@ -1,8 +1,7 @@
 // Package api serves the versioned, PoP-scoped HTTP surface of one or
 // many Edge Fabric controllers hosted in a single process.
 //
-// Every response — success or failure, versioned or legacy — is one
-// JSON envelope:
+// Every response — success or failure — is one JSON envelope:
 //
 //	{"data": ..., "error": null, "pop": "pop-1", "cycle": 42}
 //
@@ -24,15 +23,11 @@
 //	GET /v1/fleet/summary               cached fleet rollup (?limit= / ?after=pop)
 //	GET /v1/fleet/health                cached per-PoP health (?limit= / ?after=pop)
 //	GET /v1/fleet/reconcile             rolling config-apply status
-//	GET /v1/health                      live fleet rollup (deprecated → /v1/fleet/health)
 //	GET /v1/metrics                     Prometheus text, pop="..." labels (top-K bounded)
 //
-// The pre-v1 unversioned paths (/health /metrics /overrides /cycles
-// /routes /explain) remain as deprecated aliases: they serve the same
-// envelope as their /v1 successor, carry `Deprecation: true` plus a
-// `Link: <successor>; rel="successor-version"` header, and resolve to
-// the sole hosted PoP. When more than one PoP is hosted, the per-PoP
-// aliases answer 400 pop_required — an unscoped query is ambiguous.
+// Any other path, including the retired pre-v1 aliases (/health
+// /metrics /overrides /cycles /routes /explain) and /v1/health, answers
+// 404 not_found.
 package api
 
 import (
@@ -58,7 +53,6 @@ const (
 	CodeUnknownPoP       = "unknown_pop"
 	CodeNotFound         = "not_found"
 	CodeMethodNotAllowed = "method_not_allowed"
-	CodePoPRequired      = "pop_required"
 	CodeInvalidConfig    = "invalid_config"
 )
 
@@ -96,7 +90,6 @@ func Routes() []string {
 		"GET /v1/fleet/summary",
 		"GET /v1/fleet/health",
 		"GET /v1/fleet/reconcile",
-		"GET /v1/health",
 		"GET /v1/metrics",
 	}
 }
@@ -161,18 +154,6 @@ func (s *Server) pop(name string) (*core.Controller, bool) {
 	defer s.mu.RUnlock()
 	c, ok := s.pops[name]
 	return c, ok
-}
-
-// sole returns the only hosted PoP, or ok=false when zero or many are
-// hosted (legacy aliases are unambiguous only in single mode).
-func (s *Server) sole() (string, *core.Controller, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if len(s.order) != 1 {
-		return "", nil, false
-	}
-	name := s.order[0]
-	return name, s.pops[name], true
 }
 
 // writeEnvelope serializes one envelope with the given status.
@@ -243,8 +224,8 @@ func (s *Server) popHandler(fn func(w http.ResponseWriter, r *http.Request, name
 	}
 }
 
-// Handler returns the http.Handler serving the full surface: /v1 plus
-// the deprecated unversioned aliases.
+// Handler returns the http.Handler serving the /v1 surface; any other
+// path answers 404 not_found in the envelope.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 
@@ -285,39 +266,9 @@ func (s *Server) Handler() http.Handler {
 	get("/v1/pops/{pop}/routes", s.popHandler(s.handleRoutes))
 	put("/v1/pops/{pop}/config", s.popHandler(s.handlePutConfig))
 	get("/v1/fleet/summary", s.handleFleetSummary)
-	get("/v1/fleet/health", s.handleFleetHealthV2)
+	get("/v1/fleet/health", s.handleFleetHealth)
 	get("/v1/fleet/reconcile", s.handleFleetReconcile)
-	// /v1/health predates the paginated fleet rollups; it still serves
-	// the live unpaginated rollup but now points at its successor.
-	get("/v1/health", func(w http.ResponseWriter, r *http.Request) {
-		deprecate(w, "/v1/fleet/health")
-		s.handleFleetHealth(w, r)
-	})
 	get("/v1/metrics", s.handleFleetMetrics)
-
-	// --- deprecated unversioned aliases ---
-	legacyPerPoP := func(path string, fn func(w http.ResponseWriter, r *http.Request, name string, c *core.Controller)) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) {
-			name, c, ok := s.sole()
-			if !ok {
-				w.Header().Set("Deprecation", "true")
-				writeErr(w, http.StatusBadRequest, CodePoPRequired,
-					"%d PoPs hosted; use /v1/pops/{pop}%s", len(s.PoPNames()), path)
-				return
-			}
-			deprecate(w, "/v1/pops/"+name+path)
-			fn(w, r, name, c)
-		}
-	}
-	get("/health", legacyPerPoP("/health", s.handleHealth))
-	get("/overrides", legacyPerPoP("/overrides", s.handleOverrides))
-	get("/cycles", legacyPerPoP("/cycles", s.handleCycles))
-	get("/explain", legacyPerPoP("/explain", s.handleExplain))
-	get("/routes", legacyPerPoP("/routes", s.handleRoutes))
-	get("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		deprecate(w, "/v1/metrics")
-		s.handleFleetMetrics(w, r)
-	})
 
 	// Root: service index; anything else unrouted is a JSON 404.
 	get("/", func(w http.ResponseWriter, r *http.Request) {
@@ -333,13 +284,6 @@ func (s *Server) Handler() http.Handler {
 		})
 	})
 	return mux
-}
-
-// deprecate stamps the RFC 8594-style deprecation headers on a legacy
-// alias response, pointing at the /v1 successor.
-func deprecate(w http.ResponseWriter, successor string) {
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
 }
 
 // --- endpoint handlers ---
@@ -447,37 +391,6 @@ func (s *Server) handleRoutes(w http.ResponseWriter, r *http.Request, name strin
 		after = p.Masked()
 	}
 	writeData(w, name, c.LastSeq(), routesPage(c, after, limit))
-}
-
-func (s *Server) handleFleetHealth(w http.ResponseWriter, r *http.Request) {
-	if !allowQuery(w, r) {
-		return
-	}
-	names := s.PoPNames()
-	worst := core.HealthHealthy
-	items := make([]FleetPoPHealth, 0, len(names))
-	for _, name := range names {
-		c, ok := s.pop(name)
-		if !ok {
-			continue
-		}
-		ih := c.Health().Evaluate()
-		if ih.State > worst {
-			worst = ih.State
-		}
-		items = append(items, FleetPoPHealth{
-			PoP:           name,
-			State:         ih.State.String(),
-			Reasons:       ih.Reasons,
-			FeedsUp:       ih.FeedsUp,
-			FeedsTotal:    ih.FeedsTotal,
-			SessionsUp:    ih.SessionsUp,
-			SessionsTotal: ih.SessionsTotal,
-			TrafficAgeMS:  ih.TrafficAge.Milliseconds(),
-			Cycle:         c.LastSeq(),
-		})
-	}
-	writeData(w, "", 0, map[string]any{"state": worst.String(), "pops": items})
 }
 
 func (s *Server) handleFleetMetrics(w http.ResponseWriter, r *http.Request) {

@@ -268,13 +268,15 @@ func TestV1Routes(t *testing.T) {
 				t.Errorf("routes[0] = %+v, want best=private first", rts)
 			}
 		}},
-		{"/v1/health", "", func(t *testing.T, env api.Envelope) {
+		{"/v1/fleet/health", "", func(t *testing.T, env api.Envelope) {
 			var d struct {
-				State string               `json:"state"`
-				Pops  []api.FleetPoPHealth `json:"pops"`
+				State string `json:"state"`
+				Page  struct {
+					Items []api.FleetPoPDigest `json:"items"`
+				} `json:"page"`
 			}
 			data(t, env, &d)
-			if d.State != "healthy" || len(d.Pops) != 1 || d.Pops[0].PoP != "sea" {
+			if d.State != "healthy" || len(d.Page.Items) != 1 || d.Page.Items[0].PoP != "sea" {
 				t.Errorf("fleet health = %+v", d)
 			}
 		}},
@@ -425,27 +427,14 @@ func TestPagination(t *testing.T) {
 	}
 }
 
-// TestLegacyAliases asserts the unversioned paths still serve, carry
-// deprecation headers, and answer the same envelope as /v1.
+// TestLegacyAliases asserts the retired unversioned aliases and
+// /v1/health answer 404 not_found in the envelope.
 func TestLegacyAliases(t *testing.T) {
 	srv := singleServer(t)
-	for path, successor := range map[string]string{
-		"/health":    "/v1/pops/sea/health",
-		"/overrides": "/v1/pops/sea/overrides",
-		"/cycles":    "/v1/pops/sea/cycles",
-		"/explain":   "/v1/pops/sea/explain",
-		"/routes":    "/v1/pops/sea/routes",
-		"/metrics":   "/v1/metrics",
-	} {
+	for _, path := range []string{"/health", "/overrides", "/cycles", "/explain", "/routes", "/metrics", "/v1/health"} {
 		resp, env := get(t, srv, path)
-		if resp.StatusCode != http.StatusOK || env.Error != nil {
-			t.Errorf("GET %s = %d %+v", path, resp.StatusCode, env.Error)
-		}
-		if dep := resp.Header.Get("Deprecation"); dep != "true" {
-			t.Errorf("GET %s: Deprecation = %q, want true", path, dep)
-		}
-		if link := resp.Header.Get("Link"); !strings.Contains(link, "<"+successor+">") || !strings.Contains(link, "successor-version") {
-			t.Errorf("GET %s: Link = %q, want successor %s", path, link, successor)
+		if resp.StatusCode != http.StatusNotFound || env.Error == nil || env.Error.Code != api.CodeNotFound {
+			t.Errorf("GET %s = %d %+v, want 404 %s", path, resp.StatusCode, env.Error, api.CodeNotFound)
 		}
 	}
 
@@ -466,7 +455,7 @@ func TestLegacyAliases(t *testing.T) {
 }
 
 // TestFleetScoping asserts multi-PoP behavior: per-PoP scoping works,
-// legacy per-PoP aliases refuse ambiguity, metrics carry both labels.
+// the fleet rollups cover both PoPs, metrics carry both labels.
 func TestFleetScoping(t *testing.T) {
 	s := api.NewServer()
 	if err := s.AddPoP("sea", testController(t, "10.255.1.1")); err != nil {
@@ -499,28 +488,16 @@ func TestFleetScoping(t *testing.T) {
 		}
 	}
 
-	// Legacy per-PoP aliases are ambiguous with two PoPs hosted.
-	resp, env := get(t, srv, "/health")
-	if resp.StatusCode != http.StatusBadRequest || env.Error == nil || env.Error.Code != api.CodePoPRequired {
-		t.Errorf("legacy /health = %d %+v, want 400 pop_required", resp.StatusCode, env.Error)
-	}
-	if dep := resp.Header.Get("Deprecation"); dep != "true" {
-		t.Errorf("legacy /health Deprecation = %q", dep)
-	}
-	// Legacy /metrics is fleet-scoped, never ambiguous.
-	resp, env = get(t, srv, "/metrics")
-	if resp.StatusCode != 200 || env.Error != nil {
-		t.Errorf("legacy /metrics = %d %+v", resp.StatusCode, env.Error)
-	}
-
 	// Fleet health rolls both PoPs up; metrics carry both labels.
-	_, env = get(t, srv, "/v1/health")
+	_, env = get(t, srv, "/v1/fleet/health")
 	var fh struct {
-		State string               `json:"state"`
-		Pops  []api.FleetPoPHealth `json:"pops"`
+		State string `json:"state"`
+		Page  struct {
+			Items []api.FleetPoPDigest `json:"items"`
+		} `json:"page"`
 	}
 	data(t, env, &fh)
-	if len(fh.Pops) != 2 || fh.State != "healthy" {
+	if len(fh.Page.Items) != 2 || fh.State != "healthy" {
 		t.Errorf("fleet health = %+v", fh)
 	}
 	_, env = get(t, srv, "/v1/metrics")

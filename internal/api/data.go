@@ -129,19 +129,6 @@ func healthDoc(c *core.Controller) *HealthDoc {
 	return doc
 }
 
-// FleetPoPHealth is one PoP's row in the GET /v1/health rollup.
-type FleetPoPHealth struct {
-	PoP           string   `json:"pop"`
-	State         string   `json:"state"`
-	Reasons       []string `json:"reasons,omitempty"`
-	FeedsUp       int      `json:"feeds_up"`
-	FeedsTotal    int      `json:"feeds_total"`
-	SessionsUp    int      `json:"sessions_up"`
-	SessionsTotal int      `json:"sessions_total"`
-	TrafficAgeMS  int64    `json:"traffic_age_ms"`
-	Cycle         uint64   `json:"cycle"`
-}
-
 // OverrideDoc is one installed override.
 type OverrideDoc struct {
 	Prefix    string  `json:"prefix"`

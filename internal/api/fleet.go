@@ -244,7 +244,7 @@ func (s *Server) handleFleetSummary(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleFleetHealthV2(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleFleetHealth(w http.ResponseWriter, r *http.Request) {
 	if !allowQuery(w, r, "limit", "after") {
 		return
 	}

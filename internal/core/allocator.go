@@ -186,33 +186,25 @@ type AllocResult struct {
 // never read another call's stamp as their own.
 var allocEpoch atomic.Uint64
 
-// Allocate runs the paper's greedy overload-mitigation algorithm over a
-// projection: while some interface is projected above threshold, pick
-// the most overloaded one and move whole prefixes from it onto their
-// best feasible alternate route until it drops below target. A detour is
-// feasible only if it keeps its target interface at or below target
-// utilization, so the allocator never trades one overload for another.
+// AllocateStickyTraced runs the paper's greedy overload-mitigation
+// algorithm over a projection: while some interface is projected above
+// threshold, pick the most overloaded one and move whole prefixes from
+// it onto their best feasible alternate route until it drops below
+// target. A detour is feasible only if it keeps its target interface at
+// or below target utilization, so the allocator never trades one
+// overload for another. It mutates only its own working copy of the
+// projected loads; the Projection itself is unchanged.
 //
-// Allocate mutates only its own working copy of the projected loads;
-// the Projection itself is unchanged.
-func Allocate(proj *Projection, inv *Inventory, cfg AllocatorConfig) *AllocResult {
-	return AllocateSticky(proj, inv, cfg, nil)
-}
-
-// AllocateSticky is Allocate with detour retention: prior is the
-// override set installed by the previous cycle (e.g. Injector.Installed).
-// Unless cfg.NoSticky is set, a previously-detoured prefix whose
-// preferred interface is still above threshold keeps its existing detour
-// (feasibility permitting) before any new detours are chosen, which
-// suppresses override churn while an overload persists.
-func AllocateSticky(proj *Projection, inv *Inventory, cfg AllocatorConfig, prior map[netip.Prefix]Override) *AllocResult {
-	return AllocateStickyTraced(proj, inv, cfg, prior, nil)
-}
-
-// AllocateStickyTraced is AllocateSticky with decision provenance: when
-// tr is non-nil, every prefix the allocator considers gets a structured
-// trace record (candidates with rejection reasons, final outcome) in
-// tr. A nil tr records nothing and costs nothing.
+// prior is the override set installed by the previous cycle (e.g.
+// Injector.Installed; nil for none). Unless cfg.NoSticky is set, a
+// previously-detoured prefix whose preferred interface is still above
+// threshold keeps its existing detour (feasibility permitting) before
+// any new detours are chosen, which suppresses override churn while an
+// overload persists.
+//
+// When tr is non-nil, every prefix the allocator considers gets a
+// structured trace record (candidates with rejection reasons, final
+// outcome) in tr. A nil tr records nothing and costs nothing.
 func AllocateStickyTraced(proj *Projection, inv *Inventory, cfg AllocatorConfig, prior map[netip.Prefix]Override, tr *CycleTrace) *AllocResult {
 	cfg.setDefaults()
 	res := &AllocResult{ResidualOverloadBps: make(map[int]float64)}

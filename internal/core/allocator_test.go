@@ -120,7 +120,7 @@ func TestAllocateDrainsOverload(t *testing.T) {
 		demand[netip.MustParsePrefix(fmt.Sprintf("10.0.%d.0/24", i))] = 1.2e9
 	}
 	proj := Project(tab, demand)
-	res := Allocate(proj, inv, AllocatorConfig{Threshold: 0.95})
+	res := AllocateStickyTraced(proj, inv, AllocatorConfig{Threshold: 0.95}, nil, nil)
 	if len(res.Overrides) == 0 {
 		t.Fatal("no overrides for a 120% loaded interface")
 	}
@@ -162,7 +162,7 @@ func TestAllocateNeverOverloadsTarget(t *testing.T) {
 		demand[netip.MustParsePrefix(fmt.Sprintf("10.0.%d.0/24", i))] = 1e9 // 30G total
 	}
 	proj := Project(tab, demand)
-	res := Allocate(proj, inv, AllocatorConfig{Threshold: 0.9})
+	res := AllocateStickyTraced(proj, inv, AllocatorConfig{Threshold: 0.9}, nil, nil)
 	var toIXP float64
 	for _, o := range res.Overrides {
 		if o.ToIF != 2 {
@@ -192,7 +192,7 @@ func TestAllocatePrefersPeerOverTransit(t *testing.T) {
 	// smaller demand both fit and the public peer must win.
 	demand[netip.MustParsePrefix(p)] = 11e9
 	proj := Project(tab, demand)
-	res := Allocate(proj, inv, AllocatorConfig{Threshold: 0.95})
+	res := AllocateStickyTraced(proj, inv, AllocatorConfig{Threshold: 0.95}, nil, nil)
 	// 11G > 0.95*10G on if2, so it's infeasible; transit is the only
 	// feasible target.
 	if len(res.Overrides) != 1 || res.Overrides[0].ToIF != 3 {
@@ -210,7 +210,7 @@ func TestAllocatePrefersPeerOverTransit(t *testing.T) {
 		netip.MustParsePrefix(p):  4e9,
 		netip.MustParsePrefix(p2): 4e9,
 	})
-	res = Allocate(proj, inv, AllocatorConfig{Threshold: 0.7})
+	res = AllocateStickyTraced(proj, inv, AllocatorConfig{Threshold: 0.7}, nil, nil)
 	if len(res.Overrides) != 1 {
 		t.Fatalf("overrides = %+v", res.Overrides)
 	}
@@ -227,7 +227,7 @@ func TestAllocateNoAlternatesResidual(t *testing.T) {
 	proj := Project(tab, map[netip.Prefix]float64{
 		netip.MustParsePrefix("10.0.0.0/24"): 20e9,
 	})
-	res := Allocate(proj, inv, AllocatorConfig{})
+	res := AllocateStickyTraced(proj, inv, AllocatorConfig{}, nil, nil)
 	if len(res.Overrides) != 0 {
 		t.Errorf("overrides = %v", res.Overrides)
 	}
@@ -244,7 +244,7 @@ func TestAllocateMaxDetours(t *testing.T) {
 		demand[netip.MustParsePrefix(fmt.Sprintf("10.0.%d.0/24", i))] = 1e9
 	}
 	proj := Project(tab, demand)
-	res := Allocate(proj, inv, AllocatorConfig{Threshold: 0.5, MaxDetours: 2})
+	res := AllocateStickyTraced(proj, inv, AllocatorConfig{Threshold: 0.5, MaxDetours: 2}, nil, nil)
 	if len(res.Overrides) != 2 {
 		t.Errorf("overrides = %d, want 2 (capped)", len(res.Overrides))
 	}
@@ -266,8 +266,8 @@ func TestAllocateStrategiesDiffer(t *testing.T) {
 		demand[netip.MustParsePrefix(fmt.Sprintf("10.0.%d.0/24", i))] = bps
 	}
 	proj := Project(tab, demand)
-	largest := Allocate(proj, inv, AllocatorConfig{Threshold: 0.95, Select: SelectLargestFirst})
-	random := Allocate(proj, inv, AllocatorConfig{Threshold: 0.95, Select: SelectRandom})
+	largest := AllocateStickyTraced(proj, inv, AllocatorConfig{Threshold: 0.95, Select: SelectLargestFirst}, nil, nil)
+	random := AllocateStickyTraced(proj, inv, AllocatorConfig{Threshold: 0.95, Select: SelectRandom}, nil, nil)
 	if len(largest.Overrides) == 0 || len(random.Overrides) == 0 {
 		t.Fatal("both strategies should detour something")
 	}
@@ -283,7 +283,7 @@ func TestAllocateNoOverloadNoOverrides(t *testing.T) {
 	demand := map[netip.Prefix]float64{
 		netip.MustParsePrefix("10.0.0.0/24"): 1e9,
 	}
-	res := Allocate(Project(tab, demand), inv, AllocatorConfig{})
+	res := AllocateStickyTraced(Project(tab, demand), inv, AllocatorConfig{}, nil, nil)
 	if len(res.Overrides) != 0 || len(res.ResidualOverloadBps) != 0 {
 		t.Errorf("idle PoP produced %+v", res)
 	}
@@ -318,7 +318,7 @@ func TestAllocateInvariantsQuick(t *testing.T) {
 		}
 		cfg := AllocatorConfig{Threshold: 0.6 + rng.Float64()*0.35}
 		proj := Project(tab, demand)
-		res := Allocate(proj, inv, cfg)
+		res := AllocateStickyTraced(proj, inv, cfg, nil, nil)
 
 		// Replay the moves.
 		load := make(map[int]float64)
@@ -436,7 +436,7 @@ func BenchmarkAllocate10k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		proj := Project(tab, demand)
-		res := Allocate(proj, inv, AllocatorConfig{Threshold: 0.95})
+		res := AllocateStickyTraced(proj, inv, AllocatorConfig{Threshold: 0.95}, nil, nil)
 		if len(res.Overrides) == 0 {
 			b.Fatal("expected overrides")
 		}
@@ -455,13 +455,13 @@ func TestAllocateReadsCapacityPerCall(t *testing.T) {
 	}
 	proj := Project(tab, demand)
 	cfg := AllocatorConfig{Threshold: 0.95}
-	if res := Allocate(proj, inv, cfg); len(res.Overrides) != 0 {
+	if res := AllocateStickyTraced(proj, inv, cfg, nil, nil); len(res.Overrides) != 0 {
 		t.Fatalf("90%% utilization produced %d overrides", len(res.Overrides))
 	}
 	if err := inv.SetInterfaceCapacity(0, 5e9); err != nil {
 		t.Fatal(err)
 	}
-	res := Allocate(proj, inv, cfg)
+	res := AllocateStickyTraced(proj, inv, cfg, nil, nil)
 	if len(res.Overrides) == 0 {
 		t.Fatal("capacity halved between calls, second call still saw the old one")
 	}

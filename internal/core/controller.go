@@ -52,10 +52,10 @@ type Config struct {
 	Audit *AuditLogger
 	// ExtraOverrides, when set, is invoked each cycle after overload
 	// allocation and may contribute additional overrides (e.g.
-	// performance-aware moves from PerfAllocate). Overload overrides
-	// win conflicts: contributions for prefixes already overridden are
-	// dropped. tr is the cycle's decision trace (nil when tracing is
-	// disabled); implementations should thread it into
+	// performance-aware moves from PerfAllocateTraced). Overload
+	// overrides win conflicts: contributions for prefixes already
+	// overridden are dropped. tr is the cycle's decision trace (nil
+	// when tracing is disabled); implementations should thread it into
 	// PerfAllocateTraced or record into it directly.
 	ExtraOverrides func(proj *Projection, alloc *AllocResult, tr *CycleTrace) []Override
 	// ProjectionEpsilon is the relative per-prefix demand change below
@@ -65,11 +65,6 @@ type Config struct {
 	ProjectionEpsilon float64
 	// ProjectionWorkers caps projection fan-out; 0 uses GOMAXPROCS.
 	ProjectionWorkers int
-	// DisableDeltaProjection reverts the control loop to full-scan
-	// projection and allocation every cycle. The delta path (default)
-	// recomputes only prefixes whose routes or demand changed, with a
-	// periodic full-sweep safety pass; see Projector.ProjectDelta.
-	DisableDeltaProjection bool
 	// FullSweepEvery is the delta-cycle cadence of the projection's
 	// full-rebuild safety pass. 0 uses the projector default (64);
 	// negative disables the periodic sweep.
@@ -662,14 +657,8 @@ func (c *Controller) RunCycle() (report *CycleReport, err error) {
 	span.End()
 
 	span = c.phProject.Start()
-	var proj *Projection
-	var ds DeltaStats
-	if c.cfg.DisableDeltaProjection {
-		proj = c.projector.Project(c.store.Table(), demand)
-	} else {
-		proj, ds = c.projector.ProjectDelta(c.store.Table(), demand)
-		c.exportDeltaStats(ds)
-	}
+	proj, ds := c.projector.ProjectDelta(c.store.Table(), demand)
+	c.exportDeltaStats(ds)
 	span.End()
 
 	span = c.phAllocate.Start()
@@ -677,12 +666,7 @@ func (c *Controller) RunCycle() (report *CycleReport, err error) {
 	// concurrently (HTTP-driven), and a cycle must run under one
 	// coherent parameter set.
 	acfg := c.allocatorCfg()
-	var alloc *AllocResult
-	if c.cfg.DisableDeltaProjection {
-		alloc = AllocateStickyTraced(proj, c.cfg.Inventory, acfg, c.injector.Installed(), tr)
-	} else {
-		alloc = AllocateDelta(proj, c.cfg.Inventory, acfg, c.injector.Installed(), tr, &ds, &c.allocState)
-	}
+	alloc := AllocateDelta(proj, c.cfg.Inventory, acfg, c.injector.Installed(), tr, &ds, &c.allocState)
 	span.End()
 
 	overrides := alloc.Overrides
@@ -744,14 +728,14 @@ func (c *Controller) RunCycle() (report *CycleReport, err error) {
 func (c *Controller) History() []CycleReport {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]CycleReport, 0, len(c.history))
-	if len(c.history) < c.maxHist {
-		out = append(out, c.history...)
-	} else {
-		out = append(out, c.history[c.histNext:]...)
-		out = append(out, c.history[:c.histNext]...)
-	}
-	return out
+	older, newer := c.historyLocked()
+	return append(append(make([]CycleReport, 0, len(c.history)), older...), newer...)
+}
+
+// historyLocked returns the report ring, oldest first, as its two runs
+// (no copy); histNext is 0 until the ring fills. Caller holds c.mu.
+func (c *Controller) historyLocked() (older, newer []CycleReport) {
+	return c.history[c.histNext:], c.history[:c.histNext]
 }
 
 // pushTrace publishes a completed cycle trace into the bounded ring.
@@ -853,17 +837,8 @@ func (c *Controller) explainUnconsidered(p netip.Prefix, latest *CycleTrace) str
 	if threshold == 0 {
 		threshold = 0.95
 	}
-	var lastUtil map[int]float64
-	c.mu.Lock()
-	if n := len(c.history); n > 0 {
-		idx := n - 1
-		if n == c.maxHist {
-			idx = (c.histNext - 1 + c.maxHist) % c.maxHist
-		}
-		lastUtil = c.history[idx].IfUtil
-	}
-	c.mu.Unlock()
-	if u, ok := lastUtil[preferred.EgressIF]; ok {
+	last, _ := c.LastReport()
+	if u, ok := last.IfUtil[preferred.EgressIF]; ok {
 		fmt.Fprintf(&b, "  preferred interface projected %.1f%% last cycle (threshold %.0f%%): %s\n",
 			u*100, threshold*100, map[bool]string{
 				true:  "overloaded",

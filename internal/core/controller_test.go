@@ -189,6 +189,57 @@ type staticTraffic map[netip.Prefix]float64
 
 func (s staticTraffic) Rates() map[netip.Prefix]float64 { return s }
 
+// TestHistoryResize shrinks and grows the cycle-report ring through
+// ApplyConfig, from a wrapped ring and back into one: History must hold
+// the newest reports in sequence order, and LastReport the latest.
+func TestHistoryResize(t *testing.T) {
+	ctrl, err := New(Config{Inventory: testInventory(t), Traffic: staticTraffic{}, LocalAS: 64500, MaxHistory: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.Close()
+	run := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := ctrl.RunCycle(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	resize := func(n int) {
+		if _, err := ctrl.ApplyConfig(PoPConfigUpdate{MaxHistory: &n}, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(want int) {
+		t.Helper()
+		last := ctrl.LastSeq()
+		h := ctrl.History()
+		if len(h) != want {
+			t.Fatalf("after cycle %d: history holds %d, want %d", last, len(h), want)
+		}
+		for i, r := range h {
+			if wantSeq := last - uint64(want-1-i); r.Seq != wantSeq {
+				t.Fatalf("after cycle %d: history[%d].Seq = %d, want %d", last, i, r.Seq, wantSeq)
+			}
+		}
+		if rep, ok := ctrl.LastReport(); !ok || rep.Seq != last {
+			t.Fatalf("LastReport = %d (ok=%v), LastSeq = %d", rep.Seq, ok, last)
+		}
+	}
+	run(40) // the 32-slot ring has wrapped
+	check(32)
+	resize(16)
+	check(16)
+	run(5) // wraps the shrunk ring
+	check(16)
+	resize(64)
+	check(16)
+	run(10)
+	check(26)
+	run(50)
+	check(64)
+}
+
 func TestControllerRunCycle(t *testing.T) {
 	inv := testInventory(t)
 	demand := staticTraffic{}

@@ -112,7 +112,7 @@ type mpMember struct {
 	weight float64 // assignShares scratch: this iteration's spread weight
 }
 
-// MultipathAllocate computes weighted multipath overrides from
+// MultipathAllocateTraced computes weighted multipath overrides from
 // alternate-path measurements: for each reported prefix whose measured
 // alternate is at least MinGainMS faster OR whose preferred interface
 // sits above SpreadUtil, demand is split across up to MaxPaths measured
@@ -121,22 +121,9 @@ type mpMember struct {
 // moves take precedence and its capacity consumption is accounted);
 // prev is the previous cycle's installed multipath set (hysteresis).
 // reports is reordered in place (largest gap first, ties by prefix), so
-// the result does not depend on the order it arrives in.
-func MultipathAllocate(
-	proj *Projection,
-	inv *Inventory,
-	reports []*altpath.PrefixReport,
-	prior *AllocResult,
-	prev map[netip.Prefix]Override,
-	alloc AllocatorConfig,
-	cfg MultipathConfig,
-) []Override {
-	return MultipathAllocateTraced(proj, inv, reports, prior, prev, alloc, cfg, nil)
-}
-
-// MultipathAllocateTraced is MultipathAllocate with decision
-// provenance; a nil tr records nothing and keeps the sorted-loop early
-// exits.
+// the result does not depend on the order it arrives in. tr receives
+// decision provenance; a nil tr records nothing and keeps the
+// sorted-loop early exits.
 func MultipathAllocateTraced(
 	proj *Projection,
 	inv *Inventory,

@@ -39,8 +39,8 @@ func TestMultipathSplitsOnGap(t *testing.T) {
 	rep := mpReport(p.String(), plan.Preferred, 50,
 		altpath.PathStat{Route: ixp, P50: 20, N: 32})
 
-	out := MultipathAllocate(proj, inv, []*altpath.PrefixReport{rep}, nil, nil,
-		AllocatorConfig{}, MultipathConfig{MinGainMS: 20})
+	out := MultipathAllocateTraced(proj, inv, []*altpath.PrefixReport{rep}, nil, nil,
+		AllocatorConfig{}, MultipathConfig{MinGainMS: 20}, nil)
 	if len(out) != 1 {
 		t.Fatalf("overrides = %+v", out)
 	}
@@ -88,8 +88,8 @@ func TestMultipathSpreadsOnCongestion(t *testing.T) {
 	rep := mpReport(p.String(), plan.Preferred, 20,
 		altpath.PathStat{Route: transit, P50: 40, N: 32})
 
-	out := MultipathAllocate(proj, inv, []*altpath.PrefixReport{rep}, nil, nil,
-		AllocatorConfig{}, MultipathConfig{SpreadUtil: 0.72, ToleranceMS: 25})
+	out := MultipathAllocateTraced(proj, inv, []*altpath.PrefixReport{rep}, nil, nil,
+		AllocatorConfig{}, MultipathConfig{SpreadUtil: 0.72, ToleranceMS: 25}, nil)
 	if len(out) != 1 || len(out[0].Multipath) != 2 {
 		t.Fatalf("overrides = %+v", out)
 	}
@@ -97,8 +97,8 @@ func TestMultipathSpreadsOnCongestion(t *testing.T) {
 	proj2 := Project(tab, map[netip.Prefix]float64{p: 2e9})
 	rep2 := mpReport(p.String(), proj2.Plans[p].Preferred, 20,
 		altpath.PathStat{Route: transit, P50: 40, N: 32})
-	out2 := MultipathAllocate(proj2, inv, []*altpath.PrefixReport{rep2}, nil, nil,
-		AllocatorConfig{}, MultipathConfig{SpreadUtil: 0.72, ToleranceMS: 25})
+	out2 := MultipathAllocateTraced(proj2, inv, []*altpath.PrefixReport{rep2}, nil, nil,
+		AllocatorConfig{}, MultipathConfig{SpreadUtil: 0.72, ToleranceMS: 25}, nil)
 	if len(out2) != 0 {
 		t.Errorf("uncongested no-gap prefix split: %+v", out2)
 	}
@@ -170,7 +170,7 @@ func TestMultipathHysteresisSuppressesJitter(t *testing.T) {
 
 	rep := mpReport(p.String(), plan.Preferred, 50,
 		altpath.PathStat{Route: ixp, P50: 20, N: 32})
-	first := MultipathAllocate(proj, inv, []*altpath.PrefixReport{rep}, nil, nil, AllocatorConfig{}, cfg)
+	first := MultipathAllocateTraced(proj, inv, []*altpath.PrefixReport{rep}, nil, nil, AllocatorConfig{}, cfg, nil)
 	if len(first) != 1 || len(first[0].Multipath) != 2 {
 		t.Fatalf("first = %+v", first)
 	}
@@ -181,7 +181,7 @@ func TestMultipathHysteresisSuppressesJitter(t *testing.T) {
 	// override must keep the installed weights exactly.
 	rep2 := mpReport(p.String(), plan.Preferred, 52,
 		altpath.PathStat{Route: ixp, P50: 21, N: 32})
-	second := MultipathAllocate(proj, inv, []*altpath.PrefixReport{rep2}, nil, prev, AllocatorConfig{}, cfg)
+	second := MultipathAllocateTraced(proj, inv, []*altpath.PrefixReport{rep2}, nil, prev, AllocatorConfig{}, cfg, nil)
 	if len(second) != 1 {
 		t.Fatalf("second = %+v", second)
 	}
@@ -204,8 +204,8 @@ func TestMultipathRespectsTargetUtilization(t *testing.T) {
 	plan := proj.Plans[p]
 	rep := mpReport(pfx, plan.Preferred, 50,
 		altpath.PathStat{Route: plan.Alternates[0], P50: 20, N: 32})
-	out := MultipathAllocate(proj, inv, []*altpath.PrefixReport{rep}, nil, nil,
-		AllocatorConfig{Target: 0.95}, MultipathConfig{MinGainMS: 20})
+	out := MultipathAllocateTraced(proj, inv, []*altpath.PrefixReport{rep}, nil, nil,
+		AllocatorConfig{Target: 0.95}, MultipathConfig{MinGainMS: 20}, nil)
 	if len(out) != 0 {
 		t.Errorf("infeasible demand split anyway: %+v", out)
 	}
@@ -214,8 +214,8 @@ func TestMultipathRespectsTargetUtilization(t *testing.T) {
 	plan2 := proj2.Plans[p]
 	rep2 := mpReport(pfx, plan2.Preferred, 50,
 		altpath.PathStat{Route: plan2.Alternates[0], P50: 20, N: 32})
-	out2 := MultipathAllocate(proj2, inv, []*altpath.PrefixReport{rep2}, nil, nil,
-		AllocatorConfig{Target: 0.95}, MultipathConfig{MinGainMS: 20})
+	out2 := MultipathAllocateTraced(proj2, inv, []*altpath.PrefixReport{rep2}, nil, nil,
+		AllocatorConfig{Target: 0.95}, MultipathConfig{MinGainMS: 20}, nil)
 	if len(out2) != 1 || len(out2[0].Multipath) != 2 {
 		t.Fatalf("splittable demand not split: %+v", out2)
 	}
@@ -238,8 +238,8 @@ func TestMultipathSkipsOverloadMoves(t *testing.T) {
 	}}}
 	rep := mpReport(p.String(), plan.Preferred, 50,
 		altpath.PathStat{Route: transit, P50: 20, N: 32})
-	out := MultipathAllocate(proj, inv, []*altpath.PrefixReport{rep}, prior, nil,
-		AllocatorConfig{}, MultipathConfig{MinGainMS: 20})
+	out := MultipathAllocateTraced(proj, inv, []*altpath.PrefixReport{rep}, prior, nil,
+		AllocatorConfig{}, MultipathConfig{MinGainMS: 20}, nil)
 	if len(out) != 0 {
 		t.Errorf("overload-moved prefix split on top: %+v", out)
 	}
@@ -263,7 +263,7 @@ func TestStickySkipsMultipathPriors(t *testing.T) {
 			{Via: plan.Preferred, ToIF: 0, WeightPct: 40, RateBps: 4.4e9},
 		},
 	}}
-	res := AllocateSticky(proj, inv, AllocatorConfig{}, prior)
+	res := AllocateStickyTraced(proj, inv, AllocatorConfig{}, prior, nil)
 	if res.Retained != 0 {
 		t.Errorf("multipath prior retained by the sticky pass: %+v", res.Overrides)
 	}
@@ -372,7 +372,7 @@ func TestMultipathAllocateOrderIndependent(t *testing.T) {
 		return reports
 	}
 	cfg := MultipathConfig{MinGainMS: 20, MaxMoves: 10}
-	want := MultipathAllocate(proj, inv, build(), nil, nil, AllocatorConfig{}, cfg)
+	want := MultipathAllocateTraced(proj, inv, build(), nil, nil, AllocatorConfig{}, cfg, nil)
 	if len(want) == 0 || len(want) >= len(prefixes) {
 		t.Fatalf("baseline produced %d overrides; the budget and the IXP port must admit only some of %d", len(want), len(prefixes))
 	}
@@ -380,7 +380,7 @@ func TestMultipathAllocateOrderIndependent(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		reports := build()
 		rng.Shuffle(len(reports), func(a, b int) { reports[a], reports[b] = reports[b], reports[a] })
-		got := MultipathAllocate(proj, inv, reports, nil, nil, AllocatorConfig{}, cfg)
+		got := MultipathAllocateTraced(proj, inv, reports, nil, nil, AllocatorConfig{}, cfg, nil)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: overrides depend on report order:\n got %+v\nwant %+v", trial, got, want)
 		}

@@ -31,9 +31,9 @@ func (c *PerfConfig) setDefaults() {
 	}
 }
 
-// PerfAllocate turns alternate-path measurements into overrides for
-// prefixes whose best alternate is at least MinGainMS faster than the
-// BGP-preferred path, subject to the same capacity discipline as the
+// PerfAllocateTraced turns alternate-path measurements into overrides
+// for prefixes whose best alternate is at least MinGainMS faster than
+// the BGP-preferred path, subject to the same capacity discipline as the
 // overload allocator: a move is only made if it keeps the target
 // interface at or below the allocator target utilization given the
 // current projection plus any moves already accepted (including the
@@ -41,21 +41,10 @@ func (c *PerfConfig) setDefaults() {
 //
 // Overload mitigation takes precedence: prefixes already moved by prior
 // are skipped, and capacity consumed by prior moves is accounted.
-func PerfAllocate(
-	proj *Projection,
-	inv *Inventory,
-	reports []*altpath.PrefixReport,
-	prior *AllocResult,
-	alloc AllocatorConfig,
-	cfg PerfConfig,
-) []Override {
-	return PerfAllocateTraced(proj, inv, reports, prior, alloc, cfg, nil)
-}
-
-// PerfAllocateTraced is PerfAllocate with decision provenance: when tr
-// is non-nil, every report the pass evaluates gets a trace record with
-// per-candidate rejection reasons. A nil tr records nothing and keeps
-// the sorted-loop early exit.
+//
+// When tr is non-nil, every report the pass evaluates gets a trace
+// record with per-candidate rejection reasons. A nil tr records nothing
+// and keeps the sorted-loop early exit.
 func PerfAllocateTraced(
 	proj *Projection,
 	inv *Inventory,

@@ -36,7 +36,7 @@ func TestPerfAllocateMovesFastAlternates(t *testing.T) {
 		perfReport("10.0.1.0/24", 5, transit, 32),  // gap too small
 		perfReport("10.0.2.0/24", 40, transit, 4),  // too few samples
 	}
-	out := PerfAllocate(proj, inv, reports, nil, AllocatorConfig{}, PerfConfig{MinGainMS: 20})
+	out := PerfAllocateTraced(proj, inv, reports, nil, AllocatorConfig{}, PerfConfig{MinGainMS: 20}, nil)
 	if len(out) != 1 {
 		t.Fatalf("overrides = %+v", out)
 	}
@@ -54,7 +54,7 @@ func TestPerfAllocateRespectsCapacity(t *testing.T) {
 	proj := Project(tab, map[netip.Prefix]float64{netip.MustParsePrefix(p): 11e9})
 	alt := proj.Plans[netip.MustParsePrefix(p)].Alternates[0]
 	reports := []*altpath.PrefixReport{perfReport(p, 50, alt, 32)}
-	out := PerfAllocate(proj, inv, reports, nil, AllocatorConfig{Threshold: 0.95}, PerfConfig{})
+	out := PerfAllocateTraced(proj, inv, reports, nil, AllocatorConfig{Threshold: 0.95}, PerfConfig{}, nil)
 	if len(out) != 0 {
 		t.Errorf("11G moved onto a 10G port: %+v", out)
 	}
@@ -70,7 +70,7 @@ func TestPerfAllocateSkipsPriorMoves(t *testing.T) {
 		Prefix: p, Via: alt, FromIF: 0, ToIF: 3, RateBps: 1e9,
 	}}}
 	reports := []*altpath.PrefixReport{perfReport("10.0.0.0/24", 50, alt, 32)}
-	out := PerfAllocate(proj, inv, reports, prior, AllocatorConfig{}, PerfConfig{})
+	out := PerfAllocateTraced(proj, inv, reports, prior, AllocatorConfig{}, PerfConfig{}, nil)
 	if len(out) != 0 {
 		t.Errorf("prefix moved twice: %+v", out)
 	}
@@ -94,7 +94,7 @@ func TestPerfAllocateSkipsSplitAggregates(t *testing.T) {
 		Prefix: lo, SplitOf: agg, Via: alt, FromIF: 0, ToIF: 3, RateBps: 1e9,
 	}}}
 	reports := []*altpath.PrefixReport{perfReport(agg.String(), 50, alt, 32)}
-	out := PerfAllocate(proj, inv, reports, prior, AllocatorConfig{}, PerfConfig{})
+	out := PerfAllocateTraced(proj, inv, reports, prior, AllocatorConfig{}, PerfConfig{}, nil)
 	if len(out) != 0 {
 		t.Errorf("aggregate with a detoured half moved again: %+v", out)
 	}
@@ -114,7 +114,7 @@ func TestPerfAllocateEmptyPathsReport(t *testing.T) {
 		GapMS:   50,
 		BestAlt: &altpath.PathStat{Route: alt, P50: 10, N: 32},
 	}
-	out := PerfAllocate(proj, inv, []*altpath.PrefixReport{degenerate}, nil, AllocatorConfig{}, PerfConfig{})
+	out := PerfAllocateTraced(proj, inv, []*altpath.PrefixReport{degenerate}, nil, AllocatorConfig{}, PerfConfig{}, nil)
 	if len(out) != 0 {
 		t.Errorf("degenerate report produced a move: %+v", out)
 	}
@@ -143,7 +143,7 @@ func TestPerfAllocateNilAltDoesNotEndScan(t *testing.T) {
 		perfReport(qualifying.String(), 30, alt, 32), // sorts after the nil-alt report
 		perfReport("10.0.2.0/24", -5, alt, 32),       // negative gap: never qualifies
 	}
-	out := PerfAllocate(proj, inv, reports, nil, AllocatorConfig{}, PerfConfig{})
+	out := PerfAllocateTraced(proj, inv, reports, nil, AllocatorConfig{}, PerfConfig{}, nil)
 	if len(out) != 1 || out[0].Prefix != qualifying {
 		t.Fatalf("overrides = %+v, want exactly one for %s", out, qualifying)
 	}
@@ -162,7 +162,7 @@ func TestPerfAllocateMaxMoves(t *testing.T) {
 	for p := range demand {
 		reports = append(reports, perfReport(p.String(), 30, proj.Plans[p].Alternates[0], 32))
 	}
-	out := PerfAllocate(proj, inv, reports, nil, AllocatorConfig{}, PerfConfig{MaxMoves: 2})
+	out := PerfAllocateTraced(proj, inv, reports, nil, AllocatorConfig{}, PerfConfig{MaxMoves: 2}, nil)
 	if len(out) != 2 {
 		t.Errorf("moves = %d, want 2", len(out))
 	}

@@ -243,24 +243,14 @@ func (c *Controller) ApplyConfig(u PoPConfigUpdate, dryRun bool) (ConfigChange, 
 // resizeHistoryLocked rebuilds the cycle-report ring at a new bound,
 // keeping the most recent reports. Caller holds c.mu.
 func (c *Controller) resizeHistoryLocked(n int) {
-	// Linearize oldest-first, then keep the newest n.
-	lin := make([]CycleReport, 0, len(c.history))
-	if len(c.history) < c.maxHist {
-		lin = append(lin, c.history...)
-	} else {
-		lin = append(lin, c.history[c.histNext:]...)
-		lin = append(lin, c.history[:c.histNext]...)
-	}
+	older, newer := c.historyLocked()
+	lin := append(append(make([]CycleReport, 0, len(c.history)), older...), newer...)
 	if len(lin) > n {
 		lin = lin[len(lin)-n:]
 	}
 	c.maxHist = n
 	c.history = lin
 	c.histNext = 0
-	if len(c.history) == c.maxHist {
-		// Ring is exactly full: next overwrite lands on the oldest slot.
-		c.histNext = 0
-	}
 }
 
 // allocatorCfg snapshots the allocator config for one cycle.
@@ -280,15 +270,14 @@ func (c *Controller) InstalledCount() int {
 func (c *Controller) LastReport() (CycleReport, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := len(c.history)
-	if n == 0 {
+	older, newer := c.historyLocked()
+	if len(newer) == 0 {
+		newer = older
+	}
+	if len(newer) == 0 {
 		return CycleReport{}, false
 	}
-	idx := n - 1
-	if n == c.maxHist {
-		idx = (c.histNext - 1 + c.maxHist) % c.maxHist
-	}
-	return c.history[idx], true
+	return newer[len(newer)-1], true
 }
 
 // Drain withdraws every installed override, returning the PoP to

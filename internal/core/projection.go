@@ -4,7 +4,6 @@ import (
 	"net/netip"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 
 	"edgefabric/internal/rib"
@@ -411,33 +410,6 @@ func (p *Projection) Utilization(inv *Inventory, ifID int) float64 {
 		return 0
 	}
 	return p.IfLoadBps[ifID] / info.CapacityBps
-}
-
-// OverloadedInterfaces returns the interfaces whose projected
-// utilization exceeds threshold, most-overloaded (by ratio) first.
-func (p *Projection) OverloadedInterfaces(inv *Inventory, threshold float64) []int {
-	type item struct {
-		id   int
-		util float64
-	}
-	var over []item
-	for _, info := range inv.Interfaces() {
-		u := p.IfLoadBps[info.ID] / info.CapacityBps
-		if u > threshold {
-			over = append(over, item{info.ID, u})
-		}
-	}
-	sort.Slice(over, func(a, b int) bool {
-		if over[a].util != over[b].util {
-			return over[a].util > over[b].util
-		}
-		return over[a].id < over[b].id
-	})
-	out := make([]int, len(over))
-	for i, o := range over {
-		out[i] = o.id
-	}
-	return out
 }
 
 // byPrefix orders plans by prefix, the order of a byIF bucket.

@@ -33,13 +33,13 @@ func TestAllocateSplitMovesHalf(t *testing.T) {
 	proj := Project(tab, demand)
 
 	// Without splitting: nothing fits, residual overload.
-	res := Allocate(proj, inv, AllocatorConfig{Threshold: 0.7, Target: 0.95})
+	res := AllocateStickyTraced(proj, inv, AllocatorConfig{Threshold: 0.7, Target: 0.95}, nil, nil)
 	if len(res.Overrides) != 0 || len(res.ResidualOverloadBps) == 0 {
 		t.Fatalf("without split: %+v", res)
 	}
 
 	// With splitting: half the big prefix moves via a /25.
-	res = Allocate(proj, inv, AllocatorConfig{Threshold: 0.7, Target: 0.95, AllowSplit: true})
+	res = AllocateStickyTraced(proj, inv, AllocatorConfig{Threshold: 0.7, Target: 0.95, AllowSplit: true}, nil, nil)
 	if len(res.Overrides) != 1 {
 		t.Fatalf("with split: %+v", res.Overrides)
 	}
@@ -69,7 +69,7 @@ func TestAllocateSplitRespectsTargetCapacity(t *testing.T) {
 	// Fill the IXP port almost completely: even half doesn't fit.
 	demand[netip.MustParsePrefix("10.0.9.0/24")] = 9.4e9
 	proj := Project(tab, demand)
-	res := Allocate(proj, inv, AllocatorConfig{Threshold: 0.95, AllowSplit: true})
+	res := AllocateStickyTraced(proj, inv, AllocatorConfig{Threshold: 0.95, AllowSplit: true}, nil, nil)
 	for _, o := range res.Overrides {
 		if o.ToIF == 2 && o.RateBps > 0.95*10e9-9.4e9 {
 			t.Errorf("split overloaded the IXP port: %+v", o)
@@ -80,12 +80,12 @@ func TestAllocateSplitRespectsTargetCapacity(t *testing.T) {
 func TestAllocateStickyRetainsSplit(t *testing.T) {
 	inv, tab, demand := splitFixture(t)
 	cfg := AllocatorConfig{Threshold: 0.7, Target: 0.95, AllowSplit: true}
-	first := Allocate(Project(tab, demand), inv, cfg)
+	first := AllocateStickyTraced(Project(tab, demand), inv, cfg, nil, nil)
 	if len(first.Overrides) != 1 || !first.Overrides[0].SplitOf.IsValid() {
 		t.Fatalf("setup: %+v", first.Overrides)
 	}
 	prior := map[netip.Prefix]Override{first.Overrides[0].Prefix: first.Overrides[0]}
-	second := AllocateSticky(Project(tab, demand), inv, cfg, prior)
+	second := AllocateStickyTraced(Project(tab, demand), inv, cfg, prior, nil)
 	if second.Retained != 1 {
 		t.Fatalf("retained = %d, overrides %+v", second.Retained, second.Overrides)
 	}
@@ -108,7 +108,7 @@ func TestAllocateSplitUnsplittablePrefix(t *testing.T) {
 		netip.MustParsePrefix("10.0.0.0/31"): 8e9,
 		netip.MustParsePrefix("10.0.9.0/24"): 6e9,
 	}
-	res := Allocate(Project(tab, demand), inv, AllocatorConfig{Threshold: 0.7, Target: 0.95, AllowSplit: true})
+	res := AllocateStickyTraced(Project(tab, demand), inv, AllocatorConfig{Threshold: 0.7, Target: 0.95, AllowSplit: true}, nil, nil)
 	for _, o := range res.Overrides {
 		if o.SplitOf.IsValid() {
 			t.Errorf("/31 was split: %+v", o)

@@ -28,7 +28,7 @@ func stickyFixture(t *testing.T) (*Inventory, *rib.Table, map[netip.Prefix]float
 func TestAllocateStickyRetainsDetours(t *testing.T) {
 	inv, tab, demand := stickyFixture(t)
 	cfg := AllocatorConfig{Threshold: 0.95}
-	first := Allocate(Project(tab, demand), inv, cfg)
+	first := AllocateStickyTraced(Project(tab, demand), inv, cfg, nil, nil)
 	if len(first.Overrides) == 0 {
 		t.Fatal("no initial overrides")
 	}
@@ -42,7 +42,7 @@ func TestAllocateStickyRetainsDetours(t *testing.T) {
 	for p := range demand {
 		demand[p] *= 1.01
 	}
-	second := AllocateSticky(Project(tab, demand), inv, cfg, prior)
+	second := AllocateStickyTraced(Project(tab, demand), inv, cfg, prior, nil)
 	if second.Retained == 0 {
 		t.Fatal("nothing retained")
 	}
@@ -61,7 +61,7 @@ func TestAllocateStickyRetainsDetours(t *testing.T) {
 func TestAllocateStickyReleasesWhenOverloadGone(t *testing.T) {
 	inv, tab, demand := stickyFixture(t)
 	cfg := AllocatorConfig{Threshold: 0.95}
-	first := Allocate(Project(tab, demand), inv, cfg)
+	first := AllocateStickyTraced(Project(tab, demand), inv, cfg, nil, nil)
 	prior := make(map[netip.Prefix]Override)
 	for _, o := range first.Overrides {
 		prior[o.Prefix] = o
@@ -70,7 +70,7 @@ func TestAllocateStickyReleasesWhenOverloadGone(t *testing.T) {
 	for p := range demand {
 		demand[p] = 0.1e9
 	}
-	res := AllocateSticky(Project(tab, demand), inv, cfg, prior)
+	res := AllocateStickyTraced(Project(tab, demand), inv, cfg, prior, nil)
 	if len(res.Overrides) != 0 || res.Retained != 0 {
 		t.Errorf("detours retained with no overload: %+v", res.Overrides)
 	}
@@ -79,7 +79,7 @@ func TestAllocateStickyReleasesWhenOverloadGone(t *testing.T) {
 func TestAllocateStickyRespectsFeasibility(t *testing.T) {
 	inv, tab, demand := stickyFixture(t)
 	cfg := AllocatorConfig{Threshold: 0.95}
-	first := Allocate(Project(tab, demand), inv, cfg)
+	first := AllocateStickyTraced(Project(tab, demand), inv, cfg, nil, nil)
 	prior := make(map[netip.Prefix]Override)
 	for _, o := range first.Overrides {
 		prior[o.Prefix] = o
@@ -89,7 +89,7 @@ func TestAllocateStickyRespectsFeasibility(t *testing.T) {
 	for p := range demand {
 		demand[p] = 40e9
 	}
-	res := AllocateSticky(Project(tab, demand), inv, cfg, prior)
+	res := AllocateStickyTraced(Project(tab, demand), inv, cfg, prior, nil)
 	for _, o := range res.Overrides {
 		info, _ := inv.InterfaceByID(o.ToIF)
 		if o.RateBps > cfg.Threshold*info.CapacityBps {
@@ -101,12 +101,12 @@ func TestAllocateStickyRespectsFeasibility(t *testing.T) {
 func TestAllocateStickyNoStickyFlag(t *testing.T) {
 	inv, tab, demand := stickyFixture(t)
 	cfg := AllocatorConfig{Threshold: 0.95, NoSticky: true}
-	first := Allocate(Project(tab, demand), inv, cfg)
+	first := AllocateStickyTraced(Project(tab, demand), inv, cfg, nil, nil)
 	prior := make(map[netip.Prefix]Override)
 	for _, o := range first.Overrides {
 		prior[o.Prefix] = o
 	}
-	res := AllocateSticky(Project(tab, demand), inv, cfg, prior)
+	res := AllocateStickyTraced(Project(tab, demand), inv, cfg, prior, nil)
 	if res.Retained != 0 {
 		t.Errorf("NoSticky retained %d", res.Retained)
 	}
@@ -135,7 +135,7 @@ func TestAllocateStickySplitRetention(t *testing.T) {
 	prior := map[netip.Prefix]Override{
 		lo: {Prefix: lo, SplitOf: agg, Via: transit, FromIF: 0, ToIF: 3, RateBps: 11e9},
 	}
-	res := AllocateSticky(proj, inv, cfg, prior)
+	res := AllocateStickyTraced(proj, inv, cfg, prior, nil)
 	if res.Retained != 1 {
 		t.Fatalf("retained = %d, want 1 (overrides %+v)", res.Retained, res.Overrides)
 	}
@@ -163,7 +163,7 @@ func TestAllocateStickySplitRetention(t *testing.T) {
 func TestAllocateStickyDropsVanishedRoute(t *testing.T) {
 	inv, tab, demand := stickyFixture(t)
 	cfg := AllocatorConfig{Threshold: 0.95}
-	first := Allocate(Project(tab, demand), inv, cfg)
+	first := AllocateStickyTraced(Project(tab, demand), inv, cfg, nil, nil)
 	if len(first.Overrides) == 0 {
 		t.Fatal("no initial overrides")
 	}
@@ -173,7 +173,7 @@ func TestAllocateStickyDropsVanishedRoute(t *testing.T) {
 	}
 	// The detour peer's session dies: its routes vanish.
 	tab.RemovePeer(first.Overrides[0].Via.PeerAddr)
-	res := AllocateSticky(Project(tab, demand), inv, cfg, prior)
+	res := AllocateStickyTraced(Project(tab, demand), inv, cfg, prior, nil)
 	for _, o := range res.Overrides {
 		if o.Via.PeerAddr == first.Overrides[0].Via.PeerAddr {
 			t.Errorf("override retained onto a withdrawn route: %+v", o)

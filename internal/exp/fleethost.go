@@ -125,15 +125,3 @@ func NewFleetHostFromConfigs(ctx context.Context, cfgs []HarnessConfig) (*FleetH
 	}
 	return fh, nil
 }
-
-// StepAll advances every member PoP one tick (a paused member ticks its
-// dataplane and clock but skips its controller cycle) and then advances
-// any in-flight config rollout one reconciliation step.
-func (fh *FleetHost) StepAll() {
-	for _, h := range fh.PoPs {
-		h.Step()
-	}
-	if fh.Reconciler != nil {
-		fh.Reconciler.Step()
-	}
-}

@@ -26,10 +26,8 @@ import (
 // Four arms:
 //
 //  1. in-process sFlow throughput, single PoP: packets/sec through the
-//     streaming-decode + sharded-accumulate pipeline vs. a faithful
-//     replica of the seed path (allocating Decode + one global mutex);
-//  2. the same comparison through the fleet Demux (header-peek routing
-//     vs. the seed's full decode per datagram);
+//     streaming-decode + sharded-accumulate pipeline;
+//  2. the same through the fleet Demux (header-peek routing);
 //  3. UDP saturation: offered rate vs. decoded/dropped over real
 //     sockets and the multi-reader serve loop;
 //  4. BMP dump absorption: table-snapshot cycle latency while a full
@@ -54,18 +52,16 @@ type IngestConfig struct {
 	// consumer read are split across the pool instead of overflowing
 	// one socket.
 	Workers int
-	// UDPRates is the offered-rate ladder in packets/sec, run against
-	// both the seed serve loop and the new pipeline. Default
+	// UDPRates is the offered-rate ladder in packets/sec. Default
 	// {2k, 5k, 10k, 20k, 30k, 40k, 80k, 120k, 160k, 200k, 240k}.
 	UDPRates []int
 	// UDPSeconds is the send time per ladder point. Default 2.0.
 	UDPSeconds float64
-	// UDPBufBytes is the kernel receive buffer both UDP arms get —
-	// identical per-socket provisioning so the software path is the
-	// only variable. Default 1 MiB (generous against Linux's ~208 KiB
-	// default; subject to the host's rmem_max cap). A buffer absorbs
-	// one-off burst deficits but not sustained starvation, so it does
-	// not mask the seed path's read-side stalls.
+	// UDPBufBytes is the kernel receive buffer of each UDP socket.
+	// Default 1 MiB (generous against Linux's ~208 KiB default; subject
+	// to the host's rmem_max cap). A buffer absorbs one-off burst
+	// deficits but not sustained starvation, so it does not mask
+	// read-side stalls.
 	UDPBufBytes int
 	// SkipUDP skips the socket arm (smoke runs in sandboxes without
 	// loopback headroom).
@@ -135,22 +131,15 @@ type IngestResult struct {
 	Records int
 
 	// In-process throughput, packets/sec (records/sec = pps * Records).
-	SeedPPS    float64
 	ShardedPPS float64
-	SpeedupX   float64
 
 	// Fleet demux throughput.
-	SeedDemuxPPS    float64
 	ShardedDemuxPPS float64
-	DemuxSpeedupX   float64
 
-	// UDP saturation ladders, seed serve loop vs the multi-reader
-	// pipeline, both under a live rates consumer.
-	SeedUDP            []UDPPoint
-	NewUDP             []UDPPoint
-	SeedMaxZeroDropPPS int
-	MaxZeroDropPPS     int
-	UDPSustainX        float64
+	// UDP saturation ladder of the multi-reader pipeline under a live
+	// rates consumer.
+	NewUDP         []UDPPoint
+	MaxZeroDropPPS int
 
 	// Dump absorption.
 	DumpRoutes       int
@@ -162,136 +151,12 @@ type IngestResult struct {
 }
 
 // mapper24 maps sampled destinations to their /24 — the cheapest
-// realistic stand-in for the route-table LPM, identical cost for both
-// ingest paths under comparison.
+// realistic stand-in for the route-table LPM.
 type mapper24 struct{}
 
 func (mapper24) MapPrefix(a netip.Addr) netip.Prefix {
 	p, _ := a.Prefix(24)
 	return p
-}
-
-// seedIngester is a faithful replica of the pre-sharding ingest path:
-// fully-allocating Decode, then accumulation under one global mutex
-// with per-bucket timestamps. The comparison is honest only against
-// the real thing, and the real thing no longer exists in the tree.
-type seedIngester struct {
-	mapper sflow.PrefixMapper
-	now    func() time.Time
-
-	datagrams atomic.Uint64
-
-	mu         sync.Mutex
-	bucketSpan time.Duration
-	window     time.Duration
-	buckets    []map[netip.Prefix]float64
-	times      []time.Time
-	cur        int
-	dropped    uint64
-}
-
-func newSeedIngester(now func() time.Time) *seedIngester {
-	const window, nbuckets = time.Minute, 6
-	s := &seedIngester{
-		mapper:     mapper24{},
-		now:        now,
-		bucketSpan: window / nbuckets,
-		window:     window,
-		buckets:    make([]map[netip.Prefix]float64, nbuckets),
-		times:      make([]time.Time, nbuckets),
-	}
-	t0 := now()
-	for i := range s.buckets {
-		s.buckets[i] = make(map[netip.Prefix]float64)
-		s.times[i] = t0
-	}
-	return s
-}
-
-func (s *seedIngester) rotate(now time.Time) {
-	for now.Sub(s.times[s.cur]) >= s.bucketSpan {
-		next := (s.cur + 1) % len(s.buckets)
-		clear(s.buckets[next])
-		s.times[next] = s.times[s.cur].Add(s.bucketSpan)
-		s.cur = next
-		if now.Sub(s.times[s.cur]) >= s.window*2 {
-			for i := range s.buckets {
-				clear(s.buckets[i])
-				s.times[i] = now
-			}
-			s.cur = 0
-			return
-		}
-	}
-}
-
-func (s *seedIngester) SendDatagram(b []byte) error {
-	d, err := sflow.Decode(b)
-	if err != nil {
-		return err
-	}
-	now := s.now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.rotate(now)
-	for _, sm := range d.Samples {
-		scale := float64(sm.SamplingRate)
-		for _, r := range sm.Records {
-			p := s.mapper.MapPrefix(r.Dst)
-			if !p.IsValid() {
-				s.dropped++
-				continue
-			}
-			s.buckets[s.cur][p] += float64(r.FrameLen) * scale
-		}
-	}
-	s.datagrams.Add(1)
-	return nil
-}
-
-// Rates replicates the seed collector's read path: a full cross-bucket
-// merge into a freshly allocated map, performed under the same mutex
-// ingest takes. (The seed kept a merge cache, but live ingest
-// invalidated it on every datagram, so under load every read paid the
-// full merge.) This is the read that stalls the seed's serve loop.
-func (s *seedIngester) Rates() map[netip.Prefix]float64 {
-	now := s.now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.rotate(now)
-	totals := make(map[netip.Prefix]float64)
-	oldest := now
-	for i := range s.buckets {
-		if s.times[i].Before(oldest) {
-			oldest = s.times[i]
-		}
-		for p, b := range s.buckets[i] {
-			totals[p] += b
-		}
-	}
-	secs := now.Sub(oldest).Seconds()
-	if min := s.bucketSpan.Seconds(); secs < min {
-		secs = min
-	}
-	for p, b := range totals {
-		totals[p] = b * 8 / secs
-	}
-	return totals
-}
-
-// serveUDP replicates the seed's single-goroutine serve loop: one
-// socket, one reader, the allocating SendDatagram per packet.
-func (s *seedIngester) serveUDP(ctx context.Context, conn net.PacketConn) {
-	stop := context.AfterFunc(ctx, func() { conn.Close() })
-	defer stop()
-	buf := make([]byte, sflow.MaxDatagramLen)
-	for {
-		n, _, err := conn.ReadFrom(buf)
-		if err != nil {
-			return
-		}
-		_ = s.SendDatagram(buf[:n])
-	}
 }
 
 // ingestPackets builds the pre-encoded datagram working set: agents
@@ -337,9 +202,7 @@ func ingestPackets(cfg *IngestConfig, agents []netip.Addr) [][]byte {
 // warmClock is a wall clock with a settable forward offset, letting a
 // fresh collector be walked through a full window of history before
 // live traffic starts. Freezing it pins ingest time for the
-// measurement window so no bucket rotation (and its map reallocation
-// burst) lands mid-measurement — the same pin is applied to both
-// paths, so neither gains from it.
+// measurement window so no bucket rotation lands mid-measurement.
 type warmClock struct {
 	offset atomic.Int64
 	frozen atomic.Int64 // unix nanos; 0 means live
@@ -358,8 +221,8 @@ func (w *warmClock) Freeze() { w.frozen.Store(w.Now().UnixNano()) }
 // one batch per bucket span, advancing the clock between batches — so
 // measurements start from the steady state of a collector that has
 // been ingesting for at least one window: every bucket populated,
-// every prefix in the spread tracked. A cold collector flatters the
-// seed path (its full-window read merge is near-empty).
+// every prefix in the spread tracked (a cold collector's reads are
+// near-empty and flatter any consumer running beside ingest).
 func prefill(sink sflow.Sink, wc *warmClock, pkts [][]byte) {
 	const spans = 6
 	span := time.Minute / spans
@@ -390,41 +253,6 @@ func measureThroughput(sink sflow.Sink, pkts [][]byte, total, workers int) float
 	}
 	wg.Wait()
 	return float64(per*workers) / time.Since(start).Seconds()
-}
-
-// seedDemux replicates the pre-PR fleet demux: a full Decode per
-// datagram just to learn the agent, then structured ingest.
-type seedDemux struct {
-	byAgent map[netip.Addr]*seedIngester
-}
-
-func (d *seedDemux) SendDatagram(b []byte) error {
-	dg, err := sflow.Decode(b)
-	if err != nil {
-		return err
-	}
-	s := d.byAgent[dg.Agent.Unmap()]
-	if s == nil {
-		return nil
-	}
-	// The seed demux handed the decoded datagram to Collector.Ingest;
-	// re-fold it through the replica's accumulate loop.
-	now := s.now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.rotate(now)
-	for _, sm := range dg.Samples {
-		scale := float64(sm.SamplingRate)
-		for _, r := range sm.Records {
-			p := s.mapper.MapPrefix(r.Dst)
-			if !p.IsValid() {
-				s.dropped++
-				continue
-			}
-			s.buckets[s.cur][p] += float64(r.FrameLen) * scale
-		}
-	}
-	return nil
 }
 
 // offerUDP paces rate packets/sec at raddr for cfg.UDPSeconds from a
@@ -483,21 +311,79 @@ func offerUDP(cfg *IngestConfig, pkts [][]byte, rate int, raddr string) uint64 {
 	return sent.Load()
 }
 
-// udpLadderPoint measures one offered rate against a freshly started
-// server. setup returns the listen address, a decoded/malformed
-// counter, and a teardown.
-func udpLadderPoint(cfg *IngestConfig, pkts [][]byte, rate int,
-	setup func() (string, func() (uint64, uint64), func(), error)) (UDPPoint, error) {
-	raddr, counts, stop, err := setup()
+// Consumer cadences of the UDP arm: a controller cycle reads the full
+// demand map every 2 s; explain/dashboard point queries arrive at 8 Hz
+// — a dashboard refreshing a handful of prefixes once a second, or a
+// couple of operators poking explain endpoints during an incident.
+const (
+	cyclePollEvery   = 2 * time.Second
+	explainPollEvery = 125 * time.Millisecond
+)
+
+// startPoller calls poll every period until the returned stop is called;
+// stop returns once the poller has exited.
+func startPoller(every time.Duration, poll func()) (stop func()) {
+	done := make(chan struct{})
+	var pwg sync.WaitGroup
+	pwg.Add(1)
+	go func() {
+		defer pwg.Done()
+		tick := time.NewTicker(every)
+		defer tick.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case <-tick.C:
+				poll()
+			}
+		}
+	}()
+	return func() { close(done); pwg.Wait() }
+}
+
+// udpLadderPoint measures one offered rate against a freshly started,
+// prefilled multi-reader pipeline under the live consumer load a
+// production collector serves: full rate-map reads at the cycle cadence
+// plus point-rate queries, which the sharded collector answers from one
+// shard's buckets.
+func udpLadderPoint(cfg *IngestConfig, pkts [][]byte, rate int) (UDPPoint, error) {
+	conns, err := sflow.ListenUDP("127.0.0.1:0", cfg.Workers)
 	if err != nil {
 		return UDPPoint{}, err
 	}
-	defer stop()
+	for _, c := range conns {
+		if uc, ok := c.(*net.UDPConn); ok {
+			_ = uc.SetReadBuffer(cfg.UDPBufBytes)
+		}
+	}
+	wc := &warmClock{}
+	col := sflow.NewCollector(sflow.CollectorConfig{Mapper: mapper24{}, Readers: cfg.Workers, Now: wc.Now})
+	prefill(col, wc, pkts)
+	wc.Freeze()
+	baseD, baseM, _ := col.Stats()
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan struct{})
+	go func() {
+		_ = col.ServeUDPConns(ctx, conns)
+		close(served)
+	}()
+	var buf map[netip.Prefix]float64
+	stopCycle := startPoller(cyclePollEvery, func() { buf = col.RatesInto(buf) })
+	// The point-rate query target: any prefix inside the spread.
+	explainPfx := netip.MustParsePrefix("10.0.5.0/24")
+	stopExplain := startPoller(explainPollEvery, func() { _ = col.Rate(explainPfx) })
+	defer func() { stopCycle(); stopExplain(); cancel(); <-served }()
+	counts := func() (uint64, uint64) {
+		d, m, _ := col.Stats()
+		return d - baseD, m - baseM
+	}
+
 	// Collect the prefill garbage and settle before offering load, so
 	// a GC cycle owed to setup doesn't land inside the measurement.
 	runtime.GC()
 	time.Sleep(50 * time.Millisecond)
-	sent := offerUDP(cfg, pkts, rate, raddr)
+	sent := offerUDP(cfg, pkts, rate, conns[0].LocalAddr().String())
 	// Drain: wait until the decoded count stops moving.
 	var last uint64
 	for i := 0; i < 50; i++ {
@@ -516,129 +402,21 @@ func udpLadderPoint(cfg *IngestConfig, pkts [][]byte, rate int,
 	return pt, nil
 }
 
-// runUDPArm offers the same paced ladder to the seed serve loop and to
-// the multi-reader pipeline. Both servers get identical kernel buffers
-// and the same live consumer load a production collector serves: a
-// controller cycle reading the full rate map every 2 s, plus
-// explain/dashboard point-rate queries at 2 Hz. The asymmetry is in
-// what that load costs each implementation — the seed answered a
-// point query by building the entire rate map under the ingest mutex,
-// stalling the serve loop until the kernel buffer overflowed; the
-// sharded collector answers it from one shard's buckets.
+// runUDPArm offers the paced ladder, one fresh server per rung.
 func runUDPArm(cfg *IngestConfig, pkts [][]byte, res *IngestResult) error {
 	// Damp GC cadence during the ladder: on a small host a mid-window
 	// GC assist stalls whichever reader happens to be running and
-	// flips marginal rungs run-to-run. Applied identically to both
-	// paths, so neither gains.
+	// flips marginal rungs run-to-run.
 	defer debug.SetGCPercent(debug.SetGCPercent(400))
-	// Consumer cadences: a controller cycle reads the full demand map
-	// every 2 s; explain/dashboard point queries arrive at 8 Hz — a
-	// dashboard refreshing a handful of prefixes once a second, or a
-	// couple of operators poking explain endpoints during an incident.
-	// Point queries are exactly the load the seed path had no cheap
-	// answer for: its only point read was Rates()[p], a full merge
-	// under the ingest mutex.
-	const (
-		cyclePollEvery   = 2 * time.Second
-		explainPollEvery = 125 * time.Millisecond
-	)
-
-	startPoller := func(every time.Duration, poll func()) (stop func()) {
-		done := make(chan struct{})
-		var pwg sync.WaitGroup
-		pwg.Add(1)
-		go func() {
-			defer pwg.Done()
-			tick := time.NewTicker(every)
-			defer tick.Stop()
-			for {
-				select {
-				case <-done:
-					return
-				case <-tick.C:
-					poll()
-				}
-			}
-		}()
-		return func() { close(done); pwg.Wait() }
-	}
-	// The point-rate query target: any prefix inside the spread.
-	explainPfx := netip.MustParsePrefix("10.0.5.0/24")
-
 	for _, rate := range cfg.UDPRates {
-		// Seed path: one socket, one reader, allocating decode, reads
-		// under the ingest mutex.
-		seedPt, err := udpLadderPoint(cfg, pkts, rate, func() (string, func() (uint64, uint64), func(), error) {
-			conn, err := net.ListenPacket("udp", "127.0.0.1:0")
-			if err != nil {
-				return "", nil, nil, err
-			}
-			if uc, ok := conn.(*net.UDPConn); ok {
-				_ = uc.SetReadBuffer(cfg.UDPBufBytes)
-			}
-			wc := &warmClock{}
-			s := newSeedIngester(wc.Now)
-			prefill(s, wc, pkts)
-			wc.Freeze()
-			base := s.datagrams.Load()
-			ctx, cancel := context.WithCancel(context.Background())
-			go s.serveUDP(ctx, conn)
-			stopCycle := startPoller(cyclePollEvery, func() { _ = s.Rates() })
-			// The seed's only point-rate API was Rates()[p]: every
-			// explain query built the full map under the ingest mutex.
-			stopExplain := startPoller(explainPollEvery, func() { _ = s.Rates()[explainPfx] })
-			counts := func() (uint64, uint64) { return s.datagrams.Load() - base, 0 }
-			return conn.LocalAddr().String(), counts, func() { stopCycle(); stopExplain(); cancel() }, nil
-		})
+		pt, err := udpLadderPoint(cfg, pkts, rate)
 		if err != nil {
 			return err
 		}
-		res.SeedUDP = append(res.SeedUDP, seedPt)
-		if seedPt.Dropped == 0 && rate > res.SeedMaxZeroDropPPS {
-			res.SeedMaxZeroDropPPS = rate
-		}
-
-		// Sharded pipeline, same buffers, same consumer cadence.
-		newPt, err := udpLadderPoint(cfg, pkts, rate, func() (string, func() (uint64, uint64), func(), error) {
-			conns, err := sflow.ListenUDP("127.0.0.1:0", cfg.Workers)
-			if err != nil {
-				return "", nil, nil, err
-			}
-			for _, c := range conns {
-				if uc, ok := c.(*net.UDPConn); ok {
-					_ = uc.SetReadBuffer(cfg.UDPBufBytes)
-				}
-			}
-			wc := &warmClock{}
-			col := sflow.NewCollector(sflow.CollectorConfig{Mapper: mapper24{}, Readers: cfg.Workers, Now: wc.Now})
-			prefill(col, wc, pkts)
-			wc.Freeze()
-			baseD, baseM, _ := col.Stats()
-			ctx, cancel := context.WithCancel(context.Background())
-			served := make(chan struct{})
-			go func() {
-				_ = col.ServeUDPConns(ctx, conns)
-				close(served)
-			}()
-			var buf map[netip.Prefix]float64
-			stopCycle := startPoller(cyclePollEvery, func() { buf = col.RatesInto(buf) })
-			stopExplain := startPoller(explainPollEvery, func() { _ = col.Rate(explainPfx) })
-			counts := func() (uint64, uint64) {
-				d, m, _ := col.Stats()
-				return d - baseD, m - baseM
-			}
-			return conns[0].LocalAddr().String(), counts, func() { stopCycle(); stopExplain(); cancel(); <-served }, nil
-		})
-		if err != nil {
-			return err
-		}
-		res.NewUDP = append(res.NewUDP, newPt)
-		if newPt.Dropped == 0 && rate > res.MaxZeroDropPPS {
+		res.NewUDP = append(res.NewUDP, pt)
+		if pt.Dropped == 0 && rate > res.MaxZeroDropPPS {
 			res.MaxZeroDropPPS = rate
 		}
-	}
-	if res.SeedMaxZeroDropPPS > 0 {
-		res.UDPSustainX = float64(res.MaxZeroDropPPS) / float64(res.SeedMaxZeroDropPPS)
 	}
 	return nil
 }
@@ -783,37 +561,22 @@ func E15IngestSaturation(cfg IngestConfig) (*IngestResult, error) {
 
 	// Arm 1: in-process throughput, single PoP, from steady state.
 	wc1 := &warmClock{}
-	seed := newSeedIngester(wc1.Now)
-	prefill(seed, wc1, pkts)
-	res.SeedPPS = measureThroughput(seed, pkts, cfg.Packets, cfg.Workers)
-	runtime.GC()
-	wc2 := &warmClock{}
-	col := sflow.NewCollector(sflow.CollectorConfig{Mapper: mapper24{}, Now: wc2.Now})
-	prefill(col, wc2, pkts)
+	col := sflow.NewCollector(sflow.CollectorConfig{Mapper: mapper24{}, Now: wc1.Now})
+	prefill(col, wc1, pkts)
 	res.ShardedPPS = measureThroughput(col, pkts, cfg.Packets, cfg.Workers)
-	res.SpeedupX = res.ShardedPPS / res.SeedPPS
 	runtime.GC()
 
 	// Arm 2: fleet demux (4 registered PoPs).
-	wc3 := &warmClock{}
-	sd := &seedDemux{byAgent: make(map[netip.Addr]*seedIngester)}
-	for _, a := range agents {
-		sd.byAgent[a] = newSeedIngester(wc3.Now)
-	}
-	prefill(sd, wc3, pkts)
-	res.SeedDemuxPPS = measureThroughput(sd, pkts, cfg.Packets, cfg.Workers)
-	runtime.GC()
-	wc4 := &warmClock{}
+	wc2 := &warmClock{}
 	dm := sflow.NewDemux()
 	for _, a := range agents {
-		dm.Register(a, sflow.NewCollector(sflow.CollectorConfig{Mapper: mapper24{}, Now: wc4.Now}))
+		dm.Register(a, sflow.NewCollector(sflow.CollectorConfig{Mapper: mapper24{}, Now: wc2.Now}))
 	}
-	prefill(dm, wc4, pkts)
+	prefill(dm, wc2, pkts)
 	res.ShardedDemuxPPS = measureThroughput(dm, pkts, cfg.Packets, cfg.Workers)
-	res.DemuxSpeedupX = res.ShardedDemuxPPS / res.SeedDemuxPPS
 	runtime.GC()
 
-	// Arm 3: UDP saturation, seed vs sharded.
+	// Arm 3: UDP saturation.
 	if !cfg.SkipUDP {
 		if err := runUDPArm(&cfg, pkts, res); err != nil {
 			return nil, err
@@ -835,24 +598,15 @@ func (r *IngestResult) String() string {
 	row := func(name string, pps float64) {
 		fmt.Fprintf(&b, "  %-34s %12.0f %14.0f\n", name, pps, pps*float64(r.Records))
 	}
-	row("seed path (alloc decode, 1 mutex)", r.SeedPPS)
 	row("sharded zero-alloc pipeline", r.ShardedPPS)
-	fmt.Fprintf(&b, "  %-34s %11.1fx\n", "single-PoP speedup", r.SpeedupX)
-	row("seed fleet demux (full decode)", r.SeedDemuxPPS)
 	row("sharded fleet demux (header peek)", r.ShardedDemuxPPS)
-	fmt.Fprintf(&b, "  %-34s %11.1fx\n", "fleet demux speedup", r.DemuxSpeedupX)
-	ladder := func(name string, pts []UDPPoint) {
-		fmt.Fprintf(&b, "  UDP saturation, %s (0.5 Hz cycle + 8 Hz explain consumers):\n", name)
+	if len(r.NewUDP) > 0 {
+		fmt.Fprintf(&b, "  UDP saturation, sharded multi-reader (0.5 Hz cycle + 8 Hz explain consumers):\n")
 		fmt.Fprintf(&b, "    %10s %10s %10s %10s %10s\n", "offered", "sent", "decoded", "malformed", "dropped")
-		for _, p := range pts {
+		for _, p := range r.NewUDP {
 			fmt.Fprintf(&b, "    %10d %10d %10d %10d %10d\n", p.OfferedPPS, p.Sent, p.Decoded, p.Malformed, p.Dropped)
 		}
-	}
-	if len(r.SeedUDP) > 0 {
-		ladder("seed serve loop", r.SeedUDP)
-		ladder("sharded multi-reader", r.NewUDP)
-		fmt.Fprintf(&b, "    max zero-drop offered rate: seed %d pps, sharded %d pps (%.1fx)\n",
-			r.SeedMaxZeroDropPPS, r.MaxZeroDropPPS, r.UDPSustainX)
+		fmt.Fprintf(&b, "    max zero-drop offered rate: %d pps\n", r.MaxZeroDropPPS)
 	}
 	fmt.Fprintf(&b, "  BMP dump absorption (%d routes, paced %d routes/s, %d replayed during window):\n",
 		r.DumpRoutes, r.DumpRate, r.ReplayedRoutes)

@@ -32,8 +32,8 @@ func TestE15IngestSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.SeedPPS <= 0 || res.ShardedPPS <= 0 {
-		t.Fatalf("in-process arms did not run: seed %.0f, sharded %.0f", res.SeedPPS, res.ShardedPPS)
+	if res.ShardedPPS <= 0 || res.ShardedDemuxPPS <= 0 {
+		t.Fatalf("in-process arms did not run: sharded %.0f, demux %.0f", res.ShardedPPS, res.ShardedDemuxPPS)
 	}
 	if len(res.NewUDP) != 1 {
 		t.Fatalf("expected 1 sharded ladder point, got %d", len(res.NewUDP))

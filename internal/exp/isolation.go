@@ -56,7 +56,7 @@ type FleetIsolationResult struct {
 	// SiblingsHealthy reports every untouched PoP stayed healthy and
 	// kept completing cycles.
 	SiblingsHealthy bool
-	// FleetState is the /v1/health rollup state during the outage
+	// FleetState is the /v1/fleet/health rollup state during the outage
 	// (worst member wins, so "fail-static" — while each sibling's own
 	// row stays "healthy").
 	FleetState string
@@ -78,25 +78,32 @@ func decisionKey(overrides []core.Override) string {
 	return strings.Join(keys, ",")
 }
 
-// fleetHealthRollup queries the host's /v1/health endpoint and returns
-// the rollup state plus each PoP's row state.
+// fleetHealthRollup queries the host's /v1/fleet/health endpoint and
+// returns the rollup state plus each PoP's row state.
 func fleetHealthRollup(srv *api.Server) (string, map[string]string, error) {
+	const path = "/v1/fleet/health?limit=1024"
 	rec := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/health", nil))
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
 	if rec.Code != 200 {
-		return "", nil, fmt.Errorf("exp: /v1/health = %d: %s", rec.Code, rec.Body.String())
+		return "", nil, fmt.Errorf("exp: %s = %d: %s", path, rec.Code, rec.Body.String())
 	}
 	var env struct {
 		Data struct {
-			State string               `json:"state"`
-			Pops  []api.FleetPoPHealth `json:"pops"`
+			State string `json:"state"`
+			Page  struct {
+				Items []api.FleetPoPDigest `json:"items"`
+				Total int                  `json:"total"`
+			} `json:"page"`
 		} `json:"data"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
 		return "", nil, err
 	}
-	rows := make(map[string]string, len(env.Data.Pops))
-	for _, p := range env.Data.Pops {
+	if n := len(env.Data.Page.Items); n != env.Data.Page.Total {
+		return "", nil, fmt.Errorf("exp: %s returned %d of %d PoPs", path, n, env.Data.Page.Total)
+	}
+	rows := make(map[string]string, len(env.Data.Page.Items))
+	for _, p := range env.Data.Page.Items {
 		rows[p.PoP] = p.State
 	}
 	return env.Data.State, rows, nil

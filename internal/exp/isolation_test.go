@@ -59,7 +59,7 @@ func TestE13FleetIsolation(t *testing.T) {
 		t.Errorf("siblings left healthy during victim outage: %v", res.SiblingStates)
 	}
 	// The rollup reflects the worst member without smearing it onto
-	// sibling rows (checked inside E13 via /v1/health).
+	// sibling rows (checked inside E13 via /v1/fleet/health).
 	if res.FleetState != core.HealthFailStatic.String() {
 		t.Errorf("fleet rollup = %q, want fail-static", res.FleetState)
 	}

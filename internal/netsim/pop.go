@@ -120,10 +120,6 @@ func NewPoP(cfg PoPConfig) (*PoP, error) {
 	return p, nil
 }
 
-// Agents exposes the per-router sFlow agents (nil entries when sampling
-// is disabled).
-func (p *PoP) Agents() map[string]*sflow.Agent { return p.agents }
-
 // BMPConn returns the controller-side connection of the named router's
 // BMP stream. Valid after Start.
 func (p *PoP) BMPConn(router string) net.Conn { return p.bmpConns[router] }

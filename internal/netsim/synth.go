@@ -147,17 +147,6 @@ type Scenario struct {
 	Events []Event
 }
 
-// PrefixByAddr returns the PrefixInfo covering a representative address,
-// for tests.
-func (s *Scenario) PrefixByAddr(a netip.Addr) *PrefixInfo {
-	for _, p := range s.Prefixes {
-		if p.Prefix.Contains(a) {
-			return p
-		}
-	}
-	return nil
-}
-
 // NewDemand builds a DemandModel over the scenario's prefixes.
 func (s *Scenario) NewDemand(cfg DemandConfig) (*DemandModel, error) {
 	if cfg.PeakBps == 0 {

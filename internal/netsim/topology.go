@@ -186,37 +186,3 @@ func (t *Topology) InterfaceByID(id int) *Interface { return t.ifByID[id] }
 
 // RouterByName returns the router with the given name, or nil.
 func (t *Topology) RouterByName(name string) *Router { return t.routerByNam[name] }
-
-// PeersOnRouter returns the peers terminating on the named router.
-func (t *Topology) PeersOnRouter(name string) []*Peer {
-	var out []*Peer
-	for i := range t.Peers {
-		if t.Peers[i].Router == name {
-			out = append(out, &t.Peers[i])
-		}
-	}
-	return out
-}
-
-// TotalPeerCapacity sums the capacity of interfaces used by non-transit
-// peers; TotalTransitCapacity sums transit interfaces. An interface
-// shared by both kinds (not produced by the synthesizer) counts toward
-// the class of the first peer on it.
-func (t *Topology) TotalPeerCapacity() (peerBps, transitBps float64) {
-	class := make(map[int]rib.PeerClass)
-	for i := range t.Peers {
-		p := &t.Peers[i]
-		if _, seen := class[p.InterfaceID]; !seen {
-			class[p.InterfaceID] = p.Class
-		}
-	}
-	for i := range t.Interfaces {
-		ifc := &t.Interfaces[i]
-		if c, ok := class[ifc.ID]; ok && c == rib.ClassTransit {
-			transitBps += ifc.CapacityBps
-		} else if ok {
-			peerBps += ifc.CapacityBps
-		}
-	}
-	return peerBps, transitBps
-}

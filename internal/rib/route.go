@@ -192,13 +192,6 @@ func (r *Route) String() string {
 	return b.String()
 }
 
-// SameKey reports whether two routes are for the same prefix from the
-// same neighbor — the BGP notion of route identity, under which a later
-// announcement implicitly replaces an earlier one.
-func (r *Route) SameKey(o *Route) bool {
-	return r.Prefix == o.Prefix && r.PeerAddr == o.PeerAddr
-}
-
 // Split returns the two more-specific halves of a prefix (one bit
 // longer), for traffic engineering at sub-prefix granularity: announcing
 // one half with different attributes steers half the covered space via

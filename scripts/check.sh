@@ -163,4 +163,10 @@ go build -o "$fleettmp/popsim" ./cmd/popsim
   --duration 3s --report-every 1s > "$fleettmp/popsim.out" 2>&1
 grep -q "event timeline armed (12 events)" "$fleettmp/popsim.out"
 
+# Census: functions the tier-1 tests never run and exported identifiers
+# nothing outside their own file uses, diffed against the committed
+# scripts/census.txt. Informational only; it never fails the gate.
+echo "==> census (informational)"
+{ scripts/census.sh > "$fleettmp/census.txt" && diff scripts/census.txt "$fleettmp/census.txt"; } || true
+
 echo "OK"

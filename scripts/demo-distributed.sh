@@ -36,7 +36,7 @@ echo "starting edgefabricd..."
 sleep "$((DURATION - 15))"
 echo
 echo "--- controller view (efctl) ---"
-"$DIR/efctl" -status 127.0.0.1:8080 overrides | head -8 || true
+"$DIR/efctl" -addr 127.0.0.1:8080 overrides | head -8 || true
 echo
 echo "--- PoP view after control engaged ---"
 grep -E "DROPPING|virtual" "$DIR/popsim.log" | tail -4

@@ -1,7 +1,6 @@
 // Command efctl queries a running edgefabricd's versioned status API
 // (started with --status). It speaks /v1 and understands the uniform
-// response envelope, so it works against single-PoP daemons and fleet
-// hosts alike:
+// response envelope; every daemon hosts a fleet, of one PoP or many:
 //
 //	efctl -addr 127.0.0.1:8080 pops
 //	efctl -addr 127.0.0.1:8080 health
@@ -16,8 +15,8 @@
 //	efctl -addr 127.0.0.1:8080 -pop lhr config '{"threshold":0.92}'
 //	efctl -addr 127.0.0.1:8080 -pop lhr config -dry-run '{"threshold":0.92}'
 //
-// Against a single-PoP daemon -pop may be omitted: efctl resolves the
-// sole PoP via /v1/pops. Exit codes: 0 success, 2 usage error, 3
+// Against a fleet of one -pop may be omitted: efctl resolves the sole
+// PoP via /v1/pops. Exit codes: 0 success, 2 usage error, 3
 // transport failure, 4 the API returned an error envelope.
 package main
 
@@ -60,7 +59,7 @@ commands:
   health               fleet health rollup (-limit, -after POP), or one
                        PoP's ladder, feeds and sessions with -pop
   metrics              Prometheus metrics text, pop="..." labels
-  overrides            active overrides of one PoP (needs -pop on fleets)
+  overrides            active overrides of one PoP (-pop, unless only one)
   cycles               recent cycle reports (-limit, -after SEQ)
   routes               RIB routes per prefix (-limit, -after PREFIX)
   explain [prefix]     latest cycle's decision trace, or one prefix's
@@ -68,8 +67,8 @@ commands:
   fleet health         cached per-PoP health digests (-limit, -after POP)
   reconcile            rolling config-apply status (phase per PoP)
   config JSON          PUT a config update to one PoP (-dry-run validates
-                       only; on fleet hosts a real apply is a rolling
-                       drain-before-apply rollout, watch with reconcile)
+                       only; a real apply is a drain-before-apply
+                       rollout, watch with reconcile)
 
 flags:
 `)

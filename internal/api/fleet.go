@@ -289,7 +289,7 @@ func (s *Server) handleFleetReconcile(w http.ResponseWriter, r *http.Request) {
 	rec := s.getReconciler()
 	if rec == nil {
 		writeErr(w, http.StatusNotFound, CodeNotFound,
-			"no reconciler configured (single-PoP daemons apply config directly)")
+			"no reconciler configured (config applies directly)")
 		return
 	}
 	writeData(w, "", 0, rec.Status())
@@ -297,8 +297,8 @@ func (s *Server) handleFleetReconcile(w http.ResponseWriter, r *http.Request) {
 
 // handlePutConfig serves PUT /v1/pops/{pop}/config: validate a partial
 // config update, then apply it (?dry_run=true validates and reports
-// the would-be effective config without touching anything). On a fleet
-// host with a reconciler attached, a real apply is queued as a
+// the would-be effective config without touching anything). With a
+// reconciler attached (every edgefabricd), a real apply is queued as a
 // single-PoP rollout — drain, apply, converge — rather than applied
 // in place; poll GET /v1/fleet/reconcile for progress.
 func (s *Server) handlePutConfig(w http.ResponseWriter, r *http.Request, name string, c *core.Controller) {

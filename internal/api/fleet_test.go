@@ -342,8 +342,8 @@ func TestReconciledPutAndStatus(t *testing.T) {
 	}
 }
 
-// TestFleetReconcileWithoutReconciler: single-PoP daemons have no
-// reconciler; the endpoint says so rather than serving an empty doc.
+// TestFleetReconcileWithoutReconciler: a server with no reconciler
+// attached says so rather than serving an empty doc.
 func TestFleetReconcileWithoutReconciler(t *testing.T) {
 	srv := singleServer(t)
 	resp, env := get(t, srv, "/v1/fleet/reconcile")

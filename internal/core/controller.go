@@ -880,26 +880,6 @@ func (c *Controller) Installed() map[netip.Prefix]Override {
 // delivery introspection in the status API).
 func (c *Controller) Injector() *Injector { return c.injector }
 
-// Run drives the control loop on a wall-clock ticker until ctx ends.
-// Simulation harnesses call RunCycle directly instead, interleaved with
-// virtual-clock advancement. Cycle panics are recovered inside RunCycle,
-// so a crashing cycle degrades to fail-static instead of killing the
-// daemon.
-func (c *Controller) Run(ctx context.Context) error {
-	ticker := time.NewTicker(c.cfg.CycleInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-ticker.C:
-			if _, err := c.RunCycle(); err != nil && c.cfg.Logf != nil {
-				c.cfg.Logf("cycle error: %v", err)
-			}
-		}
-	}
-}
-
 // Close tears the controller down: BMP feeds stop and the injection
 // sessions drop, which withdraws every override on the routers.
 func (c *Controller) Close() {

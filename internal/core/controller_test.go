@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"net/netip"
@@ -307,32 +306,6 @@ func TestControllerRunCycle(t *testing.T) {
 	}
 	if ctrl.Metrics().Counter("edgefabric_cycles_total").Value() != 2 {
 		t.Error("cycle counter wrong")
-	}
-}
-
-func TestControllerRunLoop(t *testing.T) {
-	inv := testInventory(t)
-	ctrl, err := New(Config{
-		Inventory:     inv,
-		Traffic:       staticTraffic{},
-		LocalAS:       64500,
-		CycleInterval: 20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctrl.Close()
-	_, conn := newFakePR(t, 64500)
-	if err := ctrl.AddInjectionSession(netip.MustParseAddr("10.255.0.1"), conn); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
-	defer cancel()
-	if err := ctrl.Run(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("Run = %v", err)
-	}
-	if got := ctrl.Metrics().Counter("edgefabric_cycles_total").Value(); got < 3 {
-		t.Errorf("cycles = %d, want >= 3", got)
 	}
 }
 

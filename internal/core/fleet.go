@@ -18,10 +18,6 @@ type FleetMember struct {
 	Name string
 	// Ctrl is the member's controller.
 	Ctrl *Controller
-	// Cycle, when set, replaces Ctrl.RunCycle as the member's cycle
-	// function (the simulation harness steps events + virtual clock +
-	// cycle together). Nil runs Ctrl.RunCycle directly.
-	Cycle func() error
 	// Pause, when set, pauses (true) / resumes (false) the member's
 	// external cycle driver. The supervisor's own RunCycleAll skips
 	// draining members regardless; the hook exists for members cycled
@@ -227,12 +223,7 @@ func (s *FleetSupervisor) RunCycleAll() FleetRoundStats {
 			defer wg.Done()
 			for m := range jobs {
 				t0 := time.Now()
-				var err error
-				if m.Cycle != nil {
-					err = m.Cycle()
-				} else {
-					_, err = m.Ctrl.RunCycle()
-				}
+				_, err := m.Ctrl.RunCycle()
 				over := time.Since(t0) > s.cfg.CycleBudget
 				if err != nil || over {
 					errsMu.Lock()

@@ -22,9 +22,8 @@ import (
 type faultState struct {
 	mu        sync.Mutex
 	bmpKilled map[string]bool
-	bmpHanded map[string]bool     // initial Start-created conn handed to a dialer
-	bmpConn   map[string]net.Conn // current controller-side BMP conn
-	injKilled map[string]bool
+	bmpHanded map[string]bool      // initial Start-created conn handed to a dialer
+	bmpConn   map[string]net.Conn  // current controller-side BMP conn
 	injPeer   map[string]*bgp.Peer // PR-side controller peer, one per router
 	injConn   map[string]net.Conn  // current controller-side iBGP conn
 }
@@ -34,7 +33,6 @@ func (f *faultState) ensure() {
 		f.bmpKilled = make(map[string]bool)
 		f.bmpHanded = make(map[string]bool)
 		f.bmpConn = make(map[string]net.Conn)
-		f.injKilled = make(map[string]bool)
 		f.injPeer = make(map[string]*bgp.Peer)
 		f.injConn = make(map[string]net.Conn)
 	}
@@ -154,7 +152,7 @@ func (p *PoP) RestoreBMP(router string) {
 // session toward the named router, suitable for
 // Controller.AddInjectionSessionDialer. Each dial has the router accept
 // a fresh transport (the PR-side passive peer is registered on first
-// use); dials fail while KillInjection is in effect.
+// use).
 func (p *PoP) ControllerDialer(router string) func(ctx context.Context) (net.Conn, error) {
 	return func(ctx context.Context) (net.Conn, error) {
 		pr, ok := p.routers[router]
@@ -163,10 +161,6 @@ func (p *PoP) ControllerDialer(router string) func(ctx context.Context) (net.Con
 		}
 		p.flt.mu.Lock()
 		p.flt.ensure()
-		if p.flt.injKilled[router] {
-			p.flt.mu.Unlock()
-			return nil, fmt.Errorf("netsim: injection endpoint %s is down", router)
-		}
 		prPeer := p.flt.injPeer[router]
 		p.flt.mu.Unlock()
 		if prPeer == nil {
@@ -195,29 +189,6 @@ func (p *PoP) ControllerDialer(router string) func(ctx context.Context) (net.Con
 		p.flt.mu.Unlock()
 		return ctrlEnd, nil
 	}
-}
-
-// KillInjection severs the controller's iBGP session toward the named
-// router and refuses redials until RestoreInjection. The router drops
-// every injected route (BGP withdraws on session loss).
-func (p *PoP) KillInjection(router string) {
-	p.flt.mu.Lock()
-	p.flt.ensure()
-	p.flt.injKilled[router] = true
-	conn := p.flt.injConn[router]
-	p.flt.mu.Unlock()
-	if conn != nil {
-		conn.Close()
-	}
-}
-
-// RestoreInjection lets the controller's iBGP dials toward the named
-// router succeed again.
-func (p *PoP) RestoreInjection(router string) {
-	p.flt.mu.Lock()
-	p.flt.ensure()
-	p.flt.injKilled[router] = false
-	p.flt.mu.Unlock()
 }
 
 // ResetInjection flaps the controller's iBGP session toward the named

@@ -42,7 +42,7 @@ type CollectorConfig struct {
 	// GOMAXPROCS. Default is the next power of two >= GOMAXPROCS, but
 	// at least 16.
 	Shards int
-	// Readers is the number of reader goroutines ServeUDP runs over a
+	// Readers is the number of reader goroutines ServeUDPConns runs over a
 	// socket, each with its own buffer. Default min(4, GOMAXPROCS).
 	Readers int
 }

@@ -133,14 +133,6 @@ func (d *Demux) SendDatagram(b []byte) error {
 	return nil
 }
 
-// ServeUDP ingests datagrams from conn until ctx ends or the socket
-// fails, demuxing each to its PoP's collector over DefaultReaders
-// reader goroutines. The fleet host runs one of these for the whole
-// process.
-func (d *Demux) ServeUDP(ctx context.Context, conn net.PacketConn) error {
-	return d.ServeUDPConns(ctx, []net.PacketConn{conn}, DefaultReaders())
-}
-
 // ServeUDPConns ingests from a reader pool spread across conns (as
 // returned by ListenUDP) until ctx ends or a socket fails. At least one
 // reader serves each conn; readers beyond len(conns) share sockets

@@ -39,7 +39,7 @@ func (s *UDPSink) SendDatagram(b []byte) error {
 // Close releases the socket.
 func (s *UDPSink) Close() error { return s.conn.Close() }
 
-// DefaultReaders is the default size of a ServeUDP reader pool:
+// DefaultReaders is the default size of a ServeUDPConns reader pool:
 // min(4, GOMAXPROCS). More readers than cores just thrash; more than a
 // handful per socket hits the kernel's per-socket lock instead.
 func DefaultReaders() int {
@@ -170,14 +170,6 @@ func servePacketConns(ctx context.Context, conns []net.PacketConn, readers int, 
 	}
 	wg.Wait()
 	return firstErr
-}
-
-// ServeUDP ingests datagrams from conn into the collector until ctx
-// ends or the socket fails, using the configured reader pool size over
-// the shared socket. The conns are closed when ctx ends; the caller
-// owns conn's lifetime on error paths.
-func (c *Collector) ServeUDP(ctx context.Context, conn net.PacketConn) error {
-	return c.ServeUDPConns(ctx, []net.PacketConn{conn})
 }
 
 // ServeUDPConns ingests from a reader pool spread across conns (as

@@ -17,7 +17,7 @@ func TestUDPSinkToCollector(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan error, 1)
-	go func() { done <- col.ServeUDP(ctx, conn) }()
+	go func() { done <- col.ServeUDPConns(ctx, []net.PacketConn{conn}) }()
 
 	sink, err := NewUDPSink(conn.LocalAddr().String())
 	if err != nil {
@@ -59,10 +59,10 @@ func TestUDPSinkToCollector(t *testing.T) {
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Errorf("ServeUDP after cancel = %v", err)
+			t.Errorf("ServeUDPConns after cancel = %v", err)
 		}
 	case <-time.After(3 * time.Second):
-		t.Fatal("ServeUDP did not return on cancel")
+		t.Fatal("ServeUDPConns did not return on cancel")
 	}
 }
 

@@ -116,10 +116,11 @@ echo "==> API v1 surface golden check"
 go test -count=1 -run 'TestAPISurfaceGolden' ./internal/api
 
 # Fleet smoke: a 2-PoP embedded fleet must build, share one sFlow demux
-# with zero misrouted datagrams, and print a per-PoP summary.
-echo "==> edgefabricd --fleet 2-PoP smoke"
+# with zero misrouted datagrams, and print a per-PoP summary, with the
+# multipath optimizer running in every member.
+echo "==> edgefabricd --fleet 2-PoP multipath smoke"
 fleettmp=$(mktemp -d)
-trap 'rm -rf "$fleettmp"' EXIT
+trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$fleettmp"' EXIT
 go build -o "$fleettmp/edgefabricd" ./cmd/edgefabricd
 cat > "$fleettmp/fleet.json" <<'EOF'
 {
@@ -132,7 +133,7 @@ EOF
 # Capture then grep (grep -q on a live pipe would SIGPIPE the daemon
 # mid-summary under pipefail).
 "$fleettmp/edgefabricd" --fleet "$fleettmp/fleet.json" --duration 30m \
-  > "$fleettmp/fleet.out" 2>&1
+  --multipath > "$fleettmp/fleet.out" 2>&1
 grep -q "fleet summary (2 PoPs; shared sFlow demux: 0 malformed, 0 unknown-agent)" \
   "$fleettmp/fleet.out"
 
@@ -162,6 +163,36 @@ go build -o "$fleettmp/popsim" ./cmd/popsim
 "$fleettmp/popsim" --topology examples/topologies/chaos-timeline.json \
   --duration 3s --report-every 1s > "$fleettmp/popsim.out" 2>&1
 grep -q "event timeline armed (12 events)" "$fleettmp/popsim.out"
+
+# Remote smoke: a race-built edgefabricd attaches to popsim (non-default
+# ports) as a remote fleet of one over TCP BMP / iBGP and UDP sFlow. It
+# must come ready, print its PoP's cycle reports and close with zero
+# misrouted datagrams; a data race fails the step.
+echo "==> edgefabricd --inventory remote smoke (race)"
+go build -race -o "$fleettmp/edgefabricd-race" ./cmd/edgefabricd
+"$fleettmp/popsim" --prefixes 300 --inventory "$fleettmp/inv.json" \
+  --bmp-base 31019 --inject-base 31179 --sflow 127.0.0.1:36343 \
+  --wall-tick 200ms --report-every 5s --duration 60s \
+  > "$fleettmp/remote-popsim.out" 2>&1 &
+popsim_pid=$!
+for _ in $(seq 150); do
+  grep -q "inventory written" "$fleettmp/remote-popsim.out" && break
+  sleep 0.2
+done
+rc=0
+"$fleettmp/edgefabricd-race" --inventory "$fleettmp/inv.json" \
+  --sflow-listen 127.0.0.1:36343 --cycle 1s --duration 8s \
+  > "$fleettmp/remote.out" 2>&1 || rc=$?
+kill "$popsim_pid" 2>/dev/null || true
+wait "$popsim_pid" 2>/dev/null || true
+if [ "$rc" -ne 0 ] || grep -q "DATA RACE" "$fleettmp/remote.out" ||
+  ! grep -q "pop-1: controller ready" "$fleettmp/remote.out" ||
+  ! grep -q "^\[pop-1\] cycle " "$fleettmp/remote.out" ||
+  ! grep -q "0 malformed, 0 unknown-agent" "$fleettmp/remote.out"; then
+  echo "remote smoke failed:" >&2
+  cat "$fleettmp/remote.out" >&2
+  exit 1
+fi
 
 # Census: functions the tier-1 tests never run and exported identifiers
 # nothing outside their own file uses, diffed against the committed

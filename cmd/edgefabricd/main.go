@@ -36,8 +36,8 @@ func main() {
 		cycle       = flag.Duration("cycle", 5*time.Second, "control cycle interval (remote PoPs, wall clock)")
 		threshold   = flag.Float64("threshold", 0.95, "interface utilization threshold")
 		duration    = flag.Duration("duration", 0, "run time (0 = until interrupt; embedded PoPs default 24h virtual)")
-		perfAware   = flag.Bool("perf-aware", false, "enable performance-aware overrides (embedded PoPs)")
-		multipath   = flag.Bool("multipath", false, "upgrade the perf pass to weighted multipath splits (embedded PoPs, implies -perf-aware)")
+		perfAware   = flag.Bool("perf-aware", false, "run the performance optimizer at k = 1: whole-prefix moves onto measurably better paths (embedded PoPs)")
+		multipath   = flag.Bool("multipath", false, "run the performance optimizer at k = 3: weighted multipath splits (embedded PoPs, implies -perf-aware)")
 		prefixes    = flag.Int("prefixes", 2000, "embedded fleet of one: number of prefixes")
 		peakGbps    = flag.Float64("peak-gbps", 400, "embedded fleet of one: peak demand (Gbps)")
 		seed        = flag.Int64("seed", 1, "embedded fleet of one: scenario seed")

@@ -38,7 +38,6 @@ func main() {
 		Perf:              netsim.PathPerfConfig{AnomalyProb: 0.12},
 		ControllerEnabled: true,
 		PerfAware:         true,
-		PerfCfg:           core.PerfConfig{MinGainMS: 20},
 		Start:             time.Date(2017, 3, 1, 14, 0, 0, 0, time.UTC),
 	}
 	h, err := exp.NewHarness(context.Background(), cfg)

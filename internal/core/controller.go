@@ -51,12 +51,13 @@ type Config struct {
 	// AuditLogger).
 	Audit *AuditLogger
 	// ExtraOverrides, when set, is invoked each cycle after overload
-	// allocation and may contribute additional overrides (e.g.
-	// performance-aware moves from PerfAllocateTraced). Overload
-	// overrides win conflicts: contributions for prefixes already
-	// overridden are dropped. tr is the cycle's decision trace (nil
-	// when tracing is disabled); implementations should thread it into
-	// PerfAllocateTraced or record into it directly.
+	// allocation and may contribute additional overrides (e.g. the
+	// performance optimizer's moves and sets from
+	// MultipathAllocateTraced). Overload overrides win conflicts:
+	// contributions for prefixes already overridden are dropped. tr is
+	// the cycle's decision trace (nil when tracing is disabled);
+	// implementations should thread it into MultipathAllocateTraced or
+	// record into it directly.
 	ExtraOverrides func(proj *Projection, alloc *AllocResult, tr *CycleTrace) []Override
 	// ProjectionEpsilon is the relative per-prefix demand change below
 	// which the cross-cycle plan cache reuses the previous cycle's plan

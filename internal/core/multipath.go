@@ -11,19 +11,22 @@ import (
 	"edgefabric/internal/rib"
 )
 
-// This file implements the weighted multipath optimizer: the perf pass
-// promoted from whole-prefix detours to spreading one prefix's demand
-// across up to MaxPaths egresses in proportion to headroom and measured
-// per-path RTT/retransmit statistics (ROADMAP "performance-aware
-// multipath allocation"; BGP-Multipath Routing in the Internet grounds
-// the mechanism). It composes after the overload allocator: prefixes
-// the overload pass already moved are left alone, and capacity its
-// moves consumed is accounted before any split is sized.
+// This file implements the controller's one performance pass, the
+// weighted multipath optimizer: it spreads one prefix's demand across up
+// to MaxPaths egresses in proportion to headroom and measured per-path
+// RTT/retransmit statistics (BGP-Multipath Routing in the Internet
+// grounds the mechanism). MaxPaths 1 is the paper's §6 whole-prefix
+// move onto a measurably better path. It composes after the overload
+// allocator: prefixes the overload pass already moved are left alone,
+// and capacity its moves consumed is accounted before any split is
+// sized.
 
 // MultipathConfig parameterizes MultipathAllocate.
 type MultipathConfig struct {
 	// MaxPaths caps the members of one weighted set. Default 3 (the
-	// measured primary plus the MaxAltPaths measured alternates).
+	// measured primary plus the MaxAltPaths measured alternates). 1 moves
+	// the whole prefix onto the single best path instead (see
+	// MultipathAllocateTraced).
 	MaxPaths int
 	// MinGainMS is the measured median-RTT gap that triggers a split on
 	// performance grounds. Default 20 (the paper's §6 threshold).
@@ -117,13 +120,15 @@ type mpMember struct {
 // alternate is at least MinGainMS faster OR whose preferred interface
 // sits above SpreadUtil, demand is split across up to MaxPaths measured
 // paths in proportion to interface headroom discounted by measured RTT
-// and retransmit fraction. prior is the overload pass's result (its
-// moves take precedence and its capacity consumption is accounted);
-// prev is the previous cycle's installed multipath set (hysteresis).
-// reports is reordered in place (largest gap first, ties by prefix), so
-// the result does not depend on the order it arrives in. tr receives
-// decision provenance; a nil tr records nothing and keeps the
-// sorted-loop early exits.
+// and retransmit fraction. At MaxPaths 1 the whole prefix moves instead,
+// onto the eligible path with the lowest loss-discounted median that
+// carries the whole rate below target, unless that is the primary.
+// prior is the overload pass's result (its moves take precedence and
+// its capacity consumption is accounted); prev is the previous cycle's
+// installed multipath set (hysteresis). reports is reordered in place
+// (largest gap first, ties by prefix), so the result does not depend on
+// the order it arrives in. tr receives decision provenance; a nil tr
+// records nothing and keeps the sorted-loop early exits.
 func MultipathAllocateTraced(
 	proj *Projection,
 	inv *Inventory,
@@ -282,9 +287,27 @@ func MultipathAllocateTraced(
 			if ps.Route.EgressIF == prefIF {
 				base -= rate // the prefix's own demand sits here today
 			}
-			members = append(members, mpMember{stat: ps, limit: limit, hdrm: math.Max(0, limit-base)})
-			if len(members) >= cfg.MaxPaths {
-				break
+			m := mpMember{stat: ps, limit: limit, hdrm: math.Max(0, limit-base)}
+			if cfg.MaxPaths > 1 {
+				members = append(members, m)
+				if len(members) >= cfg.MaxPaths {
+					break
+				}
+				continue
+			}
+			// One slot leaves no set to split, so no path is privileged:
+			// the slot goes to the lowest loss-discounted median among the
+			// paths that carry the whole rate below target.
+			switch {
+			case !ps.Primary && ps.Route.EgressIF == prefIF:
+				pt.reject(CandidateTrace{Phase: "multipath", Via: ps.Route, Reason: RejectSamePort})
+			case m.hdrm < rate:
+				pt.reject(CandidateTrace{
+					Phase: "multipath", Via: ps.Route, Reason: RejectWouldExceedTarget,
+					LoadBps: base, MoveBps: rate, LimitBps: limit,
+				})
+			case len(members) == 0 || cfg.cost(ps) < cfg.cost(members[0].stat):
+				members = append(members[:0], m)
 			}
 		}
 		if len(members) == 0 {
@@ -292,7 +315,7 @@ func MultipathAllocateTraced(
 			continue
 		}
 		if len(members) == 1 && members[0].stat.Route.EgressIF == prefIF {
-			pt.outcome(OutcomeNone, nil, "only the preferred path is eligible")
+			pt.outcome(OutcomeNone, nil, "no eligible member beats the preferred path")
 			continue
 		}
 
@@ -345,7 +368,7 @@ func MultipathAllocateTraced(
 			}
 		}
 		if changed {
-			o = buildOverride(rep.Prefix, plan, members[0].stat, fresh, rate, rep.GapMS, primary.P50, congested, util)
+			o = buildOverride(rep.Prefix, plan, members[0].stat, fresh, rate, rep.GapMS, primary, congested, util)
 		}
 
 		for _, pw := range o.Multipath {
@@ -355,6 +378,7 @@ func MultipathAllocateTraced(
 		if len(o.Multipath) > 0 {
 			pt.outcome(OutcomeMultipath, o.Via, o.Reason)
 		} else {
+			pt.accept("multipath", o.Via, load[o.ToIF], rate, alloc.Target*capOf(o.ToIF), 0)
 			pt.outcome(OutcomePerfMoved, o.Via, o.Reason)
 		}
 		applyShares(load, prefIF, o)
@@ -395,7 +419,7 @@ func assignShares(members []mpMember, rate float64, cfg MultipathConfig) bool {
 			if spare <= 0 {
 				continue
 			}
-			m.weight = spare / (m.stat.P50 * (1 + cfg.RetransPenalty*m.stat.RetransFrac))
+			m.weight = spare / cfg.cost(m.stat)
 			totalW += m.weight
 		}
 		if totalW == 0 {
@@ -420,6 +444,13 @@ func assignShares(members []mpMember, rate float64, cfg MultipathConfig) bool {
 		}
 	}
 	return remaining <= 1
+}
+
+// cost is a path's loss-discounted median RTT, P50 × (1 + RetransPenalty
+// × RetransFrac): the RTT half of a member's weight, and the whole of
+// the k = 1 choice.
+func (c *MultipathConfig) cost(ps *altpath.PathStat) float64 {
+	return ps.P50 * (1 + c.RetransPenalty*ps.RetransFrac)
 }
 
 // memberWeights sorts a final member set heaviest-first and appends its
@@ -449,17 +480,25 @@ func memberWeights(dst []PathWeight, members []mpMember, rate float64) []PathWei
 // buildOverride renders a final member set into an Override: pws when
 // it has weights (copied; the caller reuses pws), else a plain
 // whole-prefix perf override onto the single non-preferred member best.
-func buildOverride(prefix netip.Prefix, plan *PrefixPlan, best *altpath.PathStat, pws []PathWeight, rate, gapMS, primaryP50 float64, congested bool, util float64) Override {
+// Its reason starts "alt path" (the injector tags those CommunityPerf).
+func buildOverride(prefix netip.Prefix, plan *PrefixPlan, best *altpath.PathStat, pws []PathWeight, rate, gapMS float64, primary *altpath.PathStat, congested bool, util float64) Override {
 	prefIF := plan.Preferred.EgressIF
 	if len(pws) == 0 {
+		// A member no faster than the primary wins only on the primary's
+		// loss or its port's congestion: name those, not a negative gain.
+		reason := fmt.Sprintf("alt path %.0fms faster (p50 %.0f vs %.0f)",
+			primary.P50-best.P50, best.P50, primary.P50)
+		if primary.P50-best.P50 < 0.5 {
+			reason = fmt.Sprintf("alt path (p50 %.0f vs %.0f; primary loss %.0f%%, preferred util %.2f)",
+				best.P50, primary.P50, 100*primary.RetransFrac, util)
+		}
 		return Override{
 			Prefix:  prefix,
 			Via:     best.Route,
 			FromIF:  prefIF,
 			ToIF:    best.Route.EgressIF,
 			RateBps: rate,
-			Reason: fmt.Sprintf("alt path %.0fms faster (p50 %.0f vs %.0f)",
-				primaryP50-best.P50, best.P50, primaryP50),
+			Reason:  reason,
 		}
 	}
 	pws = slices.Clone(pws)

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
 	"net/netip"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"edgefabric/internal/altpath"
@@ -269,60 +272,6 @@ func TestStickySkipsMultipathPriors(t *testing.T) {
 	}
 }
 
-// Regression (PerfAllocateTraced budget/trace interaction): once
-// MaxMoves is hit with tracing enabled, every remaining qualifying
-// report must get a RejectMoveBudget trace and the override list must
-// not grow.
-func TestPerfAllocateTracedBudgetTraces(t *testing.T) {
-	inv := testInventory(t)
-	tab := buildTable(5)
-	demand := make(map[netip.Prefix]float64)
-	ps := make([]netip.Prefix, 5)
-	for i := 0; i < 5; i++ {
-		ps[i] = netip.MustParsePrefix([]string{
-			"10.0.0.0/24", "10.0.1.0/24", "10.0.2.0/24", "10.0.3.0/24", "10.0.4.0/24"}[i])
-		demand[ps[i]] = 0.1e9
-	}
-	proj := Project(tab, demand)
-	var reports []*altpath.PrefixReport
-	for i, p := range ps {
-		// Descending gaps so budget order is deterministic: 50, 45, ...
-		reports = append(reports, perfReport(p.String(), 50-float64(5*i), proj.Plans[p].Alternates[0], 32))
-	}
-	tr := NewCycleTrace(16)
-	out := PerfAllocateTraced(proj, inv, reports, nil, AllocatorConfig{}, PerfConfig{MaxMoves: 2}, tr)
-	if len(out) != 2 {
-		t.Fatalf("moves = %d, want 2 (budget)", len(out))
-	}
-	moved := map[netip.Prefix]bool{out[0].Prefix: true, out[1].Prefix: true}
-	for _, p := range ps {
-		pt := tr.Lookup(p)
-		if pt == nil {
-			t.Errorf("no trace for %s", p)
-			continue
-		}
-		if moved[p] {
-			if pt.Outcome != OutcomePerfMoved {
-				t.Errorf("%s outcome = %v, want perf move", p, pt.Outcome)
-			}
-			continue
-		}
-		// Every qualifying-but-unbudgeted report: RejectMoveBudget.
-		found := false
-		for _, c := range pt.Candidates {
-			if c.Reason == RejectMoveBudget {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("%s: no RejectMoveBudget candidate: %+v", p, pt.Candidates)
-		}
-		if pt.Outcome != OutcomeNone {
-			t.Errorf("%s outcome = %v, want none", p, pt.Outcome)
-		}
-	}
-}
-
 func TestSameMultipath(t *testing.T) {
 	r1 := route("10.0.0.0/24", "172.20.0.1", rib.ClassPrivate, 0, 65010)
 	r2 := route("10.0.0.0/24", "172.20.0.9", rib.ClassTransit, 3, 64601, 65010)
@@ -383,6 +332,288 @@ func TestMultipathAllocateOrderIndependent(t *testing.T) {
 		got := MultipathAllocateTraced(proj, inv, reports, nil, nil, AllocatorConfig{}, cfg, nil)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: overrides depend on report order:\n got %+v\nwant %+v", trial, got, want)
+		}
+	}
+}
+
+// k1 is the whole-prefix configuration of the optimizer: one slot, the
+// paper's §6 move onto a measurably faster path.
+var k1 = MultipathConfig{MaxPaths: 1}
+
+// perfReport builds a k = 1 report: a measured primary at 80 ms and one
+// alternate gap ms faster, both with n samples.
+func perfReport(prefix string, primary, alt *rib.Route, gap float64, n int) *altpath.PrefixReport {
+	rep := mpReport(prefix, primary, 80, altpath.PathStat{Route: alt, P50: 80 - gap, N: n})
+	rep.Paths[0].N = n
+	return rep
+}
+
+// threePrefixes projects 1G on each of 10.0.{0,1,2}.0/24 (PNI if0,
+// transit if3 alternate).
+func threePrefixes() *Projection {
+	return Project(buildTable(3), map[netip.Prefix]float64{
+		netip.MustParsePrefix("10.0.0.0/24"): 1e9,
+		netip.MustParsePrefix("10.0.1.0/24"): 1e9,
+		netip.MustParsePrefix("10.0.2.0/24"): 1e9,
+	})
+}
+
+func TestPerfAllocateMovesFastAlternates(t *testing.T) {
+	inv := testInventory(t)
+	proj := threePrefixes()
+	plan := proj.Plans[netip.MustParsePrefix("10.0.0.0/24")]
+	pni, transit := plan.Preferred, plan.Alternates[0]
+	reports := []*altpath.PrefixReport{
+		perfReport("10.0.0.0/24", pni, transit, 35, 32), // qualifies
+		perfReport("10.0.1.0/24", pni, transit, 5, 32),  // gap too small
+		perfReport("10.0.2.0/24", pni, transit, 40, 4),  // too few samples
+	}
+	out := MultipathAllocateTraced(proj, inv, reports, nil, nil, AllocatorConfig{}, MultipathConfig{MaxPaths: 1, MinGainMS: 20}, nil)
+	if len(out) != 1 {
+		t.Fatalf("overrides = %+v", out)
+	}
+	o := out[0]
+	if o.Prefix != netip.MustParsePrefix("10.0.0.0/24") || o.ToIF != 3 || len(o.Multipath) != 0 {
+		t.Errorf("override = %+v", o)
+	}
+	if o.Reason != "alt path 35ms faster (p50 45 vs 80)" {
+		t.Errorf("reason = %q", o.Reason)
+	}
+}
+
+func TestPerfAllocateRespectsCapacity(t *testing.T) {
+	inv := testInventory(t)
+	tab := rib.NewTable(rib.DefaultPolicy())
+	p := "10.0.0.0/24"
+	tab.Add(route(p, "172.20.0.1", rib.ClassPrivate, 0, 65010))
+	tab.Add(route(p, "172.20.0.3", rib.ClassPublic, 2, 65012, 65010)) // 10G IXP port
+	proj := Project(tab, map[netip.Prefix]float64{netip.MustParsePrefix(p): 11e9})
+	plan := proj.Plans[netip.MustParsePrefix(p)]
+	reports := []*altpath.PrefixReport{perfReport(p, plan.Preferred, plan.Alternates[0], 50, 32)}
+	out := MultipathAllocateTraced(proj, inv, reports, nil, nil, AllocatorConfig{Threshold: 0.95}, k1, nil)
+	if len(out) != 0 {
+		t.Errorf("11G moved onto a 10G port: %+v", out)
+	}
+}
+
+func TestPerfAllocateSkipsPriorMoves(t *testing.T) {
+	inv := testInventory(t)
+	p := netip.MustParsePrefix("10.0.0.0/24")
+	proj := Project(buildTable(1), map[netip.Prefix]float64{p: 1e9})
+	plan := proj.Plans[p]
+	alt := plan.Alternates[0]
+	prior := &AllocResult{Overrides: []Override{{
+		Prefix: p, Via: alt, FromIF: 0, ToIF: 3, RateBps: 1e9,
+	}}}
+	reports := []*altpath.PrefixReport{perfReport(p.String(), plan.Preferred, alt, 50, 32)}
+	out := MultipathAllocateTraced(proj, inv, reports, prior, nil, AllocatorConfig{}, k1, nil)
+	if len(out) != 0 {
+		t.Errorf("prefix moved twice: %+v", out)
+	}
+}
+
+// A split detour from the overload pass keys the more-specific half
+// (SplitOf set on the aggregate). The optimizer must treat the aggregate
+// as already moved, or it re-moves the whole prefix on top of the
+// halves' load accounting.
+func TestPerfAllocateSkipsSplitAggregates(t *testing.T) {
+	inv := testInventory(t)
+	agg := netip.MustParsePrefix("10.0.0.0/24")
+	proj := Project(buildTable(1), map[netip.Prefix]float64{agg: 2e9})
+	plan := proj.Plans[agg]
+	alt := plan.Alternates[0]
+	lo, _, ok := rib.Split(agg)
+	if !ok {
+		t.Fatal("split failed")
+	}
+	prior := &AllocResult{Overrides: []Override{{
+		Prefix: lo, SplitOf: agg, Via: alt, FromIF: 0, ToIF: 3, RateBps: 1e9,
+	}}}
+	reports := []*altpath.PrefixReport{perfReport(agg.String(), plan.Preferred, alt, 50, 32)}
+	out := MultipathAllocateTraced(proj, inv, reports, prior, nil, AllocatorConfig{}, k1, nil)
+	if len(out) != 0 {
+		t.Errorf("aggregate with a detoured half moved again: %+v", out)
+	}
+}
+
+// A degenerate report with an empty Paths slice (possible from a
+// malformed or hand-built PrefixReport) must be skipped, not panic the
+// cycle.
+func TestPerfAllocateEmptyPathsReport(t *testing.T) {
+	inv := testInventory(t)
+	p := netip.MustParsePrefix("10.0.0.0/24")
+	proj := Project(buildTable(1), map[netip.Prefix]float64{p: 1e9})
+	degenerate := &altpath.PrefixReport{
+		Prefix:  p,
+		GapMS:   50,
+		BestAlt: &altpath.PathStat{Route: proj.Plans[p].Alternates[0], P50: 10, N: 32},
+	}
+	out := MultipathAllocateTraced(proj, inv, []*altpath.PrefixReport{degenerate}, nil, nil, AllocatorConfig{}, k1, nil)
+	if len(out) != 0 {
+		t.Errorf("degenerate report produced a move: %+v", out)
+	}
+}
+
+// A nil-BestAlt report must not end the scan: nothing enforces that
+// such reports carry GapMS == 0, so a qualifying report can sort below
+// one.
+func TestPerfAllocateNilAltDoesNotEndScan(t *testing.T) {
+	inv := testInventory(t)
+	proj := threePrefixes()
+	qualifying := netip.MustParsePrefix("10.0.1.0/24")
+	plan := proj.Plans[qualifying]
+	reports := []*altpath.PrefixReport{
+		mpReport("10.0.0.0/24", plan.Preferred, 50), // nil BestAlt
+		perfReport(qualifying.String(), plan.Preferred, plan.Alternates[0], 30, 32),
+		perfReport("10.0.2.0/24", plan.Preferred, plan.Alternates[0], -5, 32), // never qualifies
+	}
+	reports[0].GapMS = 40 // sorts first
+	out := MultipathAllocateTraced(proj, inv, reports, nil, nil, AllocatorConfig{}, k1, nil)
+	if len(out) != 1 || out[0].Prefix != qualifying {
+		t.Fatalf("overrides = %+v, want exactly one for %s", out, qualifying)
+	}
+}
+
+// fivePrefixes projects 0.1G on each of 10.0.{0..4}.0/24 and returns
+// one k = 1 report per prefix with gaps 50, 45, ... 30 ms.
+func fivePrefixes() (*Projection, []netip.Prefix, []*altpath.PrefixReport) {
+	demand := make(map[netip.Prefix]float64)
+	var ps []netip.Prefix
+	for i := 0; i < 5; i++ {
+		p := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 0, byte(i), 0}), 24)
+		ps = append(ps, p)
+		demand[p] = 0.1e9
+	}
+	proj := Project(buildTable(5), demand)
+	var reports []*altpath.PrefixReport
+	for i, p := range ps {
+		plan := proj.Plans[p]
+		reports = append(reports, perfReport(p.String(), plan.Preferred, plan.Alternates[0], 50-float64(5*i), 32))
+	}
+	return proj, ps, reports
+}
+
+func TestPerfAllocateMaxMoves(t *testing.T) {
+	proj, _, reports := fivePrefixes()
+	out := MultipathAllocateTraced(proj, testInventory(t), reports, nil, nil, AllocatorConfig{}, MultipathConfig{MaxPaths: 1, MaxMoves: 2}, nil)
+	if len(out) != 2 {
+		t.Errorf("moves = %d, want 2", len(out))
+	}
+}
+
+// Once MaxMoves is hit with tracing enabled, every remaining qualifying
+// report must get a RejectMoveBudget trace and the override list must
+// not grow.
+func TestPerfAllocateBudgetTraces(t *testing.T) {
+	proj, ps, reports := fivePrefixes()
+	tr := NewCycleTrace(16)
+	out := MultipathAllocateTraced(proj, testInventory(t), reports, nil, nil, AllocatorConfig{}, MultipathConfig{MaxPaths: 1, MaxMoves: 2}, tr)
+	if len(out) != 2 {
+		t.Fatalf("moves = %d, want 2 (budget)", len(out))
+	}
+	moved := map[netip.Prefix]bool{out[0].Prefix: true, out[1].Prefix: true}
+	for _, p := range ps {
+		pt := tr.Lookup(p)
+		if pt == nil {
+			t.Errorf("no trace for %s", p)
+			continue
+		}
+		if moved[p] {
+			if pt.Outcome != OutcomePerfMoved {
+				t.Errorf("%s outcome = %v, want perf move", p, pt.Outcome)
+			}
+			continue
+		}
+		if !slices.ContainsFunc(pt.Candidates, func(c CandidateTrace) bool { return c.Reason == RejectMoveBudget }) {
+			t.Errorf("%s: no RejectMoveBudget candidate: %+v", p, pt.Candidates)
+		}
+		if pt.Outcome != OutcomeNone {
+			t.Errorf("%s outcome = %v, want none", p, pt.Outcome)
+		}
+	}
+}
+
+// TestMultipathK1Selection pins the k = 1 rule: the slot goes to the
+// lowest loss-discounted median among paths that fit below target, and
+// the primary keeps the prefix when it wins.
+func TestMultipathK1Selection(t *testing.T) {
+	inv := testInventory(t)
+	pfx := "10.0.0.0/24"
+	p := netip.MustParsePrefix(pfx)
+	tab := rib.NewTable(rib.DefaultPolicy())
+	tab.Add(route(pfx, "172.20.0.1", rib.ClassPrivate, 0, 65010))
+	tab.Add(route(pfx, "172.20.0.3", rib.ClassPublic, 2, 65012, 65010))  // 10G IXP
+	tab.Add(route(pfx, "172.20.0.9", rib.ClassTransit, 3, 64601, 65010)) // 100G transit
+	// 10.0.9.0/24 is single-homed on the IXP port; its demand fills it.
+	tab.Add(route("10.0.9.0/24", "172.20.0.3", rib.ClassPublic, 2, 65012))
+	for _, tc := range []struct {
+		name                string
+		rate, ixpFill       float64 // the prefix's and the IXP filler's demand
+		primary, loss       float64 // primary median and retransmit fraction
+		ixp, ixpLoss, trans float64 // alternate medians, IXP loss
+		want                int     // moved-to interface, -1 for no move
+	}{
+		{"faster alternate that fits moves", 1e9, 0, 50, 0, 25, 0, 45, 2},
+		{"gain below MinGainMS stays", 1e9, 0, 50, 0, 35, 0, 45, -1},
+		{"fastest alternate above target stays", 1e9, 9e9, 50, 0, 20, 0, 55, -1},
+		{"fastest above target, a slower one beats the primary", 1e9, 9e9, 50, 0, 20, 0, 40, 3},
+		{"lossy primary on a congested port is evicted", 8e9, 0, 20, 0.2, 60, 0, 30, 3},
+		{"loss-discounted median beats raw speed", 1e9, 0, 50, 0, 25, 0.08, 28, 3}, // 25 × 1.64 > 28
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			proj := Project(tab, map[netip.Prefix]float64{p: tc.rate, netip.MustParsePrefix("10.0.9.0/24"): tc.ixpFill})
+			plan := proj.Plans[p]
+			alts := make([]altpath.PathStat, 0, 2)
+			for _, alt := range plan.Alternates {
+				if alt.EgressIF == 2 {
+					alts = append(alts, altpath.PathStat{Route: alt, P50: tc.ixp, RetransFrac: tc.ixpLoss, N: 32})
+				} else {
+					alts = append(alts, altpath.PathStat{Route: alt, P50: tc.trans, N: 32})
+				}
+			}
+			slices.SortFunc(alts, func(a, b altpath.PathStat) int { return cmp.Compare(a.P50, b.P50) })
+			rep := mpReport(pfx, plan.Preferred, tc.primary, alts...)
+			rep.Paths[0].RetransFrac = tc.loss
+			tr := NewCycleTrace(0)
+			out := MultipathAllocateTraced(proj, inv, []*altpath.PrefixReport{rep}, nil, nil, AllocatorConfig{}, k1, tr)
+			got := -1
+			if len(out) == 1 {
+				got = out[0].ToIF
+				if len(out[0].Multipath) != 0 || !strings.HasPrefix(out[0].Reason, "alt path") {
+					t.Errorf("not a whole-prefix perf override: %+v", out[0])
+				}
+			}
+			if got != tc.want || len(out) > 1 {
+				t.Fatalf("moved to %d, want %d: %+v\n%s", got, tc.want, out, tr.Lookup(p).Format(inv))
+			}
+			if got >= 0 && tr.Lookup(p).Outcome != OutcomePerfMoved {
+				t.Errorf("outcome = %v, want %v", tr.Lookup(p).Outcome, OutcomePerfMoved)
+			}
+		})
+	}
+}
+
+// A whole-prefix override onto a member no faster than the primary
+// (lossy primary, congested port) must not claim a negative gain, at
+// k = 1 and when the loss filter leaves one member at k >= 2.
+func TestMultipathWholePrefixReasonNeverNegative(t *testing.T) {
+	inv := testInventory(t)
+	p := netip.MustParsePrefix("10.0.0.0/24")
+	// 8G on the 10G PNI: util 0.8 fires the congestion trigger.
+	proj := Project(buildTable(1), map[netip.Prefix]float64{p: 8e9})
+	plan := proj.Plans[p]
+	for _, k := range []int{1, 3} {
+		rep := mpReport(p.String(), plan.Preferred, 20,
+			altpath.PathStat{Route: plan.Alternates[0], P50: 30, N: 32})
+		rep.Paths[0].RetransFrac = 0.2
+		out := MultipathAllocateTraced(proj, inv, []*altpath.PrefixReport{rep}, nil, nil,
+			AllocatorConfig{}, MultipathConfig{MaxPaths: k}, nil)
+		if len(out) != 1 || out[0].ToIF != 3 || len(out[0].Multipath) != 0 {
+			t.Fatalf("k=%d: overrides = %+v", k, out)
+		}
+		want := "alt path (p50 30 vs 20; primary loss 20%, preferred util 0.80)"
+		if out[0].Reason != want {
+			t.Errorf("k=%d: reason = %q, want %q", k, out[0].Reason, want)
 		}
 	}
 }

@@ -15,8 +15,11 @@ import (
 // alternates, not just BGP's winner.
 //
 // RouteStore implements bmp.Handler; wire it to one bmp.Collector
-// HandleConn goroutine per monitored router.
+// HandleConn goroutine per monitored router. Only peer-down and route
+// events change the store; the rest are bmp.NopHandler's.
 type RouteStore struct {
+	bmp.NopHandler
+
 	inv   *Inventory
 	table *rib.Table
 
@@ -69,18 +72,6 @@ func (s *RouteStore) MapPrefix(a netip.Addr) netip.Prefix { return s.table.Looku
 func (s *RouteStore) Stats() (routes, withdraws, unknownPeers uint64) {
 	return s.routesSeen.Load(), s.withdrawsSeen.Load(), s.unknownPeers.Load()
 }
-
-// OnInitiation implements bmp.Handler.
-func (s *RouteStore) OnInitiation(string, *bmp.Initiation) {}
-
-// OnTermination implements bmp.Handler.
-func (s *RouteStore) OnTermination(string) {}
-
-// OnStats implements bmp.Handler.
-func (s *RouteStore) OnStats(string, *bmp.StatsReport) {}
-
-// OnPeerUp implements bmp.Handler.
-func (s *RouteStore) OnPeerUp(router string, m *bmp.PeerUp) {}
 
 // OnPeerDown implements bmp.Handler: the monitored router lost its
 // session with the peer, so every route learned from it is gone. Any

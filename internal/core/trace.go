@@ -16,9 +16,9 @@ import (
 // controller detour (or refuse to detour) prefix P this cycle?" without
 // replaying the cycle. Tracing is recorded only for prefixes the cycle
 // actually considers (prefixes on overloaded interfaces, sticky
-// carry-overs, and perf-aware candidates), bounded per cycle, and
-// retained in a small ring on the controller (see Config.Trace,
-// Controller.Explain, GET /explain).
+// carry-overs, and performance-optimizer candidates), bounded per
+// cycle, and retained in a small ring on the controller (see
+// Config.Trace, Controller.Explain, GET /explain).
 
 // RejectReason classifies why one candidate alternate route was not
 // used for a prefix.
@@ -37,11 +37,12 @@ const (
 	// RejectWouldExceedTarget: adding the moved rate would push the
 	// target interface above the allocator's target utilization.
 	RejectWouldExceedTarget
-	// RejectInsufficientSamples: a perf-aware move was blocked because
-	// either path's measurement window holds too few samples.
+	// RejectInsufficientSamples: a performance move was blocked because
+	// a path's measurement window holds too few samples.
 	RejectInsufficientSamples
 	// RejectGapBelowThreshold: the measured RTT gain does not reach
-	// PerfConfig.MinGainMS.
+	// MultipathConfig.MinGainMS (or a member is more than ToleranceMS
+	// slower than the primary).
 	RejectGapBelowThreshold
 	// RejectMoveBudget: the per-cycle override budget (MaxDetours /
 	// MaxMoves) was already spent when this candidate came up.
@@ -135,7 +136,7 @@ func (o TraceOutcome) String() string {
 // happens only when an operator asks).
 type CandidateTrace struct {
 	// Phase is the allocator pass that evaluated the candidate:
-	// "sticky", "overload", "split", or "perf".
+	// "sticky", "overload", "split", or "multipath".
 	Phase string
 	// Via is the candidate alternate route.
 	Via *rib.Route

@@ -118,21 +118,16 @@ func TestTraceSkippedPrefixRejections(t *testing.T) {
 
 func TestTracePerfPassRecords(t *testing.T) {
 	inv := testInventory(t)
-	tab := buildTable(3)
-	demand := map[netip.Prefix]float64{
-		netip.MustParsePrefix("10.0.0.0/24"): 1e9,
-		netip.MustParsePrefix("10.0.1.0/24"): 1e9,
-		netip.MustParsePrefix("10.0.2.0/24"): 1e9,
-	}
-	proj := Project(tab, demand)
-	transit := proj.Plans[netip.MustParsePrefix("10.0.0.0/24")].Alternates[0]
+	proj := threePrefixes()
+	plan := proj.Plans[netip.MustParsePrefix("10.0.0.0/24")]
+	pni, transit := plan.Preferred, plan.Alternates[0]
 	reports := []*altpath.PrefixReport{
-		perfReport("10.0.0.0/24", 35, transit, 32), // qualifies
-		perfReport("10.0.1.0/24", 5, transit, 32),  // gap too small
-		perfReport("10.0.2.0/24", 40, transit, 4),  // too few samples
+		perfReport("10.0.0.0/24", pni, transit, 35, 32), // qualifies
+		perfReport("10.0.1.0/24", pni, transit, 5, 32),  // gap too small
+		perfReport("10.0.2.0/24", pni, transit, 40, 4),  // too few samples
 	}
 	tr := NewCycleTrace(0)
-	out := PerfAllocateTraced(proj, inv, reports, nil, AllocatorConfig{}, PerfConfig{MinGainMS: 20}, tr)
+	out := MultipathAllocateTraced(proj, inv, reports, nil, nil, AllocatorConfig{}, MultipathConfig{MaxPaths: 1, MinGainMS: 20}, tr)
 	if len(out) != 1 {
 		t.Fatalf("overrides = %+v", out)
 	}

@@ -34,15 +34,15 @@ type HarnessConfig struct {
 	// PoP runs on plain BGP (the paper's "without Edge Fabric"
 	// baseline).
 	ControllerEnabled bool
-	// PerfAware additionally enables §6 performance-aware overrides.
+	// PerfAware measures alternate paths and runs the performance
+	// optimizer (core.MultipathAllocateTraced) after the overload pass.
+	// Alone it makes the paper's §6 whole-prefix moves (MaxPaths 1).
 	PerfAware bool
-	// PerfCfg parameterizes performance-aware moves.
-	PerfCfg core.PerfConfig
-	// Multipath upgrades the perf pass (PerfAware must be set) to the
-	// weighted multipath optimizer: demand split across up to k egresses
-	// by headroom and measured RTT/retransmit stats.
+	// Multipath lets the optimizer (PerfAware must be set) split demand
+	// across up to MultipathCfg.MaxPaths egresses by headroom and
+	// measured RTT/retransmit stats; without it MaxPaths is 1.
 	Multipath bool
-	// MultipathCfg parameterizes the multipath optimizer.
+	// MultipathCfg parameterizes the optimizer.
 	MultipathCfg core.MultipathConfig
 	// Start is the virtual start time. Default 2017-03-01 00:00 UTC.
 	Start time.Time
@@ -256,7 +256,7 @@ func NewHarness(ctx context.Context, cfg HarnessConfig) (*Harness, error) {
 		return h, nil
 	}
 
-	// The perf-aware hook needs the controller's route store, which only
+	// The optimizer hook needs the controller's route store, which only
 	// exists after core.New; bind it through a late-set closure.
 	var extra func(*core.Projection, *core.AllocResult, *core.CycleTrace) []core.Override
 	ctrl, err := core.New(core.Config{
@@ -307,22 +307,17 @@ func NewHarness(ctx context.Context, cfg HarnessConfig) (*Harness, error) {
 			meas.MeasureRound(prefixes)
 			return meas.Reports()
 		}
-		if cfg.Multipath {
-			mcfg := cfg.MultipathCfg
-			// prev carries the installed multipath sets across cycles so
-			// hysteresis can re-affirm unchanged sets without churn.
-			prev := make(map[netip.Prefix]core.Override)
-			extra = func(proj *core.Projection, alloc *core.AllocResult, tr *core.CycleTrace) []core.Override {
-				out := core.MultipathAllocateTraced(proj, inv, measure(proj), alloc, prev, cfg.Allocator, mcfg, tr)
-				prev = core.MultipathPrior(out)
-				return out
-			}
-		} else {
-			pcfg := cfg.PerfCfg
-			extra = func(proj *core.Projection, alloc *core.AllocResult, tr *core.CycleTrace) []core.Override {
-				// Fold qualifying gains into this cycle's override set.
-				return core.PerfAllocateTraced(proj, inv, measure(proj), alloc, cfg.Allocator, pcfg, tr)
-			}
+		mcfg := cfg.MultipathCfg
+		if !cfg.Multipath {
+			mcfg.MaxPaths = 1
+		}
+		// prev carries the installed multipath sets across cycles so
+		// hysteresis can re-affirm unchanged sets without churn.
+		prev := make(map[netip.Prefix]core.Override)
+		extra = func(proj *core.Projection, alloc *core.AllocResult, tr *core.CycleTrace) []core.Override {
+			out := core.MultipathAllocateTraced(proj, inv, measure(proj), alloc, prev, cfg.Allocator, mcfg, tr)
+			prev = core.MultipathPrior(out)
+			return out
 		}
 	}
 

@@ -38,13 +38,13 @@ func TestUDPSinkToCollector(t *testing.T) {
 
 	deadline := time.Now().Add(3 * time.Second)
 	for time.Now().Before(deadline) {
-		if d, _, _ := col.Stats(); d >= 1 {
+		if d, m, _ := col.Stats(); d >= 1 && m >= 1 {
 			break
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if d, _, _ := col.Stats(); d == 0 {
-		t.Fatal("datagram never ingested over UDP")
+	if d, m, _ := col.Stats(); d == 0 || m != 1 {
+		t.Fatalf("over UDP: %d datagrams ingested (want >= 1), %d malformed (want 1)", d, m)
 	}
 	rates := col.Rates()
 	if len(rates) == 0 {

@@ -8,10 +8,16 @@
 // that name. Methods the standard library calls through an interface
 // (String, Error, MarshalText, ...) are not listed.
 //
-//	go run scripts/censusrefs.go [root]
+// With -empty it instead lists the functions and methods of those files
+// whose body has no statements, as "path:line:" in `go tool cover -func`
+// form: cover reads such a body 0.0% even when it runs, so census.sh
+// leaves them out of its list of functions at 0%.
+//
+//	go run scripts/censusrefs.go [-empty] [root]
 package main
 
 import (
+	"flag"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -35,13 +41,16 @@ type decl struct {
 }
 
 func main() {
+	empty := flag.Bool("empty", false, "list empty-bodied functions instead")
+	flag.Parse()
 	root := "."
-	if len(os.Args) > 1 {
-		root = os.Args[1]
+	if flag.NArg() > 0 {
+		root = flag.Arg(0)
 	}
 	fset := token.NewFileSet()
 	usedIn := map[string]map[string]bool{} // name -> files using it
 	var decls []decl
+	var emptyFuncs []string
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -71,12 +80,23 @@ func main() {
 		})
 		if strings.HasPrefix(filepath.ToSlash(rel), "internal/") {
 			decls = append(decls, exported(fset, rel, f)...)
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil && len(fd.Body.List) == 0 {
+					emptyFuncs = append(emptyFuncs, fmt.Sprintf("%s:%d:", filepath.ToSlash(rel), fset.Position(fd.Pos()).Line))
+				}
+			}
 		}
 		return nil
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "censusrefs:", err)
 		os.Exit(1)
+	}
+	if *empty {
+		for _, l := range emptyFuncs {
+			fmt.Println(l)
+		}
+		return
 	}
 	var out []string
 	for _, d := range decls {

@@ -194,10 +194,33 @@ if [ "$rc" -ne 0 ] || grep -q "DATA RACE" "$fleettmp/remote.out" ||
   exit 1
 fi
 
-# Census: functions the tier-1 tests never run and exported identifiers
-# nothing outside their own file uses, diffed against the committed
-# scripts/census.txt. Informational only; it never fails the gate.
-echo "==> census (informational)"
-{ scripts/census.sh > "$fleettmp/census.txt" && diff scripts/census.txt "$fleettmp/census.txt"; } || true
+# Performance example smoke: the k = 1 optimizer (whole-prefix moves)
+# must install at least one "alt path" override on the anomaly scenario.
+echo "==> examples/perfaware smoke"
+go run ./examples/perfaware > "$fleettmp/perfaware.out" 2>&1
+perfmoves=$(awk -F': ' '/^performance overrides installed this run: / { print $2 }' "$fleettmp/perfaware.out")
+if [ -z "$perfmoves" ] || [ "$perfmoves" -lt 1 ]; then
+  echo "perfaware example installed no performance override:" >&2
+  cat "$fleettmp/perfaware.out" >&2
+  exit 1
+fi
+
+# Census ratchet: functions the tier-1 tests never run and exported
+# identifiers nothing outside their own file uses, diffed against the
+# committed scripts/census.txt. The diff is informational; a rise in
+# either count fails the gate, as a rise in allocs/op does above. A
+# change that adds one on purpose re-commits the file and says why.
+echo "==> census ratchet"
+scripts/census.sh > "$fleettmp/census.txt"
+diff scripts/census.txt "$fleettmp/census.txt" || true
+census_count() { awk -v k="$1: " 'index($0, k) == 1 { print substr($0, length(k) + 1) }' "$2"; }
+for key in "functions at 0%" "exported identifiers referenced only from their own file or tests"; do
+  was=$(census_count "$key" scripts/census.txt)
+  now=$(census_count "$key" "$fleettmp/census.txt")
+  if [ "$now" -gt "$was" ]; then
+    echo "census: \"$key\" rose from $was to $now" >&2
+    exit 1
+  fi
+done
 
 echo "OK"

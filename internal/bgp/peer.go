@@ -157,7 +157,8 @@ func (p *Peer) Stats() (msgsIn, msgsOut, updatesIn, updatesOut, flaps uint64) {
 }
 
 // Established returns a channel closed while the current session is
-// established. After a flap a new channel is installed; callers should
+// established, from the moment the handler's HandleEstablished has
+// returned. After a flap a new channel is installed; callers should
 // re-request it.
 func (p *Peer) Established() <-chan struct{} {
 	p.mu.Lock()
@@ -165,21 +166,14 @@ func (p *Peer) Established() <-chan struct{} {
 	return p.estCh
 }
 
-// WaitEstablished blocks until the session is established or ctx ends.
+// WaitEstablished blocks until the session is established and the
+// handler has observed it (HandleEstablished returned), or ctx ends.
 func (p *Peer) WaitEstablished(ctx context.Context) error {
-	for {
-		if p.State() == StateEstablished {
-			return nil
-		}
-		ch := p.Established()
-		if p.State() == StateEstablished {
-			return nil
-		}
-		select {
-		case <-ch:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
+	select {
+	case <-p.Established():
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }
 
@@ -412,14 +406,16 @@ func (p *Peer) runSession(ctx context.Context, conn net.Conn) error {
 	}
 
 	// --- Established ---
+	// State first, so the handler (and what it starts) can already send;
+	// waiters are released only once the handler has returned.
 	p.state.Store(int32(StateEstablished))
+	if p.cfg.Handler != nil {
+		p.cfg.Handler.HandleEstablished(p, peerOpen)
+	}
 	p.mu.Lock()
 	est := p.estCh
 	p.mu.Unlock()
 	close(est)
-	if p.cfg.Handler != nil {
-		p.cfg.Handler.HandleEstablished(p, peerOpen)
-	}
 	p.logf("session %s established (AS%d, hold %v)", p.cfg.PeerAddr, peerASN, hold)
 
 	// Persistent reader: delivers messages (or the terminating error)

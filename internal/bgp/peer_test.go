@@ -347,3 +347,52 @@ func TestStateString(t *testing.T) {
 		}
 	}
 }
+
+// blockingHandler holds HandleEstablished until release is closed.
+type blockingHandler struct {
+	NopHandler
+	entered, release chan struct{}
+}
+
+func (h *blockingHandler) HandleEstablished(*Peer, *Open) {
+	close(h.entered)
+	<-h.release
+}
+
+// TestWaitEstablishedAfterHandler: WaitEstablished must not return while
+// HandleEstablished is still running, so a waiter sees everything the
+// handler did (the injector's handler marks the session up in the
+// controller's health tracker).
+func TestWaitEstablishedAfterHandler(t *testing.T) {
+	cfgA, cfgB := basicCfgs()
+	h := &blockingHandler{entered: make(chan struct{}), release: make(chan struct{})}
+	cfgA.Handler = h
+	pa, _, _, _, cleanup := pipePeers(t, cfgA, cfgB)
+	defer cleanup()
+	defer func() {
+		select {
+		case <-h.release:
+		default:
+			close(h.release)
+		}
+	}()
+	select {
+	case <-h.entered:
+	case <-time.After(2 * time.Second):
+		t.Fatal("HandleEstablished never ran")
+	}
+	if pa.State() != StateEstablished {
+		t.Fatalf("state %v inside HandleEstablished, want Established", pa.State())
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	if err := pa.WaitEstablished(ctx); err == nil {
+		t.Fatal("WaitEstablished returned while HandleEstablished was still running")
+	}
+	close(h.release)
+	ctx2, cancel2 := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel2()
+	if err := pa.WaitEstablished(ctx2); err != nil {
+		t.Fatalf("WaitEstablished after the handler returned: %v", err)
+	}
+}

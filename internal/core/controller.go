@@ -6,12 +6,14 @@ import (
 	"math/rand"
 	"net"
 	"net/netip"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"edgefabric/internal/altpath"
 	"edgefabric/internal/bmp"
 	"edgefabric/internal/metrics"
 	"edgefabric/internal/rib"
@@ -31,9 +33,9 @@ type Config struct {
 	// zero value enables tracing with defaults; set Trace.Disable to
 	// turn per-prefix tracing off.
 	Trace TraceConfig
-	// CycleInterval is the period of the control loop when driven by
-	// Run. Default 30 s (the paper's cadence). It also derives the
-	// cycle deadline and the default health thresholds.
+	// CycleInterval is the period at which the caller (fleet supervisor,
+	// harness) drives RunCycle. Default 30 s (the paper's cadence). It
+	// also derives the cycle deadline and the default health thresholds.
 	CycleInterval time.Duration
 	// Health parameterizes input-health thresholds; zero fields default
 	// from CycleInterval.
@@ -50,15 +52,9 @@ type Config struct {
 	// Audit, when set, receives one JSON line per cycle (see
 	// AuditLogger).
 	Audit *AuditLogger
-	// ExtraOverrides, when set, is invoked each cycle after overload
-	// allocation and may contribute additional overrides (e.g. the
-	// performance optimizer's moves and sets from
-	// MultipathAllocateTraced). Overload overrides win conflicts:
-	// contributions for prefixes already overridden are dropped. tr is
-	// the cycle's decision trace (nil when tracing is disabled);
-	// implementations should thread it into MultipathAllocateTraced or
-	// record into it directly.
-	ExtraOverrides func(proj *Projection, alloc *AllocResult, tr *CycleTrace) []Override
+	// Optimizer, when its Source is set, adds the optimise stage to every
+	// healthy cycle (see OptimizerConfig).
+	Optimizer OptimizerConfig
 	// ProjectionEpsilon is the relative per-prefix demand change below
 	// which the cross-cycle plan cache reuses the previous cycle's plan
 	// (and its demand figure) verbatim. Zero reuses plans only when a
@@ -91,6 +87,20 @@ type Config struct {
 	MaxHistory int
 	// Logf, when set, receives one-line log events.
 	Logf func(format string, args ...any)
+}
+
+// OptimizerConfig configures the cycle's optimise stage: an
+// altpath.Measurer over the controller's route table measures the
+// planned prefixes, then MultipathAllocateTraced runs with the
+// injector's installed set as its hysteresis base.
+type OptimizerConfig struct {
+	// Source measures sampled flows per path (and loss, if it is also an
+	// altpath.LossSource); nil leaves the stage off.
+	Source altpath.RTTSource
+	// Seed drives the measurer's sampling noise.
+	Seed int64
+	// Multipath parameterizes the optimizer.
+	Multipath MultipathConfig
 }
 
 // CycleReport records what one controller cycle saw and did.
@@ -134,6 +144,8 @@ type Controller struct {
 	projector  Projector
 	allocState AllocState
 	health     *HealthTracker
+	measurer   *altpath.Measurer // nil unless Config.Optimizer is set
+	measured   []netip.Prefix    // measure's reused prefix buffer
 
 	collector *bmp.Collector
 	bmpWG     sync.WaitGroup
@@ -150,7 +162,7 @@ type Controller struct {
 
 	// Cycle-phase instrumentation (latency + heap allocations per
 	// phase, surfaced at /metrics as edgefabric_phase_*).
-	phCollect, phProject, phAllocate, phExtra, phInject *metrics.Phase
+	phCollect, phProject, phAllocate, phOptimise, phInject *metrics.Phase
 
 	mu        sync.Mutex
 	closed    bool
@@ -196,6 +208,13 @@ func New(cfg Config) (*Controller, error) {
 		cfg.BMPBackoffMax = 2 * time.Second
 	}
 	store := NewRouteStore(cfg.Inventory)
+	var meas *altpath.Measurer
+	if src := cfg.Optimizer.Source; src != nil {
+		var err error
+		if meas, err = altpath.NewMeasurer(altpath.Config{Routes: store.Table(), Source: src, Seed: cfg.Optimizer.Seed}); err != nil {
+			return nil, err
+		}
+	}
 	health := NewHealthTracker(cfg.Health, cfg.Now, cfg.Traffic)
 	inj, err := NewInjector(InjectorConfig{
 		LocalAS:       cfg.LocalAS,
@@ -215,6 +234,7 @@ func New(cfg Config) (*Controller, error) {
 		injector: inj,
 		registry: cfg.Metrics,
 		health:   health,
+		measurer: meas,
 		projector: Projector{
 			Epsilon:        cfg.ProjectionEpsilon,
 			Workers:        cfg.ProjectionWorkers,
@@ -233,7 +253,7 @@ func New(cfg Config) (*Controller, error) {
 	c.phCollect = cfg.Metrics.Phase("edgefabric_phase_collect")
 	c.phProject = cfg.Metrics.Phase("edgefabric_phase_project")
 	c.phAllocate = cfg.Metrics.Phase("edgefabric_phase_allocate")
-	c.phExtra = cfg.Metrics.Phase("edgefabric_phase_perf")
+	c.phOptimise = cfg.Metrics.Phase("edgefabric_phase_perf")
 	c.phInject = cfg.Metrics.Phase("edgefabric_phase_inject")
 	c.collector = &bmp.Collector{
 		Handler: &healthHandler{inner: store, health: health},
@@ -286,6 +306,10 @@ func (h *healthHandler) FlushRoutes() {
 // Store exposes the controller's route store (e.g. to use as the sFlow
 // collector's prefix mapper).
 func (c *Controller) Store() *RouteStore { return c.store }
+
+// Measurer exposes the optimise stage's alternate-path measurer (nil
+// when Config.Optimizer is unset), e.g. for gap CDFs and reports.
+func (c *Controller) Measurer() *altpath.Measurer { return c.measurer }
 
 // Inventory exposes the controller's peer/interface inventory (e.g. for
 // interface naming in the status API).
@@ -555,13 +579,13 @@ func (c *Controller) finishReport(report *CycleReport, started time.Time) {
 }
 
 // RunCycle executes one full control cycle: evaluate input health, then
-// measure, project, allocate, inject — or, when inputs are stale, freeze
-// (fail-static) or withdraw everything (fail-back). It returns the
-// cycle's report. A panicking cycle is recovered, counted, and triggers
-// the fail-static hold rather than killing the caller. RunCycle must not
-// be invoked concurrently with itself (the projector's plan cache is
-// unguarded); Run and the simulation harnesses drive it from one
-// goroutine.
+// collect, project, allocate, optimise (when Config.Optimizer is set),
+// inject — or, when inputs are stale, freeze (fail-static) or withdraw
+// everything (fail-back). It returns the cycle's report. A panicking
+// cycle is recovered, counted, and triggers the fail-static hold rather
+// than killing the caller. RunCycle must not be invoked concurrently
+// with itself (the projector's plan cache is unguarded); the fleet
+// supervisor and the simulation harnesses drive it from one goroutine.
 func (c *Controller) RunCycle() (report *CycleReport, err error) {
 	started := time.Now()
 	now := c.cfg.Now()
@@ -667,24 +691,20 @@ func (c *Controller) RunCycle() (report *CycleReport, err error) {
 	// concurrently (HTTP-driven), and a cycle must run under one
 	// coherent parameter set.
 	acfg := c.allocatorCfg()
-	alloc := AllocateDelta(proj, c.cfg.Inventory, acfg, c.injector.Installed(), tr, &ds, &c.allocState)
+	installed := c.injector.Installed()
+	alloc := AllocateDelta(proj, c.cfg.Inventory, acfg, installed, tr, &ds, &c.allocState)
 	span.End()
 
 	overrides := alloc.Overrides
 	detoured := alloc.DetouredBps
-	if c.cfg.ExtraOverrides != nil {
-		span = c.phExtra.Start()
-		taken := make(map[netip.Prefix]bool, len(overrides))
-		for _, o := range overrides {
-			taken[o.Prefix] = true
-		}
-		overrides = append([]Override(nil), overrides...)
-		for _, o := range c.cfg.ExtraOverrides(proj, alloc, tr) {
-			if taken[o.Prefix] {
-				continue
-			}
-			taken[o.Prefix] = true
-			overrides = append(overrides, o)
+	if c.measurer != nil {
+		span = c.phOptimise.Start()
+		// The optimizer skips every prefix the overload pass moved, so its
+		// output appends to a copy of alloc's (reused verbatim next cycle)
+		// without conflicts; hysteresis reads the pre-cycle installed set.
+		perf := MultipathAllocateTraced(proj, c.cfg.Inventory, c.measure(proj), alloc, installed, acfg, c.cfg.Optimizer.Multipath, tr)
+		overrides = append(slices.Clip(overrides), perf...)
+		for _, o := range perf {
 			detoured += o.RateBps
 		}
 		span.End()
@@ -723,6 +743,19 @@ func (c *Controller) RunCycle() (report *CycleReport, err error) {
 			detoured/1e9, res.Announced, res.Withdrawn)
 	}
 	return report, nil
+}
+
+// measure runs one measurement round over the projection's planned
+// prefixes in rib.ComparePrefixes order (not map order, so the measurer's
+// one sequential noise source is consumed the same way for a seed).
+func (c *Controller) measure(proj *Projection) []*altpath.PrefixReport {
+	c.measured = c.measured[:0]
+	for p := range proj.Plans {
+		c.measured = append(c.measured, p)
+	}
+	rib.SortPrefixes(c.measured)
+	c.measurer.MeasureRound(c.measured)
+	return c.measurer.Reports()
 }
 
 // History returns a copy of the retained cycle reports, oldest first.

@@ -7,9 +7,12 @@ import (
 	"net/netip"
 	"reflect"
 	"runtime"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"edgefabric/internal/altpath"
 	"edgefabric/internal/rib"
 )
 
@@ -492,6 +495,182 @@ func TestControllerDeltaEquivalence(t *testing.T) {
 	if ctrl.Metrics().Counter("edgefabric_delta_full_sweeps_total").Value() != 1 {
 		t.Error("delta controller should have exactly the initial full sweep")
 	}
+}
+
+// scriptedTraffic is a static demand source whose clock and last-ingest
+// time the test scripts, so a stale-traffic fail-back can be staged.
+type scriptedTraffic struct {
+	staticTraffic
+	now, last atomic.Int64 // unix nanoseconds
+}
+
+func (s *scriptedTraffic) LastIngest() time.Time { return time.Unix(0, s.last.Load()) }
+func (s *scriptedTraffic) clock() time.Time      { return time.Unix(0, s.now.Load()) }
+
+// pathModel is a fixed per-path RTT/loss source: RTT by peer, plus a
+// per-prefix slope on some peers so gaps differ across prefixes.
+type pathModel map[netip.Addr]struct{ rtt, slope, loss float64 }
+
+func (m pathModel) RTTForRoute(p netip.Prefix, r *rib.Route) float64 {
+	e := m[r.PeerAddr]
+	return e.rtt + e.slope*float64(p.Addr().As4()[2])
+}
+
+func (m pathModel) LossForRoute(_ netip.Prefix, r *rib.Route) float64 { return m[r.PeerAddr].loss }
+
+// TestControllerOptimiseEquivalence is the per-cycle differential check
+// of RunCycle with the optimise stage on, at k = 1 and k = 3: every
+// healthy cycle's overrides must equal a from-scratch oracle — Project +
+// AllocateStickyTraced, a twin Measurer (same source, seed and prefix
+// order) and MultipathAllocateTraced with the pre-cycle installed set as
+// hysteresis base, merged — through measurement warm-up, jitter,
+// overload onset, route churn, a stale-traffic fail-back, recovery and
+// decay.
+func TestControllerOptimiseEquivalence(t *testing.T) {
+	sets, moves := 0, 0
+	for _, maxPaths := range []int{1, 3} {
+		s, m := runOptimiseEquivalence(t, maxPaths)
+		t.Logf("k=%d: %d sets, %d moves", maxPaths, s, m)
+		sets += s
+		moves += m
+	}
+	if sets == 0 || moves == 0 {
+		t.Fatalf("%d weighted sets and %d whole-prefix moves over the runs; the comparison is vacuous", sets, moves)
+	}
+}
+
+func runOptimiseEquivalence(t *testing.T, maxPaths int) (sets, moves int) {
+	inv := testInventory(t)
+	acfg := AllocatorConfig{Threshold: 0.95}
+	mcfg := MultipathConfig{MaxPaths: maxPaths, MaxMoves: 3}
+	src := pathModel{
+		netip.MustParseAddr("172.20.0.1"): {rtt: 70, loss: 0.01},
+		netip.MustParseAddr("172.20.0.2"): {rtt: 62},
+		netip.MustParseAddr("172.20.0.3"): {rtt: 40, slope: 3},
+		netip.MustParseAddr("172.20.0.9"): {rtt: 55, loss: 0.02},
+	}
+	demand := &scriptedTraffic{staticTraffic: staticTraffic{}}
+	start := time.Date(2017, 3, 1, 20, 0, 0, 0, time.UTC).UnixNano()
+	demand.now.Store(start)
+	demand.last.Store(start)
+	ctrl, err := New(Config{
+		Inventory: inv,
+		Traffic:   demand,
+		LocalAS:   64500,
+		Allocator: acfg,
+		Now:       demand.clock,
+		Trace:     TraceConfig{Disable: true},
+		Optimizer: OptimizerConfig{Source: src, Seed: 5, Multipath: mcfg},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.Close()
+	_, conn := newFakePR(t, 64500)
+	if err := ctrl.AddInjectionSession(netip.MustParseAddr("10.255.0.1"), conn); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := ctrl.WaitReady(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	tab := ctrl.Store().Table()
+	twin, err := altpath.NewMeasurer(altpath.Config{Routes: tab, Source: src, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// 10 prefixes preferring the 10G PNI, with IXP and transit
+	// alternates; whole-megabit demand keeps every load sum exact.
+	for i := 0; i < 10; i++ {
+		prefix := fmt.Sprintf("10.0.%d.0/24", i)
+		tab.Add(route(prefix, "172.20.0.1", rib.ClassPrivate, 0, 65010))
+		tab.Add(route(prefix, "172.20.0.3", rib.ClassPublic, 2, 65012, 65010))
+		tab.Add(route(prefix, "172.20.0.9", rib.ClassTransit, 3, 64601, 65010))
+		demand.staticTraffic[netip.MustParsePrefix(prefix)] = 500e6
+	}
+	setAll := func(bps float64) func() {
+		return func() {
+			for p := range demand.staticTraffic {
+				demand.staticTraffic[p] = bps
+			}
+		}
+	}
+	idle := func() {}
+	failBack := false
+	steps := []func(){
+		idle, idle, idle, // measurement warm-up (MinSamples)
+		idle, idle, // first sets, then hysteresis
+		func() { // jitter
+			for i := 0; i < 10; i += 3 {
+				demand.staticTraffic[netip.MustParsePrefix(fmt.Sprintf("10.0.%d.0/24", i))] = 600e6
+			}
+		},
+		setAll(1200e6), // overload onset: the PNI is past target and congested
+		idle,
+		func() { // route churn under overload
+			tab.Add(route("10.0.3.0/24", "172.20.0.2", rib.ClassPrivate, 1, 65011))
+			tab.Remove(netip.MustParsePrefix("10.0.5.0/24"), netip.MustParseAddr("172.20.0.1"))
+		},
+		func() { failBack = true }, // sFlow silent past the fail-back threshold
+		idle, idle, idle,           // recovery under the move budget
+		setAll(200e6), // decay
+		idle,
+	}
+	for i, step := range steps {
+		demand.now.Add(int64(30 * time.Second))
+		step()
+		if failBack {
+			demand.last.Store(demand.now.Load() - int64(time.Hour))
+		} else {
+			demand.last.Store(demand.now.Load())
+		}
+		prior := ctrl.Installed()
+		rep, err := ctrl.RunCycle()
+		if err != nil {
+			t.Fatalf("k=%d step %d: %v", maxPaths, i, err)
+		}
+		if failBack {
+			if rep.Health != HealthFailBack || len(ctrl.Installed()) != 0 {
+				t.Fatalf("k=%d step %d: %s with %d installed, want fail-back with none", maxPaths, i, rep.Health, len(ctrl.Installed()))
+			}
+			failBack = false
+			continue
+		}
+		if rep.Health != HealthHealthy {
+			t.Fatalf("k=%d step %d: %s %v", maxPaths, i, rep.Health, rep.HealthReasons)
+		}
+
+		proj := Project(tab, demand.staticTraffic)
+		alloc := AllocateStickyTraced(proj, inv, acfg, prior, nil)
+		prefixes := make([]netip.Prefix, 0, len(proj.Plans))
+		for p := range proj.Plans {
+			prefixes = append(prefixes, p)
+		}
+		rib.SortPrefixes(prefixes)
+		twin.MeasureRound(prefixes)
+		perf := MultipathAllocateTraced(proj, inv, twin.Reports(), alloc, prior, acfg, mcfg, nil)
+		want := append(slices.Clip(alloc.Overrides), perf...)
+		detoured := alloc.DetouredBps
+		for _, o := range perf {
+			detoured += o.RateBps
+		}
+		if !reflect.DeepEqual(rep.Overrides, want) {
+			t.Fatalf("k=%d step %d: controller decided\n%v\nfrom scratch\n%v", maxPaths, i, rep.Overrides, want)
+		}
+		if !floatClose(rep.DetouredBps, detoured) {
+			t.Fatalf("k=%d step %d: detoured %v != %v", maxPaths, i, rep.DetouredBps, detoured)
+		}
+		for _, o := range perf {
+			if len(o.Multipath) > 0 {
+				sets++
+			} else {
+				moves++
+			}
+		}
+	}
+	return sets, moves
 }
 
 // TestKthLargest pins the quickselect helper.

@@ -175,18 +175,6 @@ func (inj *Injector) AddRouterDialer(addr netip.Addr, dial func(ctx context.Cont
 	return err
 }
 
-// Routers returns the registered router addresses, sorted.
-func (inj *Injector) Routers() []netip.Addr {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	out := make([]netip.Addr, 0, len(inj.routers))
-	for a := range inj.routers {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Less(out[b]) })
-	return out
-}
-
 // DeliveredCount returns how many prefixes the given router currently
 // holds from the injector.
 func (inj *Injector) DeliveredCount(addr netip.Addr) int {

@@ -240,14 +240,7 @@ func TestE10Ablation(t *testing.T) {
 }
 
 func TestPerfAwareHarness(t *testing.T) {
-	cfg := testConfig(true)
-	cfg.PerfAware = true
-	// Roomy PNIs so overload overrides don't dominate; perf moves need
-	// spare capacity on the faster alternates.
-	cfg.Synth.PNIHeadroomMin = 1.3
-	cfg.Synth.PNIHeadroomMax = 1.6
-	cfg.Perf.AnomalyProb = 0.15
-	h := newTestHarness(t, cfg)
+	h := newTestHarness(t, perfAwareTestConfig())
 	perfMoves := 0
 	h.Run(10*30*time.Second, func(_ *netsim.TickStats, r *core.CycleReport) {
 		if r == nil {

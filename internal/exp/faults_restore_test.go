@@ -2,6 +2,7 @@ package exp
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -184,4 +185,75 @@ func TestLossySinkFullLossRate(t *testing.T) {
 	}); !ok {
 		t.Fatal("never recovered to healthy after loss rate reset")
 	}
+}
+
+// TestFailBackRecoveryRespectsMoveBudget: a fail-back withdraws every
+// weighted set, so the optimizer's hysteresis must not treat them as
+// still installed when inputs return. Every recovery cycle may add at
+// most MaxMoves new or changed sets, however many were installed before
+// the fault.
+func TestFailBackRecoveryRespectsMoveBudget(t *testing.T) {
+	const maxMoves = 2
+	cfg := perfAwareTestConfig()
+	cfg.Multipath = true
+	cfg.MultipathCfg.MaxMoves = maxMoves
+	cfg.Health = soakTestConfig().Health
+	h := newTestHarness(t, cfg)
+	sets := func() int {
+		n := 0
+		for _, o := range h.Controller.Installed() {
+			if len(o.Multipath) > 0 {
+				n++
+			}
+		}
+		return n
+	}
+	if _, ok := stepUntil(h, 40, func(r *core.CycleReport) bool {
+		return r.Health == core.HealthHealthy && sets() >= 5*maxMoves
+	}); !ok {
+		t.Fatalf("warmup installed only %d weighted sets", sets())
+	}
+	before := sets()
+
+	h.Loss.Kill()
+	if _, ok := stepUntil(h, 10, func(r *core.CycleReport) bool {
+		return r.Health == core.HealthFailBack
+	}); !ok {
+		t.Fatal("sFlow silence never reached fail-back")
+	}
+	if n := len(h.Controller.Installed()); n != 0 {
+		t.Fatalf("fail-back left %d overrides installed", n)
+	}
+	h.Loss.Restore()
+
+	added := 0
+	for cycle := 1; cycle <= 12; cycle++ {
+		pre := h.Controller.Installed()
+		r := stepCycles(h, 1)
+		if r.Health != core.HealthHealthy {
+			continue
+		}
+		fresh := 0
+		for _, o := range r.Overrides {
+			if len(o.Multipath) > 0 && !sameWeightedSet(pre[o.Prefix], o) {
+				fresh++
+			}
+		}
+		if fresh > maxMoves {
+			t.Errorf("recovery cycle %d installed %d new weighted sets, MaxMoves is %d (%d were installed before the fault)",
+				cycle, fresh, maxMoves, before)
+		}
+		added += fresh
+	}
+	if added <= maxMoves {
+		t.Fatalf("recovery re-installed %d weighted sets over 12 cycles; the budget never bound", added)
+	}
+}
+
+// sameWeightedSet reports whether two overrides carry the same weighted
+// members (next hops and weights, in order).
+func sameWeightedSet(a, b core.Override) bool {
+	return slices.EqualFunc(a.Multipath, b.Multipath, func(x, y core.PathWeight) bool {
+		return x.Via.NextHop == y.Via.NextHop && x.WeightPct == y.WeightPct
+	})
 }

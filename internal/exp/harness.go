@@ -34,8 +34,9 @@ type HarnessConfig struct {
 	// PoP runs on plain BGP (the paper's "without Edge Fabric"
 	// baseline).
 	ControllerEnabled bool
-	// PerfAware measures alternate paths and runs the performance
-	// optimizer (core.MultipathAllocateTraced) after the overload pass.
+	// PerfAware turns on the controller's optimise stage
+	// (core.Config.Optimizer): alternate paths are measured on the PoP's
+	// dataplane and the multipath optimizer runs after the overload pass.
 	// Alone it makes the paper's §6 whole-prefix moves (MaxPaths 1).
 	PerfAware bool
 	// Multipath lets the optimizer (PerfAware must be set) split demand
@@ -94,8 +95,10 @@ type Harness struct {
 	Traffic    *sflow.Collector
 	// Loss sits between the routers' sFlow agents and the collector;
 	// fault experiments script datagram loss or total feed death on it.
-	Loss      *netsim.LossySink
-	Measurer  *altpath.Measurer // nil unless PerfAware or built by an experiment
+	Loss *netsim.LossySink
+	// Measurer is the controller's own optimise-stage measurer
+	// (core.Controller.Measurer); nil unless PerfAware.
+	Measurer  *altpath.Measurer
 	Inventory *core.Inventory
 	// Events, when attached, is advanced by Step before every tick; see
 	// AttachEvents.
@@ -256,9 +259,13 @@ func NewHarness(ctx context.Context, cfg HarnessConfig) (*Harness, error) {
 		return h, nil
 	}
 
-	// The optimizer hook needs the controller's route store, which only
-	// exists after core.New; bind it through a late-set closure.
-	var extra func(*core.Projection, *core.AllocResult, *core.CycleTrace) []core.Override
+	var opt core.OptimizerConfig
+	if cfg.PerfAware {
+		opt = core.OptimizerConfig{Source: pop.Plane, Seed: cfg.Synth.Seed, Multipath: cfg.MultipathCfg}
+		if !cfg.Multipath {
+			opt.Multipath.MaxPaths = 1
+		}
+	}
 	ctrl, err := core.New(core.Config{
 		Inventory:     inv,
 		Traffic:       traffic,
@@ -269,57 +276,14 @@ func NewHarness(ctx context.Context, cfg HarnessConfig) (*Harness, error) {
 		Now:           clock.Now,
 		Audit:         cfg.Audit,
 		Logf:          cfg.Logf,
-		ExtraOverrides: func(proj *core.Projection, alloc *core.AllocResult, tr *core.CycleTrace) []core.Override {
-			if extra == nil {
-				return nil
-			}
-			return extra(proj, alloc, tr)
-		},
+		Optimizer:     opt,
 	})
 	if err != nil {
 		h.Close()
 		return nil, err
 	}
 	h.Controller = ctrl
-
-	if cfg.PerfAware {
-		meas, err := altpath.NewMeasurer(altpath.Config{
-			Routes: ctrl.Store().Table(),
-			Source: pop.Plane,
-			Seed:   cfg.Synth.Seed,
-		})
-		if err != nil {
-			h.Close()
-			return nil, err
-		}
-		h.Measurer = meas
-		// measure runs one round over the prefixes that currently have
-		// demand and returns the reports. The prefixes go in
-		// rib.ComparePrefixes order, not map order, so the Measurer's one
-		// sequential noise source is consumed the same way for a seed.
-		var prefixes []netip.Prefix
-		measure := func(proj *core.Projection) []*altpath.PrefixReport {
-			prefixes = prefixes[:0]
-			for p := range proj.Plans {
-				prefixes = append(prefixes, p)
-			}
-			rib.SortPrefixes(prefixes)
-			meas.MeasureRound(prefixes)
-			return meas.Reports()
-		}
-		mcfg := cfg.MultipathCfg
-		if !cfg.Multipath {
-			mcfg.MaxPaths = 1
-		}
-		// prev carries the installed multipath sets across cycles so
-		// hysteresis can re-affirm unchanged sets without churn.
-		prev := make(map[netip.Prefix]core.Override)
-		extra = func(proj *core.Projection, alloc *core.AllocResult, tr *core.CycleTrace) []core.Override {
-			out := core.MultipathAllocateTraced(proj, inv, measure(proj), alloc, prev, cfg.Allocator, mcfg, tr)
-			prev = core.MultipathPrior(out)
-			return out
-		}
-	}
+	h.Measurer = ctrl.Measurer()
 
 	// Route mapping for sFlow now comes from the controller's store.
 	var m sflow.PrefixMapper = h.Controller.Store()
@@ -446,16 +410,6 @@ func (h *Harness) Run(d time.Duration, observe func(*netsim.TickStats, *core.Cyc
 			observe(stats, report)
 		}
 	}
-}
-
-// Explain renders the controller's decision trace for a prefix (see
-// core.Controller.Explain). Empty when the harness runs without a
-// controller.
-func (h *Harness) Explain(p netip.Prefix) string {
-	if h.Controller == nil {
-		return ""
-	}
-	return h.Controller.Explain(p)
 }
 
 // Close tears the whole harness down.

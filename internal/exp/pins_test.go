@@ -1,0 +1,101 @@
+package exp
+
+import (
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"hash"
+	"os"
+	"slices"
+	"strings"
+	"testing"
+
+	"edgefabric/internal/core"
+	"edgefabric/internal/rib"
+)
+
+// testdata/pins.txt pins the decisions of closed-loop rungs: one line per
+// rung with a digest of every cycle's override set and the counts the
+// digest covers. A change that claims to leave decisions alone leaves
+// the file alone; one that changes them shows the diff. Rewrite it with
+//
+//	go test ./internal/exp -run '^TestDecisionPins$' -update
+var updatePins = flag.Bool("update", false, "rewrite testdata/pins.txt from this run")
+
+const pinsFile = "testdata/pins.txt"
+
+// perfAwareTestConfig is the optimizer scenario: roomy PNIs so overload
+// overrides don't dominate (performance moves need spare capacity on the
+// faster alternates) and path anomalies on 15 % of the paths.
+func perfAwareTestConfig() HarnessConfig {
+	cfg := testConfig(true)
+	cfg.PerfAware = true
+	cfg.Synth.PNIHeadroomMin = 1.3
+	cfg.Synth.PNIHeadroomMax = 1.6
+	cfg.Perf.AnomalyProb = 0.15
+	return cfg
+}
+
+// foldDecisions folds one cycle's override set into h in
+// rib.ComparePrefixes order — prefix, next hop, egress interface, then
+// each weighted member's next hop and weight — and returns how many of
+// the overrides are weighted sets.
+func foldDecisions(h hash.Hash, overrides []core.Override) (sets int) {
+	sorted := slices.Clone(overrides)
+	slices.SortFunc(sorted, func(a, b core.Override) int { return rib.ComparePrefixes(a.Prefix, b.Prefix) })
+	fmt.Fprintf(h, "cycle %d\n", len(sorted))
+	for _, o := range sorted {
+		fmt.Fprintf(h, "%s %s %d", o.Prefix, o.Via.NextHop, o.ToIF)
+		for _, pw := range o.Multipath {
+			fmt.Fprintf(h, " %s/%d", pw.Via.NextHop, pw.WeightPct)
+		}
+		h.Write([]byte{'\n'})
+		if len(o.Multipath) > 0 {
+			sets++
+		}
+	}
+	return sets
+}
+
+// pinRung runs cfg for the given number of controller cycles and
+// renders the rung's pin line.
+func pinRung(t *testing.T, name string, cfg HarnessConfig, cycles int) string {
+	t.Helper()
+	h := newTestHarness(t, cfg)
+	d := sha256.New()
+	overrides, sets := 0, 0
+	for ran := 0; ran < cycles; {
+		if _, r := h.Step(); r != nil {
+			overrides += len(r.Overrides)
+			sets += foldDecisions(d, r.Overrides)
+			ran++
+		}
+	}
+	return fmt.Sprintf("%s digest=%x overrides=%d sets=%d", name, d.Sum(nil), overrides, sets)
+}
+
+// TestDecisionPins compares the pinned rungs against testdata/pins.txt:
+// the optimizer scenario for 20 cycles at k = 1 (whole-prefix moves) and
+// at k = 3 (weighted sets).
+func TestDecisionPins(t *testing.T) {
+	k1 := perfAwareTestConfig()
+	k3 := perfAwareTestConfig()
+	k3.Multipath = true
+	got := strings.Join([]string{
+		pinRung(t, "optimizer-k1", k1, 20),
+		pinRung(t, "optimizer-k3", k3, 20),
+	}, "\n") + "\n"
+	if *updatePins {
+		if err := os.WriteFile(pinsFile, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(pinsFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("decisions drifted from %s:\ngot:\n%swant:\n%s", pinsFile, got, want)
+	}
+}

@@ -6,6 +6,15 @@
 // per-(prefix, path) performance. Here the DSCP plumbing is abstracted
 // behind an RTTSource (the simulator's dataplane), while the sampling,
 // aggregation, and reporting logic match the paper's design.
+//
+// Per-(prefix, path) statistics are independent of one another, so a
+// measurement round runs on every core: one serial pass does the map and
+// RIB work and draws the round's noise from the single seeded source in
+// a fixed order (prefix, then path, then sample), and workers then take
+// contiguous prefix ranges, sampling the source, filling the windows and
+// building each prefix's report while its windows are cache-hot. Every
+// window receives the same samples whatever the worker count, so a seed
+// yields the same reports on one core or many.
 package altpath
 
 import (
@@ -13,6 +22,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"runtime"
 	"slices"
 	"sync"
 
@@ -26,7 +36,9 @@ import (
 // The source is a path model, not a per-flow sampler: MeasureRound calls
 // it once per (prefix, path) per round and adds its own per-sample noise,
 // so the result must be a function of (p, r) for the duration of a round.
-// LossSource is held to the same contract.
+// One round may call the source from several goroutines at once (one per
+// worker, each on different prefixes), so it must be safe for concurrent
+// use. LossSource is held to the same contract.
 type RTTSource interface {
 	// RTTForRoute returns the RTT in milliseconds a flow to prefix p
 	// experiences when routed via r.
@@ -63,7 +75,10 @@ type Config struct {
 	// Default 2 ms.
 	NoiseMS float64
 	// WindowSamples bounds the per-path sample buffer; older samples
-	// fall off. Default 64, at most MaxWindowSamples.
+	// fall off. Default 64, at most MaxWindowSamples. A prefix left
+	// unmeasured for WindowSamples/SamplesPerRound rounds (the rounds
+	// that would have replaced its whole window) loses its windows, so
+	// it returns on fresh samples only.
 	WindowSamples int
 	// Seed drives sampling noise.
 	Seed int64
@@ -113,24 +128,66 @@ type PrefixReport struct {
 }
 
 // Measurer samples flows onto alternate paths and aggregates
-// per-(prefix, path) RTT/retransmit windows. Safe for concurrent use.
+// per-(prefix, path) RTT/retransmit windows. Safe for concurrent use,
+// except that the view Reports returns must not outlive the next round.
 type Measurer struct {
-	cfg  Config
-	loss LossSource // nil when the source measures only RTT
+	cfg    Config
+	loss   LossSource // nil when the source measures only RTT
+	maxAge uint64     // rounds a prefix may go unmeasured before its windows are dropped
 
 	mu       sync.Mutex
 	rng      *rand.Rand
 	byPrefix map[netip.Prefix]*prefixWindows
-	views    []rib.RouteView // MeasureRound's RIB snapshot, reused across rounds
+	round    uint64 // rounds run so far; the current round's number during one
+
+	// Per-round scratch, reused across rounds.
+	views   []rib.RouteView // the round's RIB snapshot
+	organic []*rib.Route    // organic route lists of prefixes that also carry injected routes
+	jobs    []job           // the round's measured prefixes, in the order given
+	noise   []float64       // the round's noise draws, in consumption order
+	workers []*worker       // created on first use, each bound to its own arenas
+	wg      sync.WaitGroup
+	reports []*PrefixReport // the last round's reports: Reports' borrowed view
+}
+
+// minChunk is the fewest prefixes worth a worker of their own: below it,
+// starting and joining a goroutine costs more than the sampling it
+// takes off the calling one.
+const minChunk = 512
+
+// job is one prefix a round measures: its windows, the routes sampled
+// (primary first), and where its draws start in the round's noise.
+type job struct {
+	p      netip.Prefix
+	pw     *prefixWindows
+	routes []*rib.Route
+	noise  int
+}
+
+// worker measures a contiguous range of a round's jobs and builds their
+// reports into arenas it keeps across rounds.
+type worker struct {
+	m    *Measurer
+	jobs []job
+	// stats, reps and out are the report arenas: out points into reps,
+	// reps' Paths into stats.
+	stats []PathStat
+	reps  []PrefixReport
+	out   []*PrefixReport
+	// run is measure bound once at creation: `go w.run()` starts the
+	// worker without the heap closure a per-round method value or a call
+	// with arguments would build.
+	run func()
 }
 
 // prefixWindows holds one prefix's measurement state: a window per
 // currently-measured peer (at most a handful, so a slice scanned
-// linearly), plus the route-table generation the set was last
-// reconciled against.
+// linearly), the route-table generation the set was last reconciled
+// against, and the round that last measured it.
 type prefixWindows struct {
 	paths []window
 	gen   uint64
+	last  uint64
 }
 
 // find returns the window measuring peer's path, or nil.
@@ -150,46 +207,74 @@ const MaxWindowSamples = 256
 // window is one path's sample ring in arrival order plus an order index
 // over it: order lists the ring's slot numbers ascending by RTT, kept
 // current by add, so a percentile is a single indexed read instead of a
-// copy and a sort. Samples must not be NaN (MeasureRound clamps).
+// copy and a sort. lossy counts the ring's non-zero retransmit samples,
+// so a clean window's mean is known without a sum. Samples must not be
+// NaN (MeasureRound clamps).
 type window struct {
 	samples []float64
 	retrans []float64
 	order   []uint8
 	next    int
+	lossy   int
 	primary bool
 	route   *rib.Route // never nil; its PeerAddr keys the window
 }
 
 func (w *window) add(rtt, loss float64, max int) {
+	if loss != 0 {
+		w.lossy++
+	}
 	slot := len(w.samples)
 	if slot < max {
 		w.samples = append(w.samples, rtt)
 		w.retrans = append(w.retrans, loss)
+		// Open a gap in the order index after the samples <= rtt.
+		at := w.rank(w.order, rtt)
 		w.order = append(w.order, 0)
-	} else {
-		// Full: the oldest sample's slot is reused; close its gap in the
-		// order index first.
-		slot = w.next
-		w.next = (w.next + 1) % max
-		at := bytes.IndexByte(w.order, uint8(slot))
-		copy(w.order[at:], w.order[at+1:])
-		w.samples[slot] = rtt
+		copy(w.order[at+1:], w.order[at:])
+		w.order[at] = uint8(slot)
+		return
+	}
+	// Full: the oldest sample's slot takes the new one. A clean window's
+	// retransmit samples are all zero already, so it reads and writes
+	// them only once a loss arrives.
+	slot = w.next
+	w.next = (w.next + 1) % max
+	if w.lossy > 0 {
+		if w.retrans[slot] != 0 {
+			w.lossy--
+		}
 		w.retrans[slot] = loss
 	}
-	// Binary-search the insertion point among the n indexed samples
-	// (after any equal values) and open a gap there.
-	n := len(w.order) - 1
-	lo, hi := 0, n
+	old := w.samples[slot]
+	w.samples[slot] = rtt
+	// The slot moves through the order index from the old sample's rank
+	// to the new one's (after any equal values) in one shift.
+	at := bytes.IndexByte(w.order, uint8(slot))
+	if rtt >= old {
+		to := at + w.rank(w.order[at+1:], rtt)
+		copy(w.order[at:to], w.order[at+1:to+1])
+		w.order[to] = uint8(slot)
+	} else {
+		to := w.rank(w.order[:at], rtt)
+		copy(w.order[to+1:at+1], w.order[to:at])
+		w.order[to] = uint8(slot)
+	}
+}
+
+// rank returns how many leading entries of idx, a run of the order
+// index, have a sample <= rtt.
+func (w *window) rank(idx []uint8, rtt float64) int {
+	lo, hi := 0, len(idx)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if w.samples[w.order[mid]] <= rtt {
+		if w.samples[idx[mid]] <= rtt {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	copy(w.order[lo+1:], w.order[lo:n])
-	w.order[lo] = uint8(slot)
+	return lo
 }
 
 // percentile returns sorted(samples)[int(q*(n-1))].
@@ -200,8 +285,10 @@ func (w *window) percentile(q float64) float64 {
 	return w.samples[w.order[int(q*float64(len(w.samples)-1))]]
 }
 
+// meanRetrans is the mean of the retransmit samples; a window with no
+// non-zero sample sums to exactly zero, so it skips the sum.
 func (w *window) meanRetrans() float64 {
-	if len(w.retrans) == 0 {
+	if w.lossy == 0 {
 		return 0
 	}
 	var sum float64
@@ -219,6 +306,7 @@ func (w *window) reset() {
 	w.retrans = w.retrans[:0]
 	w.order = w.order[:0]
 	w.next = 0
+	w.lossy = 0
 }
 
 // NewMeasurer returns a Measurer for cfg.
@@ -232,6 +320,7 @@ func NewMeasurer(cfg Config) (*Measurer, error) {
 	}
 	m := &Measurer{
 		cfg:      cfg,
+		maxAge:   uint64(max(1, cfg.WindowSamples/cfg.SamplesPerRound)),
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		byPrefix: make(map[netip.Prefix]*prefixWindows),
 	}
@@ -243,9 +332,10 @@ func NewMeasurer(cfg Config) (*Measurer, error) {
 
 // MeasureRound samples the primary and up to MaxAltPaths alternates of
 // each given prefix, as the production system continuously does for
-// random user flows. Prefixes without at least one alternate are
-// skipped (and their stale windows pruned). It returns the number of
-// (prefix, path) pairs sampled.
+// random user flows, and builds the prefixes' reports (see Reports).
+// Prefixes without at least one alternate are skipped (and their stale
+// windows pruned); a prefix listed twice is measured once. It returns
+// the number of (prefix, path) pairs sampled.
 //
 // Each round reconciles a prefix's window set against the current route
 // table, gated on the table's per-prefix generation so unchanged
@@ -254,19 +344,76 @@ func NewMeasurer(cfg Config) (*Measurer, error) {
 // longer steer onto), stale primary flags are cleared when the
 // preferred route changes, and a window whose peer now reaches the
 // prefix over a different path (new next hop or egress interface) is
-// reset rather than blended with the old path's history.
+// reset rather than blended with the old path's history. A prefix left
+// unmeasured for WindowSamples/SamplesPerRound rounds starts afresh.
+//
+// The round runs on min(GOMAXPROCS, prefixes/512) goroutines, with the
+// same result on any number.
 func (m *Measurer) MeasureRound(prefixes []netip.Prefix) int {
+	return m.measureRound(prefixes, runtime.GOMAXPROCS(0))
+}
+
+// measureRound is MeasureRound on at most maxWorkers goroutines.
+func (m *Measurer) measureRound(prefixes []netip.Prefix, maxWorkers int) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	measured := m.plan(prefixes)
+
+	nw := max(1, min(maxWorkers, len(m.jobs)/minChunk))
+	for len(m.workers) < nw {
+		w := &worker{m: m}
+		w.run = w.measure
+		m.workers = append(m.workers, w)
+	}
+	for i, w := range m.workers[:nw] {
+		w.jobs = m.jobs[i*len(m.jobs)/nw : (i+1)*len(m.jobs)/nw]
+	}
+	m.wg.Add(nw)
+	for _, w := range m.workers[1:nw] {
+		go w.run()
+	}
+	m.workers[0].measure()
+	m.wg.Wait()
+
+	m.reports = m.reports[:0]
+	for _, w := range m.workers[:nw] {
+		m.reports = append(m.reports, w.out...)
+		w.jobs = nil
+	}
+	// Don't pin superseded route slices or windows between rounds.
+	clear(m.views)
+	clear(m.organic)
+	clear(m.jobs)
+	if m.round%m.maxAge == 0 {
+		for p, pw := range m.byPrefix {
+			if m.round-pw.last >= m.maxAge {
+				delete(m.byPrefix, p)
+			}
+		}
+	}
+	return measured
+}
+
+// plan is a round's serial pass: it snapshots the prefixes' routes,
+// reconciles, creates or drops their window sets, queues one job per
+// measured prefix, and draws the round's noise in consumption order
+// (prefix, then path, then sample). It returns the number of (prefix,
+// path) pairs queued.
+func (m *Measurer) plan(prefixes []netip.Prefix) int {
+	m.round++
 	// One read-lock for the whole round; the views share the table's
 	// immutable route slices.
 	m.views = m.cfg.Routes.SnapshotRoutesInto(prefixes, m.views)
-	defer clear(m.views) // don't pin superseded route slices between rounds
+	m.organic = m.organic[:0]
+	m.jobs = m.jobs[:0]
+	m.noise = m.noise[:0]
 	measured := 0
 	for i, p := range prefixes {
 		routes := m.views[i].Routes
 		if m.views[i].Injected > 0 {
-			routes = organic(routes)
+			start := len(m.organic)
+			m.organic = appendOrganic(m.organic, routes)
+			routes = m.organic[start:len(m.organic):len(m.organic)]
 		}
 		pw := m.byPrefix[p]
 		if len(routes) < 2 {
@@ -277,38 +424,77 @@ func (m *Measurer) MeasureRound(prefixes []netip.Prefix) int {
 			}
 			continue
 		}
+		if pw != nil && pw.last == m.round {
+			continue // listed twice
+		}
 		limit := min(len(routes), 1+m.cfg.MaxAltPaths)
-		if gen := m.views[i].Gen; pw == nil {
+		if gen := m.views[i].Gen; pw == nil || m.round-pw.last > m.maxAge {
 			pw = &prefixWindows{paths: make([]window, 0, limit), gen: gen}
 			m.byPrefix[p] = pw
 		} else if pw.gen != gen {
 			pw.reconcile(routes)
 			pw.gen = gen
 		}
-		for k, r := range routes[:limit] {
-			w := pw.find(r.PeerAddr)
-			if w == nil {
+		pw.last = m.round
+		m.jobs = append(m.jobs, job{p: p, pw: pw, routes: routes[:limit], noise: len(m.noise)})
+		for n := limit * m.cfg.SamplesPerRound; n > 0; n-- {
+			m.noise = append(m.noise, m.rng.NormFloat64())
+		}
+		measured += limit
+	}
+	return measured
+}
+
+// measure samples every path of the worker's jobs and builds each
+// prefix's report straight after, into the worker's arenas.
+func (w *worker) measure() {
+	defer w.m.wg.Done()
+	m := w.m
+	spr := m.cfg.SamplesPerRound
+	if cap(w.reps) < len(w.jobs) {
+		w.reps = make([]PrefixReport, len(w.jobs))
+	}
+	if want := len(w.jobs) * (1 + m.cfg.MaxAltPaths); cap(w.stats) < want {
+		w.stats = make([]PathStat, 0, want)
+	}
+	w.stats = w.stats[:0]
+	w.out = w.out[:0]
+	for i := range w.jobs {
+		j := &w.jobs[i]
+		pw := j.pw
+		noise := m.noise[j.noise : j.noise+len(j.routes)*spr]
+		for k, r := range j.routes {
+			win := pw.find(r.PeerAddr)
+			if win == nil {
 				pw.paths = append(pw.paths, window{route: r})
-				w = &pw.paths[len(pw.paths)-1]
+				win = &pw.paths[len(pw.paths)-1]
 			}
-			w.primary = k == 0
-			w.route = r
-			base := m.cfg.Source.RTTForRoute(p, r)
+			win.primary = k == 0
+			win.route = r
+			base := m.cfg.Source.RTTForRoute(j.p, r)
 			var loss float64
 			if m.loss != nil {
-				loss = m.loss.LossForRoute(p, r)
+				loss = m.loss.LossForRoute(j.p, r)
 			}
-			for s := 0; s < m.cfg.SamplesPerRound; s++ {
-				rtt := base + m.rng.NormFloat64()*m.cfg.NoiseMS
+			for _, z := range noise[k*spr : (k+1)*spr] {
+				rtt := base + z*m.cfg.NoiseMS
 				if !(rtt >= 0.1) { // floor; also keeps NaN out of the order index
 					rtt = 0.1
 				}
-				w.add(rtt, loss, m.cfg.WindowSamples)
+				win.add(rtt, loss, m.cfg.WindowSamples)
 			}
-			measured++
+		}
+		if cap(w.stats)-len(w.stats) < len(pw.paths) {
+			// Reports already built point into the full arena: carry on
+			// in a fresh one, which the next round reuses whole.
+			w.stats = make([]PathStat, 0, max(2*cap(w.stats), len(pw.paths)))
+		}
+		rep := &w.reps[len(w.out)]
+		if stats, ok := pw.report(j.p, rep, w.stats); ok {
+			w.stats = stats
+			w.out = append(w.out, rep)
 		}
 	}
-	return measured
 }
 
 // reconcile aligns one prefix's window set with its current organic
@@ -336,25 +522,26 @@ func (pw *prefixWindows) reconcile(routes []*rib.Route) {
 	pw.paths = kept
 }
 
-// organic filters out controller-injected routes: measurements compare
-// BGP's own options.
-func organic(routes []*rib.Route) []*rib.Route {
-	out := routes[:0:0]
+// appendOrganic appends routes minus the controller-injected ones to
+// dst: measurements compare BGP's own options.
+func appendOrganic(dst, routes []*rib.Route) []*rib.Route {
 	for _, r := range routes {
 		if r.PeerClass != rib.ClassController {
-			out = append(out, r)
+			dst = append(dst, r)
 		}
 	}
-	return out
+	return dst
 }
 
-// Report builds the comparison report for one prefix, or nil if the
-// prefix has no measured primary.
+// Report builds the comparison report for one prefix from its current
+// windows, or nil if the prefix has no measured primary (or has gone
+// unmeasured long enough to lose its windows). The result is the
+// caller's.
 func (m *Measurer) Report(p netip.Prefix) *PrefixReport {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	pw := m.byPrefix[p]
-	if pw == nil {
+	if pw == nil || m.round-pw.last >= m.maxAge {
 		return nil
 	}
 	rep := &PrefixReport{}
@@ -411,31 +598,18 @@ func statBefore(a, b *PathStat) bool {
 	return a.P50 < b.P50
 }
 
-// Reports returns reports for all measured prefixes, in unspecified
-// order. The result is the caller's: every call builds it in three
-// fresh allocations (path stats, reports, pointers) shared by nothing
-// else.
+// Reports returns the last round's reports, one per prefix it measured,
+// in the order MeasureRound was given them. The result is a borrowed
+// view of the Measurer's own arenas, built during the round: it costs
+// nothing, is valid only until the next MeasureRound, and its reports
+// must not be modified (the slice itself may be reordered).
 func (m *Measurer) Reports() []*PrefixReport {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	nStats := 0
-	for _, pw := range m.byPrefix {
-		nStats += len(pw.paths)
-	}
-	stats := make([]PathStat, 0, nStats)
-	reps := make([]PrefixReport, len(m.byPrefix))
-	out := make([]*PrefixReport, 0, len(m.byPrefix))
-	for p, pw := range m.byPrefix {
-		rep := &reps[len(out)]
-		var ok bool
-		if stats, ok = pw.report(p, rep, stats); ok {
-			out = append(out, rep)
-		}
-	}
-	return out
+	return m.reports
 }
 
-// GapCDF summarizes measured prefixes: the fraction whose best
+// GapCDF summarizes the last round's prefixes: the fraction whose best
 // alternate beats the primary's median RTT by at least each of the
 // given thresholds (in ms). This regenerates the paper's §6 headline
 // ("for ~5% of prefixes an alternate is ≥20 ms faster").

@@ -95,7 +95,9 @@ type Config struct {
 // injector's installed set as its hysteresis base.
 type OptimizerConfig struct {
 	// Source measures sampled flows per path (and loss, if it is also an
-	// altpath.LossSource); nil leaves the stage off.
+	// altpath.LossSource); nil leaves the stage off. One measurement
+	// round calls it from several goroutines at once, so it must be
+	// safe for concurrent use.
 	Source altpath.RTTSource
 	// Seed drives the measurer's sampling noise.
 	Seed int64
@@ -747,7 +749,8 @@ func (c *Controller) RunCycle() (report *CycleReport, err error) {
 
 // measure runs one measurement round over the projection's planned
 // prefixes in rib.ComparePrefixes order (not map order, so the measurer's
-// one sequential noise source is consumed the same way for a seed).
+// one sequential noise source is consumed the same way for a seed) and
+// returns the round's reports, borrowed until the next round.
 func (c *Controller) measure(proj *Projection) []*altpath.PrefixReport {
 	c.measured = c.measured[:0]
 	for p := range proj.Plans {
@@ -802,10 +805,10 @@ func (c *Controller) latestTraceLocked() *CycleTrace {
 
 // Explain renders the decision trace for a prefix: the most recent
 // retained cycle in which the allocator considered it, with every
-// candidate alternate and its concrete rejection reason. A prefix the
-// allocator never looked at (no overload on its preferred interface, no
-// perf report) gets a synthesized explanation from the current table and
-// demand instead.
+// candidate alternate and its concrete rejection reason. A prefix no
+// retained cycle traced gets a synthesized explanation instead: the
+// optimizer's no-op from the prefix's current measurements when neither
+// of its triggers fires, else the current table and demand.
 func (c *Controller) Explain(p netip.Prefix) string {
 	p = p.Masked()
 	c.mu.Lock()
@@ -820,6 +823,9 @@ func (c *Controller) Explain(p netip.Prefix) string {
 	c.mu.Unlock()
 
 	if pt == nil {
+		if s := c.explainMeasured(p, latest); s != "" {
+			return s
+		}
 		return c.explainUnconsidered(p, latest)
 	}
 	s := fmt.Sprintf("cycle %d @ %s\n%s", best.Seq, best.Time.Format(time.RFC3339), pt.Format(c.cfg.Inventory))
@@ -828,6 +834,53 @@ func (c *Controller) Explain(p netip.Prefix) string {
 			latest.Seq, best.Seq)
 	}
 	return s
+}
+
+// explainMeasured renders the optimizer's most common outcome, which
+// it does not record: a measured prefix whose best alternate's gap is
+// below MinGainMS while its preferred interface sat below SpreadUtil
+// last cycle. It returns "" when the optimize stage is off or the
+// prefix's measurements and last cycle do not show that outcome.
+func (c *Controller) explainMeasured(p netip.Prefix, latest *CycleTrace) string {
+	if c.measurer == nil {
+		return ""
+	}
+	rep := c.measurer.Report(p)
+	if rep == nil || rep.BestAlt == nil || rep.BestAlt.Route == nil {
+		return ""
+	}
+	cfg := c.cfg.Optimizer.Multipath
+	cfg.setDefaults()
+	primary := rep.Paths[0].Route
+	last, _ := c.LastReport()
+	util := last.IfUtil[primary.EgressIF]
+	if rep.GapMS >= cfg.MinGainMS || util >= cfg.SpreadUtil {
+		return ""
+	}
+	pt := &PrefixTrace{Prefix: p, Preferred: primary, RateBps: c.demandRate(p)}
+	pt.reject(CandidateTrace{
+		Phase: "multipath", Via: rep.BestAlt.Route, Reason: RejectGapBelowThreshold,
+		GapMS: rep.GapMS, NeedGapMS: cfg.MinGainMS,
+	})
+	pt.outcome(OutcomeNone, nil, "gap below threshold and preferred interface uncongested")
+	var b strings.Builder
+	if latest != nil {
+		fmt.Fprintf(&b, "latest cycle %d, rendered from current measurements (no-op outcomes are not traced)\n", latest.Seq)
+	} else {
+		b.WriteString("rendered from current measurements (no decision traces retained)\n")
+	}
+	b.WriteString(pt.Format(c.cfg.Inventory))
+	fmt.Fprintf(&b, "  preferred interface projected %.1f%% last cycle (multipath spread trigger %.0f%%)\n",
+		util*100, cfg.SpreadUtil*100)
+	return b.String()
+}
+
+// demandRate reads one prefix's current demand from the traffic source.
+func (c *Controller) demandRate(p netip.Prefix) float64 {
+	if tr, ok := c.cfg.Traffic.(trafficRate); ok {
+		return tr.Rate(p)
+	}
+	return c.cfg.Traffic.Rates()[p]
 }
 
 // explainUnconsidered synthesizes an explanation for a prefix no
@@ -858,12 +911,7 @@ func (c *Controller) explainUnconsidered(p netip.Prefix, latest *CycleTrace) str
 		b.WriteString("  no organic routes for the prefix in the table\n")
 		return b.String()
 	}
-	var rate float64
-	if tr, ok := c.cfg.Traffic.(trafficRate); ok {
-		rate = tr.Rate(p)
-	} else {
-		rate = c.cfg.Traffic.Rates()[p]
-	}
+	rate := c.demandRate(p)
 	fmt.Fprintf(&b, "  demand %.2f Gbps, preferred %s via %s (%s), %d organic route(s)\n",
 		rate/1e9, ifName(c.cfg.Inventory, preferred.EgressIF), preferred.PeerAddr,
 		preferred.PeerClass, organic)

@@ -127,8 +127,9 @@ type mpMember struct {
 // its capacity consumption is accounted); prev is the previous cycle's
 // installed multipath set (hysteresis). reports is reordered in place
 // (largest gap first, ties by prefix), so the result does not depend on
-// the order it arrives in. tr receives decision provenance; a nil tr
-// records nothing and keeps the sorted-loop early exits.
+// the order it arrives in. tr receives decision provenance for every
+// prefix a trigger fired on; a nil tr records nothing and keeps the
+// sorted-loop early exits.
 func MultipathAllocateTraced(
 	proj *Projection,
 	inv *Inventory,
@@ -200,16 +201,9 @@ func MultipathAllocateTraced(
 		congested := util >= cfg.SpreadUtil
 		if rep.GapMS < cfg.MinGainMS && !congested {
 			// Neither trigger fires. Reports are gap-sorted, but the
-			// congestion trigger is per-interface, so keep scanning; only
-			// record a trace for prefixes that at least had an alternate.
-			if tr != nil && rep.BestAlt != nil && rep.BestAlt.Route != nil && tr.Lookup(rep.Prefix) == nil {
-				pt := tr.Prefix(rep.Prefix)
-				pt.reject(CandidateTrace{
-					Phase: "multipath", Via: rep.BestAlt.Route, Reason: RejectGapBelowThreshold,
-					GapMS: rep.GapMS, NeedGapMS: cfg.MinGainMS,
-				})
-				pt.outcome(OutcomeNone, nil, "gap below threshold and preferred interface uncongested")
-			}
+			// congestion trigger is per-interface, so keep scanning. No
+			// record: most measured prefixes end here every cycle, and
+			// Controller.Explain renders this outcome on demand.
 			continue
 		}
 		if budgetSpent {

@@ -141,9 +141,102 @@ func TestTracePerfPassRecords(t *testing.T) {
 	if pt.Candidates[0].Samples != 4 || pt.Candidates[0].NeedSamples != 16 {
 		t.Errorf("sample numbers = %+v", pt.Candidates[0])
 	}
-	pt = tr.Lookup(netip.MustParsePrefix("10.0.1.0/24"))
-	if pt == nil || len(pt.Candidates) == 0 || pt.Candidates[0].Reason != RejectGapBelowThreshold {
-		t.Fatalf("below-threshold trace = %+v", pt)
+	// Neither trigger fired for the small gap: no record (Explain renders
+	// that outcome on demand, TestExplainRendersUntracedNoOp).
+	if pt := tr.Lookup(netip.MustParsePrefix("10.0.1.0/24")); pt != nil {
+		t.Errorf("below-threshold prefix recorded: %+v", pt)
+	}
+}
+
+// The trace bound holds decisions, not no-ops: reports arrive sorted by
+// gap, largest first, so records for below-threshold prefixes nothing
+// moved used to fill the bound ahead of a small-gap split the
+// congestion trigger made, and the split went unrecorded.
+func TestTraceBoundKeepsTriggeredDecisions(t *testing.T) {
+	inv := testInventory(t)
+	tab := rib.NewTable(rib.DefaultPolicy())
+	for _, p := range []string{"10.0.0.0/24", "10.0.1.0/24"} { // 2G on the 10G pni-a: uncongested
+		tab.Add(route(p, "172.20.0.1", rib.ClassPrivate, 0, 65010))
+		tab.Add(route(p, "172.20.0.9", rib.ClassTransit, 3, 64601, 65010))
+	}
+	tab.Add(route("10.0.2.0/24", "172.20.0.2", rib.ClassPrivate, 1, 65011)) // 8G on the 10G pni-b: congested
+	tab.Add(route("10.0.2.0/24", "172.20.0.9", rib.ClassTransit, 3, 64601, 65011))
+	proj := Project(tab, map[netip.Prefix]float64{
+		netip.MustParsePrefix("10.0.0.0/24"): 1e9,
+		netip.MustParsePrefix("10.0.1.0/24"): 1e9,
+		netip.MustParsePrefix("10.0.2.0/24"): 8e9,
+	})
+	var reports []*altpath.PrefixReport
+	for _, c := range []struct {
+		p   string
+		gap float64
+	}{{"10.0.0.0/24", 15}, {"10.0.1.0/24", 12}, {"10.0.2.0/24", 2}} {
+		plan := proj.Plans[netip.MustParsePrefix(c.p)]
+		reports = append(reports, perfReport(c.p, plan.Preferred, plan.Alternates[0], c.gap, 32))
+	}
+	tr := NewCycleTrace(2)
+	out := MultipathAllocateTraced(proj, inv, reports, nil, nil, AllocatorConfig{Threshold: 0.95}, MultipathConfig{}, tr)
+	if len(out) != 1 || out[0].Prefix != netip.MustParsePrefix("10.0.2.0/24") || len(out[0].Multipath) == 0 {
+		t.Fatalf("overrides = %+v, want one split of 10.0.2.0/24", out)
+	}
+	if pt := tr.Lookup(out[0].Prefix); pt == nil || pt.Outcome != OutcomeMultipath {
+		t.Errorf("split trace = %+v, want a multipath record", pt)
+	}
+	if tr.Truncated != 0 || tr.Len() != 1 {
+		t.Errorf("trace holds %d record(s), truncated %d; want the split alone", tr.Len(), tr.Truncated)
+	}
+}
+
+// A measured prefix no trigger fired on has no trace record; Explain
+// renders its no-op from the measurer's windows, the optimizer's
+// thresholds and the last cycle's utilization.
+func TestExplainRendersUntracedNoOp(t *testing.T) {
+	inv := testInventory(t)
+	demand := staticTraffic{}
+	src := pathModel{
+		netip.MustParseAddr("172.20.0.1"): {rtt: 40},
+		netip.MustParseAddr("172.20.0.9"): {rtt: 35}, // 5 ms faster: below MinGainMS
+	}
+	ctrl, err := New(Config{
+		Inventory: inv,
+		Traffic:   demand,
+		LocalAS:   64500,
+		Optimizer: OptimizerConfig{Source: src, Seed: 3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ctrl.Close)
+	_, conn := newFakePR(t, 64500)
+	if err := ctrl.AddInjectionSession(netip.MustParseAddr("10.255.0.1"), conn); err != nil {
+		t.Fatal(err)
+	}
+	p := netip.MustParsePrefix("10.0.0.0/24")
+	ctrl.Store().Table().Add(route(p.String(), "172.20.0.1", rib.ClassPrivate, 0, 65010))
+	ctrl.Store().Table().Add(route(p.String(), "172.20.0.9", rib.ClassTransit, 3, 64601, 65010))
+	demand[p] = 1e9
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := ctrl.WaitReady(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := ctrl.RunCycle(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := ctrl.Explain(p)
+	for _, want := range []string{
+		"rendered from current measurements",
+		"[multipath] via 172.20.0.9",
+		"rejected: gap below threshold (",
+		"< 20.0 ms)",
+		"gap below threshold and preferred interface uncongested",
+		"preferred interface projected 10.0% last cycle (multipath spread trigger 72%)",
+	} {
+		if !strings.Contains(s, want) {
+			t.Errorf("Explain missing %q:\n%s", want, s)
+		}
 	}
 }
 

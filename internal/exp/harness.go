@@ -383,21 +383,64 @@ func (h *Harness) waitOverridesApplied(report *core.CycleReport) {
 	}
 }
 
+// overridesApplied reports whether the PoP table holds exactly the
+// report's overrides: each overridden prefix routes via the controller,
+// with the override's next hop or its members' next hops and weights,
+// and no other prefix holds a controller route. Comparing prefixes
+// alone would pass a re-weighted set, or a whole-prefix move to another
+// path, before the routers have it.
 func (h *Harness) overridesApplied(report *core.CycleReport) bool {
-	want := make(map[netip.Prefix]bool, len(report.Overrides))
-	for _, o := range report.Overrides {
-		want[o.Prefix] = true
+	want := make(map[netip.Prefix]*core.Override, len(report.Overrides))
+	for i := range report.Overrides {
+		want[report.Overrides[i].Prefix] = &report.Overrides[i]
 	}
-	n := 0
-	h.PoP.Table.EachBest(func(p netip.Prefix, r *rib.Route) {
-		if r.PeerClass == rib.ClassController {
-			if !want[p] {
-				n = -1 << 30 // stale override still installed
+	applied, stale := 0, false
+	h.PoP.Table.EachRoutes(func(p netip.Prefix, routes []*rib.Route) {
+		if o := want[p]; o != nil {
+			if installedAs(routes, o) {
+				applied++
 			}
-			n++
+			return
+		}
+		for _, r := range routes {
+			stale = stale || r.PeerClass == rib.ClassController
 		}
 	})
-	return n == len(want)
+	return !stale && applied == len(want)
+}
+
+// installedAs reports whether one prefix's routes (best first) carry
+// exactly o: a controller route is best, and the controller routes are
+// o's next hop with no slot community, or o's members slot by slot with
+// their weights.
+func installedAs(routes []*rib.Route, o *core.Override) bool {
+	if len(routes) == 0 || routes[0].PeerClass != rib.ClassController {
+		return false
+	}
+	n := 0
+	for _, r := range routes {
+		if r.PeerClass != rib.ClassController {
+			continue
+		}
+		n++
+		slot, pct, mp := rib.ParseMultipathCommunities(r.Communities)
+		if len(o.Multipath) == 0 {
+			if mp || r.NextHop != o.Via.NextHop {
+				return false
+			}
+			continue
+		}
+		if !mp || slot >= len(o.Multipath) {
+			return false
+		}
+		if m := o.Multipath[slot]; r.NextHop != m.Via.NextHop || pct != m.WeightPct {
+			return false
+		}
+	}
+	if len(o.Multipath) == 0 {
+		return n == 1
+	}
+	return n == len(o.Multipath)
 }
 
 // Run steps the simulation for the given virtual duration, invoking

@@ -2,11 +2,13 @@ package exp
 
 import (
 	"context"
+	"net/netip"
 	"testing"
 	"time"
 
 	"edgefabric/internal/core"
 	"edgefabric/internal/netsim"
+	"edgefabric/internal/rib"
 )
 
 // testConfig builds a small scenario whose PNIs are deliberately
@@ -127,5 +129,54 @@ func TestInventoryFromTopology(t *testing.T) {
 				t.Errorf("v6 alias for %s not registered", p.Name)
 			}
 		}
+	}
+}
+
+// The harness may let the next tick route only once the PoP holds what
+// the cycle decided: a set whose weights (or a whole-prefix move whose
+// next hop) differ from the converged table is not applied yet.
+func TestOverridesAppliedComparesWeights(t *testing.T) {
+	p := netip.MustParsePrefix("10.0.0.0/24")
+	pni, ixp, transit := netip.MustParseAddr("172.20.0.1"), netip.MustParseAddr("172.20.0.3"), netip.MustParseAddr("172.20.0.9")
+	tab := rib.NewTable(rib.DefaultPolicy())
+	tab.Add(&rib.Route{Prefix: p, NextHop: pni, PeerAddr: pni, PeerClass: rib.ClassPrivate, ASPath: []uint32{65010}})
+	member := func(slot, pct int, nh netip.Addr) *rib.Route {
+		return &rib.Route{
+			Prefix: p, NextHop: nh, PeerAddr: netsim.ControllerPathAddr(slot), PeerClass: rib.ClassController,
+			FromIBGP: true, LocalPref: rib.PrefController,
+			Communities: []uint32{rib.MultipathSlotCommunity(slot), rib.MultipathWeightCommunity(pct)},
+		}
+	}
+	tab.Add(member(0, 60, transit))
+	tab.Add(member(1, 40, ixp))
+	h := &Harness{PoP: &netsim.PoP{Table: tab}}
+	set := func(w0, w1 int) *core.CycleReport {
+		return &core.CycleReport{Overrides: []core.Override{{Prefix: p, Multipath: []core.PathWeight{
+			{Via: &rib.Route{NextHop: transit}, WeightPct: w0},
+			{Via: &rib.Route{NextHop: ixp}, WeightPct: w1},
+		}}}}
+	}
+	if !h.overridesApplied(set(60, 40)) {
+		t.Error("the converged set reads as not applied")
+	}
+	if h.overridesApplied(set(70, 30)) {
+		t.Error("a re-weighted set reads as applied before the table has it")
+	}
+	if h.overridesApplied(&core.CycleReport{}) {
+		t.Error("a stale set reads as applied after the report dropped it")
+	}
+
+	// k = 1: a whole-prefix move to another path.
+	tab.Remove(p, netsim.ControllerPathAddr(1))
+	tab.Add(&rib.Route{Prefix: p, NextHop: transit, PeerAddr: netsim.ControllerAddr, PeerClass: rib.ClassController,
+		FromIBGP: true, LocalPref: rib.PrefController})
+	move := func(nh netip.Addr) *core.CycleReport {
+		return &core.CycleReport{Overrides: []core.Override{{Prefix: p, Via: &rib.Route{NextHop: nh}}}}
+	}
+	if !h.overridesApplied(move(transit)) {
+		t.Error("the converged move reads as not applied")
+	}
+	if h.overridesApplied(move(ixp)) {
+		t.Error("a move to another path reads as applied before the table has it")
 	}
 }

@@ -3,6 +3,8 @@ package netsim
 import (
 	"net/netip"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"edgefabric/internal/rib"
@@ -110,9 +112,18 @@ type Dataplane struct {
 	// sampling.
 	agents map[string]*sflow.Agent
 	// bestClass caches the best available class per prefix for the
-	// anomaly model; computed lazily from the table.
-	bestClass map[netip.Prefix]uint8
-	bestVer   uint64
+	// anomaly model: an immutable snapshot, computed lazily from the
+	// table and swapped whole under bestMu when the table version moves,
+	// so concurrent RTTForRoute calls read it without a lock.
+	bestClass atomic.Pointer[classSnapshot]
+	bestMu    sync.Mutex
+}
+
+// classSnapshot is the best organic class per prefix at one table
+// version.
+type classSnapshot struct {
+	ver  uint64
+	best map[netip.Prefix]uint8
 }
 
 // NewDataplane wires a dataplane over the PoP's forwarding table.
@@ -126,13 +137,19 @@ func NewDataplane(topo *Topology, table *rib.Table, perf *PathPerf, demand *Dema
 	}
 }
 
-// refreshBestClass recomputes the best organic class per prefix when the
-// table changed (ignoring controller routes, which do not define the
-// "preferred class" anomalies attach to).
-func (dp *Dataplane) refreshBestClass() {
+// bestClasses returns the best organic class per prefix, recomputed
+// when the table changed (ignoring controller routes, which do not
+// define the "preferred class" anomalies attach to). Safe for concurrent
+// use; the map is shared and must not be modified.
+func (dp *Dataplane) bestClasses() map[netip.Prefix]uint8 {
 	v := dp.table.Version()
-	if dp.bestClass != nil && v == dp.bestVer {
-		return
+	if s := dp.bestClass.Load(); s != nil && s.ver == v {
+		return s.best
+	}
+	dp.bestMu.Lock()
+	defer dp.bestMu.Unlock()
+	if s := dp.bestClass.Load(); s != nil && s.ver >= v {
+		return s.best // rebuilt while this call waited
 	}
 	m := make(map[netip.Prefix]uint8, dp.table.Len())
 	dp.table.EachRoutes(func(p netip.Prefix, routes []*rib.Route) {
@@ -147,8 +164,8 @@ func (dp *Dataplane) refreshBestClass() {
 		}
 		m[p] = best
 	})
-	dp.bestClass = m
-	dp.bestVer = v
+	dp.bestClass.Store(&classSnapshot{ver: v, best: m})
+	return m
 }
 
 // Tick advances the dataplane by dt at virtual time t: computes offered
@@ -156,7 +173,7 @@ func (dp *Dataplane) refreshBestClass() {
 // drops, reports sampled bytes to the sFlow agents, and returns the tick
 // statistics.
 func (dp *Dataplane) Tick(t time.Time, dt time.Duration) *TickStats {
-	dp.refreshBestClass()
+	bestClass := dp.bestClasses()
 	stats := &TickStats{
 		Time:       t,
 		Duration:   dt,
@@ -235,7 +252,7 @@ func (dp *Dataplane) Tick(t time.Time, dt time.Duration) *TickStats {
 			continue
 		}
 		if len(pt.Members) > 0 {
-			dp.tickMultipath(pi, pt, stats, dt)
+			dp.tickMultipath(pi, pt, stats, dt, bestClass[pi.Prefix])
 			continue
 		}
 		primaryBps := pt.DemandBps - pt.SplitBps
@@ -244,7 +261,7 @@ func (dp *Dataplane) Tick(t time.Time, dt time.Duration) *TickStats {
 		pt.LossFrac = drop
 		var rtt float64
 		if peer := viaPeer[pi.Prefix]; peer != nil {
-			rtt = dp.perf.BaseRTT(pi.Prefix, peer, dp.bestClass[pi.Prefix])
+			rtt = dp.perf.BaseRTT(pi.Prefix, peer, bestClass[pi.Prefix])
 			// Scripted path loss is experienced by the prefix but is not
 			// an interface drop (the loss happens beyond the egress).
 			pt.LossFrac = min(1, drop+dp.perf.PathLoss(peer.Addr))
@@ -319,7 +336,8 @@ func (dp *Dataplane) multipathMembers(p netip.Prefix, bps float64) []MemberTick 
 // tickMultipath computes pass-2 results for a prefix carried by a
 // weighted multipath set: demand-weighted RTT and loss across members,
 // per-member interface drops, and per-member sFlow observations.
-func (dp *Dataplane) tickMultipath(pi *PrefixInfo, pt *PrefixTick, stats *TickStats, dt time.Duration) {
+// bestClass is the prefix's best organic class.
+func (dp *Dataplane) tickMultipath(pi *PrefixInfo, pt *PrefixTick, stats *TickStats, dt time.Duration, bestClass uint8) {
 	var rtt, loss float64
 	for _, m := range pt.Members {
 		w := m.Bps / pt.DemandBps
@@ -328,7 +346,7 @@ func (dp *Dataplane) tickMultipath(pi *PrefixInfo, pt *PrefixTick, stats *TickSt
 		memberLoss := drop
 		var base float64
 		if peer := dp.topo.PeerByAddr(m.NextHop); peer != nil {
-			base = dp.perf.BaseRTT(pi.Prefix, peer, dp.bestClass[pi.Prefix])
+			base = dp.perf.BaseRTT(pi.Prefix, peer, bestClass)
 			memberLoss = min(1, drop+dp.perf.PathLoss(peer.Addr))
 		}
 		rtt += w * (base + CongestionDelay(util))
@@ -359,9 +377,10 @@ func (dp *Dataplane) observe(pi *PrefixInfo, ifID int, bps float64, dt time.Dura
 
 // RTTForRoute exposes the uncongested model RTT the dataplane would
 // assign to prefix via the peer owning the given route — the alternate
-// path measurement subsystem uses it to "measure" candidate paths.
+// path measurement subsystem uses it to "measure" candidate paths. Safe
+// for concurrent use, including beside table writes.
 func (dp *Dataplane) RTTForRoute(p netip.Prefix, r *rib.Route) float64 {
-	dp.refreshBestClass()
+	bestClass := dp.bestClasses()
 	// Injected copies point at the same next hop as an organic route.
 	peer := dp.topo.PeerByAddr(r.PeerAddr)
 	if peer == nil {
@@ -370,7 +389,7 @@ func (dp *Dataplane) RTTForRoute(p netip.Prefix, r *rib.Route) float64 {
 	if peer == nil {
 		return 0
 	}
-	return dp.perf.BaseRTT(p, peer, dp.bestClass[p])
+	return dp.perf.BaseRTT(p, peer, bestClass[p])
 }
 
 // LossForRoute exposes the scripted transport-loss fraction on the

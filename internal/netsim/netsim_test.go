@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"hash/fnv"
 	"math"
 	"net/netip"
 	"testing"
@@ -343,5 +344,24 @@ func TestBuildAnnouncementsBatching(t *testing.T) {
 	}
 	if nV4 != 450 || nV6 != 10 {
 		t.Errorf("NLRI counts = %d/%d", nV4, nV6)
+	}
+}
+
+// hash2 is FNV-1a inline; it must equal hash/fnv over the same
+// big-endian bytes, or every seed's scenario and path model would move.
+func TestHash2MatchesFNV(t *testing.T) {
+	for _, c := range []struct {
+		seed int64
+		a, b uint64
+	}{{0, 0, 0}, {7, 1, 2}, {-1, math.MaxUint64, 1 << 63}, {42, 0x0102030405060708, 0xabcd}} {
+		h := fnv.New64a()
+		var buf [8]byte
+		for _, v := range []uint64{uint64(c.seed), c.a, c.b} {
+			putU64(buf[:], v)
+			h.Write(buf[:])
+		}
+		if got, want := hash2(c.seed, c.a, c.b), h.Sum64(); got != want {
+			t.Errorf("hash2(%d, %#x, %#x) = %#x, hash/fnv %#x", c.seed, c.a, c.b, got, want)
+		}
 	}
 }

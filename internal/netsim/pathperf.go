@@ -4,6 +4,7 @@ import (
 	"math"
 	"net/netip"
 	"sync"
+	"sync/atomic"
 )
 
 // PathPerfConfig parameterizes the path performance model.
@@ -53,7 +54,15 @@ func (c *PathPerfConfig) setDefaults() {
 type PathPerf struct {
 	cfg PathPerfConfig
 
-	mu sync.RWMutex
+	mu sync.Mutex // serializes overlay writers
+	// overlay is the scripted impairment overlay: an immutable snapshot
+	// readers load without a lock (a measurement round reads it from
+	// every worker); writers copy, edit and swap it under mu.
+	overlay atomic.Pointer[impairments]
+}
+
+// impairments is one snapshot of the per-peer impairment overlay.
+type impairments struct {
 	// extraMS is active RTT inflation per peer address (summed across
 	// overlapping events by the engine before it calls SetRTTInflation).
 	extraMS map[netip.Addr]float64
@@ -64,11 +73,9 @@ type PathPerf struct {
 // NewPathPerf returns a model for cfg.
 func NewPathPerf(cfg PathPerfConfig) *PathPerf {
 	cfg.setDefaults()
-	return &PathPerf{
-		cfg:      cfg,
-		extraMS:  make(map[netip.Addr]float64),
-		lossFrac: make(map[netip.Addr]float64),
-	}
+	pp := &PathPerf{cfg: cfg}
+	pp.overlay.Store(&impairments{})
+	return pp
 }
 
 // SetRTTInflation sets the scripted RTT inflation (milliseconds) on
@@ -76,11 +83,9 @@ func NewPathPerf(cfg PathPerfConfig) *PathPerf {
 func (pp *PathPerf) SetRTTInflation(peer netip.Addr, ms float64) {
 	pp.mu.Lock()
 	defer pp.mu.Unlock()
-	if ms <= 0 {
-		delete(pp.extraMS, peer)
-		return
-	}
-	pp.extraMS[peer] = ms
+	next := *pp.overlay.Load()
+	next.extraMS = withPeer(next.extraMS, peer, ms)
+	pp.overlay.Store(&next)
 }
 
 // SetPathLoss sets the scripted transport-loss fraction on every path
@@ -88,28 +93,34 @@ func (pp *PathPerf) SetRTTInflation(peer netip.Addr, ms float64) {
 func (pp *PathPerf) SetPathLoss(peer netip.Addr, frac float64) {
 	pp.mu.Lock()
 	defer pp.mu.Unlock()
-	if frac <= 0 {
-		delete(pp.lossFrac, peer)
-		return
+	next := *pp.overlay.Load()
+	next.lossFrac = withPeer(next.lossFrac, peer, min(frac, 1))
+	pp.overlay.Store(&next)
+}
+
+// withPeer returns a copy of m with peer set to v, or removed when v is
+// not positive.
+func withPeer(m map[netip.Addr]float64, peer netip.Addr, v float64) map[netip.Addr]float64 {
+	out := make(map[netip.Addr]float64, len(m)+1)
+	for k, x := range m {
+		out[k] = x
 	}
-	if frac > 1 {
-		frac = 1
+	if v > 0 {
+		out[peer] = v
+	} else {
+		delete(out, peer)
 	}
-	pp.lossFrac[peer] = frac
+	return out
 }
 
 // rttInflation returns the active scripted inflation for a peer.
 func (pp *PathPerf) rttInflation(peer netip.Addr) float64 {
-	pp.mu.RLock()
-	defer pp.mu.RUnlock()
-	return pp.extraMS[peer]
+	return pp.overlay.Load().extraMS[peer]
 }
 
 // PathLoss returns the active scripted loss fraction for a peer.
 func (pp *PathPerf) PathLoss(peer netip.Addr) float64 {
-	pp.mu.RLock()
-	defer pp.mu.RUnlock()
-	return pp.lossFrac[peer]
+	return pp.overlay.Load().lossFrac[peer]
 }
 
 // unit maps a hash to [0,1).

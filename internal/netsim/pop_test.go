@@ -374,3 +374,57 @@ func TestControllerPathAddrDistinct(t *testing.T) {
 		t.Error("slot 0 must be ControllerAddr")
 	}
 }
+
+// RTTForRoute is called from every worker of a measurement round at
+// once, while BMP and the injector keep writing the table: the
+// best-class cache must stay race-free and agree with a serial read.
+func TestRTTForRouteConcurrent(t *testing.T) {
+	pop, sc, _ := startPoP(t, nil)
+	type path struct {
+		p netip.Prefix
+		r *rib.Route
+	}
+	var paths []path
+	for _, pi := range sc.Prefixes {
+		for _, r := range pop.Table.Routes(pi.Prefix) {
+			paths = append(paths, path{pi.Prefix, r})
+		}
+	}
+	want := make([]float64, len(paths))
+	for i, pt := range paths {
+		want[i] = pop.Plane.RTTForRoute(pt.p, pt.r)
+	}
+	victim := paths[0].p
+	unused := netip.MustParseAddr("192.0.2.1") // no path runs via it
+	done := make(chan struct{})
+	go func() { // churn the table version and the impairment overlay without moving any RTT
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			pop.Plane.Perf().SetRTTInflation(unused, float64(i%3))
+			pop.Plane.Perf().SetPathLoss(unused, 0.01*float64(i%2))
+			pop.Table.Add(&rib.Route{
+				Prefix: victim, NextHop: ControllerAddr, PeerAddr: ControllerAddr,
+				PeerClass: rib.ClassController, FromIBGP: true, LocalPref: rib.PrefController,
+			})
+			pop.Table.Remove(victim, ControllerAddr)
+		}
+	}()
+	errs := make(chan string, 4)
+	for g := 0; g < 4; g++ {
+		go func() {
+			for i, pt := range paths {
+				if got := pop.Plane.RTTForRoute(pt.p, pt.r); got != want[i] {
+					errs <- pt.p.String()
+					return
+				}
+			}
+			errs <- ""
+		}()
+	}
+	for g := 0; g < 4; g++ {
+		if p := <-errs; p != "" {
+			t.Errorf("concurrent RTTForRoute for %s differs from the serial read", p)
+		}
+	}
+	<-done
+}

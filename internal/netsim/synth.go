@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"net/netip"
 	"sort"
@@ -443,15 +442,21 @@ func v6Prefix(i int) (netip.Prefix, netip.Addr) {
 	return netip.PrefixFrom(addr, 48), rep
 }
 
-// hash2 is a small deterministic hash for structural decisions.
+// hash2 is a small deterministic hash for structural decisions: 64-bit
+// FNV-1a over the big-endian bytes of seed, a and b, the same value
+// hash/fnv's New64a gives for them, computed inline without its
+// allocation.
 func hash2(seed int64, a, b uint64) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	putU64(buf[:], uint64(seed))
-	h.Write(buf[:])
-	putU64(buf[:], a)
-	h.Write(buf[:])
-	putU64(buf[:], b)
-	h.Write(buf[:])
-	return h.Sum64()
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for _, v := range [3]uint64{uint64(seed), a, b} {
+		for shift := 56; shift >= 0; shift -= 8 {
+			h ^= v >> shift & 0xff
+			h *= prime64
+		}
+	}
+	return h
 }

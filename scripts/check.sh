@@ -53,10 +53,12 @@ echo "==> cross-PoP shift smoke (TestE18ShiftSmoke, 4m budget)"
 go test -count=1 -timeout 4m -run '^TestE18ShiftSmoke$' ./internal/exp
 
 # Decision pins: the closed-loop optimizer rungs (k = 1 and k = 3) must
-# reproduce internal/exp/testdata/pins.txt, twice in a row, so a new
-# source of nondeterminism fails here instead of flaking later.
-echo "==> decision pins (TestDecisionPins, -count=2)"
-go test -count=2 -run '^TestDecisionPins$' ./internal/exp
+# reproduce internal/exp/testdata/pins.txt, twice in a row and on one
+# and two cores (the measurement round splits across GOMAXPROCS
+# workers), so a new source of nondeterminism fails here instead of
+# flaking later.
+echo "==> decision pins (TestDecisionPins, -count=2, -cpu 1,2)"
+go test -count=2 -cpu 1,2 -run '^TestDecisionPins$' ./internal/exp
 
 # Hot-path benchmarks -> BENCH_hotpath.json, gated against the
 # committed previous run on allocs/op (a count: any rise fails); ns/op

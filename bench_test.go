@@ -177,10 +177,13 @@ func BenchmarkE9FlashReaction(b *testing.B) {
 			}
 		}
 		flashStart := cfg.Start.Add(5 * time.Minute)
-		cfg.Demand.Flash = []netsim.FlashEvent{{
-			AS: flashAS, Start: flashStart, Duration: 30 * time.Minute, Multiplier: 3,
-		}}
 		h := mustHarness(b, cfg)
+		if err := h.AttachEvents([]netsim.Event{{
+			Kind: netsim.EventFlashCrowd, At: flashStart.Sub(h.Clock.Now()),
+			Duration: 30 * time.Minute, Magnitude: 3, AS: flashAS,
+		}}); err != nil {
+			b.Fatal(err)
+		}
 		b.StartTimer()
 		res := exp.E9FlashReaction(h, flashStart, 20*time.Minute)
 		if res.OverloadAppeared && res.Reaction > 0 {

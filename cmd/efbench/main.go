@@ -328,10 +328,13 @@ func runE9(ctx context.Context, base exp.HarnessConfig) *exp.FlashReactionResult
 		}
 	}
 	flashStart := cfg.Start.Add(10 * time.Minute)
-	cfg.Demand.Flash = []netsim.FlashEvent{{
-		AS: flashAS, Start: flashStart, Duration: time.Hour, Multiplier: 3,
-	}}
 	h := mustHarness(ctx, cfg)
 	defer h.Close()
+	if err := h.AttachEvents([]netsim.Event{{
+		Kind: netsim.EventFlashCrowd, At: flashStart.Sub(h.Clock.Now()),
+		Duration: time.Hour, Magnitude: 3, AS: flashAS,
+	}}); err != nil {
+		log.Fatal(err)
+	}
 	return exp.E9FlashReaction(h, flashStart, 90*time.Minute)
 }

@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"os"
 	"os/signal"
 	"sort"
@@ -102,17 +103,16 @@ func main() {
 		}
 	}
 	start := time.Date(2017, 3, 1, *startHour, 0, 0, 0, time.UTC)
-	dcfg := netsim.DemandConfig{PeakBps: *peakGbps * 1e9}
 	if *flash != "" {
-		ev, err := parseFlash(*flash, start, sc)
+		ev, err := parseFlash(*flash, sc)
 		if err != nil {
 			log.Fatalf("flash: %v", err)
 		}
-		dcfg.Flash = []netsim.FlashEvent{ev}
+		sc.Events = append(sc.Events, ev)
 		log.Printf("flash crowd armed: AS%d ×%.1f at %s for %s",
-			ev.AS, ev.Multiplier, ev.Start.Format("15:04:05"), ev.Duration)
+			ev.AS, ev.Magnitude, start.Add(ev.At).Format("15:04:05"), ev.Duration)
 	}
-	demand, err := sc.NewDemand(dcfg)
+	demand, err := sc.NewDemand(netsim.DemandConfig{PeakBps: *peakGbps * 1e9})
 	if err != nil {
 		log.Fatalf("demand: %v", err)
 	}
@@ -216,33 +216,11 @@ func main() {
 			SFlowAgent: agentOf[router],
 		}
 		if *bmpBase > 0 {
-			br, err := netsim.NewBridge(fmt.Sprintf("127.0.0.1:%d", *bmpBase+i), pop.BMPConn(router))
-			if err != nil {
-				log.Fatalf("bmp bridge: %v", err)
-			}
-			go func() {
-				if err := br.Serve(ctx); err != nil {
-					log.Printf("bmp bridge %s: %v", router, err)
-				}
-			}()
-			ep.BMP = br.Addr().String()
+			ep.BMP = serveBridge(ctx, "bmp", router, *bmpBase+i, pop.BMPDialer(router))
 			log.Printf("router %s: BMP feed on %s", router, ep.BMP)
 		}
 		if *injectBase > 0 {
-			conn, err := pop.ConnectController(router)
-			if err != nil {
-				log.Fatalf("inject session: %v", err)
-			}
-			br, err := netsim.NewBridge(fmt.Sprintf("127.0.0.1:%d", *injectBase+i), conn)
-			if err != nil {
-				log.Fatalf("inject bridge: %v", err)
-			}
-			go func() {
-				if err := br.Serve(ctx); err != nil {
-					log.Printf("inject bridge %s: %v", router, err)
-				}
-			}()
-			ep.Inject = br.Addr().String()
+			ep.Inject = serveBridge(ctx, "inject", router, *injectBase+i, pop.ControllerDialer(router))
 			log.Printf("router %s: injection session on %s", router, ep.Inject)
 		}
 		invFile.Routers = append(invFile.Routers, ep)
@@ -284,6 +262,21 @@ func main() {
 	}
 }
 
+// serveBridge exposes one of router's session dialers on a local TCP
+// port and returns the listener address.
+func serveBridge(ctx context.Context, kind, router string, port int, dial func(context.Context) (net.Conn, error)) string {
+	br, err := netsim.NewBridge(fmt.Sprintf("127.0.0.1:%d", port), dial)
+	if err != nil {
+		log.Fatalf("%s bridge: %v", kind, err)
+	}
+	go func() {
+		if err := br.Serve(ctx); err != nil {
+			log.Printf("%s bridge %s: %v", kind, router, err)
+		}
+	}()
+	return br.Addr().String()
+}
+
 // discardSink drops every sFlow datagram; it backs the loss wrapper
 // when no --sflow destination is configured.
 type discardSink struct{}
@@ -291,12 +284,12 @@ type discardSink struct{}
 func (discardSink) SendDatagram([]byte) error { return nil }
 
 // parseFlash parses "afterMinutes:durationMinutes:multiplier" into a
-// flash event on the scenario's biggest private-peered AS.
-func parseFlash(s string, start time.Time, sc *netsim.Scenario) (netsim.FlashEvent, error) {
+// flash-crowd event on the scenario's biggest private-peered AS.
+func parseFlash(s string, sc *netsim.Scenario) (netsim.Event, error) {
 	var afterMin, durMin int
 	var mult float64
 	if _, err := fmt.Sscanf(s, "%d:%d:%f", &afterMin, &durMin, &mult); err != nil {
-		return netsim.FlashEvent{}, fmt.Errorf("want afterMin:durMin:multiplier, got %q", s)
+		return netsim.Event{}, fmt.Errorf("want afterMin:durMin:multiplier, got %q", s)
 	}
 	var flashAS uint32
 	var best float64
@@ -306,13 +299,14 @@ func parseFlash(s string, start time.Time, sc *netsim.Scenario) (netsim.FlashEve
 		}
 	}
 	if flashAS == 0 {
-		return netsim.FlashEvent{}, fmt.Errorf("no private-peered AS to flash")
+		return netsim.Event{}, fmt.Errorf("no private-peered AS to flash")
 	}
-	return netsim.FlashEvent{
-		AS:         flashAS,
-		Start:      start.Add(time.Duration(afterMin) * time.Minute),
-		Duration:   time.Duration(durMin) * time.Minute,
-		Multiplier: mult,
+	return netsim.Event{
+		Kind:      netsim.EventFlashCrowd,
+		At:        time.Duration(afterMin) * time.Minute,
+		Duration:  time.Duration(durMin) * time.Minute,
+		Magnitude: mult,
+		AS:        flashAS,
 	}, nil
 }
 

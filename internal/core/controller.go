@@ -78,9 +78,6 @@ type Config struct {
 	// demand only every TailStride-th delta cycle (rotating stripes);
 	// see Projector.TailStride. Values <= 1 visit everything.
 	TailStride int
-	// BMPBackoffMin / BMPBackoffMax bound the supervised BMP feed
-	// redial backoff (wall clock). Defaults 100 ms / 2 s.
-	BMPBackoffMin, BMPBackoffMax time.Duration
 	// MaxHistory bounds the retained cycle-report ring. Default 4096; a
 	// fleet host packing hundreds of PoPs into one process sets this
 	// much lower (the ring is per PoP, ~1 KB per report).
@@ -202,12 +199,6 @@ func New(cfg Config) (*Controller, error) {
 	}
 	if cfg.LocalAS == 0 {
 		return nil, fmt.Errorf("core: Config.LocalAS required")
-	}
-	if cfg.BMPBackoffMin == 0 {
-		cfg.BMPBackoffMin = 100 * time.Millisecond
-	}
-	if cfg.BMPBackoffMax == 0 {
-		cfg.BMPBackoffMax = 2 * time.Second
 	}
 	store := NewRouteStore(cfg.Inventory)
 	var meas *altpath.Measurer
@@ -372,6 +363,24 @@ func (c *Controller) AddBMPFeed(router string, conn net.Conn) {
 	}
 }
 
+// Supervised BMP feed redial backoff bounds (wall clock).
+const (
+	bmpBackoffMin = 100 * time.Millisecond
+	bmpBackoffMax = 2 * time.Second
+)
+
+// readConn records whether a BMP stream delivered any bytes.
+type readConn struct {
+	net.Conn
+	read bool
+}
+
+func (c *readConn) Read(b []byte) (int, error) {
+	n, err := c.Conn.Read(b)
+	c.read = c.read || n > 0
+	return n, err
+}
+
 // AddBMPFeedDialer starts a supervised BMP feed: dial connects to the
 // router's BMP endpoint, the stream is consumed until it fails, and the
 // supervisor redials with exponential backoff plus jitter. While the
@@ -382,7 +391,7 @@ func (c *Controller) AddBMPFeed(router string, conn net.Conn) {
 func (c *Controller) AddBMPFeedDialer(router string, dial func(ctx context.Context) (net.Conn, error)) {
 	c.health.RegisterFeed(router)
 	c.goFeed(func() {
-		backoff := c.cfg.BMPBackoffMin
+		backoff := bmpBackoffMin
 		sleep := func() bool {
 			// ±25% jitter decorrelates redial storms across feeds.
 			d := backoff + time.Duration((rand.Float64()-0.5)*0.5*float64(backoff))
@@ -391,7 +400,7 @@ func (c *Controller) AddBMPFeedDialer(router string, dial func(ctx context.Conte
 				return false
 			case <-time.After(d):
 			}
-			backoff = min(backoff*2, c.cfg.BMPBackoffMax)
+			backoff = min(backoff*2, bmpBackoffMax)
 			return true
 		}
 		for {
@@ -408,11 +417,17 @@ func (c *Controller) AddBMPFeedDialer(router string, dial func(ctx context.Conte
 				}
 				continue
 			}
-			backoff = c.cfg.BMPBackoffMin
 			c.health.FeedUp(router)
 			c.registry.Counter("edgefabric_bmp_connects_total").Inc()
-			err = c.collector.HandleConn(c.bmpCtx, router, conn)
+			rc := &readConn{Conn: conn}
+			err = c.collector.HandleConn(c.bmpCtx, router, rc)
 			c.health.FeedDown(router)
+			if rc.read {
+				// Only a stream that carried data resets the backoff: a
+				// speaker that accepts and hangs up is redialed ever
+				// more slowly.
+				backoff = bmpBackoffMin
+			}
 			if c.bmpCtx.Err() != nil {
 				return
 			}

@@ -7,6 +7,7 @@ import (
 	"net/netip"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -505,5 +506,28 @@ func TestResyncInvisibleToCycle(t *testing.T) {
 	}
 	if got := m.Counter("edgefabric_rib_duplicate_announcements_total").Value(); got != uint64(2*len(prefixes)) {
 		t.Errorf("edgefabric_rib_duplicate_announcements_total = %d, want %d", got, 2*len(prefixes))
+	}
+}
+
+// TestBMPRedialBacksOffOnEmptyStreams supervises a BMP speaker that
+// accepts every dial and hangs up at once. Streams that carry nothing
+// must not reset the redial backoff, so two seconds see a handful of
+// dials rather than one every bmpBackoffMin.
+func TestBMPRedialBacksOffOnEmptyStreams(t *testing.T) {
+	ctrl, err := New(Config{Inventory: testInventory(t), Traffic: staticTraffic{}, LocalAS: 64500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dials atomic.Int32
+	ctrl.AddBMPFeedDialer("pr1", func(context.Context) (net.Conn, error) {
+		dials.Add(1)
+		ours, theirs := net.Pipe()
+		theirs.Close()
+		return ours, nil
+	})
+	time.Sleep(2 * time.Second)
+	ctrl.Close()
+	if n := dials.Load(); n > 6 {
+		t.Errorf("%d dials in 2s to a speaker that hangs up at once, want ≤ 6", n)
 	}
 }

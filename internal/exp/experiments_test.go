@@ -196,10 +196,13 @@ func TestE9FlashReaction(t *testing.T) {
 		}
 	}
 	flashStart := cfg.Start.Add(5 * time.Minute)
-	cfg.Demand.Flash = []netsim.FlashEvent{{
-		AS: flashAS, Start: flashStart, Duration: 30 * time.Minute, Multiplier: 3,
-	}}
 	h := newTestHarness(t, cfg)
+	if err := h.AttachEvents([]netsim.Event{{
+		Kind: netsim.EventFlashCrowd, At: flashStart.Sub(h.Clock.Now()),
+		Duration: 30 * time.Minute, Magnitude: 3, AS: flashAS,
+	}}); err != nil {
+		t.Fatal(err)
+	}
 	res := E9FlashReaction(h, flashStart, 25*time.Minute)
 	if !res.OverloadAppeared {
 		t.Skip("flash did not overload; scenario too roomy for this seed")

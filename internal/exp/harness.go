@@ -291,8 +291,8 @@ func NewHarness(ctx context.Context, cfg HarnessConfig) (*Harness, error) {
 
 	// Wire BMP feeds and injection sessions through the PoP's dialers so
 	// both self-heal (and so fault experiments can kill and restore
-	// them). The first BMP dial consumes the stream created at Start,
-	// which carries the initial convergence backlog.
+	// them). Each BMP dial, the first included, starts with the router's
+	// Peer Up + table dump.
 	for _, router := range pop.Routers() {
 		h.Controller.AddBMPFeedDialer(router, pop.BMPDialer(router))
 		if err := h.Controller.AddInjectionSessionDialer(pop.RouterIP(router), pop.ControllerDialer(router)); err != nil {

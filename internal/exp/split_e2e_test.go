@@ -52,11 +52,7 @@ func TestSplitOverrideEndToEnd(t *testing.T) {
 	}
 	defer inj.Close()
 	for _, router := range h.PoP.Routers() {
-		conn, err := h.PoP.ConnectController(router)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := inj.AddRouter(h.PoP.RouterIP(router), conn); err != nil {
+		if err := inj.AddRouterDialer(h.PoP.RouterIP(router), h.PoP.ControllerDialer(router)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -2,59 +2,96 @@ package netsim
 
 import (
 	"context"
+	"errors"
 	"net"
 	"testing"
 	"time"
 )
 
-func TestBridgeSplicesBothDirections(t *testing.T) {
-	inner, farSide := BufferedPipe()
-	br, err := NewBridge("127.0.0.1:0", inner)
+// pipeDialer returns a dial function that hands out the near end of a
+// fresh BufferedPipe per dial and delivers the far end on the channel.
+func pipeDialer() (func(context.Context) (net.Conn, error), <-chan net.Conn) {
+	far := make(chan net.Conn, 4)
+	return func(context.Context) (net.Conn, error) {
+		near, f := BufferedPipe()
+		far <- f
+		return near, nil
+	}, far
+}
+
+func serveBridge(t *testing.T, dial func(context.Context) (net.Conn, error)) (*Bridge, <-chan error) {
+	t.Helper()
+	br, err := NewBridge("127.0.0.1:0", dial)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	t.Cleanup(cancel)
 	done := make(chan error, 1)
 	go func() { done <- br.Serve(ctx) }()
+	return br, done
+}
+
+func nextFar(t *testing.T, far <-chan net.Conn) net.Conn {
+	t.Helper()
+	select {
+	case c := <-far:
+		return c
+	case <-time.After(3 * time.Second):
+		t.Fatal("bridge never dialed")
+		return nil
+	}
+}
+
+// echo writes msg on w and reads it back on r.
+func echo(t *testing.T, w, r net.Conn, msg string) {
+	t.Helper()
+	if _, err := w.Write([]byte(msg)); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, len(msg))
+	r.SetReadDeadline(time.Now().Add(3 * time.Second))
+	if _, err := ioReadFull(r, buf); err != nil {
+		t.Fatalf("read %q: %v", msg, err)
+	}
+	if string(buf) != msg {
+		t.Errorf("got %q, want %q", buf, msg)
+	}
+}
+
+// readsEOF reports whether c's next read ends the stream without data.
+func readsEOF(c net.Conn) bool {
+	c.SetReadDeadline(time.Now().Add(3 * time.Second))
+	n, err := c.Read(make([]byte, 1))
+	var ne net.Error
+	return n == 0 && err != nil && !(errors.As(err, &ne) && ne.Timeout())
+}
+
+func TestBridgeSplicesBothDirections(t *testing.T) {
+	dial, far := pipeDialer()
+	br, _ := serveBridge(t, dial)
 
 	remote, err := net.Dial("tcp", br.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer remote.Close()
+	inner := nextFar(t, far)
+	echo(t, remote, inner, "hello") // remote -> inner
+	echo(t, inner, remote, "world") // inner -> remote
 
-	// remote -> inner
-	if _, err := remote.Write([]byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 5)
-	farSide.SetReadDeadline(time.Now().Add(3 * time.Second))
-	if _, err := ioReadFull(farSide, buf); err != nil {
-		t.Fatalf("inner read: %v", err)
-	}
-	if string(buf) != "hello" {
-		t.Errorf("inner got %q", buf)
-	}
-	// inner -> remote
-	if _, err := farSide.Write([]byte("world")); err != nil {
-		t.Fatal(err)
-	}
-	remote.SetReadDeadline(time.Now().Add(3 * time.Second))
-	if _, err := ioReadFull(remote, buf); err != nil {
-		t.Fatalf("remote read: %v", err)
-	}
-	if string(buf) != "world" {
-		t.Errorf("remote got %q", buf)
-	}
-
-	// Closing the remote ends Serve cleanly.
+	// Closing the remote ends the inner session, and the bridge serves
+	// the next connection over a fresh dial.
 	remote.Close()
-	select {
-	case <-done:
-	case <-time.After(3 * time.Second):
-		t.Fatal("Serve did not return after remote close")
+	if !readsEOF(inner) {
+		t.Error("inner session survived the remote's close")
 	}
+	again, err := net.Dial("tcp", br.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	echo(t, again, nextFar(t, far), "again")
 }
 
 func ioReadFull(r interface{ Read([]byte) (int, error) }, buf []byte) (int, error) {
@@ -70,34 +107,53 @@ func ioReadFull(r interface{ Read([]byte) (int, error) }, buf []byte) (int, erro
 }
 
 func TestBridgeSingleSession(t *testing.T) {
-	inner, farSide := BufferedPipe()
-	defer farSide.Close()
-	br, err := NewBridge("127.0.0.1:0", inner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() { _ = br.Serve(ctx) }()
+	dial, far := pipeDialer()
+	br, _ := serveBridge(t, dial)
 
 	first, err := net.Dial("tcp", br.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer first.Close()
-	// Second connection must be refused (listener closed after first).
-	time.Sleep(50 * time.Millisecond)
+	inner := nextFar(t, far)
+	echo(t, first, inner, "one")
+
+	// A second connection while the first is served is closed unserved.
 	second, err := net.Dial("tcp", br.Addr().String())
-	if err == nil {
-		second.Close()
-		t.Error("second connection should be refused")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Close()
+	if !readsEOF(second) {
+		t.Error("second concurrent connection was not closed")
+	}
+	select {
+	case <-far:
+		t.Error("second connection was dialed through")
+	default:
+	}
+	echo(t, inner, first, "still")
+}
+
+func TestBridgeFailedDialClosesConn(t *testing.T) {
+	br, _ := serveBridge(t, func(context.Context) (net.Conn, error) {
+		return nil, errors.New("endpoint down")
+	})
+	for range 2 { // a failed dial frees the bridge for the next try
+		c, err := net.Dial("tcp", br.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !readsEOF(c) {
+			t.Error("connection survived a failed dial")
+		}
+		c.Close()
 	}
 }
 
 func TestBridgeContextCancel(t *testing.T) {
-	inner, farSide := BufferedPipe()
-	defer farSide.Close()
-	br, err := NewBridge("127.0.0.1:0", inner)
+	dial, _ := pipeDialer()
+	br, err := NewBridge("127.0.0.1:0", dial)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,16 +9,6 @@ import (
 	"time"
 )
 
-// FlashEvent is a transient demand spike: every prefix originated by AS
-// gets its demand multiplied by Multiplier during [Start, Start+Duration).
-// Flash crowds are what force Edge Fabric to react between BGP events.
-type FlashEvent struct {
-	AS         uint32
-	Start      time.Time
-	Duration   time.Duration
-	Multiplier float64
-}
-
 // DemandConfig parameterizes the synthetic traffic model.
 type DemandConfig struct {
 	// PeakBps is the PoP's total egress demand at the diurnal peak.
@@ -33,8 +23,6 @@ type DemandConfig struct {
 	NoiseSigma float64
 	// NoisePeriod is how often noise re-draws. Default 5 minutes.
 	NoisePeriod time.Duration
-	// Flash lists flash-crowd events.
-	Flash []FlashEvent
 	// Seed decorrelates noise across scenarios.
 	Seed int64
 }
@@ -116,13 +104,12 @@ func (m *DemandMod) factor(p *PrefixInfo, t time.Time) float64 {
 
 // DemandModel produces per-prefix egress demand over time:
 // Zipf-weighted prefix volumes × diurnal curve × lognormal noise ×
-// flash-crowd multipliers. All randomness is a pure function of
+// the event engine's demand modifiers (flash crowds among them). All randomness is a pure function of
 // (Seed, prefix, time), so replays are deterministic; the only mutable
 // state is the event engine's modifier overlay, guarded by modMu.
 type DemandModel struct {
-	cfg       DemandConfig
-	prefixes  []*PrefixInfo
-	flashByAS map[uint32][]FlashEvent
+	cfg      DemandConfig
+	prefixes []*PrefixInfo
 
 	modMu sync.RWMutex
 	mods  []*DemandMod
@@ -145,11 +132,7 @@ func NewDemandModel(cfg DemandConfig, prefixes []*PrefixInfo) (*DemandModel, err
 	if math.Abs(sum-1) > 0.01 {
 		return nil, fmt.Errorf("netsim: prefix weights sum to %.4f, want 1", sum)
 	}
-	m := &DemandModel{cfg: cfg, prefixes: prefixes, flashByAS: make(map[uint32][]FlashEvent)}
-	for _, f := range cfg.Flash {
-		m.flashByAS[f.AS] = append(m.flashByAS[f.AS], f)
-	}
-	return m, nil
+	return &DemandModel{cfg: cfg, prefixes: prefixes}, nil
 }
 
 // Prefixes returns the model's prefix set.
@@ -195,17 +178,6 @@ func putU64(b []byte, v uint64) {
 	}
 }
 
-// flash returns the flash multiplier for origin AS at t.
-func (m *DemandModel) flash(as uint32, t time.Time) float64 {
-	f := 1.0
-	for _, ev := range m.flashByAS[as] {
-		if !t.Before(ev.Start) && t.Before(ev.Start.Add(ev.Duration)) {
-			f *= ev.Multiplier
-		}
-	}
-	return f
-}
-
 // AddMod installs a runtime demand modifier and returns the handle to
 // pass to RemoveMod. The event engine owns the lifecycle.
 func (m *DemandModel) AddMod(mod DemandMod) *DemandMod {
@@ -246,7 +218,7 @@ func (m *DemandModel) modFactor(p *PrefixInfo, t time.Time) float64 {
 // Rate returns prefix p's demand in bits per second at time t.
 func (m *DemandModel) Rate(p *PrefixInfo, t time.Time) float64 {
 	return m.cfg.PeakBps * p.Weight * m.Diurnal(t) * m.noise(p.Prefix, t) *
-		m.flash(p.OriginAS, t) * m.modFactor(p, t)
+		m.modFactor(p, t)
 }
 
 // Total returns the PoP's total demand at t (sum over prefixes).

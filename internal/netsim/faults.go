@@ -13,34 +13,25 @@ import (
 	"edgefabric/internal/sflow"
 )
 
-// This file is the PoP's fault-injection surface: scripted kill/restore
-// of BMP streams, controller iBGP session resets, and sFlow datagram
-// loss. Experiments (E11) drive it to prove the controller's fail-static
-// behaviour; nothing here runs unless a harness calls it.
+// This file is how a controller attaches to the PoP's routers and how
+// those attachments fail: BMPDialer and ControllerDialer serve every BMP
+// and iBGP session a router has, in-process or bridged onto TCP (see
+// Bridge); KillBMP/RestoreBMP and ResetInjection script their failures,
+// and LossySink scripts sFlow datagram loss. The event engine's bmp-kill,
+// ibgp-reset and sflow-loss events and E11 drive them to prove the
+// controller's fail-static behaviour.
 
-// faultState is the PoP's mutable fault bookkeeping, lazily initialized.
+// faultState is the PoP's per-router session bookkeeping.
 type faultState struct {
 	mu        sync.Mutex
 	bmpKilled map[string]bool
-	bmpHanded map[string]bool      // initial Start-created conn handed to a dialer
-	bmpConn   map[string]net.Conn  // current controller-side BMP conn
-	injPeer   map[string]*bgp.Peer // PR-side controller peer, one per router
-	injConn   map[string]net.Conn  // current controller-side iBGP conn
+	bmpConn   map[string]net.Conn // current controller-side BMP conn
+	injConn   map[string]net.Conn // current controller-side iBGP conn
 }
 
-func (f *faultState) ensure() {
-	if f.bmpKilled == nil {
-		f.bmpKilled = make(map[string]bool)
-		f.bmpHanded = make(map[string]bool)
-		f.bmpConn = make(map[string]net.Conn)
-		f.injPeer = make(map[string]*bgp.Peer)
-		f.injConn = make(map[string]net.Conn)
-	}
-}
-
-// exporter returns the named router's current BMP exporter; prHandler
-// mirrors events through this accessor so a fault-driven exporter swap
-// (BMP redial) is safe against concurrent session goroutines.
+// exporter returns the named router's current BMP exporter (nil before
+// the first dial); prHandler mirrors events through this accessor so a
+// redial's exporter swap is safe against concurrent session goroutines.
 func (p *PoP) exporter(router string) *bmp.Exporter {
 	p.expMu.RLock()
 	defer p.expMu.RUnlock()
@@ -54,29 +45,20 @@ func (p *PoP) setExporter(router string, exp *bmp.Exporter) {
 }
 
 // BMPDialer returns a dial function for the named router's BMP endpoint,
-// suitable for Controller.AddBMPFeedDialer. The first successful dial
-// hands out the stream created at Start (which carries the initial
-// convergence backlog); each later dial simulates the router accepting a
-// fresh BMP session: a new exporter replaces the old one and replays
-// Peer Up plus a full table dump for every live session, exactly like a
-// real router's adj-RIB-in sync. Dials fail while KillBMP is in effect.
+// suitable for Controller.AddBMPFeedDialer or a Bridge. Each dial, the
+// first included, simulates the router accepting a fresh BMP session
+// (RFC 7854): a new exporter replaces the old one and replays Peer Up
+// plus a full table dump for every live session, then mirrors live
+// events. Dials fail while KillBMP is in effect.
 func (p *PoP) BMPDialer(router string) func(ctx context.Context) (net.Conn, error) {
 	return func(ctx context.Context) (net.Conn, error) {
 		if _, ok := p.routers[router]; !ok {
 			return nil, fmt.Errorf("netsim: unknown router %q", router)
 		}
 		p.flt.mu.Lock()
-		p.flt.ensure()
 		if p.flt.bmpKilled[router] {
 			p.flt.mu.Unlock()
 			return nil, fmt.Errorf("netsim: bmp endpoint %s is down", router)
-		}
-		if !p.flt.bmpHanded[router] {
-			p.flt.bmpHanded[router] = true
-			conn := p.bmpConns[router]
-			p.flt.bmpConn[router] = conn
-			p.flt.mu.Unlock()
-			return conn, nil
 		}
 		prEnd, ctrlEnd := BufferedPipe()
 		exp, err := bmp.NewExporter(prEnd, router, p.cfg.Clock.Now)
@@ -126,14 +108,8 @@ func (p *PoP) replayBMP(router string, exp *bmp.Exporter) {
 // backs off.
 func (p *PoP) KillBMP(router string) {
 	p.flt.mu.Lock()
-	p.flt.ensure()
 	p.flt.bmpKilled[router] = true
 	conn := p.flt.bmpConn[router]
-	if conn == nil {
-		// Never dialed: the Start-created stream is the live one.
-		conn = p.bmpConns[router]
-		p.flt.bmpHanded[router] = true
-	}
 	p.flt.mu.Unlock()
 	if conn != nil {
 		conn.Close()
@@ -143,45 +119,23 @@ func (p *PoP) KillBMP(router string) {
 // RestoreBMP lets the named router's BMP endpoint accept dials again.
 func (p *PoP) RestoreBMP(router string) {
 	p.flt.mu.Lock()
-	p.flt.ensure()
 	p.flt.bmpKilled[router] = false
 	p.flt.mu.Unlock()
 }
 
 // ControllerDialer returns a dial function for the controller's iBGP
 // session toward the named router, suitable for
-// Controller.AddInjectionSessionDialer. Each dial has the router accept
-// a fresh transport (the PR-side passive peer is registered on first
-// use).
+// Controller.AddInjectionSessionDialer or a Bridge. Each dial has the
+// router's passive controller peer (registered at Start) accept a fresh
+// transport.
 func (p *PoP) ControllerDialer(router string) func(ctx context.Context) (net.Conn, error) {
 	return func(ctx context.Context) (net.Conn, error) {
 		pr, ok := p.routers[router]
 		if !ok {
 			return nil, fmt.Errorf("netsim: unknown router %q", router)
 		}
-		p.flt.mu.Lock()
-		p.flt.ensure()
-		prPeer := p.flt.injPeer[router]
-		p.flt.mu.Unlock()
-		if prPeer == nil {
-			peer, err := pr.AddPeer(bgp.PeerConfig{
-				PeerAddr: ControllerAddr,
-				PeerAS:   p.Topo.LocalAS, // iBGP
-			})
-			if err != nil {
-				// Raced with ConnectController or another dial for the
-				// same router: reuse the registered peer.
-				if peer = pr.Peer(ControllerAddr); peer == nil {
-					return nil, err
-				}
-			}
-			p.flt.mu.Lock()
-			p.flt.injPeer[router] = peer
-			p.flt.mu.Unlock()
-			prPeer = peer
-		}
 		prEnd, ctrlEnd := BufferedPipe()
-		if err := prPeer.Accept(prEnd); err != nil {
+		if err := pr.Peer(ControllerAddr).Accept(prEnd); err != nil {
 			return nil, err
 		}
 		p.flt.mu.Lock()
@@ -195,7 +149,6 @@ func (p *PoP) ControllerDialer(router string) func(ctx context.Context) (net.Con
 // router once: the transport dies but redials succeed immediately.
 func (p *PoP) ResetInjection(router string) {
 	p.flt.mu.Lock()
-	p.flt.ensure()
 	conn := p.flt.injConn[router]
 	p.flt.mu.Unlock()
 	if conn != nil {

@@ -183,13 +183,13 @@ func TestDemandFlash(t *testing.T) {
 	m, err := sc.NewDemand(DemandConfig{
 		PeakBps:    100e9,
 		NoiseSigma: -1, // sentinel ignored; set below
-		Flash: []FlashEvent{{
-			AS: target.OriginAS, Start: start, Duration: time.Hour, Multiplier: 5,
-		}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.AddMod(DemandMod{
+		AS: target.OriginAS, Start: start, End: start.Add(time.Hour), Multiplier: 5,
+	})
 	before := m.Rate(target, start.Add(-time.Minute))
 	during := m.Rate(target, start.Add(time.Minute))
 	after := m.Rate(target, start.Add(2*time.Hour))

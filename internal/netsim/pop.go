@@ -55,9 +55,10 @@ type PoPConfig struct {
 }
 
 // PoP is a running emulated point of presence: real BGP speakers for the
-// peering routers and every remote neighbor, BMP exporters per router,
-// sFlow agents, a PoP-wide forwarding table, and the dataplane that
-// moves synthetic demand through it all.
+// peering routers and every remote neighbor, a BMP exporter per router
+// once a controller dials its BMP session, sFlow agents, a PoP-wide
+// forwarding table, and the dataplane that moves synthetic demand
+// through it all.
 type PoP struct {
 	cfg   PoPConfig
 	Topo  *Topology
@@ -67,7 +68,6 @@ type PoP struct {
 	routers  map[string]*bgp.Speaker
 	routerIP map[string]netip.Addr
 	remotes  []*bgp.Speaker
-	bmpConns map[string]net.Conn // controller side of each BMP stream
 	agents   map[string]*sflow.Agent
 
 	expMu     sync.RWMutex // guards exporters (faults swap them live)
@@ -101,8 +101,12 @@ func NewPoP(cfg PoPConfig) (*PoP, error) {
 		routers:   make(map[string]*bgp.Speaker),
 		routerIP:  make(map[string]netip.Addr),
 		exporters: make(map[string]*bmp.Exporter),
-		bmpConns:  make(map[string]net.Conn),
 		agents:    make(map[string]*sflow.Agent),
+		flt: faultState{
+			bmpKilled: make(map[string]bool),
+			bmpConn:   make(map[string]net.Conn),
+			injConn:   make(map[string]net.Conn),
+		},
 	}
 	// sFlow agents.
 	if cfg.SFlowSink != nil {
@@ -119,10 +123,6 @@ func NewPoP(cfg PoPConfig) (*PoP, error) {
 	p.Plane = NewDataplane(topo, p.Table, perf, cfg.Demand, p.agents)
 	return p, nil
 }
-
-// BMPConn returns the controller-side connection of the named router's
-// BMP stream. Valid after Start.
-func (p *PoP) BMPConn(router string) net.Conn { return p.bmpConns[router] }
 
 // prHandler accepts routes from one peering router's sessions into the
 // PoP table and mirrors organic routes to the router's BMP exporter.
@@ -245,9 +245,11 @@ func (h *prHandler) HandleUpdate(peer *bgp.Peer, u *bgp.Update) {
 	}
 }
 
-// Start brings up the routers, the remote neighbors, their sessions, and
-// the BMP streams. Sessions establish asynchronously; call WaitConverged
-// to block until the table is full.
+// Start brings up the routers, the remote neighbors and their sessions,
+// and registers each router's passive iBGP peer for the controller.
+// Sessions establish asynchronously; call WaitConverged to block until
+// the table is full. The controller attaches through BMPDialer and
+// ControllerDialer.
 func (p *PoP) Start(ctx context.Context) error {
 	p.mu.Lock()
 	if p.started {
@@ -257,7 +259,7 @@ func (p *PoP) Start(ctx context.Context) error {
 	p.started = true
 	p.mu.Unlock()
 
-	// Peering router speakers + BMP exporters.
+	// Peering router speakers, each with its controller peer.
 	for i, r := range p.Topo.Routers {
 		ip := netip.AddrFrom4([4]byte{10, 255, 0, byte(10 + i)})
 		p.routerIP[r.Name] = ip
@@ -271,15 +273,13 @@ func (p *PoP) Start(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		p.routers[r.Name] = sp
-
-		prEnd, ctrlEnd := BufferedPipe()
-		exp, err := bmp.NewExporter(prEnd, r.Name, p.cfg.Clock.Now)
-		if err != nil {
+		if _, err := sp.AddPeer(bgp.PeerConfig{
+			PeerAddr: ControllerAddr,
+			PeerAS:   p.Topo.LocalAS, // iBGP
+		}); err != nil {
 			return err
 		}
-		p.exporters[r.Name] = exp
-		p.bmpConns[r.Name] = ctrlEnd
+		p.routers[r.Name] = sp // ControllerDialer relies on the peer above
 	}
 
 	// Remote neighbors: one speaker per Peer spec, wired by pipe to its
@@ -344,40 +344,10 @@ func (p *PoP) ExpectedRoutes() int {
 // route or ctx expires.
 func (p *PoP) WaitConverged(ctx context.Context) error {
 	want := p.ExpectedRoutes()
-	for {
-		if p.Table.RouteCount() >= want {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("netsim: converged %d/%d routes: %w",
-				p.Table.RouteCount(), want, ctx.Err())
-		case <-time.After(5 * time.Millisecond):
-		}
+	if err := p.Table.WaitRouteCount(ctx, want); err != nil {
+		return fmt.Errorf("netsim: converged %d/%d routes: %w", p.Table.RouteCount(), want, err)
 	}
-}
-
-// ConnectController creates an iBGP session between the controller and
-// the named router, returning the controller-side connection. The
-// controller's speaker must register a peer for the router's address
-// (RouterIP) and Accept the returned conn.
-func (p *PoP) ConnectController(router string) (net.Conn, error) {
-	pr, ok := p.routers[router]
-	if !ok {
-		return nil, fmt.Errorf("netsim: unknown router %q", router)
-	}
-	prPeer, err := pr.AddPeer(bgp.PeerConfig{
-		PeerAddr: ControllerAddr,
-		PeerAS:   p.Topo.LocalAS, // iBGP
-	})
-	if err != nil {
-		return nil, err
-	}
-	prEnd, ctrlEnd := BufferedPipe()
-	if err := prPeer.Accept(prEnd); err != nil {
-		return nil, err
-	}
-	return ctrlEnd, nil
+	return nil
 }
 
 // RouterIP returns the loopback address of the named peering router, the
@@ -440,7 +410,7 @@ func (p *PoP) PeerSessionUp(addr netip.Addr) error {
 	return remotePeer.Accept(b)
 }
 
-// Close shuts down all speakers and closes the BMP streams.
+// Close shuts down all speakers and closes the controller's streams.
 func (p *PoP) Close() {
 	for _, sp := range p.remotes {
 		sp.Close()
@@ -453,19 +423,12 @@ func (p *PoP) Close() {
 		_ = exp.Close()
 	}
 	p.expMu.RUnlock()
-	for _, c := range p.bmpConns {
-		c.Close()
-	}
 	p.flt.mu.Lock()
 	for _, c := range p.flt.bmpConn {
-		if c != nil {
-			c.Close()
-		}
+		c.Close()
 	}
 	for _, c := range p.flt.injConn {
-		if c != nil {
-			c.Close()
-		}
+		c.Close()
 	}
 	p.flt.mu.Unlock()
 }

@@ -262,14 +262,14 @@ func TestPoPPeerSessionDownWithdraws(t *testing.T) {
 	}
 }
 
-func TestPoPConnectController(t *testing.T) {
+func TestPoPControllerDialer(t *testing.T) {
 	pop, _, _ := startPoP(t, nil)
-	conn, err := pop.ConnectController("pr1")
+	conn, err := pop.ControllerDialer("pr1")(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := pop.ConnectController("nope"); err == nil {
+	if _, err := pop.ControllerDialer("nope")(context.Background()); err == nil {
 		t.Error("unknown router should error")
 	}
 }

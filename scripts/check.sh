@@ -173,12 +173,19 @@ go build -o "$fleettmp/popsim" ./cmd/popsim
 grep -q "event timeline armed (12 events)" "$fleettmp/popsim.out"
 
 # Remote smoke: a race-built edgefabricd attaches to popsim (non-default
-# ports) as a remote fleet of one over TCP BMP / iBGP and UDP sFlow. It
-# must come ready, print its PoP's cycle reports and close with zero
-# misrouted datagrams; a data race fails the step.
-echo "==> edgefabricd --inventory remote smoke (race)"
+# ports) as a remote fleet of one over TCP BMP / iBGP and UDP sFlow,
+# through the remote-faults timeline: pr1's BMP feed is killed at 4 s
+# for 3 s and pr2's iBGP session is reset at 8 s. Daemon A must come
+# ready, heal (every feed back up, the PoP healthy, pr2's session
+# flapped at least once, its last cycle healthy), print cycle reports
+# and close with zero misrouted datagrams. Daemon B, started after A
+# exits against the same popsim, must attach afresh: the paper's
+# stateless controller restart. A data race fails the step.
+echo "==> edgefabricd --inventory remote smoke (race): faults and a restart"
 go build -race -o "$fleettmp/edgefabricd-race" ./cmd/edgefabricd
-"$fleettmp/popsim" --prefixes 300 --inventory "$fleettmp/inv.json" \
+go build -o "$fleettmp/efctl" ./cmd/efctl
+"$fleettmp/popsim" --topology examples/topologies/remote-faults.json \
+  --peak-gbps 60 --inventory "$fleettmp/inv.json" \
   --bmp-base 31019 --inject-base 31179 --sflow 127.0.0.1:36343 \
   --wall-tick 200ms --report-every 5s --duration 60s \
   > "$fleettmp/remote-popsim.out" 2>&1 &
@@ -187,19 +194,73 @@ for _ in $(seq 150); do
   grep -q "inventory written" "$fleettmp/remote-popsim.out" && break
   sleep 0.2
 done
+remote_failed() {
+  echo "remote smoke failed: $1" >&2
+  for f in remote-popsim.out remote.out remote-health.json remote-b.out; do
+    [ -f "$fleettmp/$f" ] && { echo "--- $f" >&2; cat "$fleettmp/$f" >&2; }
+  done
+  exit 1
+}
+# remote_healed: the PoP is healthy with every feed up, and the reset
+# router (pr2, whose loopback the inventory lists) flapped at least once.
+reset_addr=$(awk '/"name": "pr2"/ { getline; gsub(/[",]/, "", $2); print $2; exit }' "$fleettmp/inv.json")
+remote_healed() {
+  "$fleettmp/efctl" -addr 127.0.0.1:31080 -pop pop-remote-faults health \
+    > "$fleettmp/remote-health.json" 2>&1 || return 1
+  awk -v rtr="\"$reset_addr\"," '
+    /^  "state": / { state = $2 }
+    /^  "feeds_up": / { up = $2 + 0 }
+    /^  "feeds_total": / { total = $2 + 0 }
+    /"router": / { cur = $2 }
+    /"flaps": / { if (cur == rtr) flaps = $2 + 0 }
+    END { exit !(state == "\"healthy\"," && total > 0 && up == total && flaps >= 1) }
+  ' "$fleettmp/remote-health.json"
+}
+"$fleettmp/edgefabricd-race" --inventory "$fleettmp/inv.json" \
+  --sflow-listen 127.0.0.1:36343 --cycle 1s --duration 20s \
+  --status 127.0.0.1:31080 > "$fleettmp/remote.out" 2>&1 &
+daemon_pid=$!
+# Both faults have fired once popsim logs the reset (after the kill's
+# revert); then daemon A has until it exits to heal.
+for _ in $(seq 150); do
+  grep -q "event: apply ibgp-reset" "$fleettmp/remote-popsim.out" && break
+  sleep 0.2
+done
+healed=0
+for _ in $(seq 40); do
+  if remote_healed; then
+    healed=1
+    break
+  fi
+  sleep 0.25
+done
+rc=0
+wait "$daemon_pid" || rc=$?
+if [ "$rc" -ne 0 ] || grep -q "DATA RACE" "$fleettmp/remote.out" ||
+  ! grep -q "pop-remote-faults: controller ready" "$fleettmp/remote.out" ||
+  ! grep -q "^\[pop-remote-faults\] cycle " "$fleettmp/remote.out" ||
+  ! grep -q "0 malformed, 0 unknown-agent" "$fleettmp/remote.out"; then
+  kill "$popsim_pid" 2>/dev/null || true
+  remote_failed "daemon A (exit $rc)"
+fi
+if [ "$healed" -ne 1 ]; then
+  kill "$popsim_pid" 2>/dev/null || true
+  remote_failed "daemon A never healed after bmp-kill + ibgp-reset"
+fi
+if grep "^\[pop-remote-faults\] cycle " "$fleettmp/remote.out" | tail -1 | grep -q " \["; then
+  kill "$popsim_pid" 2>/dev/null || true
+  remote_failed "daemon A's last cycle was not healthy"
+fi
 rc=0
 "$fleettmp/edgefabricd-race" --inventory "$fleettmp/inv.json" \
-  --sflow-listen 127.0.0.1:36343 --cycle 1s --duration 8s \
-  > "$fleettmp/remote.out" 2>&1 || rc=$?
+  --sflow-listen 127.0.0.1:36343 --cycle 1s --duration 5s \
+  > "$fleettmp/remote-b.out" 2>&1 || rc=$?
 kill "$popsim_pid" 2>/dev/null || true
 wait "$popsim_pid" 2>/dev/null || true
-if [ "$rc" -ne 0 ] || grep -q "DATA RACE" "$fleettmp/remote.out" ||
-  ! grep -q "pop-1: controller ready" "$fleettmp/remote.out" ||
-  ! grep -q "^\[pop-1\] cycle " "$fleettmp/remote.out" ||
-  ! grep -q "0 malformed, 0 unknown-agent" "$fleettmp/remote.out"; then
-  echo "remote smoke failed:" >&2
-  cat "$fleettmp/remote.out" >&2
-  exit 1
+if [ "$rc" -ne 0 ] || grep -q "DATA RACE" "$fleettmp/remote-b.out" ||
+  ! grep -q "pop-remote-faults: controller ready" "$fleettmp/remote-b.out" ||
+  ! grep -q "^\[pop-remote-faults\] cycle " "$fleettmp/remote-b.out"; then
+  remote_failed "daemon B (restart, exit $rc)"
 fi
 
 # Performance example smoke: the k = 1 optimizer (whole-prefix moves)

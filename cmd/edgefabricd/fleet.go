@@ -384,7 +384,6 @@ func runEmbeddedFleet(ctx context.Context, ff *FleetFile, o runOpts) {
 	chatty := len(fh.PoPs) <= chattyPoPs
 	tallies := make([]popTally, len(fh.PoPs))
 	ticks := int(duration / fh.PoPs[0].Cfg.TickLen)
-	cycleTicks := fh.PoPs[0].Cfg.CycleEveryTicks
 	for t := 1; t <= ticks && ctx.Err() == nil; t++ {
 		for i, h := range fh.PoPs {
 			stats, r := h.Step()
@@ -393,14 +392,12 @@ func runEmbeddedFleet(ctx context.Context, ff *FleetFile, o runOpts) {
 				fmt.Printf("[%s] %s\n", h.Scenario.Topo.Name, core.FormatReport(r, h.Inventory))
 			}
 		}
-		// The reconciler advances one transition per fleet round, so
-		// rollouts queued through PUT /v1/pops/{pop}/config march
-		// drain→apply→converge in cycle time, not tick time. A round
-		// counts even when no member cycled: a fleet of one pauses its
-		// only member while the reconciler drains it.
-		if t%cycleTicks == 0 {
-			fh.Reconciler.Step()
-		}
+		// The reconciler advances one transition per fleet round (every
+		// tick is a cycle), so rollouts queued through PUT
+		// /v1/pops/{pop}/config march drain→apply→converge in cycle
+		// time. A round counts even when no member cycled: a fleet of
+		// one pauses its only member while the reconciler drains it.
+		fh.Reconciler.Step()
 	}
 	printDemuxSummary(len(fh.PoPs), fh.Demux)
 	for i, h := range fh.PoPs {

@@ -424,14 +424,17 @@ func (s *Server) handleFleetMetrics(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintf(&b, "%s{pop=%q} %s\n", metric, "other",
 				strconv.FormatFloat(sums[metric], 'g', -1, 64))
 		}
-		writeData(w, "", 0, map[string]string{"text": b.String()})
-		return
-	}
-
-	for _, name := range names {
-		if c, ok := s.pop(name); ok {
-			labelMetrics(&b, c.Metrics().Render(), name)
+	} else {
+		for _, name := range names {
+			if c, ok := s.pop(name); ok {
+				labelMetrics(&b, c.Metrics().Render(), name)
+			}
 		}
+	}
+	// The fleet supervisor's series (edgefabric_fleet_*) describe the
+	// whole process, so they render once and unlabelled.
+	if rec := s.getReconciler(); rec != nil {
+		b.WriteString(rec.Supervisor().Metrics().Render())
 	}
 	writeData(w, "", 0, map[string]string{"text": b.String()})
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
+	"slices"
 	"strings"
 	"testing"
 
@@ -407,5 +408,32 @@ func TestMetricsTopK(t *testing.T) {
 	data(t, env, &m)
 	if strings.Contains(m.Text, `{pop="other"}`) {
 		t.Error("topK=0 still rolls up")
+	}
+}
+
+// TestFleetMetricsRendered: the fleet supervisor's own series reach
+// /v1/metrics through the attached reconciler, once and unlabelled, on
+// both the all-PoPs and the top-K path.
+func TestFleetMetricsRendered(t *testing.T) {
+	srv, s, sea := fleetServer(t, 3)
+	sup := core.NewFleetSupervisor(core.FleetSupervisorConfig{})
+	if err := sup.Add(core.FleetMember{Name: "sea", Ctrl: sea}); err != nil {
+		t.Fatal(err)
+	}
+	sup.RunCycleAll()
+	s.SetReconciler(core.NewReconciler(sup, core.ReconcilerConfig{}))
+	for _, k := range []int{0, 1} {
+		s.SetMetricsTopK(k)
+		_, env := get(t, srv, "/v1/metrics")
+		var m struct {
+			Text string `json:"text"`
+		}
+		data(t, env, &m)
+		lines := strings.Split(m.Text, "\n")
+		for _, want := range []string{"edgefabric_fleet_members 1", "edgefabric_fleet_rounds_total 1"} {
+			if n := slices.Index(lines, want); n < 0 || slices.Index(lines[n+1:], want) >= 0 {
+				t.Errorf("top-K %d: want exactly one %q line in\n%s", k, want, m.Text)
+			}
+		}
 	}
 }

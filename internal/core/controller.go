@@ -29,9 +29,9 @@ type Config struct {
 	Traffic TrafficSource
 	// Allocator parameterizes the overload algorithm.
 	Allocator AllocatorConfig
-	// Trace bounds decision-provenance retention (see trace.go). The
-	// zero value enables tracing with defaults; set Trace.Disable to
-	// turn per-prefix tracing off.
+	// Trace switches decision provenance (see trace.go). The zero
+	// value enables tracing; set Trace.Disable to turn per-prefix
+	// tracing off.
 	Trace TraceConfig
 	// CycleInterval is the period at which the caller (fleet supervisor,
 	// harness) drives RunCycle. Default 30 s (the paper's cadence). It
@@ -40,15 +40,11 @@ type Config struct {
 	// Health parameterizes input-health thresholds; zero fields default
 	// from CycleInterval.
 	Health HealthConfig
-	// LocalAS / RouterID identify the injector's iBGP speaker.
-	LocalAS  uint32
-	RouterID netip.Addr
+	// LocalAS is the AS of the injector's iBGP speaker.
+	LocalAS uint32
 	// Now supplies time for reports; nil means time.Now (the simulator
 	// injects its virtual clock).
 	Now func() time.Time
-	// Metrics receives operational counters; nil allocates a private
-	// registry.
-	Metrics *metrics.Registry
 	// Audit, when set, receives one JSON line per cycle (see
 	// AuditLogger).
 	Audit *AuditLogger
@@ -85,6 +81,10 @@ type Config struct {
 	// Logf, when set, receives one-line log events.
 	Logf func(format string, args ...any)
 }
+
+// controllerRouterID is the BGP identifier of the injector's iBGP
+// speaker; every PoP router peers with it as an iBGP neighbor.
+var controllerRouterID = netip.MustParseAddr("10.255.0.100")
 
 // OptimizerConfig configures the cycle's optimise stage: an
 // altpath.Measurer over the controller's route table measures the
@@ -171,7 +171,7 @@ type Controller struct {
 	history   []CycleReport // ring buffer once full
 	histNext  int           // next overwrite index when len == maxHist
 	maxHist   int
-	traces    []*CycleTrace // decision-provenance ring, bounded by Trace.Cycles
+	traces    []*CycleTrace // decision-provenance ring, bounded by traceCycles
 	traceNext int
 }
 
@@ -187,15 +187,8 @@ func New(cfg Config) (*Controller, error) {
 		cfg.CycleInterval = 30 * time.Second
 	}
 	cfg.Health.setDefaults(cfg.CycleInterval)
-	cfg.Trace.setDefaults()
 	if cfg.Now == nil {
 		cfg.Now = time.Now
-	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = metrics.NewRegistry()
-	}
-	if !cfg.RouterID.IsValid() {
-		cfg.RouterID = netip.MustParseAddr("10.255.0.100")
 	}
 	if cfg.LocalAS == 0 {
 		return nil, fmt.Errorf("core: Config.LocalAS required")
@@ -209,10 +202,11 @@ func New(cfg Config) (*Controller, error) {
 		}
 	}
 	health := NewHealthTracker(cfg.Health, cfg.Now, cfg.Traffic)
+	registry := metrics.NewRegistry()
 	inj, err := NewInjector(InjectorConfig{
 		LocalAS:       cfg.LocalAS,
-		RouterID:      cfg.RouterID,
-		Metrics:       cfg.Metrics,
+		RouterID:      controllerRouterID,
+		Metrics:       registry,
 		OnSessionUp:   health.SessionUp,
 		OnSessionDown: func(r netip.Addr, _ error) { health.SessionDown(r) },
 		Logf:          cfg.Logf,
@@ -225,7 +219,7 @@ func New(cfg Config) (*Controller, error) {
 		cfg:      cfg,
 		store:    store,
 		injector: inj,
-		registry: cfg.Metrics,
+		registry: registry,
 		health:   health,
 		measurer: meas,
 		projector: Projector{
@@ -243,11 +237,11 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.MaxHistory > 0 {
 		c.maxHist = cfg.MaxHistory
 	}
-	c.phCollect = cfg.Metrics.Phase("edgefabric_phase_collect")
-	c.phProject = cfg.Metrics.Phase("edgefabric_phase_project")
-	c.phAllocate = cfg.Metrics.Phase("edgefabric_phase_allocate")
-	c.phOptimise = cfg.Metrics.Phase("edgefabric_phase_perf")
-	c.phInject = cfg.Metrics.Phase("edgefabric_phase_inject")
+	c.phCollect = registry.Phase("edgefabric_phase_collect")
+	c.phProject = registry.Phase("edgefabric_phase_project")
+	c.phAllocate = registry.Phase("edgefabric_phase_allocate")
+	c.phOptimise = registry.Phase("edgefabric_phase_perf")
+	c.phInject = registry.Phase("edgefabric_phase_inject")
 	c.collector = &bmp.Collector{
 		Handler: &healthHandler{inner: store, health: health},
 		Logf:    cfg.Logf,
@@ -684,7 +678,7 @@ func (c *Controller) RunCycle() (report *CycleReport, err error) {
 
 	var tr *CycleTrace
 	if !c.cfg.Trace.Disable {
-		tr = NewCycleTrace(c.cfg.Trace.MaxPrefixes)
+		tr = NewCycleTrace(traceMaxPrefixes)
 		tr.Time = now
 	}
 
@@ -798,7 +792,7 @@ func (c *Controller) pushTrace(tr *CycleTrace, seq uint64) {
 	tr.Seq = seq
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.traces) < c.cfg.Trace.Cycles {
+	if len(c.traces) < traceCycles {
 		c.traces = append(c.traces, tr)
 		return
 	}
@@ -853,9 +847,10 @@ func (c *Controller) Explain(p netip.Prefix) string {
 
 // explainMeasured renders the optimizer's most common outcome, which
 // it does not record: a measured prefix whose best alternate's gap is
-// below MinGainMS while its preferred interface sat below SpreadUtil
-// last cycle. It returns "" when the optimize stage is off or the
-// prefix's measurements and last cycle do not show that outcome.
+// below multipathMinGainMS while its preferred interface sat below
+// multipathSpreadUtil last cycle. It returns "" when the optimize stage
+// is off or the prefix's measurements and last cycle do not show that
+// outcome.
 func (c *Controller) explainMeasured(p netip.Prefix, latest *CycleTrace) string {
 	if c.measurer == nil {
 		return ""
@@ -864,18 +859,16 @@ func (c *Controller) explainMeasured(p netip.Prefix, latest *CycleTrace) string 
 	if rep == nil || rep.BestAlt == nil || rep.BestAlt.Route == nil {
 		return ""
 	}
-	cfg := c.cfg.Optimizer.Multipath
-	cfg.setDefaults()
 	primary := rep.Paths[0].Route
 	last, _ := c.LastReport()
 	util := last.IfUtil[primary.EgressIF]
-	if rep.GapMS >= cfg.MinGainMS || util >= cfg.SpreadUtil {
+	if rep.GapMS >= multipathMinGainMS || util >= multipathSpreadUtil {
 		return ""
 	}
 	pt := &PrefixTrace{Prefix: p, Preferred: primary, RateBps: c.demandRate(p)}
 	pt.reject(CandidateTrace{
 		Phase: "multipath", Via: rep.BestAlt.Route, Reason: RejectGapBelowThreshold,
-		GapMS: rep.GapMS, NeedGapMS: cfg.MinGainMS,
+		GapMS: rep.GapMS, NeedGapMS: multipathMinGainMS,
 	})
 	pt.outcome(OutcomeNone, nil, "gap below threshold and preferred interface uncongested")
 	var b strings.Builder
@@ -886,7 +879,7 @@ func (c *Controller) explainMeasured(p netip.Prefix, latest *CycleTrace) string 
 	}
 	b.WriteString(pt.Format(c.cfg.Inventory))
 	fmt.Fprintf(&b, "  preferred interface projected %.1f%% last cycle (multipath spread trigger %.0f%%)\n",
-		util*100, cfg.SpreadUtil*100)
+		util*100, multipathSpreadUtil*100)
 	return b.String()
 }
 

@@ -600,7 +600,7 @@ func runOptimiseEquivalence(t *testing.T, maxPaths int) (sets, moves int) {
 	idle := func() {}
 	failBack := false
 	steps := []func(){
-		idle, idle, idle, // measurement warm-up (MinSamples)
+		idle, idle, idle, // measurement warm-up (multipathMinSamples)
 		idle, idle, // first sets, then hysteresis
 		func() { // jitter
 			for i := 0; i < 10; i += 3 {

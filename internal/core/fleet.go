@@ -28,18 +28,6 @@ type FleetMember struct {
 
 // FleetSupervisorConfig configures a FleetSupervisor.
 type FleetSupervisorConfig struct {
-	// Workers bounds concurrent member cycles in RunCycleAll. Default
-	// min(GOMAXPROCS, 16); hundreds of members share this pool rather
-	// than each getting a goroutine-per-tick.
-	Workers int
-	// CycleBudget is the per-member cycle duration budget; a member
-	// exceeding it is counted as an overrun in the round stats (its
-	// own health tracker independently notes interval overruns).
-	// Default 1 s.
-	CycleBudget time.Duration
-	// Metrics receives fleet-level counters; nil allocates a private
-	// registry.
-	Metrics *metrics.Registry
 	// Logf, when set, receives one-line log events.
 	Logf func(format string, args ...any)
 }
@@ -52,7 +40,9 @@ type FleetRoundStats struct {
 	Skipped int
 	// Errors counts members whose cycle returned an error.
 	Errors int
-	// Overruns counts members whose cycle exceeded CycleBudget.
+	// Overruns counts members whose cycle exceeded the member's own
+	// Config.CycleInterval, the bound its watchdog counts
+	// edgefabric_cycle_overruns_total against.
 	Overruns int
 	// Elapsed is the round's wall time.
 	Elapsed time.Duration
@@ -60,10 +50,15 @@ type FleetRoundStats struct {
 
 // FleetSupervisor hosts N shared-nothing PoP controllers in one
 // process: a bounded worker pool cycles them, drain state gates which
-// members cycle, and per-member budgets keep one slow PoP from
-// starving the rest. Safe for concurrent use.
+// members cycle, and each round judges a member's overruns against
+// that member's own cycle interval. Safe for concurrent use.
 type FleetSupervisor struct {
-	cfg FleetSupervisorConfig
+	cfg      FleetSupervisorConfig
+	registry *metrics.Registry // fleet-level counters
+	// workers bounds concurrent member cycles in RunCycleAll:
+	// min(GOMAXPROCS, 16), so hundreds of members share one pool
+	// rather than each getting a goroutine-per-tick.
+	workers int
 
 	mu       sync.RWMutex
 	members  map[string]*FleetMember
@@ -74,17 +69,10 @@ type FleetSupervisor struct {
 // NewFleetSupervisor builds an empty supervisor; register members with
 // Add.
 func NewFleetSupervisor(cfg FleetSupervisorConfig) *FleetSupervisor {
-	if cfg.Workers <= 0 {
-		cfg.Workers = min(runtime.GOMAXPROCS(0), 16)
-	}
-	if cfg.CycleBudget <= 0 {
-		cfg.CycleBudget = time.Second
-	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = metrics.NewRegistry()
-	}
 	return &FleetSupervisor{
 		cfg:      cfg,
+		registry: metrics.NewRegistry(),
+		workers:  min(runtime.GOMAXPROCS(0), 16),
 		members:  make(map[string]*FleetMember),
 		draining: make(map[string]bool),
 	}
@@ -106,7 +94,7 @@ func (s *FleetSupervisor) Add(m FleetMember) error {
 	mm := m
 	s.members[m.Name] = &mm
 	s.order = append(s.order, m.Name)
-	s.cfg.Metrics.Gauge("edgefabric_fleet_members").Set(float64(len(s.order)))
+	s.registry.Gauge("edgefabric_fleet_members").Set(float64(len(s.order)))
 	return nil
 }
 
@@ -135,7 +123,7 @@ func (s *FleetSupervisor) Controller(name string) (*Controller, bool) {
 }
 
 // Metrics exposes the supervisor's fleet-level registry.
-func (s *FleetSupervisor) Metrics() *metrics.Registry { return s.cfg.Metrics }
+func (s *FleetSupervisor) Metrics() *metrics.Registry { return s.registry }
 
 // Drain takes a member out of cycling and withdraws its installed
 // overrides: the supervisor skips it in RunCycleAll, its Pause hook
@@ -156,7 +144,7 @@ func (s *FleetSupervisor) Drain(name string) error {
 	if _, err := m.Ctrl.Drain(); err != nil {
 		return fmt.Errorf("core: drain %q: %w", name, err)
 	}
-	s.cfg.Metrics.Counter("edgefabric_fleet_drains_total").Inc()
+	s.registry.Counter("edgefabric_fleet_drains_total").Inc()
 	if s.cfg.Logf != nil {
 		s.cfg.Logf("fleet: drained %s (overrides withdrawn, cycling paused)", name)
 	}
@@ -216,7 +204,7 @@ func (s *FleetSupervisor) RunCycleAll() FleetRoundStats {
 		overruns int
 	)
 	jobs := make(chan *FleetMember)
-	workers := min(s.cfg.Workers, len(work))
+	workers := min(s.workers, len(work))
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
@@ -224,7 +212,7 @@ func (s *FleetSupervisor) RunCycleAll() FleetRoundStats {
 			for m := range jobs {
 				t0 := time.Now()
 				_, err := m.Ctrl.RunCycle()
-				over := time.Since(t0) > s.cfg.CycleBudget
+				over := time.Since(t0) > m.Ctrl.cfg.CycleInterval
 				if err != nil || over {
 					errsMu.Lock()
 					if err != nil {
@@ -254,7 +242,7 @@ func (s *FleetSupervisor) RunCycleAll() FleetRoundStats {
 		Overruns: overruns,
 		Elapsed:  time.Since(started),
 	}
-	m := s.cfg.Metrics
+	m := s.registry
 	m.Counter("edgefabric_fleet_rounds_total").Inc()
 	m.Counter("edgefabric_fleet_cycle_errors_total").Add(uint64(errs))
 	m.Counter("edgefabric_fleet_cycle_overruns_total").Add(uint64(overruns))

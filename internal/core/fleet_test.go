@@ -29,6 +29,13 @@ func fleetScale() int {
 // need from a member.
 func lightController(t testing.TB, idx int) *Controller {
 	t.Helper()
+	return lightControllerEvery(t, idx, 0)
+}
+
+// lightControllerEvery is lightController cycling every interval (0
+// keeps the controller's default).
+func lightControllerEvery(t testing.TB, idx int, interval time.Duration) *Controller {
+	t.Helper()
 	inv, err := NewInventory(
 		[]PeerInfo{
 			{Name: "pni", Addr: netip.MustParseAddr("172.20.0.1"), AS: 65010, Class: rib.ClassPrivate, InterfaceID: 0, Router: "pr1"},
@@ -42,10 +49,11 @@ func lightController(t testing.TB, idx int) *Controller {
 		t.Fatal(err)
 	}
 	ctrl, err := New(Config{
-		Inventory:  inv,
-		Traffic:    staticTraffic{},
-		LocalAS:    64500,
-		MaxHistory: 32, // fleet packing: hundreds of members, small rings
+		Inventory:     inv,
+		Traffic:       staticTraffic{},
+		LocalAS:       64500,
+		CycleInterval: interval,
+		MaxHistory:    32, // fleet packing: hundreds of members, small rings
 	})
 	if err != nil {
 		t.Fatalf("member %d: %v", idx, err)
@@ -125,6 +133,34 @@ func TestFleetSupervisorScale(t *testing.T) {
 	st = sup.RunCycleAll()
 	if st.Members != n || st.Skipped != 0 {
 		t.Fatalf("round 3 = %+v, want all %d members back", st, n)
+	}
+}
+
+// TestFleetRoundOverrunIsMemberInterval: a round counts an overrun when
+// a member's cycle outlasts that member's own CycleInterval — the bound
+// its watchdog counts edgefabric_cycle_overruns_total against — so a
+// member cycling every nanosecond overruns and one at the default 30 s
+// interval does not.
+func TestFleetRoundOverrunIsMemberInterval(t *testing.T) {
+	for _, tc := range []struct {
+		interval time.Duration
+		want     int
+	}{
+		{time.Nanosecond, 1},
+		{0, 0},
+	} {
+		sup := NewFleetSupervisor(FleetSupervisorConfig{})
+		ctrl := lightControllerEvery(t, 0, tc.interval)
+		if err := sup.Add(FleetMember{Name: "pop", Ctrl: ctrl}); err != nil {
+			t.Fatal(err)
+		}
+		st := sup.RunCycleAll()
+		if st.Members != 1 || st.Overruns != tc.want {
+			t.Errorf("interval %v: round = %+v, want 1 member, %d overruns", tc.interval, st, tc.want)
+		}
+		if got := ctrl.Metrics().Counter("edgefabric_cycle_overruns_total").Value(); got != uint64(tc.want) {
+			t.Errorf("interval %v: member watchdog counted %d overruns, want %d", tc.interval, got, tc.want)
+		}
 	}
 }
 

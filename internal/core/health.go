@@ -74,13 +74,16 @@ type HealthConfig struct {
 	// long (they can no longer be trusted), and restored by the BMP
 	// table dump on reconnect. Default 4 cycle intervals.
 	BMPFlushAfter time.Duration
-	// PanicHoldCycles is how many cycles the controller stays
-	// fail-static after a recovered cycle panic. Default 3.
-	PanicHoldCycles int
-	// OverrunsForDegraded is the number of consecutive cycle-deadline
-	// overruns after which health reports degraded. Default 2.
-	OverrunsForDegraded int
 }
+
+const (
+	// panicHoldCycles is how many cycles the controller stays
+	// fail-static after a recovered cycle panic.
+	panicHoldCycles = 3
+	// overrunsForDegraded is the number of consecutive cycle-deadline
+	// overruns after which health reports degraded.
+	overrunsForDegraded = 2
+)
 
 // setDefaults fills zero fields from the cycle interval.
 func (c *HealthConfig) setDefaults(cycle time.Duration) {
@@ -101,12 +104,6 @@ func (c *HealthConfig) setDefaults(cycle time.Duration) {
 	}
 	if c.BMPFlushAfter == 0 {
 		c.BMPFlushAfter = 4 * cycle
-	}
-	if c.PanicHoldCycles == 0 {
-		c.PanicHoldCycles = 3
-	}
-	if c.OverrunsForDegraded == 0 {
-		c.OverrunsForDegraded = 2
 	}
 }
 
@@ -332,7 +329,7 @@ func (t *HealthTracker) NotePanic() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.panics++
-	t.panicHold = t.cfg.PanicHoldCycles
+	t.panicHold = panicHoldCycles
 }
 
 // NoteOverrun records a cycle that exceeded its deadline.
@@ -467,7 +464,7 @@ func (t *HealthTracker) Evaluate() InputHealth {
 			h.State = HealthDegraded
 			h.Reasons = append(h.Reasons, fmt.Sprintf("%d/%d injection sessions down", h.SessionsTotal-h.SessionsUp, h.SessionsTotal))
 		}
-		if t.consecOver >= t.cfg.OverrunsForDegraded {
+		if t.consecOver >= overrunsForDegraded {
 			h.State = HealthDegraded
 			h.Reasons = append(h.Reasons, fmt.Sprintf("%d consecutive cycle overruns", t.consecOver))
 		}

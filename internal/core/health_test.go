@@ -100,7 +100,7 @@ func TestHealthRoutesAllDown(t *testing.T) {
 	}
 }
 
-// TestHealthPanicHold: a recovered panic arms PanicHoldCycles of
+// TestHealthPanicHold: a recovered panic arms panicHoldCycles of
 // fail-static. The panicking cycle itself reports fail-static from the
 // recover path (the third hold cycle in effect), and BeginCycle holds
 // the two cycles that follow: each call consumes one hold cycle before

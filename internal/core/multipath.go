@@ -28,37 +28,6 @@ type MultipathConfig struct {
 	// the whole prefix onto the single best path instead (see
 	// MultipathAllocateTraced).
 	MaxPaths int
-	// MinGainMS is the measured median-RTT gap that triggers a split on
-	// performance grounds. Default 20 (the paper's §6 threshold).
-	MinGainMS float64
-	// SpreadUtil is the preferred-interface utilization above which a
-	// split is triggered even without an RTT gap, pulling demand out of
-	// the congestion band before the overload allocator's threshold is
-	// reached. Default 0.72.
-	SpreadUtil float64
-	// ToleranceMS bounds how much slower than the primary's median a
-	// member may be and still join the set. Default 25.
-	ToleranceMS float64
-	// MaxLossFrac excludes members whose measured retransmit fraction
-	// exceeds it. Default 0.10.
-	MaxLossFrac float64
-	// RetransPenalty scales how strongly measured loss discounts a
-	// member's weight: weight ∝ headroom / (P50 × (1 + RetransPenalty ×
-	// RetransFrac)). Default 8 (a 10%-loss path weighs ~1/2 of a clean
-	// one at equal RTT and headroom).
-	RetransPenalty float64
-	// MinWeightPct drops members whose share would round below it; the
-	// freed share is redistributed. Default 5.
-	MinWeightPct int
-	// HysteresisPct keeps the previously-installed member weights when
-	// the freshly-computed set has the same members and every weight
-	// moved by no more than this many points — re-announcing an
-	// unchanged set is free, re-announcing a jittered one is churn.
-	// Default 10.
-	HysteresisPct int
-	// MinSamples is the minimum sample count on every member (and the
-	// primary). Default 16.
-	MinSamples int
 	// MaxMoves caps new or changed multipath overrides per cycle
 	// (0 = unlimited). Hysteresis re-affirmations are free.
 	MaxMoves int
@@ -68,31 +37,42 @@ func (c *MultipathConfig) setDefaults() {
 	if c.MaxPaths == 0 {
 		c.MaxPaths = 3
 	}
-	if c.MinGainMS == 0 {
-		c.MinGainMS = 20
-	}
-	if c.SpreadUtil == 0 {
-		c.SpreadUtil = 0.72
-	}
-	if c.ToleranceMS == 0 {
-		c.ToleranceMS = 25
-	}
-	if c.MaxLossFrac == 0 {
-		c.MaxLossFrac = 0.10
-	}
-	if c.RetransPenalty == 0 {
-		c.RetransPenalty = 8
-	}
-	if c.MinWeightPct == 0 {
-		c.MinWeightPct = 5
-	}
-	if c.HysteresisPct == 0 {
-		c.HysteresisPct = 10
-	}
-	if c.MinSamples == 0 {
-		c.MinSamples = 16
-	}
 }
+
+// The optimizer's fixed filter and weighting bounds.
+const (
+	// multipathMinGainMS is the measured median-RTT gap that triggers a
+	// split on performance grounds (the paper's §6 threshold).
+	multipathMinGainMS = 20
+	// multipathSpreadUtil is the preferred-interface utilization above
+	// which a split is triggered even without an RTT gap, pulling
+	// demand out of the congestion band before the overload
+	// allocator's threshold is reached.
+	multipathSpreadUtil = 0.72
+	// multipathToleranceMS bounds how much slower than the primary's
+	// median a member may be and still join the set.
+	multipathToleranceMS = 25
+	// MultipathMaxLossFrac excludes members whose measured retransmit
+	// fraction exceeds it.
+	MultipathMaxLossFrac = 0.10
+	// multipathRetransPenalty scales how strongly measured loss
+	// discounts a member's weight: weight ∝ headroom / (P50 × (1 +
+	// multipathRetransPenalty × RetransFrac)); a 10%-loss path weighs
+	// ~1/2 of a clean one at equal RTT and headroom.
+	multipathRetransPenalty = 8
+	// MultipathMinWeightPct drops members whose share would round below
+	// it; the freed share is redistributed.
+	MultipathMinWeightPct = 5
+	// multipathHysteresisPct keeps the previously-installed member
+	// weights when the freshly-computed set has the same members and
+	// every weight moved by no more than this many points —
+	// re-announcing an unchanged set is free, re-announcing a jittered
+	// one is churn.
+	multipathHysteresisPct = 10
+	// multipathMinSamples is the minimum sample count on every member
+	// (and the primary).
+	multipathMinSamples = 16
+)
 
 // MultipathPrior indexes the multipath overrides of a previous cycle by
 // prefix, for hysteresis.
@@ -117,8 +97,8 @@ type mpMember struct {
 
 // MultipathAllocateTraced computes weighted multipath overrides from
 // alternate-path measurements: for each reported prefix whose measured
-// alternate is at least MinGainMS faster OR whose preferred interface
-// sits above SpreadUtil, demand is split across up to MaxPaths measured
+// alternate is at least multipathMinGainMS faster OR whose preferred
+// interface sits above multipathSpreadUtil, demand is split across up to MaxPaths measured
 // paths in proportion to interface headroom discounted by measured RTT
 // and retransmit fraction. At MaxPaths 1 the whole prefix moves instead,
 // onto the eligible path with the lowest loss-discounted median that
@@ -198,8 +178,8 @@ func MultipathAllocateTraced(
 		if prefCap > 0 {
 			util = load[prefIF] / prefCap
 		}
-		congested := util >= cfg.SpreadUtil
-		if rep.GapMS < cfg.MinGainMS && !congested {
+		congested := util >= multipathSpreadUtil
+		if rep.GapMS < multipathMinGainMS && !congested {
 			// Neither trigger fires. Reports are gap-sorted, but the
 			// congestion trigger is per-interface, so keep scanning. No
 			// record: most measured prefixes end here every cycle, and
@@ -229,18 +209,18 @@ func MultipathAllocateTraced(
 		}
 		pt := tr.Prefix(rep.Prefix)
 		pt.setPlan(plan)
-		if primary.N < cfg.MinSamples {
+		if primary.N < multipathMinSamples {
 			pt.reject(CandidateTrace{
 				Phase: "multipath", Via: primary.Route, Reason: RejectInsufficientSamples,
-				Samples: primary.N, NeedSamples: cfg.MinSamples, GapMS: rep.GapMS,
+				Samples: primary.N, NeedSamples: multipathMinSamples, GapMS: rep.GapMS,
 			})
 			pt.outcome(OutcomeNone, nil, "insufficient samples on the primary path")
 			continue
 		}
 
-		// Candidate members: the measured paths within ToleranceMS of
-		// the primary's median, clean enough, sampled enough, one per
-		// egress port (the fastest wins a port).
+		// Candidate members: the measured paths within
+		// multipathToleranceMS of the primary's median, clean enough,
+		// sampled enough, one per egress port (the fastest wins a port).
 		rate := plan.RateBps
 		members := scratch[:0]
 		for i := range rep.Paths {
@@ -249,22 +229,22 @@ func MultipathAllocateTraced(
 				continue
 			}
 			if !ps.Primary {
-				if ps.N < cfg.MinSamples {
+				if ps.N < multipathMinSamples {
 					pt.reject(CandidateTrace{
 						Phase: "multipath", Via: ps.Route, Reason: RejectInsufficientSamples,
-						Samples: ps.N, NeedSamples: cfg.MinSamples,
+						Samples: ps.N, NeedSamples: multipathMinSamples,
 					})
 					continue
 				}
-				if ps.P50 > primary.P50+cfg.ToleranceMS {
+				if ps.P50 > primary.P50+multipathToleranceMS {
 					pt.reject(CandidateTrace{
 						Phase: "multipath", Via: ps.Route, Reason: RejectGapBelowThreshold,
-						GapMS: primary.P50 - ps.P50, NeedGapMS: -cfg.ToleranceMS,
+						GapMS: primary.P50 - ps.P50, NeedGapMS: -multipathToleranceMS,
 					})
 					continue
 				}
 			}
-			if ps.RetransFrac > cfg.MaxLossFrac {
+			if ps.RetransFrac > MultipathMaxLossFrac {
 				pt.reject(CandidateTrace{Phase: "multipath", Via: ps.Route, Reason: RejectLossyPath})
 				continue
 			}
@@ -300,7 +280,7 @@ func MultipathAllocateTraced(
 					Phase: "multipath", Via: ps.Route, Reason: RejectWouldExceedTarget,
 					LoadBps: base, MoveBps: rate, LimitBps: limit,
 				})
-			case len(members) == 0 || cfg.cost(ps) < cfg.cost(members[0].stat):
+			case len(members) == 0 || pathCost(ps) < pathCost(members[0].stat):
 				members = append(members[:0], m)
 			}
 		}
@@ -313,7 +293,7 @@ func MultipathAllocateTraced(
 			continue
 		}
 
-		if !assignShares(members, rate, cfg) {
+		if !assignShares(members, rate) {
 			worst := &members[0]
 			pt.reject(CandidateTrace{
 				Phase: "multipath", Via: worst.stat.Route, Reason: RejectWouldExceedTarget,
@@ -326,7 +306,7 @@ func MultipathAllocateTraced(
 		for {
 			kept := members[:0]
 			for _, m := range members {
-				if int(math.Round(100*m.share/rate)) >= cfg.MinWeightPct {
+				if int(math.Round(100*m.share/rate)) >= MultipathMinWeightPct {
 					kept = append(kept, m)
 				}
 			}
@@ -334,7 +314,7 @@ func MultipathAllocateTraced(
 				break
 			}
 			members = kept
-			if !assignShares(members, rate, cfg) {
+			if !assignShares(members, rate) {
 				members = nil
 				break
 			}
@@ -350,13 +330,14 @@ func MultipathAllocateTraced(
 
 		fresh = memberWeights(fresh[:0], members, rate)
 
-		// Hysteresis: same members within HysteresisPct of the installed
-		// weights -> re-affirm the installed set verbatim (refreshing the
-		// rate accounting); the injector sees an identical announcement
-		// and emits no updates. Only a new or changed set is rendered.
+		// Hysteresis: same members within multipathHysteresisPct of the
+		// installed weights -> re-affirm the installed set verbatim
+		// (refreshing the rate accounting); the injector sees an
+		// identical announcement and emits no updates. Only a new or
+		// changed set is rendered.
 		var o Override
 		changed := true
-		if po, ok := prev[rep.Prefix]; ok && sameMembers(po.Multipath, fresh, cfg.HysteresisPct) {
+		if po, ok := prev[rep.Prefix]; ok && sameMembers(po.Multipath, fresh) {
 			if ro, kept := reaffirm(po, plan, load, capOf, alloc); kept {
 				o, changed = ro, false
 			}
@@ -394,7 +375,7 @@ func MultipathAllocateTraced(
 // headroom discounted by RTT and loss, clamping members at their
 // target-utilization bound and re-spreading the excess. Returns false
 // if the member set cannot absorb the rate below target.
-func assignShares(members []mpMember, rate float64, cfg MultipathConfig) bool {
+func assignShares(members []mpMember, rate float64) bool {
 	var totalHdrm float64
 	for i := range members {
 		members[i].share = 0
@@ -413,7 +394,7 @@ func assignShares(members []mpMember, rate float64, cfg MultipathConfig) bool {
 			if spare <= 0 {
 				continue
 			}
-			m.weight = spare / cfg.cost(m.stat)
+			m.weight = spare / pathCost(m.stat)
 			totalW += m.weight
 		}
 		if totalW == 0 {
@@ -440,11 +421,11 @@ func assignShares(members []mpMember, rate float64, cfg MultipathConfig) bool {
 	return remaining <= 1
 }
 
-// cost is a path's loss-discounted median RTT, P50 × (1 + RetransPenalty
-// × RetransFrac): the RTT half of a member's weight, and the whole of
-// the k = 1 choice.
-func (c *MultipathConfig) cost(ps *altpath.PathStat) float64 {
-	return ps.P50 * (1 + c.RetransPenalty*ps.RetransFrac)
+// pathCost is a path's loss-discounted median RTT, P50 × (1 +
+// multipathRetransPenalty × RetransFrac): the RTT half of a member's
+// weight, and the whole of the k = 1 choice.
+func pathCost(ps *altpath.PathStat) float64 {
+	return ps.P50 * (1 + multipathRetransPenalty*ps.RetransFrac)
 }
 
 // memberWeights sorts a final member set heaviest-first and appends its
@@ -527,8 +508,9 @@ func weightsString(pws []PathWeight) string {
 }
 
 // sameMembers reports whether the installed and freshly-computed member
-// sets have identical routes and every weight within tolPct points.
-func sameMembers(old, fresh []PathWeight, tolPct int) bool {
+// sets have identical routes and every weight within
+// multipathHysteresisPct points.
+func sameMembers(old, fresh []PathWeight) bool {
 	if len(old) != len(fresh) || len(old) == 0 {
 		return false
 	}
@@ -537,7 +519,7 @@ func sameMembers(old, fresh []PathWeight, tolPct int) bool {
 		if i < 0 {
 			return false
 		}
-		if d := old[i].WeightPct - pw.WeightPct; d > tolPct || -d > tolPct {
+		if d := old[i].WeightPct - pw.WeightPct; d > multipathHysteresisPct || -d > multipathHysteresisPct {
 			return false
 		}
 	}

@@ -43,7 +43,7 @@ func TestMultipathSplitsOnGap(t *testing.T) {
 		altpath.PathStat{Route: ixp, P50: 20, N: 32})
 
 	out := MultipathAllocateTraced(proj, inv, []*altpath.PrefixReport{rep}, nil, nil,
-		AllocatorConfig{}, MultipathConfig{MinGainMS: 20}, nil)
+		AllocatorConfig{}, MultipathConfig{}, nil)
 	if len(out) != 1 {
 		t.Fatalf("overrides = %+v", out)
 	}
@@ -82,8 +82,8 @@ func TestMultipathSpreadsOnCongestion(t *testing.T) {
 	inv := testInventory(t)
 	tab := buildTable(1)
 	p := netip.MustParsePrefix("10.0.0.0/24")
-	// 8G on a 10G port: util 0.8 is above SpreadUtil but below the
-	// overload threshold, so only the multipath pass acts.
+	// 8G on a 10G port: util 0.8 is above multipathSpreadUtil but below
+	// the overload threshold, so only the multipath pass acts.
 	proj := Project(tab, map[netip.Prefix]float64{p: 8e9})
 	plan := proj.Plans[p]
 	transit := plan.Alternates[0]
@@ -92,7 +92,7 @@ func TestMultipathSpreadsOnCongestion(t *testing.T) {
 		altpath.PathStat{Route: transit, P50: 40, N: 32})
 
 	out := MultipathAllocateTraced(proj, inv, []*altpath.PrefixReport{rep}, nil, nil,
-		AllocatorConfig{}, MultipathConfig{SpreadUtil: 0.72, ToleranceMS: 25}, nil)
+		AllocatorConfig{}, MultipathConfig{}, nil)
 	if len(out) != 1 || len(out[0].Multipath) != 2 {
 		t.Fatalf("overrides = %+v", out)
 	}
@@ -101,7 +101,7 @@ func TestMultipathSpreadsOnCongestion(t *testing.T) {
 	rep2 := mpReport(p.String(), proj2.Plans[p].Preferred, 20,
 		altpath.PathStat{Route: transit, P50: 40, N: 32})
 	out2 := MultipathAllocateTraced(proj2, inv, []*altpath.PrefixReport{rep2}, nil, nil,
-		AllocatorConfig{}, MultipathConfig{SpreadUtil: 0.72, ToleranceMS: 25}, nil)
+		AllocatorConfig{}, MultipathConfig{}, nil)
 	if len(out2) != 0 {
 		t.Errorf("uncongested no-gap prefix split: %+v", out2)
 	}
@@ -132,7 +132,7 @@ func TestMultipathExcludesLossyMember(t *testing.T) {
 
 	tr := NewCycleTrace(16)
 	out := MultipathAllocateTraced(proj, inv, []*altpath.PrefixReport{rep}, nil, nil,
-		AllocatorConfig{}, MultipathConfig{MinGainMS: 20, MaxLossFrac: 0.10}, tr)
+		AllocatorConfig{}, MultipathConfig{}, tr)
 	if len(out) != 1 {
 		t.Fatalf("overrides = %+v", out)
 	}
@@ -169,7 +169,7 @@ func TestMultipathHysteresisSuppressesJitter(t *testing.T) {
 	proj := Project(tab, map[netip.Prefix]float64{p: 2e9})
 	plan := proj.Plans[p]
 	ixp := plan.Alternates[0]
-	cfg := MultipathConfig{MinGainMS: 20, HysteresisPct: 10}
+	cfg := MultipathConfig{}
 
 	rep := mpReport(p.String(), plan.Preferred, 50,
 		altpath.PathStat{Route: ixp, P50: 20, N: 32})
@@ -208,7 +208,7 @@ func TestMultipathRespectsTargetUtilization(t *testing.T) {
 	rep := mpReport(pfx, plan.Preferred, 50,
 		altpath.PathStat{Route: plan.Alternates[0], P50: 20, N: 32})
 	out := MultipathAllocateTraced(proj, inv, []*altpath.PrefixReport{rep}, nil, nil,
-		AllocatorConfig{Target: 0.95}, MultipathConfig{MinGainMS: 20}, nil)
+		AllocatorConfig{Target: 0.95}, MultipathConfig{}, nil)
 	if len(out) != 0 {
 		t.Errorf("infeasible demand split anyway: %+v", out)
 	}
@@ -218,7 +218,7 @@ func TestMultipathRespectsTargetUtilization(t *testing.T) {
 	rep2 := mpReport(pfx, plan2.Preferred, 50,
 		altpath.PathStat{Route: plan2.Alternates[0], P50: 20, N: 32})
 	out2 := MultipathAllocateTraced(proj2, inv, []*altpath.PrefixReport{rep2}, nil, nil,
-		AllocatorConfig{Target: 0.95}, MultipathConfig{MinGainMS: 20}, nil)
+		AllocatorConfig{Target: 0.95}, MultipathConfig{}, nil)
 	if len(out2) != 1 || len(out2[0].Multipath) != 2 {
 		t.Fatalf("splittable demand not split: %+v", out2)
 	}
@@ -242,7 +242,7 @@ func TestMultipathSkipsOverloadMoves(t *testing.T) {
 	rep := mpReport(p.String(), plan.Preferred, 50,
 		altpath.PathStat{Route: transit, P50: 20, N: 32})
 	out := MultipathAllocateTraced(proj, inv, []*altpath.PrefixReport{rep}, prior, nil,
-		AllocatorConfig{}, MultipathConfig{MinGainMS: 20}, nil)
+		AllocatorConfig{}, MultipathConfig{}, nil)
 	if len(out) != 0 {
 		t.Errorf("overload-moved prefix split on top: %+v", out)
 	}
@@ -320,7 +320,7 @@ func TestMultipathAllocateOrderIndependent(t *testing.T) {
 		}
 		return reports
 	}
-	cfg := MultipathConfig{MinGainMS: 20, MaxMoves: 10}
+	cfg := MultipathConfig{MaxMoves: 10}
 	want := MultipathAllocateTraced(proj, inv, build(), nil, nil, AllocatorConfig{}, cfg, nil)
 	if len(want) == 0 || len(want) >= len(prefixes) {
 		t.Fatalf("baseline produced %d overrides; the budget and the IXP port must admit only some of %d", len(want), len(prefixes))
@@ -368,7 +368,7 @@ func TestPerfAllocateMovesFastAlternates(t *testing.T) {
 		perfReport("10.0.1.0/24", pni, transit, 5, 32),  // gap too small
 		perfReport("10.0.2.0/24", pni, transit, 40, 4),  // too few samples
 	}
-	out := MultipathAllocateTraced(proj, inv, reports, nil, nil, AllocatorConfig{}, MultipathConfig{MaxPaths: 1, MinGainMS: 20}, nil)
+	out := MultipathAllocateTraced(proj, inv, reports, nil, nil, AllocatorConfig{}, MultipathConfig{MaxPaths: 1}, nil)
 	if len(out) != 1 {
 		t.Fatalf("overrides = %+v", out)
 	}

@@ -125,6 +125,10 @@ func NewReconciler(sup *FleetSupervisor, cfg ReconcilerConfig) *Reconciler {
 	return &Reconciler{sup: sup, cfg: cfg, states: make(map[string]*popReconcileState)}
 }
 
+// Supervisor returns the supervisor whose members the reconciler rolls
+// configs across.
+func (r *Reconciler) Supervisor() *FleetSupervisor { return r.sup }
+
 // SetDesired validates and accepts a desired fleet config, replacing
 // any in-flight rollout (a drained active PoP is resumed first). It
 // returns the new generation. Validation covers every targeted PoP

@@ -41,7 +41,7 @@ const (
 	// a path's measurement window holds too few samples.
 	RejectInsufficientSamples
 	// RejectGapBelowThreshold: the measured RTT gain does not reach
-	// MultipathConfig.MinGainMS (or a member is more than ToleranceMS
+	// multipathMinGainMS (or a member is more than multipathToleranceMS
 	// slower than the primary).
 	RejectGapBelowThreshold
 	// RejectMoveBudget: the per-cycle override budget (MaxDetours /
@@ -52,7 +52,7 @@ const (
 	// more spare capacity).
 	RejectOutranked
 	// RejectLossyPath: a multipath member was excluded because its
-	// measured retransmit fraction exceeds MultipathConfig.MaxLossFrac.
+	// measured retransmit fraction exceeds MultipathMaxLossFrac.
 	RejectLossyPath
 )
 
@@ -328,7 +328,7 @@ type CycleTrace struct {
 	Seq  uint64
 	Time time.Time
 	// Truncated counts prefixes the cycle considered beyond the
-	// MaxPrefixes bound; their traces were dropped, not recorded.
+	// per-cycle bound; their traces were dropped, not recorded.
 	Truncated int
 
 	max      int
@@ -337,10 +337,10 @@ type CycleTrace struct {
 }
 
 // NewCycleTrace returns an empty trace bounded to maxPrefixes records
-// (<= 0 means the default of 4096).
+// (<= 0 means the controller's traceMaxPrefixes).
 func NewCycleTrace(maxPrefixes int) *CycleTrace {
 	if maxPrefixes <= 0 {
-		maxPrefixes = 4096
+		maxPrefixes = traceMaxPrefixes
 	}
 	return &CycleTrace{max: maxPrefixes}
 }
@@ -393,25 +393,20 @@ func (t *CycleTrace) Prefixes() []netip.Prefix {
 	return t.order
 }
 
-// TraceConfig bounds the controller's decision-provenance retention.
-// The zero value enables tracing with defaults; set Disable to shed
-// even the (small) recording cost.
+// TraceConfig switches the controller's decision provenance. The zero
+// value traces up to traceMaxPrefixes prefixes per cycle and retains
+// the last traceCycles cycles; set Disable to shed even the (small)
+// recording cost.
 type TraceConfig struct {
 	// Disable turns per-prefix decision tracing off entirely.
 	Disable bool
-	// Cycles is how many recent cycle traces the controller retains
-	// (the /explain lookback window). Default 8.
-	Cycles int
-	// MaxPrefixes caps traced prefixes per cycle; prefixes considered
-	// beyond the cap are counted in CycleTrace.Truncated. Default 4096.
-	MaxPrefixes int
 }
 
-func (c *TraceConfig) setDefaults() {
-	if c.Cycles == 0 {
-		c.Cycles = 8
-	}
-	if c.MaxPrefixes == 0 {
-		c.MaxPrefixes = 4096
-	}
-}
+const (
+	// traceCycles is how many recent cycle traces the controller
+	// retains (the /explain lookback window).
+	traceCycles = 8
+	// traceMaxPrefixes caps traced prefixes per cycle; prefixes
+	// considered beyond the cap are counted in CycleTrace.Truncated.
+	traceMaxPrefixes = 4096
+)

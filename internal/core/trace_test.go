@@ -127,7 +127,7 @@ func TestTracePerfPassRecords(t *testing.T) {
 		perfReport("10.0.2.0/24", pni, transit, 40, 4),  // too few samples
 	}
 	tr := NewCycleTrace(0)
-	out := MultipathAllocateTraced(proj, inv, reports, nil, nil, AllocatorConfig{}, MultipathConfig{MaxPaths: 1, MinGainMS: 20}, tr)
+	out := MultipathAllocateTraced(proj, inv, reports, nil, nil, AllocatorConfig{}, MultipathConfig{MaxPaths: 1}, tr)
 	if len(out) != 1 {
 		t.Fatalf("overrides = %+v", out)
 	}
@@ -195,7 +195,7 @@ func TestExplainRendersUntracedNoOp(t *testing.T) {
 	demand := staticTraffic{}
 	src := pathModel{
 		netip.MustParseAddr("172.20.0.1"): {rtt: 40},
-		netip.MustParseAddr("172.20.0.9"): {rtt: 35}, // 5 ms faster: below MinGainMS
+		netip.MustParseAddr("172.20.0.9"): {rtt: 35}, // 5 ms faster: below multipathMinGainMS
 	}
 	ctrl, err := New(Config{
 		Inventory: inv,
@@ -395,7 +395,7 @@ func TestTraceRingBounded(t *testing.T) {
 	if err := ctrl.WaitReady(ctx, 0); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 12; i++ { // default Trace.Cycles is 8
+	for i := 0; i < 12; i++ { // traceCycles is 8
 		if _, err := ctrl.RunCycle(); err != nil {
 			t.Fatal(err)
 		}

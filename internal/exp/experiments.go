@@ -572,7 +572,7 @@ func E9FlashReaction(h *Harness, flashStart time.Time, d time.Duration) *FlashRe
 		if res.OverloadAppeared && !mitigated {
 			mitigated = true
 			res.Reaction = now.Sub(flashStart)
-			res.Cycles = int(res.Reaction / (h.Cfg.TickLen * time.Duration(h.Cfg.CycleEveryTicks)))
+			res.Cycles = int(res.Reaction / h.Cfg.TickLen)
 		}
 	})
 	return res

@@ -48,12 +48,6 @@ type FleetShiftConfig struct {
 	// least two receivers; the re-homing pair needs a bystander to
 	// prove non-receivers are untouched).
 	PoPs int
-	// LossFrac is the fraction of PoP 1's demand the region-loss
-	// episode drains. Default 0.6.
-	LossFrac float64
-	// RehomeFrac is the fraction of PoP 2's demand the re-homing
-	// episode lands on PoP 3. Default 0.5.
-	RehomeFrac float64
 	// Quiet is the event-free lead-in establishing each PoP's demand
 	// baseline. Default 5m.
 	Quiet time.Duration
@@ -64,27 +58,31 @@ type FleetShiftConfig struct {
 	// Tail is the event-free run-out after the second episode.
 	// Default 10m.
 	Tail time.Duration
-	// DropBound is the worst per-tick ground-truth drop fraction a
-	// receiving PoP may show inside its shift window once the
-	// absorption grace has passed. Default 0.02.
-	DropBound float64
-	// AbsorbGraceTicks is how many ticks after a shift lands the
-	// receiver gets to react before drops count against DropBound —
-	// the re-homed load arrives all at once, and the controller needs
-	// sFlow windows plus a cycle or two of control lag to chase it.
-	// Default 6.
-	AbsorbGraceTicks int
 }
+
+// The E18 episodes' fixed shape and pass bounds.
+const (
+	// shiftLossFrac is the fraction of PoP 1's demand the region-loss
+	// episode drains.
+	shiftLossFrac = 0.6
+	// shiftRehomeFrac is the fraction of PoP 2's demand the re-homing
+	// episode lands on PoP 3.
+	shiftRehomeFrac = 0.5
+	// shiftDropBound is the worst per-tick ground-truth drop fraction a
+	// receiving PoP may show inside its shift window once the
+	// absorption grace has passed.
+	shiftDropBound = 0.02
+	// shiftAbsorbGraceTicks is how many ticks after a shift lands the
+	// receiver gets to react before drops count against shiftDropBound
+	// — the re-homed load arrives all at once, and the controller
+	// needs sFlow windows plus a cycle or two of control lag to chase
+	// it.
+	shiftAbsorbGraceTicks = 6
+)
 
 func (c *FleetShiftConfig) setDefaults() {
 	if c.PoPs == 0 {
 		c.PoPs = 4
-	}
-	if c.LossFrac == 0 {
-		c.LossFrac = 0.6
-	}
-	if c.RehomeFrac == 0 {
-		c.RehomeFrac = 0.5
 	}
 	if c.Quiet == 0 {
 		c.Quiet = 5 * time.Minute
@@ -97,12 +95,6 @@ func (c *FleetShiftConfig) setDefaults() {
 	}
 	if c.Tail == 0 {
 		c.Tail = 10 * time.Minute
-	}
-	if c.DropBound == 0 {
-		c.DropBound = 0.02
-	}
-	if c.AbsorbGraceTicks == 0 {
-		c.AbsorbGraceTicks = 6
 	}
 }
 
@@ -147,8 +139,7 @@ type FleetShiftResult struct {
 	// FirstMismatch describes the first decision divergence.
 	FirstMismatch string
 	// Episodes are the two shift episodes' outcomes.
-	Episodes  []ShiftEpisode
-	dropBound float64
+	Episodes []ShiftEpisode
 }
 
 // shiftPlan is one scheduled episode in tick coordinates.
@@ -197,12 +188,12 @@ func E18FleetShift(ctx context.Context, cfg FleetShiftConfig) (*FleetShiftResult
 	lossMults := make([]float64, n)
 	rehomeMults := make([]float64, n)
 	for i := range lossMults {
-		lossMults[i] = 1 + cfg.LossFrac/float64(n-1)
+		lossMults[i] = 1 + shiftLossFrac/float64(n-1)
 		rehomeMults[i] = 1
 	}
-	lossMults[0] = 1 - cfg.LossFrac
-	rehomeMults[1] = 1 - cfg.RehomeFrac
-	rehomeMults[2] = 1 + cfg.RehomeFrac
+	lossMults[0] = 1 - shiftLossFrac
+	rehomeMults[1] = 1 - shiftRehomeFrac
+	rehomeMults[2] = 1 + shiftRehomeFrac
 
 	lossAt := cfg.Quiet
 	rehomeAt := cfg.Quiet + cfg.EpisodeLen + cfg.Gap
@@ -236,7 +227,7 @@ func E18FleetShift(ctx context.Context, cfg FleetShiftConfig) (*FleetShiftResult
 		}
 	}
 
-	res := &FleetShiftResult{PoPs: n, dropBound: cfg.DropBound}
+	res := &FleetShiftResult{PoPs: n}
 	type popAcc struct {
 		baseSum, baseTicks float64
 		winSum, winTicks   []float64
@@ -294,7 +285,7 @@ func E18FleetShift(ctx context.Context, cfg FleetShiftConfig) (*FleetShiftResult
 				if frac > acc.worstDrop[w] {
 					acc.worstDrop[w] = frac
 				}
-				if t-plans[w].from >= cfg.AbsorbGraceTicks && frac > acc.sustainedDrop[w] {
+				if t-plans[w].from >= shiftAbsorbGraceTicks && frac > acc.sustainedDrop[w] {
 					acc.sustainedDrop[w] = frac
 				}
 			}
@@ -356,7 +347,7 @@ func (r *FleetShiftResult) Pass() bool {
 				if row.DemandRatio < 1+0.5*(row.Mult-1) {
 					return false
 				}
-				if row.SustainedDropFrac > r.dropBound {
+				if row.SustainedDropFrac > shiftDropBound {
 					return false
 				}
 			case row.Mult < 1:

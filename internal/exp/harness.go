@@ -47,11 +47,10 @@ type HarnessConfig struct {
 	MultipathCfg core.MultipathConfig
 	// Start is the virtual start time. Default 2017-03-01 00:00 UTC.
 	Start time.Time
-	// TickLen is the dataplane step. Default 30 s.
+	// TickLen is the dataplane step and the controller's cycle
+	// interval: every tick runs one cycle. Default 30 s (the paper's
+	// cadence).
 	TickLen time.Duration
-	// CycleEveryTicks runs a controller cycle every N ticks. Default 1
-	// (a cycle per 30 s tick, the paper's cadence).
-	CycleEveryTicks int
 	// Health parameterizes the controller's input-health thresholds;
 	// zero fields default from the cycle interval.
 	Health core.HealthConfig
@@ -75,9 +74,6 @@ func (c *HarnessConfig) setDefaults() {
 	}
 	if c.TickLen == 0 {
 		c.TickLen = 30 * time.Second
-	}
-	if c.CycleEveryTicks == 0 {
-		c.CycleEveryTicks = 1
 	}
 	if c.SamplingRate == 0 {
 		c.SamplingRate = 8192
@@ -105,7 +101,6 @@ type Harness struct {
 	Events *netsim.EventEngine
 
 	cancel          context.CancelFunc
-	ticks           int
 	eventBoundaries int
 	cyclesPaused    atomic.Bool
 }
@@ -270,7 +265,7 @@ func NewHarness(ctx context.Context, cfg HarnessConfig) (*Harness, error) {
 		Inventory:     inv,
 		Traffic:       traffic,
 		Allocator:     cfg.Allocator,
-		CycleInterval: cfg.TickLen * time.Duration(cfg.CycleEveryTicks),
+		CycleInterval: cfg.TickLen,
 		Health:        cfg.Health,
 		LocalAS:       sc.Topo.LocalAS,
 		Now:           clock.Now,
@@ -337,18 +332,18 @@ func (h *Harness) AttachEvents(events []netsim.Event) error {
 func (h *Harness) EventBoundaries() int { return h.eventBoundaries }
 
 // Step advances the simulation by one tick: scheduled events fire, the
-// dataplane moves demand (feeding sFlow), virtual time advances, and —
-// on cycle boundaries — the controller runs. It returns the tick's
-// dataplane stats and the cycle report if a cycle ran (nil otherwise).
+// dataplane moves demand (feeding sFlow), virtual time advances, and
+// the controller runs one cycle (unless disabled or paused). It returns
+// the tick's dataplane stats and the cycle report if a cycle ran (nil
+// otherwise).
 func (h *Harness) Step() (*netsim.TickStats, *core.CycleReport) {
 	if h.Events != nil {
 		h.eventBoundaries += h.Events.Advance(h.Clock.Now())
 	}
 	stats := h.PoP.Plane.Tick(h.Clock.Now(), h.Cfg.TickLen)
 	h.Clock.Advance(h.Cfg.TickLen)
-	h.ticks++
 	var report *core.CycleReport
-	if h.Controller != nil && h.ticks%h.Cfg.CycleEveryTicks == 0 && !h.cyclesPaused.Load() {
+	if h.Controller != nil && !h.cyclesPaused.Load() {
 		report, _ = h.Controller.RunCycle()
 		h.waitOverridesApplied(report)
 	}

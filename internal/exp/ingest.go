@@ -37,42 +37,18 @@ import (
 type IngestConfig struct {
 	// Packets per in-process throughput trial. Default 300,000.
 	Packets int
-	// Records per datagram (flow samples batch records the way real
-	// exporters do). Default 16.
-	Records int
 	// Prefixes is the destination /24 spread — how many distinct
 	// prefixes the sliding window ends up tracking. Default 131072,
 	// the order of what a PoP-scale controller watches.
 	Prefixes int
-	// Workers is the concurrent ingest fan-in: sender goroutines for
-	// the in-process arms, and the socket/reader pool width for the
-	// UDP arm. Default 8 — socket fan-out is I/O concurrency, not CPU
-	// parallelism: SO_REUSEPORT spreads kernel buffering across the
-	// pool even on a single-core host, so burst deficits during a
-	// consumer read are split across the pool instead of overflowing
-	// one socket.
-	Workers int
 	// UDPRates is the offered-rate ladder in packets/sec. Default
 	// {2k, 5k, 10k, 20k, 30k, 40k, 80k, 120k, 160k, 200k, 240k}.
 	UDPRates []int
 	// UDPSeconds is the send time per ladder point. Default 2.0.
 	UDPSeconds float64
-	// UDPBufBytes is the kernel receive buffer of each UDP socket.
-	// Default 1 MiB (generous against Linux's ~208 KiB default; subject
-	// to the host's rmem_max cap). A buffer absorbs one-off burst
-	// deficits but not sustained starvation, so it does not mask
-	// read-side stalls.
-	UDPBufBytes int
-	// SkipUDP skips the socket arm (smoke runs in sandboxes without
-	// loopback headroom).
-	SkipUDP bool
 	// DumpPrefixes sizes the BMP dump arm's table. Default 100,000
 	// (1,000,000 at paper scale).
 	DumpPrefixes int
-	// DumpRate paces the replay in routes/sec. Default 200,000 — a
-	// deliberate pace so that on a single-core host the arm measures
-	// lock behavior, not raw CPU sharing.
-	DumpRate int
 	// Cycles is the number of snapshot cycles measured per dump arm.
 	// Default 60 — p95 over fewer cycles is too noisy to gate on.
 	Cycles int
@@ -80,18 +56,36 @@ type IngestConfig struct {
 	Seed int64
 }
 
+// E15's fixed shape.
+const (
+	// ingestRecords is the records per datagram (flow samples batch
+	// records the way real exporters do).
+	ingestRecords = 16
+	// ingestWorkers is the concurrent ingest fan-in: sender goroutines
+	// for the in-process arms, and the socket/reader pool width for the
+	// UDP arm. Socket fan-out is I/O concurrency, not CPU parallelism:
+	// SO_REUSEPORT spreads kernel buffering across the pool even on a
+	// single-core host, so burst deficits during a consumer read are
+	// split across the pool instead of overflowing one socket.
+	ingestWorkers = 8
+	// ingestUDPBufBytes is the kernel receive buffer of each UDP socket:
+	// 1 MiB, generous against Linux's ~208 KiB default and subject to
+	// the host's rmem_max cap. A buffer absorbs one-off burst deficits
+	// but not sustained starvation, so it does not mask read-side
+	// stalls.
+	ingestUDPBufBytes = 1 << 20
+	// ingestDumpRate paces the dump replay in routes/sec — a deliberate
+	// pace so that on a single-core host the arm measures lock
+	// behavior, not raw CPU sharing.
+	ingestDumpRate = 200_000
+)
+
 func (c *IngestConfig) setDefaults() {
 	if c.Packets == 0 {
 		c.Packets = 300_000
 	}
-	if c.Records == 0 {
-		c.Records = 16
-	}
 	if c.Prefixes == 0 {
 		c.Prefixes = 131072
-	}
-	if c.Workers == 0 {
-		c.Workers = 8
 	}
 	if len(c.UDPRates) == 0 {
 		c.UDPRates = []int{2_000, 5_000, 10_000, 20_000, 30_000, 40_000, 80_000, 120_000, 160_000, 200_000, 240_000}
@@ -99,14 +93,8 @@ func (c *IngestConfig) setDefaults() {
 	if c.UDPSeconds == 0 {
 		c.UDPSeconds = 2.0
 	}
-	if c.UDPBufBytes == 0 {
-		c.UDPBufBytes = 1 << 20
-	}
 	if c.DumpPrefixes == 0 {
 		c.DumpPrefixes = 100_000
-	}
-	if c.DumpRate == 0 {
-		c.DumpRate = 200_000
 	}
 	if c.Cycles == 0 {
 		c.Cycles = 60
@@ -127,10 +115,8 @@ type UDPPoint struct {
 
 // IngestResult is the E15 report.
 type IngestResult struct {
-	Workers int
-	Records int
-
-	// In-process throughput, packets/sec (records/sec = pps * Records).
+	// In-process throughput, packets/sec (records/sec = pps *
+	// ingestRecords).
 	ShardedPPS float64
 
 	// Fleet demux throughput.
@@ -143,7 +129,6 @@ type IngestResult struct {
 
 	// Dump absorption.
 	DumpRoutes       int
-	DumpRate         int
 	ReplayedRoutes   int
 	BaseP50, BaseP95 time.Duration
 	DumpP50, DumpP95 time.Duration
@@ -165,15 +150,15 @@ func (mapper24) MapPrefix(a netip.Addr) netip.Prefix {
 func ingestPackets(cfg *IngestConfig, agents []netip.Addr) [][]byte {
 	// Enough distinct datagrams that every prefix in the spread shows
 	// up in the window.
-	nDistinct := (cfg.Prefixes + cfg.Records - 1) / cfg.Records
+	nDistinct := (cfg.Prefixes + ingestRecords - 1) / ingestRecords
 	if nDistinct < 256 {
 		nDistinct = 256
 	}
 	pkts := make([][]byte, 0, nDistinct)
 	for i := 0; i < nDistinct; i++ {
-		recs := make([]sflow.FlowRecord, cfg.Records)
+		recs := make([]sflow.FlowRecord, ingestRecords)
 		for j := range recs {
-			pi := (i*cfg.Records + j) % cfg.Prefixes
+			pi := (i*ingestRecords + j) % cfg.Prefixes
 			recs[j] = sflow.FlowRecord{
 				Dst:      netip.AddrFrom4([4]byte{10, byte(pi >> 8 % 256), byte(pi % 256), byte(1 + j%250)}),
 				FrameLen: uint32(64 + (i*37+j*131)%1400),
@@ -186,7 +171,7 @@ func ingestPackets(cfg *IngestConfig, agents []netip.Addr) [][]byte {
 			Samples: []sflow.FlowSample{{
 				Seq:          uint32(i),
 				SamplingRate: 8192,
-				SamplePool:   uint32(cfg.Records) * 8192,
+				SamplePool:   ingestRecords * 8192,
 				Records:      recs,
 			}},
 		}
@@ -264,7 +249,7 @@ func offerUDP(cfg *IngestConfig, pkts [][]byte, rate int, raddr string) uint64 {
 	// Several sender flows per listener socket, so the kernel's flow
 	// hash spreads load across the SO_REUSEPORT pool without one
 	// socket drawing an outsized share.
-	senders := cfg.Workers * 4
+	senders := ingestWorkers * 4
 	for w := 0; w < senders; w++ {
 		swg.Add(1)
 		go func(w int) {
@@ -348,17 +333,17 @@ func startPoller(every time.Duration, poll func()) (stop func()) {
 // plus point-rate queries, which the sharded collector answers from one
 // shard's buckets.
 func udpLadderPoint(cfg *IngestConfig, pkts [][]byte, rate int) (UDPPoint, error) {
-	conns, err := sflow.ListenUDP("127.0.0.1:0", cfg.Workers)
+	conns, err := sflow.ListenUDP("127.0.0.1:0", ingestWorkers)
 	if err != nil {
 		return UDPPoint{}, err
 	}
 	for _, c := range conns {
 		if uc, ok := c.(*net.UDPConn); ok {
-			_ = uc.SetReadBuffer(cfg.UDPBufBytes)
+			_ = uc.SetReadBuffer(ingestUDPBufBytes)
 		}
 	}
 	wc := &warmClock{}
-	col := sflow.NewCollector(sflow.CollectorConfig{Mapper: mapper24{}, Readers: cfg.Workers, Now: wc.Now})
+	col := sflow.NewCollector(sflow.CollectorConfig{Mapper: mapper24{}, Readers: ingestWorkers, Now: wc.Now})
 	prefill(col, wc, pkts)
 	wc.Freeze()
 	baseD, baseM, _ := col.Stats()
@@ -470,7 +455,7 @@ func runDumpArm(cfg *IngestConfig, res *IngestResult) error {
 		// snapshot cycle, so a cycle that lands mid-replay overlaps a
 		// sliver of dump work instead of absorbing a whole burst.
 		chunk := 1024
-		chunkDur := time.Duration(float64(chunk) / float64(cfg.DumpRate) * float64(time.Second))
+		chunkDur := time.Duration(float64(chunk) / ingestDumpRate * float64(time.Second))
 		next := time.Now().Add(chunkDur)
 		for _, m := range msgs {
 			store.OnRoute("pr", m)
@@ -495,7 +480,6 @@ func runDumpArm(cfg *IngestConfig, res *IngestResult) error {
 	// Initial table load (the converged pre-reconnect state), untimed.
 	replayOnce(false, nil)
 	res.DumpRoutes = store.Table().RouteCount()
-	res.DumpRate = cfg.DumpRate
 
 	tab := store.Table()
 	prefixes := tab.Prefixes()
@@ -549,7 +533,7 @@ func runDumpArm(cfg *IngestConfig, res *IngestResult) error {
 // E15IngestSaturation runs the ingest experiment.
 func E15IngestSaturation(cfg IngestConfig) (*IngestResult, error) {
 	cfg.setDefaults()
-	res := &IngestResult{Workers: cfg.Workers, Records: cfg.Records}
+	res := &IngestResult{}
 
 	agents := []netip.Addr{
 		netip.MustParseAddr("10.255.1.1"),
@@ -563,7 +547,7 @@ func E15IngestSaturation(cfg IngestConfig) (*IngestResult, error) {
 	wc1 := &warmClock{}
 	col := sflow.NewCollector(sflow.CollectorConfig{Mapper: mapper24{}, Now: wc1.Now})
 	prefill(col, wc1, pkts)
-	res.ShardedPPS = measureThroughput(col, pkts, cfg.Packets, cfg.Workers)
+	res.ShardedPPS = measureThroughput(col, pkts, cfg.Packets, ingestWorkers)
 	runtime.GC()
 
 	// Arm 2: fleet demux (4 registered PoPs).
@@ -573,14 +557,12 @@ func E15IngestSaturation(cfg IngestConfig) (*IngestResult, error) {
 		dm.Register(a, sflow.NewCollector(sflow.CollectorConfig{Mapper: mapper24{}, Now: wc2.Now}))
 	}
 	prefill(dm, wc2, pkts)
-	res.ShardedDemuxPPS = measureThroughput(dm, pkts, cfg.Packets, cfg.Workers)
+	res.ShardedDemuxPPS = measureThroughput(dm, pkts, cfg.Packets, ingestWorkers)
 	runtime.GC()
 
 	// Arm 3: UDP saturation.
-	if !cfg.SkipUDP {
-		if err := runUDPArm(&cfg, pkts, res); err != nil {
-			return nil, err
-		}
+	if err := runUDPArm(&cfg, pkts, res); err != nil {
+		return nil, err
 	}
 
 	// Arm 4: dump absorption.
@@ -593,10 +575,10 @@ func E15IngestSaturation(cfg IngestConfig) (*IngestResult, error) {
 // String renders the EXPERIMENTS.md rows.
 func (r *IngestResult) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "E15 ingest saturation (%d workers, %d records/datagram)\n", r.Workers, r.Records)
+	fmt.Fprintf(&b, "E15 ingest saturation (%d workers, %d records/datagram)\n", ingestWorkers, ingestRecords)
 	fmt.Fprintf(&b, "  %-34s %12s %14s\n", "arm", "pkts/s", "records/s")
 	row := func(name string, pps float64) {
-		fmt.Fprintf(&b, "  %-34s %12.0f %14.0f\n", name, pps, pps*float64(r.Records))
+		fmt.Fprintf(&b, "  %-34s %12.0f %14.0f\n", name, pps, pps*ingestRecords)
 	}
 	row("sharded zero-alloc pipeline", r.ShardedPPS)
 	row("sharded fleet demux (header peek)", r.ShardedDemuxPPS)
@@ -609,7 +591,7 @@ func (r *IngestResult) String() string {
 		fmt.Fprintf(&b, "    max zero-drop offered rate: %d pps\n", r.MaxZeroDropPPS)
 	}
 	fmt.Fprintf(&b, "  BMP dump absorption (%d routes, paced %d routes/s, %d replayed during window):\n",
-		r.DumpRoutes, r.DumpRate, r.ReplayedRoutes)
+		r.DumpRoutes, ingestDumpRate, r.ReplayedRoutes)
 	fmt.Fprintf(&b, "    snapshot cycle p50/p95 idle: %s / %s\n",
 		r.BaseP50.Round(time.Microsecond), r.BaseP95.Round(time.Microsecond))
 	fmt.Fprintf(&b, "    snapshot cycle p50/p95 dump: %s / %s  (p95 inflation %.2fx)\n",

@@ -37,13 +37,20 @@ type ScaleConfig struct {
 	// RouteChurn is the number of route updates applied per cycle.
 	// Default 256.
 	RouteChurn int
-	// HeavyK / TailEpsilon / TailStride / Epsilon configure the
-	// projector (defaults 8192 / 0.25 / 32 / 0.05).
-	HeavyK      int
-	TailEpsilon float64
-	TailStride  int
-	Epsilon     float64
+	// HeavyK / TailStride configure the projector's heavy-hitter split
+	// (defaults 8192 / 32); its tolerances are scaleEpsilon and
+	// scaleTailEpsilon.
+	HeavyK     int
+	TailStride int
 }
+
+const (
+	// scaleEpsilon is the projector's relative demand tolerance for
+	// reusing a heavy hitter's cached plan.
+	scaleEpsilon = 0.05
+	// scaleTailEpsilon is the same tolerance for the tail.
+	scaleTailEpsilon = 0.25
+)
 
 func (c *ScaleConfig) setDefaults() {
 	if c.Prefixes == 0 {
@@ -64,14 +71,8 @@ func (c *ScaleConfig) setDefaults() {
 	if c.HeavyK == 0 {
 		c.HeavyK = 8192
 	}
-	if c.TailEpsilon == 0 {
-		c.TailEpsilon = 0.25
-	}
 	if c.TailStride == 0 {
 		c.TailStride = 32
-	}
-	if c.Epsilon == 0 {
-		c.Epsilon = 0.05
 	}
 }
 
@@ -164,9 +165,9 @@ func E14MillionPrefix(cfg ScaleConfig) (*ScaleResult, error) {
 		return nil, err
 	}
 	pj := &core.Projector{
-		Epsilon:     cfg.Epsilon,
+		Epsilon:     scaleEpsilon,
 		HeavyK:      cfg.HeavyK,
-		TailEpsilon: cfg.TailEpsilon,
+		TailEpsilon: scaleTailEpsilon,
 		TailStride:  cfg.TailStride,
 		// The experiment times the sweep explicitly; keep it out of the
 		// dirty-cycle sample.

@@ -69,44 +69,6 @@ type SoakConfig struct {
 	// ChaosEvents is how many events ChaosSchedule composes when Events
 	// is nil. Default 12.
 	ChaosEvents int
-	// Threshold is the utilization bound the overload invariant checks.
-	// Default Base.Allocator.Threshold + 0.03: the controller steers on
-	// sampled demand, so the ground-truth check allows a small
-	// measurement margin before calling overload addressable.
-	Threshold float64
-	// OverloadGraceCycles is how many consecutive addressable-overload
-	// cycles are tolerated before a violation (reaction lag: sFlow
-	// windows plus one cycle of control lag). Default 6.
-	OverloadGraceCycles int
-	// ChurnBudget is the per-cycle announced+withdrawn bound. Default
-	// max(25, prefixes/20).
-	ChurnBudget int
-	// BoundaryGraceCycles exempts cycles this close after an event
-	// transition or a health-state change from the churn check (events
-	// legitimately re-shuffle the override set). Default 3.
-	BoundaryGraceCycles int
-	// LossyGraceCycles is how many consecutive cycles a lossy-path
-	// event above the optimizer's loss bound may stay active before
-	// every installed member set must have evicted the peer (EWMA loss
-	// measurement converges from below, plus a cycle of control lag).
-	// Default 12.
-	LossyGraceCycles int
-	// ShiftDropFrac is the per-tick ground-truth drop fraction an
-	// inbound demand-shift window tolerates before the absorption
-	// invariant starts counting. Default 0.01.
-	ShiftDropFrac float64
-	// ShiftGraceCycles is how many consecutive dropping-with-headroom
-	// cycles inside a shift window are tolerated before a violation
-	// (the re-homed load lands all at once; measurement plus control
-	// lag need a few cycles to chase it). Default 8.
-	ShiftGraceCycles int
-	// RecoverySettleWall bounds the wall-clock wait for feeds and
-	// sessions to re-establish after the last event (BMP/iBGP redial
-	// backoff is wall-clock, not virtual). Default 15s.
-	RecoverySettleWall time.Duration
-	// RecoveryCycles bounds how many cycles after settling the
-	// controller has to produce a healthy cycle. Default 10.
-	RecoveryCycles int
 	// Logf, when set, receives progress lines (the seed is always
 	// logged at start).
 	Logf func(format string, args ...any)
@@ -116,35 +78,45 @@ func (c *SoakConfig) setDefaults() {
 	if c.Cycles == 0 {
 		c.Cycles = 500
 	}
-	if c.Threshold == 0 {
-		t := c.Base.Allocator.Threshold
-		if t == 0 {
-			t = 0.95
-		}
-		c.Threshold = t + 0.03
-	}
-	if c.OverloadGraceCycles == 0 {
-		c.OverloadGraceCycles = 6
-	}
-	if c.BoundaryGraceCycles == 0 {
-		c.BoundaryGraceCycles = 3
-	}
-	if c.LossyGraceCycles == 0 {
-		c.LossyGraceCycles = 12
-	}
-	if c.ShiftDropFrac == 0 {
-		c.ShiftDropFrac = 0.01
-	}
-	if c.ShiftGraceCycles == 0 {
-		c.ShiftGraceCycles = 8
-	}
-	if c.RecoverySettleWall == 0 {
-		c.RecoverySettleWall = 15 * time.Second
-	}
-	if c.RecoveryCycles == 0 {
-		c.RecoveryCycles = 10
-	}
 }
+
+// The invariant checker's fixed tolerances.
+const (
+	// soakOverloadMargin is added to the allocator threshold to give
+	// the overload invariant's bound: the controller steers on sampled
+	// demand, so the ground-truth check allows a small measurement
+	// margin before calling overload addressable.
+	soakOverloadMargin = 0.03
+	// soakOverloadGrace is how many consecutive addressable-overload
+	// cycles are tolerated before a violation (reaction lag: sFlow
+	// windows plus one cycle of control lag).
+	soakOverloadGrace = 6
+	// soakBoundaryGrace exempts cycles this close after an event
+	// transition or a health-state change from the churn check (events
+	// legitimately re-shuffle the override set).
+	soakBoundaryGrace = 3
+	// soakLossyGrace is how many consecutive cycles a lossy-path event
+	// above the optimizer's loss bound may stay active before every
+	// installed member set must have evicted the peer (EWMA loss
+	// measurement converges from below, plus a cycle of control lag).
+	soakLossyGrace = 12
+	// soakShiftDropFrac is the per-tick ground-truth drop fraction an
+	// inbound demand-shift window tolerates before the absorption
+	// invariant starts counting.
+	soakShiftDropFrac = 0.01
+	// soakShiftGrace is how many consecutive dropping-with-headroom
+	// cycles inside a shift window are tolerated before a violation
+	// (the re-homed load lands all at once; measurement plus control
+	// lag need a few cycles to chase it).
+	soakShiftGrace = 8
+	// soakRecoverySettleWall bounds the wall-clock wait for feeds and
+	// sessions to re-establish after the last event (BMP/iBGP redial
+	// backoff is wall-clock, not virtual).
+	soakRecoverySettleWall = 15 * time.Second
+	// soakRecoveryCycles bounds how many cycles after settling the
+	// controller has to produce a healthy cycle.
+	soakRecoveryCycles = 10
+)
 
 // SoakViolation is one invariant breach, timestamped in cycles and
 // virtual time.
@@ -221,14 +193,10 @@ func (r *SoakResult) String() string {
 
 // invariantChecker holds the per-cycle checking state.
 type invariantChecker struct {
-	h             *Harness
-	threshold     float64
-	overloadGrace int
-	churnBudget   int
-	boundaryGrace int
-	lossyGrace    int
-	maxPaths      int // multipath member-set bound (config or default)
-	minWeight     int // multipath per-member weight floor
+	h           *Harness
+	threshold   float64 // overload bound: allocator threshold + soakOverloadMargin
+	churnBudget int     // per-cycle announced+withdrawn bound
+	maxPaths    int     // multipath member-set bound (config or default)
 
 	overStreak map[int]int // interface -> consecutive addressable-overload cycles
 	overFired  map[int]bool
@@ -240,8 +208,6 @@ type invariantChecker struct {
 
 	lossyEvents []*lossyWindow
 	shiftEvents []*shiftWindow
-	shiftBound  float64
-	shiftGrace  int
 	mpFired     map[netip.Prefix]bool
 
 	cycle      int
@@ -270,9 +236,9 @@ type shiftWindow struct {
 }
 
 func newInvariantChecker(h *Harness, cfg *SoakConfig) *invariantChecker {
-	budget := cfg.ChurnBudget
-	if budget == 0 {
-		budget = max(25, len(h.Scenario.Prefixes)/20)
+	threshold := cfg.Base.Allocator.Threshold
+	if threshold == 0 {
+		threshold = 0.95
 	}
 	// Mirror the optimizer's defaulting: the checker must judge by the
 	// bounds the optimizer actually ran with.
@@ -280,36 +246,23 @@ func newInvariantChecker(h *Harness, cfg *SoakConfig) *invariantChecker {
 	if maxPaths == 0 {
 		maxPaths = 3
 	}
-	minWeight := cfg.Base.MultipathCfg.MinWeightPct
-	if minWeight == 0 {
-		minWeight = 5
-	}
 	return &invariantChecker{
-		h:             h,
-		threshold:     cfg.Threshold,
-		overloadGrace: cfg.OverloadGraceCycles,
-		churnBudget:   budget,
-		boundaryGrace: cfg.BoundaryGraceCycles,
-		lossyGrace:    cfg.LossyGraceCycles,
-		shiftBound:    cfg.ShiftDropFrac,
-		shiftGrace:    cfg.ShiftGraceCycles,
-		maxPaths:      maxPaths,
-		minWeight:     minWeight,
-		overStreak:    make(map[int]int),
-		overFired:     make(map[int]bool),
-		mpFired:       make(map[netip.Prefix]bool),
+		h:           h,
+		threshold:   threshold + soakOverloadMargin,
+		churnBudget: max(25, len(h.Scenario.Prefixes)/20),
+		maxPaths:    maxPaths,
+		overStreak:  make(map[int]int),
+		overFired:   make(map[int]bool),
+		mpFired:     make(map[netip.Prefix]bool),
 	}
 }
 
 // armPerfInvariants extracts the lossy-path events hot enough to
 // obligate eviction (scripted loss strictly above the optimizer's
-// MaxLossFrac, with margin for congestion noise in the measurement)
-// and anchors their windows at the timeline start.
+// core.MultipathMaxLossFrac, with margin for congestion noise in the
+// measurement) and anchors their windows at the timeline start.
 func (c *invariantChecker) armPerfInvariants(events []netsim.Event, start time.Time) {
-	bound := c.h.Cfg.MultipathCfg.MaxLossFrac
-	if bound == 0 {
-		bound = 0.10
-	}
+	bound := float64(core.MultipathMaxLossFrac) // a variable: bound+0.02 rounds at run time
 	addrOf := make(map[string]netip.Addr, len(c.h.PoP.Topo.Peers))
 	for i := range c.h.PoP.Topo.Peers {
 		p := &c.h.PoP.Topo.Peers[i]
@@ -382,7 +335,7 @@ func (c *invariantChecker) observe(stats *netsim.TickStats, r *core.CycleReport,
 	healthChanged := c.haveHealth && r.Health != c.lastHealth
 	c.lastHealth, c.haveHealth = r.Health, true
 	if boundaries > 0 || healthChanged {
-		c.graceLeft = c.boundaryGrace
+		c.graceLeft = soakBoundaryGrace
 	}
 
 	// --- churn budget, outside transition windows.
@@ -390,7 +343,7 @@ func (c *invariantChecker) observe(stats *netsim.TickStats, r *core.CycleReport,
 	if c.graceLeft == 0 && churn > c.churnBudget {
 		c.violate(r.Time, "churn-budget",
 			"announced=%d withdrawn=%d exceeds budget %d with no event or health transition in the last %d cycles",
-			r.Announced, r.Withdrawn, c.churnBudget, c.boundaryGrace)
+			r.Announced, r.Withdrawn, c.churnBudget, soakBoundaryGrace)
 	}
 
 	installed := c.h.Controller.Installed()
@@ -409,8 +362,8 @@ func (c *invariantChecker) observe(stats *netsim.TickStats, r *core.CycleReport,
 		sum := 0
 		for _, pw := range o.Multipath {
 			sum += pw.WeightPct
-			if bad == "" && pw.WeightPct < c.minWeight {
-				bad = fmt.Sprintf("member weight %d%% below the %d%% floor", pw.WeightPct, c.minWeight)
+			if bad == "" && pw.WeightPct < core.MultipathMinWeightPct {
+				bad = fmt.Sprintf("member weight %d%% below the %d%% floor", pw.WeightPct, core.MultipathMinWeightPct)
 			}
 		}
 		if bad == "" && sum != 100 {
@@ -433,7 +386,7 @@ func (c *invariantChecker) observe(stats *netsim.TickStats, r *core.CycleReport,
 			continue
 		}
 		lw.streak++
-		if lw.streak <= c.lossyGrace || lw.fired {
+		if lw.streak <= soakLossyGrace || lw.fired {
 			continue
 		}
 		for p, o := range installed {
@@ -466,7 +419,7 @@ func (c *invariantChecker) observe(stats *netsim.TickStats, r *core.CycleReport,
 			continue
 		}
 		demand := stats.TotalDemandBps()
-		if demand <= 0 || stats.TotalDropsBps()/demand <= c.shiftBound {
+		if demand <= 0 || stats.TotalDropsBps()/demand <= soakShiftDropFrac {
 			sw.streak = 0
 			continue
 		}
@@ -487,7 +440,7 @@ func (c *invariantChecker) observe(stats *netsim.TickStats, r *core.CycleReport,
 			continue
 		}
 		sw.streak++
-		if sw.streak > c.shiftGrace && !sw.fired {
+		if sw.streak > soakShiftGrace && !sw.fired {
 			sw.fired = true // once per window
 			c.violate(r.Time, "shift-absorption",
 				"dropping %.2f%% of demand %d healthy cycles into a ×%.2f inbound shift; e.g. %s could move from if%d to if%d",
@@ -540,7 +493,7 @@ func (c *invariantChecker) observe(stats *netsim.TickStats, r *core.CycleReport,
 				continue
 			}
 			c.overStreak[id]++
-			if c.overStreak[id] > c.overloadGrace && !c.overFired[id] {
+			if c.overStreak[id] > soakOverloadGrace && !c.overFired[id] {
 				c.overFired[id] = true // once per episode, not per cycle
 				ifName := ""
 				if ifc := c.h.PoP.Topo.InterfaceByID(id); ifc != nil {
@@ -627,10 +580,11 @@ func E16ChaosSoak(ctx context.Context, cfg SoakConfig) (*SoakResult, error) {
 	base.Multipath = true
 	if base.MultipathCfg.MaxMoves == 0 {
 		// Unbounded, the optimizer installs every converged split in one
-		// cycle the moment measurements reach MinSamples — a cold-start
-		// burst no operator would ship. Budget it so convergence spreads
-		// over a few cycles and stays inside the churn invariant;
-		// re-affirmations of installed sets remain free.
+		// cycle the moment measurements reach the optimizer's sample
+		// floor — a cold-start burst no operator would ship. Budget it
+		// so convergence spreads over a few cycles and stays inside the
+		// churn invariant; re-affirmations of installed sets remain
+		// free.
 		base.MultipathCfg.MaxMoves = 10
 	}
 	if base.Synth.Seed == 0 {
@@ -653,7 +607,7 @@ func E16ChaosSoak(ctx context.Context, cfg SoakConfig) (*SoakResult, error) {
 
 	events := cfg.Events
 	if events == nil {
-		horizon := time.Duration(cfg.Cycles) * h.Cfg.TickLen * time.Duration(h.Cfg.CycleEveryTicks)
+		horizon := time.Duration(cfg.Cycles) * h.Cfg.TickLen
 		// Leave the tail of the run event-free so recovery is checkable.
 		if horizon > time.Hour {
 			horizon -= 30 * time.Minute
@@ -710,22 +664,22 @@ func E16ChaosSoak(ctx context.Context, cfg SoakConfig) (*SoakResult, error) {
 	// --- bounded recovery after the last event.
 	if h.Events.Done() {
 		health := h.Controller.Health()
-		settled := waitWall(cfg.RecoverySettleWall, func() bool {
+		settled := waitWall(soakRecoverySettleWall, func() bool {
 			ih := health.Evaluate()
 			return ih.FeedsUp == ih.FeedsTotal && ih.SessionsUp == ih.SessionsTotal
 		})
 		if !settled {
 			chk.cycle++
 			chk.violate(h.Clock.Now(), "recovery",
-				"feeds/sessions not re-established within %s wall after last event", cfg.RecoverySettleWall)
+				"feeds/sessions not re-established within %s wall after last event", soakRecoverySettleWall)
 		} else {
-			n, ok := stepUntil(h, cfg.RecoveryCycles, func(r *core.CycleReport) bool {
+			n, ok := stepUntil(h, soakRecoveryCycles, func(r *core.CycleReport) bool {
 				return r.Health == core.HealthHealthy
 			})
 			chk.cycle += n
 			if !ok {
 				chk.violate(h.Clock.Now(), "recovery",
-					"no healthy cycle within %d cycles after last event", cfg.RecoveryCycles)
+					"no healthy cycle within %d cycles after last event", soakRecoveryCycles)
 			} else {
 				res.Recovered, res.RecoverCycles = true, n
 			}

@@ -120,7 +120,7 @@ func TestE16ControlArmReportsViolation(t *testing.T) {
 }
 
 // TestE16LossyPathQuarantine scripts a single hot lossy-path event
-// (well above the optimizer's MaxLossFrac bound) and soaks through it:
+// (well above core.MultipathMaxLossFrac) and soaks through it:
 // the quarantine invariant must arm for the event, and a correct
 // controller must evict the peer from every weighted member set before
 // the grace expires — zero violations.

@@ -21,11 +21,11 @@ type ChaosConfig struct {
 	Horizon time.Duration
 	// Events is how many events to compose. Default 12.
 	Events int
-	// Quiet is the leading quiet period before the first event, giving
-	// the controller time to converge and establish a steady baseline.
-	// Default 5m.
-	Quiet time.Duration
 }
+
+// chaosQuiet is the leading quiet period before the first event, giving
+// the controller time to converge and establish a steady baseline.
+const chaosQuiet = 5 * time.Minute
 
 func (c *ChaosConfig) setDefaults() {
 	if c.Horizon == 0 {
@@ -33,9 +33,6 @@ func (c *ChaosConfig) setDefaults() {
 	}
 	if c.Events == 0 {
 		c.Events = 12
-	}
-	if c.Quiet == 0 {
-		c.Quiet = 5 * time.Minute
 	}
 }
 
@@ -167,11 +164,11 @@ func ChaosSchedule(sc *Scenario, cfg ChaosConfig) ([]Event, error) {
 		}
 		// Place the event: start after the quiet lead, end within the
 		// horizon.
-		span := cfg.Horizon - cfg.Quiet - ev.Duration
+		span := cfg.Horizon - chaosQuiet - ev.Duration
 		if span <= 0 {
 			continue // event family too long for this horizon; redraw
 		}
-		ev.At = cfg.Quiet + time.Duration(rng.Int63n(int64(span)))
+		ev.At = chaosQuiet + time.Duration(rng.Int63n(int64(span)))
 		events = append(events, ev)
 	}
 	sort.SliceStable(events, func(a, b int) bool { return events[a].At < events[b].At })

@@ -13,16 +13,11 @@ import (
 type DemandConfig struct {
 	// PeakBps is the PoP's total egress demand at the diurnal peak.
 	PeakBps float64
-	// DiurnalAmplitude in [0,1) is the peak-to-trough swing: trough
-	// demand is Peak×(1−amplitude). Default 0.5.
-	DiurnalAmplitude float64
 	// PeakHourUTC is the hour of day demand peaks. Default 20.
 	PeakHourUTC float64
 	// NoiseSigma is the σ of multiplicative lognormal per-prefix noise
-	// re-drawn every NoisePeriod. Default 0.15.
+	// re-drawn every noisePeriod. Default 0.15.
 	NoiseSigma float64
-	// NoisePeriod is how often noise re-draws. Default 5 minutes.
-	NoisePeriod time.Duration
 	// Seed decorrelates noise across scenarios.
 	Seed int64
 }
@@ -31,19 +26,21 @@ func (c *DemandConfig) setDefaults() {
 	if c.PeakBps == 0 {
 		c.PeakBps = 400e9
 	}
-	if c.DiurnalAmplitude == 0 {
-		c.DiurnalAmplitude = 0.5
-	}
 	if c.PeakHourUTC == 0 {
 		c.PeakHourUTC = 20
 	}
 	if c.NoiseSigma == 0 {
 		c.NoiseSigma = 0.15
 	}
-	if c.NoisePeriod == 0 {
-		c.NoisePeriod = 5 * time.Minute
-	}
 }
+
+const (
+	// diurnalAmplitude in [0,1) is the peak-to-trough swing: trough
+	// demand is Peak×(1−diurnalAmplitude).
+	diurnalAmplitude = 0.5
+	// noisePeriod is how often per-prefix noise re-draws.
+	noisePeriod = 5 * time.Minute
+)
 
 // PrefixInfo carries the static per-prefix facts the demand model and
 // the experiments need.
@@ -142,7 +139,7 @@ func (m *DemandModel) Prefixes() []*PrefixInfo { return m.prefixes }
 func (m *DemandModel) Diurnal(t time.Time) float64 {
 	h := float64(t.Hour()) + float64(t.Minute())/60 + float64(t.Second())/3600
 	phase := 2 * math.Pi * (h - m.cfg.PeakHourUTC) / 24
-	return 1 - m.cfg.DiurnalAmplitude*0.5*(1-math.Cos(phase))
+	return 1 - diurnalAmplitude*0.5*(1-math.Cos(phase))
 }
 
 // noise returns the deterministic lognormal noise factor for a prefix in
@@ -151,7 +148,7 @@ func (m *DemandModel) noise(p netip.Prefix, t time.Time) float64 {
 	if m.cfg.NoiseSigma == 0 {
 		return 1
 	}
-	epoch := t.UnixNano() / int64(m.cfg.NoisePeriod)
+	epoch := t.UnixNano() / int64(noisePeriod)
 	h := fnv.New64a()
 	var buf [8]byte
 	putU64(buf[:], uint64(m.cfg.Seed))

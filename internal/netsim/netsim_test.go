@@ -152,7 +152,7 @@ func TestClock(t *testing.T) {
 
 func TestDemandDiurnal(t *testing.T) {
 	sc := smallSynth(t)
-	m, err := sc.NewDemand(DemandConfig{PeakBps: 100e9, DiurnalAmplitude: 0.5, PeakHourUTC: 20})
+	m, err := sc.NewDemand(DemandConfig{PeakBps: 100e9, PeakHourUTC: 20})
 	if err != nil {
 		t.Fatal(err)
 	}

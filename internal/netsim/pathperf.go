@@ -11,39 +11,31 @@ import (
 type PathPerfConfig struct {
 	// Seed decorrelates the per-(prefix, peer) skews.
 	Seed int64
-	// GeoSkewMS is the maximum per-prefix distance offset added to all
-	// of a prefix's paths (destination remoteness). Default 40.
-	GeoSkewMS float64
-	// PathSkewMS is the maximum per-(prefix, peer) skew differentiating
-	// paths to the same prefix. Default 12.
-	PathSkewMS float64
 	// AnomalyProb is the probability that a prefix's best-class path is
 	// remotely impaired, making an alternate (often transit) faster by
 	// a clear margin — the §6 phenomenon performance-aware routing
 	// detects. Default 0.06.
 	AnomalyProb float64
-	// AnomalyExtraMS is the impairment range [min,max) added to an
-	// anomalous prefix's preferred-class paths. Defaults 25 and 80.
-	AnomalyExtraMinMS, AnomalyExtraMaxMS float64
 }
 
 func (c *PathPerfConfig) setDefaults() {
-	if c.GeoSkewMS == 0 {
-		c.GeoSkewMS = 40
-	}
-	if c.PathSkewMS == 0 {
-		c.PathSkewMS = 12
-	}
 	if c.AnomalyProb == 0 {
 		c.AnomalyProb = 0.06
 	}
-	if c.AnomalyExtraMinMS == 0 {
-		c.AnomalyExtraMinMS = 25
-	}
-	if c.AnomalyExtraMaxMS == 0 {
-		c.AnomalyExtraMaxMS = 80
-	}
 }
+
+// The path model's fixed shape.
+const (
+	// geoSkewMS is the maximum per-prefix distance offset added to all
+	// of a prefix's paths (destination remoteness).
+	geoSkewMS = 40
+	// pathSkewMS is the maximum per-(prefix, peer) skew differentiating
+	// paths to the same prefix.
+	pathSkewMS = 12
+	// anomalyExtraMinMS and anomalyExtraMaxMS bound the impairment range
+	// [min,max) added to an anomalous prefix's preferred-class paths.
+	anomalyExtraMinMS, anomalyExtraMaxMS = 25, 80
+)
 
 // PathPerf models the propagation RTT of each (prefix, peer) path,
 // before congestion. The base model is a pure function of the seed, so
@@ -136,7 +128,7 @@ func unitHash(seed int64, p netip.Prefix, salt uint64) float64 {
 
 // geoSkew is the per-prefix remoteness offset shared by all paths.
 func (pp *PathPerf) geoSkew(p netip.Prefix) float64 {
-	return unitHash(pp.cfg.Seed, p, 0x9e01) * pp.cfg.GeoSkewMS
+	return unitHash(pp.cfg.Seed, p, 0x9e01) * geoSkewMS
 }
 
 // Anomalous reports whether the prefix's preferred-class paths are
@@ -148,7 +140,7 @@ func (pp *PathPerf) Anomalous(p netip.Prefix) bool {
 // anomalyExtra is the impairment magnitude for an anomalous prefix.
 func (pp *PathPerf) anomalyExtra(p netip.Prefix) float64 {
 	u := unitHash(pp.cfg.Seed, p, 0xc0de)
-	return pp.cfg.AnomalyExtraMinMS + u*(pp.cfg.AnomalyExtraMaxMS-pp.cfg.AnomalyExtraMinMS)
+	return anomalyExtraMinMS + u*(anomalyExtraMaxMS-anomalyExtraMinMS)
 }
 
 // BaseRTT returns the uncongested RTT in milliseconds for reaching
@@ -157,7 +149,7 @@ func (pp *PathPerf) anomalyExtra(p netip.Prefix) float64 {
 // so that a worse-class path can win.
 func (pp *PathPerf) BaseRTT(p netip.Prefix, peer *Peer, bestClass uint8) float64 {
 	rtt := peer.BaseRTTMS + pp.geoSkew(p) +
-		unitHash(pp.cfg.Seed^int64(peer.AS)<<16, p, 0xabcd)*pp.cfg.PathSkewMS
+		unitHash(pp.cfg.Seed^int64(peer.AS)<<16, p, 0xabcd)*pathSkewMS
 	if pp.Anomalous(p) && uint8(peer.Class) == bestClass {
 		rtt += pp.anomalyExtra(p)
 	}

@@ -33,6 +33,10 @@ func ControllerPathAddr(slot int) netip.Addr {
 	return netip.AddrFrom4(b)
 }
 
+// popHoldTime is the hold time of the PoP's real BGP sessions (wall
+// clock).
+const popHoldTime = 30 * time.Second
+
 // PoPConfig configures a live PoP.
 type PoPConfig struct {
 	// Scenario supplies topology and prefixes; required.
@@ -48,8 +52,6 @@ type PoPConfig struct {
 	SFlowSink sflow.Sink
 	// SamplingRate is the sFlow 1-in-N rate. Default 1024.
 	SamplingRate uint32
-	// HoldTime for the real BGP sessions (wall clock). Default 30 s.
-	HoldTime time.Duration
 	// Logf, when set, receives one-line log events.
 	Logf func(format string, args ...any)
 }
@@ -86,9 +88,6 @@ func NewPoP(cfg PoPConfig) (*PoP, error) {
 	}
 	if cfg.SamplingRate == 0 {
 		cfg.SamplingRate = 1024
-	}
-	if cfg.HoldTime == 0 {
-		cfg.HoldTime = 30 * time.Second
 	}
 	if cfg.Perf.Seed == 0 {
 		cfg.Perf.Seed = cfg.Scenario.Config.Seed
@@ -266,7 +265,7 @@ func (p *PoP) Start(ctx context.Context) error {
 		sp, err := bgp.NewSpeaker(bgp.SpeakerConfig{
 			LocalAS:  p.Topo.LocalAS,
 			RouterID: r.RouterID,
-			HoldTime: p.cfg.HoldTime,
+			HoldTime: popHoldTime,
 			Handler:  &prHandler{pop: p, router: r.Name},
 			Logf:     p.cfg.Logf,
 		})
@@ -291,7 +290,7 @@ func (p *PoP) Start(ctx context.Context) error {
 		remote, err := bgp.NewSpeaker(bgp.SpeakerConfig{
 			LocalAS:  spec.AS,
 			RouterID: netip.AddrFrom4([4]byte{10, 254, byte(i >> 8), byte(i)}),
-			HoldTime: p.cfg.HoldTime,
+			HoldTime: popHoldTime,
 			Logf:     p.cfg.Logf,
 		})
 		if err != nil {

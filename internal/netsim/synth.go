@@ -33,8 +33,6 @@ type SynthConfig struct {
 	Routers int
 	// Prefixes is the number of user prefixes. Default 4000.
 	Prefixes int
-	// V6Fraction is the share of prefixes that are IPv6. Default 0.2.
-	V6Fraction float64
 	// EdgeASes is the number of user (eyeball) ASes. Default 300.
 	EdgeASes int
 	// PrivatePeers is how many of the highest-volume ASes get PNIs.
@@ -58,12 +56,18 @@ type SynthConfig struct {
 	// IXPHeadroom is the ratio of each IXP port's capacity to the peak
 	// demand of the ASes behind it. Default 1.0.
 	IXPHeadroom float64
-	// TransitHeadroom is the ratio of total transit capacity to total
-	// peak demand. Default 1.5.
-	TransitHeadroom float64
-	// ZipfExponent shapes the per-AS volume distribution. Default 1.1.
-	ZipfExponent float64
 }
+
+// The synthetic PoP's fixed shape.
+const (
+	// v6Fraction is the share of prefixes that are IPv6.
+	v6Fraction = 0.2
+	// transitHeadroom is the ratio of total transit capacity to total
+	// peak demand.
+	transitHeadroom = 1.5
+	// zipfExponent shapes the per-AS volume distribution.
+	zipfExponent = 1.1
+)
 
 func (c *SynthConfig) setDefaults() {
 	if c.Name == "" {
@@ -77,9 +81,6 @@ func (c *SynthConfig) setDefaults() {
 	}
 	if c.Prefixes == 0 {
 		c.Prefixes = 4000
-	}
-	if c.V6Fraction == 0 {
-		c.V6Fraction = 0.2
 	}
 	if c.EdgeASes == 0 {
 		c.EdgeASes = 300
@@ -107,12 +108,6 @@ func (c *SynthConfig) setDefaults() {
 	}
 	if c.IXPHeadroom == 0 {
 		c.IXPHeadroom = 1.0
-	}
-	if c.TransitHeadroom == 0 {
-		c.TransitHeadroom = 1.5
-	}
-	if c.ZipfExponent == 0 {
-		c.ZipfExponent = 1.1
 	}
 }
 
@@ -174,7 +169,7 @@ func Synthesize(cfg SynthConfig) (*Scenario, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	// --- Edge ASes with Zipf demand shares and Pareto prefix counts ---
-	asWeights := ZipfWeights(cfg.EdgeASes, cfg.ZipfExponent)
+	asWeights := ZipfWeights(cfg.EdgeASes, zipfExponent)
 	ases := make([]*EdgeAS, cfg.EdgeASes)
 	// Pareto-ish prefix counts, bigger ASes get more prefixes.
 	counts := make([]int, cfg.EdgeASes)
@@ -213,7 +208,7 @@ func Synthesize(cfg SynthConfig) (*Scenario, error) {
 		for j := 0; j < counts[i]; j++ {
 			var p netip.Prefix
 			var rep netip.Addr
-			if rng.Float64() < cfg.V6Fraction {
+			if rng.Float64() < v6Fraction {
 				p, rep = v6Prefix(nextV6)
 				nextV6++
 			} else {
@@ -354,7 +349,7 @@ func Synthesize(cfg SynthConfig) (*Scenario, error) {
 	}
 
 	// Transits: full-table providers on dedicated interfaces.
-	transitCap := cfg.PeakBps * cfg.TransitHeadroom / float64(cfg.Transits)
+	transitCap := cfg.PeakBps * transitHeadroom / float64(cfg.Transits)
 	for tIdx := 0; tIdx < cfg.Transits; tIdx++ {
 		transitAS := 64600 + uint32(tIdx)
 		router := routerOf(tIdx)

@@ -30,14 +30,15 @@ type AgentConfig struct {
 	// AvgFrameLen is the mean simulated frame size in bytes.
 	// Default 1000.
 	AvgFrameLen uint32
-	// MaxRecordsPerDatagram flushes a datagram when reached.
-	// Default 64.
-	MaxRecordsPerDatagram int
 	// Seed seeds the sampler's deterministic randomness.
 	Seed int64
 	// Sink receives encoded datagrams; required.
 	Sink Sink
 }
+
+// maxRecordsPerDatagram is the pending record count at which an Agent
+// flushes a datagram.
+const maxRecordsPerDatagram = 64
 
 // Agent is the router-side sampler: the simulated dataplane reports the
 // bytes each prefix sent through each interface per tick, and the agent
@@ -67,9 +68,6 @@ func NewAgent(cfg AgentConfig) *Agent {
 	}
 	if cfg.AvgFrameLen == 0 {
 		cfg.AvgFrameLen = 1000
-	}
-	if cfg.MaxRecordsPerDatagram == 0 {
-		cfg.MaxRecordsPerDatagram = 64
 	}
 	return &Agent{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
@@ -122,7 +120,7 @@ func (a *Agent) ObserveBytes(dst netip.Addr, egressIF int, nbytes uint64) error 
 			EgressIF: uint32(egressIF),
 		})
 		a.sampled++
-		if len(a.pending) >= a.cfg.MaxRecordsPerDatagram {
+		if len(a.pending) >= maxRecordsPerDatagram {
 			if err := a.flushLocked(); err != nil {
 				return err
 			}

@@ -323,22 +323,6 @@ func (c *Collector) SendDatagram(b []byte) error {
 	return nil
 }
 
-// Ingest accumulates all flow records of a decoded datagram.
-func (c *Collector) Ingest(d *Datagram) {
-	now := c.cfg.Now()
-	c.datagrams.Add(1)
-	c.lastIngest.Store(now.UnixNano())
-	scr := c.getScratch()
-	for si := range d.Samples {
-		s := &d.Samples[si]
-		for _, r := range s.Records {
-			c.stage(scr, r, s.SamplingRate)
-		}
-	}
-	c.commit(scr, now)
-	c.putScratch(scr)
-}
-
 // windowSpan returns the elapsed portion of the window to average over:
 // now minus the oldest live bucket's start, floored at one bucket span.
 func (c *Collector) windowSpan(w *winEpoch, now time.Time) float64 {

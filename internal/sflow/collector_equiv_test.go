@@ -173,7 +173,7 @@ func TestCollectorEquivalence(t *testing.T) {
 			// bucket rotations.
 			for i := 0; i < 50; i++ {
 				d := dg(i)
-				c.Ingest(d)
+				sendDatagram(t, c, d)
 				ref.Ingest(d)
 				now = now.Add(1300 * time.Millisecond)
 				if i%5 == 0 {
@@ -191,7 +191,7 @@ func TestCollectorEquivalence(t *testing.T) {
 			// path in both.
 			for i := 0; i < 5; i++ {
 				d := dg(100 + i)
-				c.Ingest(d)
+				sendDatagram(t, c, d)
 				ref.Ingest(d)
 			}
 			now = now.Add(10 * time.Minute)
@@ -203,7 +203,7 @@ func TestCollectorEquivalence(t *testing.T) {
 				d := dg(200 + i)
 				d.Samples[0].Records = append(d.Samples[0].Records,
 					FlowRecord{Dst: netip.MustParseAddr("2001:db8::1"), FrameLen: 1000})
-				c.Ingest(d)
+				sendDatagram(t, c, d)
 				ref.Ingest(d)
 				now = now.Add(700 * time.Millisecond)
 			}

@@ -71,18 +71,14 @@ func TestCollectorShardedRace(t *testing.T) {
 						},
 					}},
 				}
-				if w%2 == 0 {
-					c.Ingest(d)
-				} else {
-					b, err := MarshalBytes(d)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					if err := c.SendDatagram(b); err != nil {
-						t.Error(err)
-						return
-					}
+				b, err := MarshalBytes(d)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := c.SendDatagram(b); err != nil {
+					t.Error(err)
+					return
 				}
 			}
 		}(w)

@@ -239,7 +239,7 @@ func TestCollectorWindowExpiry(t *testing.T) {
 	})
 	d := testDatagram()
 	d.Samples[0].Records = d.Samples[0].Records[:1] // v4 only
-	c.Ingest(d)
+	sendDatagram(t, c, d)
 	if len(c.Rates()) != 1 {
 		t.Fatalf("rates = %v", c.Rates())
 	}
@@ -255,7 +255,7 @@ func TestCollectorDropsUnmappable(t *testing.T) {
 	c := NewCollector(CollectorConfig{
 		Mapper: PrefixMapperFunc(func(netip.Addr) netip.Prefix { return netip.Prefix{} }),
 	})
-	c.Ingest(testDatagram())
+	sendDatagram(t, c, testDatagram())
 	if _, _, dropped := c.Stats(); dropped != 2 {
 		t.Errorf("dropped = %d, want 2", dropped)
 	}
@@ -271,12 +271,30 @@ func TestCollectorSendDatagramBadBytes(t *testing.T) {
 	}
 }
 
+// sendDatagram feeds d to c the way an agent does: encoded, through
+// SendDatagram.
+func sendDatagram(t testing.TB, c *Collector, d *Datagram) {
+	t.Helper()
+	b, err := MarshalBytes(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SendDatagram(b); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func BenchmarkCollectorIngest(b *testing.B) {
 	c := NewCollector(CollectorConfig{Mapper: fixedMapper{}})
-	d := testDatagram()
+	dg, err := MarshalBytes(testDatagram())
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c.Ingest(d)
+		if err := c.SendDatagram(dg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

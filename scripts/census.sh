@@ -3,12 +3,13 @@
 # outside its own file uses. Runs `go test ./...` with coverage of every
 # internal/ package (-coverpkg=./internal/...; the go tool merges the
 # per-package profiles into one), then prints the total statement
-# coverage, every non-test internal/ function at 0 %, and the exported
+# coverage, every non-test internal/ function at 0 %, the exported
 # identifiers scripts/censusrefs.go finds unreferenced outside their own
-# file and _test.go files. A function with no statements reads 0.0 % in
-# `go tool cover` even when it runs, so censusrefs.go -empty lists those
-# and they are left out of the 0 % list. check.sh fails when either
-# count rises above the committed copy; refresh it with
+# file and _test.go files, and the …Config fields it finds set by no
+# caller outside their package. A function with no statements reads
+# 0.0 % in `go tool cover` even when it runs, so censusrefs.go -empty
+# lists those and they are left out of the 0 % list. check.sh fails
+# when any count rises above the committed copy; refresh it with
 #
 #	scripts/census.sh > scripts/census.txt
 set -euo pipefail

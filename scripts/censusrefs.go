@@ -8,6 +8,13 @@
 // that name. Methods the standard library calls through an interface
 // (String, Error, MarshalText, ...) are not listed.
 //
+// It then lists the exported fields of the …Config structs in those
+// files that no non-test file outside the declaring directory (bench/
+// included) writes: a field nothing sets but its own package's
+// defaulting is a constant in disguise. A write is a composite-literal
+// key, an assignment or inc/dec target, or the operand of &; matching
+// is again by name, so it errs toward "set".
+//
 // With -empty it instead lists the functions and methods of those files
 // whose body has no statements, as "path:line:" in `go tool cover -func`
 // form: cover reads such a body 0.0% even when it runs, so census.sh
@@ -48,8 +55,9 @@ func main() {
 		root = flag.Arg(0)
 	}
 	fset := token.NewFileSet()
-	usedIn := map[string]map[string]bool{} // name -> files using it
-	var decls []decl
+	usedIn := map[string]map[string]bool{}    // name -> files using it
+	writtenIn := map[string]map[string]bool{} // name -> directories writing it
+	var decls, fields []decl
 	var emptyFuncs []string
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -78,8 +86,16 @@ func main() {
 			}
 			return true
 		})
+		dir := filepath.Dir(rel)
+		for _, name := range writes(f) {
+			if writtenIn[name] == nil {
+				writtenIn[name] = map[string]bool{}
+			}
+			writtenIn[name][dir] = true
+		}
 		if strings.HasPrefix(filepath.ToSlash(rel), "internal/") {
 			decls = append(decls, exported(fset, rel, f)...)
+			fields = append(fields, configFields(fset, rel, f)...)
 			for _, d := range f.Decls {
 				if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil && len(fd.Body.List) == 0 {
 					emptyFuncs = append(emptyFuncs, fmt.Sprintf("%s:%d:", filepath.ToSlash(rel), fset.Position(fd.Pos()).Line))
@@ -108,6 +124,83 @@ func main() {
 	for _, l := range out {
 		fmt.Println(l)
 	}
+	out = out[:0]
+	for _, d := range fields {
+		set := false
+		for dir := range writtenIn[d.name] {
+			set = set || dir != filepath.Dir(d.file)
+		}
+		if !set {
+			out = append(out, fmt.Sprintf("%s:%d\t%s.%s", filepath.ToSlash(d.file), d.line, d.what, d.name))
+		}
+	}
+	fmt.Printf("config fields no caller outside their package sets: %d\n", len(out))
+	for _, l := range out {
+		fmt.Println(l)
+	}
+}
+
+// configFields lists the exported fields of a file's top-level …Config
+// struct types; what holds the struct's name.
+func configFields(fset *token.FileSet, rel string, f *ast.File) []decl {
+	var out []decl
+	ast.Inspect(f, func(n ast.Node) bool {
+		ts, ok := n.(*ast.TypeSpec)
+		if !ok {
+			return true
+		}
+		st, ok := ts.Type.(*ast.StructType)
+		if !ok || !strings.HasSuffix(ts.Name.Name, "Config") {
+			return false
+		}
+		for _, fl := range st.Fields.List {
+			for _, id := range fl.Names {
+				if id.IsExported() {
+					out = append(out, decl{rel, fset.Position(id.Pos()).Line, id.Name, ts.Name.Name})
+				}
+			}
+		}
+		return false
+	})
+	return out
+}
+
+// writes lists the names a file writes: composite-literal keys,
+// assignment and inc/dec targets, and operands of &.
+func writes(f *ast.File) []string {
+	var out []string
+	target := func(e ast.Expr) {
+		switch x := e.(type) {
+		case *ast.SelectorExpr:
+			out = append(out, x.Sel.Name)
+		case *ast.Ident:
+			out = append(out, x.Name)
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CompositeLit:
+			for _, el := range n.Elts {
+				if kv, ok := el.(*ast.KeyValueExpr); ok {
+					if id, ok := kv.Key.(*ast.Ident); ok {
+						out = append(out, id.Name)
+					}
+				}
+			}
+		case *ast.AssignStmt:
+			for _, l := range n.Lhs {
+				target(l)
+			}
+		case *ast.IncDecStmt:
+			target(n.X)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				target(n.X)
+			}
+		}
+		return true
+	})
+	return out
 }
 
 // exported lists a file's exported top-level declarations.

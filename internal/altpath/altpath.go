@@ -3,24 +3,25 @@
 // slice of flows onto the 2nd/3rd-preferred and transit routes by
 // marking them with distinct DSCP values that policy routing maps to
 // injected alternate routes; server-side TCP statistics then yield
-// per-(prefix, path) performance. Here the DSCP plumbing is abstracted
-// behind an RTTSource (the simulator's dataplane), while the sampling,
-// aggregation, and reporting logic match the paper's design.
+// per-(prefix, path) RTT and retransmit rate. Here the DSCP plumbing is
+// abstracted behind an RTTSource (the simulator's dataplane), while the
+// sampling, aggregation, and reporting logic match the paper's design.
 //
-// Per-(prefix, path) statistics are independent of one another, so a
-// measurement round runs on every core: one serial pass does the map and
-// RIB work and draws the round's noise from the single seeded source in
-// a fixed order (prefix, then path, then sample), and workers then take
-// contiguous prefix ranges, sampling the source, filling the windows and
-// building each prefix's report while its windows are cache-hot. Every
-// window receives the same samples whatever the worker count, so a seed
-// yields the same reports on one core or many.
+// A sample's noise belongs to its flow: it is a pure function of (seed,
+// prefix, round, path index, sample), drawn from a keyed hash by the
+// worker that consumes it, so neither the order nor the subset of
+// prefixes a round is given changes any prefix's samples. A round runs
+// on every core: one serial pass does the map and RIB work, and workers
+// then take contiguous prefix ranges, sampling the source, filling the
+// windows and building each prefix's report while they are cache-hot.
 package altpath
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"fmt"
-	"math/rand"
+	"math"
 	"net/netip"
 	"runtime"
 	"slices"
@@ -29,28 +30,20 @@ import (
 	"edgefabric/internal/rib"
 )
 
-// RTTSource "measures" one flow routed via a specific route — in the
-// simulator, the path-performance model; in production, a sampled
-// connection's TCP RTT.
+// RTTSource "measures" flows routed via a specific route — in the
+// simulator, the path-performance model; in production, sampled
+// connections' TCP RTT and the server-side retransmit counters.
 //
 // The source is a path model, not a per-flow sampler: MeasureRound calls
-// it once per (prefix, path) per round and adds its own per-sample noise,
-// so the result must be a function of (p, r) for the duration of a round.
-// One round may call the source from several goroutines at once (one per
-// worker, each on different prefixes), so it must be safe for concurrent
-// use. LossSource is held to the same contract.
+// it once per (prefix, path) per round and adds its own per-sample RTT
+// noise, so both results must be functions of (p, r) for the duration of
+// a round. One round may call the source from several goroutines at once
+// (one per worker, each on different prefixes), so it must be safe for
+// concurrent use.
 type RTTSource interface {
 	// RTTForRoute returns the RTT in milliseconds a flow to prefix p
 	// experiences when routed via r.
 	RTTForRoute(p netip.Prefix, r *rib.Route) float64
-}
-
-// LossSource optionally extends an RTTSource with per-path loss: the
-// fraction of a sampled flow's segments that needed retransmission. The
-// production analogue is the server-side TCP retransmit counters the
-// paper's measurement pipeline already collects alongside RTT. A Source
-// that does not implement LossSource yields zero retransmit stats.
-type LossSource interface {
 	// LossForRoute returns the retransmit fraction in [0,1] a flow to
 	// prefix p experiences when routed via r.
 	LossForRoute(p netip.Prefix, r *rib.Route) float64
@@ -61,9 +54,7 @@ type Config struct {
 	// Routes supplies all known routes per prefix (the controller's
 	// route store table).
 	Routes *rib.Table
-	// Source measures individual sampled flows; required. If it also
-	// implements LossSource, per-path retransmit fractions are
-	// collected.
+	// Source measures individual sampled flows; required.
 	Source RTTSource
 	// MaxAltPaths is how many alternate routes are measured per prefix,
 	// matching the number of spare DSCP marks. Default 3.
@@ -80,23 +71,15 @@ type Config struct {
 	// that would have replaced its whole window) loses its windows, so
 	// it returns on fresh samples only.
 	WindowSamples int
-	// Seed drives sampling noise.
+	// Seed keys the sampling noise.
 	Seed int64
 }
 
 func (c *Config) setDefaults() {
-	if c.MaxAltPaths == 0 {
-		c.MaxAltPaths = 3
-	}
-	if c.SamplesPerRound == 0 {
-		c.SamplesPerRound = 4
-	}
-	if c.NoiseMS == 0 {
-		c.NoiseMS = 2
-	}
-	if c.WindowSamples == 0 {
-		c.WindowSamples = 64
-	}
+	c.MaxAltPaths = cmp.Or(c.MaxAltPaths, 3)
+	c.SamplesPerRound = cmp.Or(c.SamplesPerRound, 4)
+	c.NoiseMS = cmp.Or(c.NoiseMS, 2)
+	c.WindowSamples = cmp.Or(c.WindowSamples, 64)
 }
 
 // PathStat summarizes measurements of one (prefix, route) pair.
@@ -108,7 +91,7 @@ type PathStat struct {
 	// P50 and P90 are RTT percentiles over the sample window, in ms.
 	P50, P90 float64
 	// RetransFrac is the mean retransmit (loss) fraction over the
-	// window, in [0,1]. Zero when the source measures only RTT.
+	// window, in [0,1].
 	RetransFrac float64
 	// N is the number of samples in the window.
 	N int
@@ -132,11 +115,9 @@ type PrefixReport struct {
 // except that the view Reports returns must not outlive the next round.
 type Measurer struct {
 	cfg    Config
-	loss   LossSource // nil when the source measures only RTT
-	maxAge uint64     // rounds a prefix may go unmeasured before its windows are dropped
+	maxAge uint64 // rounds a prefix may go unmeasured before its windows are dropped
 
 	mu       sync.Mutex
-	rng      *rand.Rand
 	byPrefix map[netip.Prefix]*prefixWindows
 	round    uint64 // rounds run so far; the current round's number during one
 
@@ -144,7 +125,6 @@ type Measurer struct {
 	views   []rib.RouteView // the round's RIB snapshot
 	organic []*rib.Route    // organic route lists of prefixes that also carry injected routes
 	jobs    []job           // the round's measured prefixes, in the order given
-	noise   []float64       // the round's noise draws, in consumption order
 	workers []*worker       // created on first use, each bound to its own arenas
 	wg      sync.WaitGroup
 	reports []*PrefixReport // the last round's reports: Reports' borrowed view
@@ -155,13 +135,12 @@ type Measurer struct {
 // takes off the calling one.
 const minChunk = 512
 
-// job is one prefix a round measures: its windows, the routes sampled
-// (primary first), and where its draws start in the round's noise.
+// job is one prefix a round measures: its windows and the routes
+// sampled (primary first).
 type job struct {
 	p      netip.Prefix
 	pw     *prefixWindows
 	routes []*rib.Route
-	noise  int
 }
 
 // worker measures a contiguous range of a round's jobs and builds their
@@ -318,16 +297,11 @@ func NewMeasurer(cfg Config) (*Measurer, error) {
 	if cfg.WindowSamples < 1 || cfg.WindowSamples > MaxWindowSamples {
 		return nil, fmt.Errorf("altpath: WindowSamples %d outside [1, %d]", cfg.WindowSamples, MaxWindowSamples)
 	}
-	m := &Measurer{
+	return &Measurer{
 		cfg:      cfg,
 		maxAge:   uint64(max(1, cfg.WindowSamples/cfg.SamplesPerRound)),
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		byPrefix: make(map[netip.Prefix]*prefixWindows),
-	}
-	if ls, ok := cfg.Source.(LossSource); ok {
-		m.loss = ls
-	}
-	return m, nil
+	}, nil
 }
 
 // MeasureRound samples the primary and up to MaxAltPaths alternates of
@@ -347,8 +321,9 @@ func NewMeasurer(cfg Config) (*Measurer, error) {
 // reset rather than blended with the old path's history. A prefix left
 // unmeasured for WindowSamples/SamplesPerRound rounds starts afresh.
 //
-// The round runs on min(GOMAXPROCS, prefixes/512) goroutines, with the
-// same result on any number.
+// A prefix's samples do not depend on which other prefixes are listed,
+// or in what order. The round runs on min(GOMAXPROCS, prefixes/512)
+// goroutines, with the same result on any number.
 func (m *Measurer) MeasureRound(prefixes []netip.Prefix) int {
 	return m.measureRound(prefixes, runtime.GOMAXPROCS(0))
 }
@@ -395,10 +370,8 @@ func (m *Measurer) measureRound(prefixes []netip.Prefix, maxWorkers int) int {
 }
 
 // plan is a round's serial pass: it snapshots the prefixes' routes,
-// reconciles, creates or drops their window sets, queues one job per
-// measured prefix, and draws the round's noise in consumption order
-// (prefix, then path, then sample). It returns the number of (prefix,
-// path) pairs queued.
+// reconciles, creates or drops their window sets, and queues one job per
+// measured prefix. It returns the number of (prefix, path) pairs queued.
 func (m *Measurer) plan(prefixes []netip.Prefix) int {
 	m.round++
 	// One read-lock for the whole round; the views share the table's
@@ -406,7 +379,6 @@ func (m *Measurer) plan(prefixes []netip.Prefix) int {
 	m.views = m.cfg.Routes.SnapshotRoutesInto(prefixes, m.views)
 	m.organic = m.organic[:0]
 	m.jobs = m.jobs[:0]
-	m.noise = m.noise[:0]
 	measured := 0
 	for i, p := range prefixes {
 		routes := m.views[i].Routes
@@ -436,10 +408,7 @@ func (m *Measurer) plan(prefixes []netip.Prefix) int {
 			pw.gen = gen
 		}
 		pw.last = m.round
-		m.jobs = append(m.jobs, job{p: p, pw: pw, routes: routes[:limit], noise: len(m.noise)})
-		for n := limit * m.cfg.SamplesPerRound; n > 0; n-- {
-			m.noise = append(m.noise, m.rng.NormFloat64())
-		}
+		m.jobs = append(m.jobs, job{p: p, pw: pw, routes: routes[:limit]})
 		measured += limit
 	}
 	return measured
@@ -462,7 +431,7 @@ func (w *worker) measure() {
 	for i := range w.jobs {
 		j := &w.jobs[i]
 		pw := j.pw
-		noise := m.noise[j.noise : j.noise+len(j.routes)*spr]
+		key := roundKey(m.cfg.Seed, j.p, m.round)
 		for k, r := range j.routes {
 			win := pw.find(r.PeerAddr)
 			if win == nil {
@@ -472,12 +441,14 @@ func (w *worker) measure() {
 			win.primary = k == 0
 			win.route = r
 			base := m.cfg.Source.RTTForRoute(j.p, r)
-			var loss float64
-			if m.loss != nil {
-				loss = m.loss.LossForRoute(j.p, r)
-			}
-			for _, z := range noise[k*spr : (k+1)*spr] {
-				rtt := base + z*m.cfg.NoiseMS
+			loss := m.cfg.Source.LossForRoute(j.p, r)
+			s := mix64(key + uint64(k)) // path k's noise stream
+			var z [2]float64
+			for n := range spr {
+				if n%2 == 0 {
+					z = normalPair(s + uint64(n)*golden)
+				}
+				rtt := base + z[n%2]*m.cfg.NoiseMS
 				if !(rtt >= 0.1) { // floor; also keeps NaN out of the order index
 					rtt = 0.1
 				}
@@ -495,6 +466,34 @@ func (w *worker) measure() {
 			w.out = append(w.out, rep)
 		}
 	}
+}
+
+// golden is splitmix64's increment between successive stream states.
+const golden uint64 = 0x9e3779b97f4a7c15
+
+// mix64 is splitmix64's output function: a bijection that avalanches.
+func mix64(z uint64) uint64 {
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
+}
+
+// roundKey keys the noise of prefix p's samples in the given round;
+// path k's stream starts at mix64(key + k).
+func roundKey(seed int64, p netip.Prefix, round uint64) uint64 {
+	a := p.Addr().As16()
+	k := mix64(mix64(uint64(seed)^binary.BigEndian.Uint64(a[:8])) ^ binary.BigEndian.Uint64(a[8:]))
+	return mix64(k ^ uint64(p.Bits())<<56 ^ round)
+}
+
+// normalPair maps the two stream states after s to two independent
+// standard normal deviates (Box–Muller).
+func normalPair(s uint64) [2]float64 {
+	u1 := float64(mix64(s+golden)>>11+1) / (1 << 53) // (0, 1]: Log stays finite
+	u2 := float64(mix64(s+golden+golden)>>11) / (1 << 53)
+	r := math.Sqrt(-2 * math.Log(u1))
+	sin, cos := math.Sincos(2 * math.Pi * u2)
+	return [2]float64{r * cos, r * sin}
 }
 
 // reconcile aligns one prefix's window set with its current organic

@@ -9,12 +9,14 @@ import (
 	"edgefabric/internal/rib"
 )
 
-// modelSource returns fixed RTTs per (prefix, peer).
+// modelSource returns fixed RTTs per (prefix, peer) and no loss.
 type modelSource map[string]float64
 
 func (s modelSource) RTTForRoute(p netip.Prefix, r *rib.Route) float64 {
 	return s[p.String()+"|"+r.PeerAddr.String()]
 }
+
+func (modelSource) LossForRoute(netip.Prefix, *rib.Route) float64 { return 0 }
 
 func mkTable(t *testing.T, n int, altFaster map[int]float64) (*rib.Table, modelSource) {
 	t.Helper()

@@ -249,3 +249,57 @@ func TestMeasurerAgesOutUnmeasuredPrefixes(t *testing.T) {
 		t.Error("windows of a prefix unmeasured for 32 rounds are still held")
 	}
 }
+
+// A prefix's samples are keyed by the prefix, not by where it sits in
+// the round: measuring a subset alone, in reverse order, gives its
+// prefixes bit-identical windows to measuring every prefix in order.
+func TestMeasureRoundSubsetAndOrderInvariant(t *testing.T) {
+	tab, ps := shapeTable(2 * minChunk)
+	cfg := Config{Routes: tab, Source: shapeSource{}, Seed: 12, WindowSamples: 16}
+	all, err := NewMeasurer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	some, _ := NewMeasurer(cfg)
+	var subset []netip.Prefix
+	for i := len(ps) - 1; i >= 0; i -= 3 {
+		subset = append(subset, ps[i])
+	}
+	for round := 0; round < 6; round++ {
+		all.measureRound(ps, 2)
+		some.measureRound(subset, 1)
+		if n := len(some.Reports()); n != len(subset) {
+			t.Fatalf("round %d: %d subset reports, want %d", round, n, len(subset))
+		}
+		for _, p := range subset {
+			a, b := all.Report(p), some.Report(p)
+			if a == nil || b == nil {
+				t.Fatalf("round %d: %v unreported", round, p)
+			}
+			if err := sameBits(a, b); err != nil {
+				t.Fatalf("round %d: %v: %v", round, p, err)
+			}
+		}
+	}
+}
+
+// normalPair's deviates have a standard normal's mean, variance and
+// one-σ mass.
+func TestNormalPairMoments(t *testing.T) {
+	const n = 1 << 17
+	var sum, sq float64
+	within := 0
+	for i := range n / 2 {
+		for _, z := range normalPair(mix64(uint64(i))) {
+			sum += z
+			sq += z * z
+			if math.Abs(z) < 1 {
+				within++
+			}
+		}
+	}
+	mean, variance := sum/n, sq/n-(sum/n)*(sum/n)
+	if math.Abs(mean) > 0.01 || math.Abs(variance-1) > 0.02 || math.Abs(float64(within)/n-0.6827) > 0.005 {
+		t.Errorf("mean %.4f, variance %.4f, P(|z|<1) %.4f; want 0, 1, 0.6827", mean, variance, float64(within)/n)
+	}
+}

@@ -91,12 +91,11 @@ var controllerRouterID = netip.MustParseAddr("10.255.0.100")
 // planned prefixes, then MultipathAllocateTraced runs with the
 // injector's installed set as its hysteresis base.
 type OptimizerConfig struct {
-	// Source measures sampled flows per path (and loss, if it is also an
-	// altpath.LossSource); nil leaves the stage off. One measurement
-	// round calls it from several goroutines at once, so it must be
-	// safe for concurrent use.
+	// Source measures sampled flows' RTT and retransmit rate per path;
+	// nil leaves the stage off. One measurement round calls it from
+	// several goroutines at once, so it must be safe for concurrent use.
 	Source altpath.RTTSource
-	// Seed drives the measurer's sampling noise.
+	// Seed keys the measurer's sampling noise.
 	Seed int64
 	// Multipath parameterizes the optimizer.
 	Multipath MultipathConfig
@@ -757,15 +756,14 @@ func (c *Controller) RunCycle() (report *CycleReport, err error) {
 }
 
 // measure runs one measurement round over the projection's planned
-// prefixes in rib.ComparePrefixes order (not map order, so the measurer's
-// one sequential noise source is consumed the same way for a seed) and
-// returns the round's reports, borrowed until the next round.
+// prefixes and returns the round's reports, borrowed until the next
+// round. Each prefix's samples are keyed by the prefix itself, so the
+// map order the prefixes come in changes nothing.
 func (c *Controller) measure(proj *Projection) []*altpath.PrefixReport {
 	c.measured = c.measured[:0]
 	for p := range proj.Plans {
 		c.measured = append(c.measured, p)
 	}
-	rib.SortPrefixes(c.measured)
 	c.measurer.MeasureRound(c.measured)
 	return c.measurer.Reports()
 }

@@ -529,13 +529,18 @@ func samePrior(a, b map[netip.Prefix]Override) bool {
 // returned without a scan. AllocateStickyTraced is deterministic over
 // its inputs, so the reuse is exact, not approximate.
 //
-// The fast path is skipped while tracing (tr != nil): reusing a result
-// would leave the cycle without fresh per-prefix decision traces.
+// A traced call (tr != nil) never reuses: reusing a result would leave
+// the cycle without fresh per-prefix decision traces. It keeps no reuse
+// state either, and empties st, so an untraced call after it cannot
+// reuse a result from before it.
 func AllocateDelta(proj *Projection, inv *Inventory, cfg AllocatorConfig, prior map[netip.Prefix]Override, tr *CycleTrace, ds *DeltaStats, st *AllocState) *AllocResult {
-	if st == nil {
+	if st == nil || tr != nil {
+		if st != nil {
+			*st = AllocState{}
+		}
 		return AllocateStickyTraced(proj, inv, cfg, prior, tr)
 	}
-	if tr == nil && ds != nil && ds.Unchanged && st.last != nil &&
+	if ds != nil && ds.Unchanged && st.last != nil &&
 		st.lastThr == proj.HeavyThrBps && samePrior(prior, st.lastPrior) {
 		return st.last
 	}

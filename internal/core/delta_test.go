@@ -398,6 +398,48 @@ func TestAllocateDeltaReuse(t *testing.T) {
 	}
 }
 
+// TestAllocateDeltaTracedKeepsNoState: a traced call keeps no reuse
+// state and empties what an untraced call left, so the next untraced
+// call on an unchanged projection allocates afresh instead of returning
+// the result from before the traced call.
+func TestAllocateDeltaTracedKeepsNoState(t *testing.T) {
+	inv := testInventory(t)
+	tab, demand := equivScenario(300, 17)
+	pj := &Projector{Workers: 1, FullSweepEvery: -1}
+	cfg := AllocatorConfig{Threshold: 0.95}
+	prior := map[netip.Prefix]Override{}
+	var st AllocState
+
+	proj, ds := pj.ProjectDelta(tab, demand)
+	before := AllocateDelta(proj, inv, cfg, prior, nil, &ds, &st)
+	if st.last == nil {
+		t.Fatal("untraced call kept no reuse state")
+	}
+
+	for p := range demand {
+		demand[p] *= 1.5
+	}
+	proj, ds = pj.ProjectDelta(tab, demand)
+	AllocateDelta(proj, inv, cfg, prior, NewCycleTrace(64), &ds, &st)
+	if st.last != nil || st.lastPrior != nil || st.lastThr != 0 {
+		t.Fatalf("traced call left reuse state: %d prior overrides, threshold %v", len(st.lastPrior), st.lastThr)
+	}
+
+	proj, ds = pj.ProjectDelta(tab, demand)
+	if !ds.Unchanged {
+		t.Fatalf("stats = %+v, want unchanged", ds)
+	}
+	got := AllocateDelta(proj, inv, cfg, prior, nil, &ds, &st)
+	want := AllocateStickyTraced(proj, inv, cfg, prior, nil)
+	if reflect.DeepEqual(before, want) {
+		t.Fatal("demand change moved no decision; the check is vacuous")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("untraced call after a traced one: %d overrides, %v detoured; want %d, %v",
+			len(got.Overrides), got.DetouredBps, len(want.Overrides), want.DetouredBps)
+	}
+}
+
 // TestControllerDeltaEquivalence is a per-cycle differential check of
 // the delta control loop: through overload onset, sticky retention,
 // route churn and decay, every cycle's decisions must equal a

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"hash"
+	"math"
 	"os"
 	"slices"
 	"strings"
@@ -74,9 +75,32 @@ func pinRung(t *testing.T, name string, cfg HarnessConfig, cycles int) string {
 	return fmt.Sprintf("%s digest=%x overrides=%d sets=%d", name, d.Sum(nil), overrides, sets)
 }
 
+// pinE8 runs E8's measurement for the given number of rounds and
+// renders its pin line: a digest over every AltPathResult field, floats
+// by bit pattern and the gap CDF in threshold order.
+func pinE8(t *testing.T, rounds int) string {
+	t.Helper()
+	res, err := E8AltPathGaps(newTestHarness(t, testConfig(false)), rounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := sha256.New()
+	ths := make([]float64, 0, len(res.FracGainAtLeast))
+	for th := range res.FracGainAtLeast {
+		ths = append(ths, th)
+	}
+	slices.Sort(ths)
+	for _, th := range ths {
+		fmt.Fprintf(d, "%x %x\n", math.Float64bits(th), math.Float64bits(res.FracGainAtLeast[th]))
+	}
+	fmt.Fprintf(d, "%x %x %x %d\n", math.Float64bits(res.MedianGapV4MS), math.Float64bits(res.MedianGapV6MS),
+		math.Float64bits(res.TransitFasterFrac), res.Prefixes)
+	return fmt.Sprintf("e8-altpath-gaps digest=%x prefixes=%d", d.Sum(nil), res.Prefixes)
+}
+
 // TestDecisionPins compares the pinned rungs against testdata/pins.txt:
 // the optimizer scenario for 20 cycles at k = 1 (whole-prefix moves) and
-// at k = 3 (weighted sets).
+// at k = 3 (weighted sets), and E8's alternate-path gaps over 6 rounds.
 func TestDecisionPins(t *testing.T) {
 	k1 := perfAwareTestConfig()
 	k3 := perfAwareTestConfig()
@@ -84,6 +108,7 @@ func TestDecisionPins(t *testing.T) {
 	got := strings.Join([]string{
 		pinRung(t, "optimizer-k1", k1, 20),
 		pinRung(t, "optimizer-k3", k3, 20),
+		pinE8(t, 6),
 	}, "\n") + "\n"
 	if *updatePins {
 		if err := os.WriteFile(pinsFile, []byte(got), 0o644); err != nil {

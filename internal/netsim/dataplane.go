@@ -393,8 +393,8 @@ func (dp *Dataplane) RTTForRoute(p netip.Prefix, r *rib.Route) float64 {
 }
 
 // LossForRoute exposes the scripted transport-loss fraction on the
-// route's path, implementing the measurement subsystem's LossSource: the
-// "retransmit counters" the optimizer uses to keep demand off lossy
+// route's path, the other half of the measurement subsystem's RTTSource:
+// the "retransmit counters" the optimizer uses to keep demand off lossy
 // alternates.
 func (dp *Dataplane) LossForRoute(_ netip.Prefix, r *rib.Route) float64 {
 	peer := dp.topo.PeerByAddr(r.PeerAddr)

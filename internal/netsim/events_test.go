@@ -388,7 +388,7 @@ func TestEventEnginePathPerfApplyRevert(t *testing.T) {
 	if got := perf.PathLoss(spec.Addr); got != 0.08 {
 		t.Errorf("PathLoss = %v, want 0.08", got)
 	}
-	// The measurement-side LossSource sees the scripted loss too.
+	// The measurement source (RTTSource.LossForRoute) sees the scripted loss too.
 	r := &rib.Route{Prefix: prefix, PeerAddr: spec.Addr, NextHop: spec.Addr}
 	if got := pop.Plane.LossForRoute(prefix, r); got != 0.08 {
 		t.Errorf("LossForRoute = %v, want 0.08", got)

@@ -17,11 +17,7 @@ func TestSnapshotRoutesSortedAndGen(t *testing.T) {
 	tab.Add(mkRoute("10.1.0.0/24", "192.0.2.5", ClassPrivate, 65002))
 	tab.Add(mkRoute("10.1.0.0/24", "192.0.2.7", ClassPublic, 65003))
 
-	snap := tab.SnapshotRoutes([]netip.Prefix{p}, nil)
-	view, ok := snap[p]
-	if !ok {
-		t.Fatal("prefix missing from snapshot")
-	}
+	view := tab.SnapshotRoutesInto([]netip.Prefix{p}, nil)[0]
 	if len(view.Routes) != 3 {
 		t.Fatalf("snapshot has %d routes, want 3", len(view.Routes))
 	}
@@ -47,16 +43,19 @@ func TestSnapshotRoutesSortedAndGen(t *testing.T) {
 
 	// No mutation: generation stable, snapshot identical.
 	before := tab.Generation(p)
-	snap2 := tab.SnapshotRoutes([]netip.Prefix{p}, nil)
-	if snap2[p].Gen != before {
-		t.Errorf("generation moved without mutation: %d -> %d", before, snap2[p].Gen)
+	snap2 := tab.SnapshotRoutesInto([]netip.Prefix{p}, nil)
+	if snap2[0].Gen != before {
+		t.Errorf("generation moved without mutation: %d -> %d", before, snap2[0].Gen)
 	}
 
-	// Absent prefixes are left out of the destination map.
+	// An absent prefix reads as the zero view, in its own slot.
 	absent := netip.MustParsePrefix("192.168.0.0/24")
-	snap3 := tab.SnapshotRoutes([]netip.Prefix{p, absent}, nil)
-	if _, ok := snap3[absent]; ok {
-		t.Error("absent prefix present in snapshot")
+	snap3 := tab.SnapshotRoutesInto([]netip.Prefix{p, absent}, snap2)
+	if len(snap3) != 2 || snap3[0].Gen != before {
+		t.Errorf("snapshot of [present, absent] = %+v", snap3)
+	}
+	if v := snap3[1]; v.Routes != nil || v.Gen != 0 || v.Injected != 0 {
+		t.Errorf("absent prefix reads %+v, want the zero view", v)
 	}
 }
 
@@ -120,16 +119,19 @@ func TestTableConcurrentSnapshotInvariants(t *testing.T) {
 		go func() {
 			defer readerWG.Done()
 			lastGen := make(map[netip.Prefix]uint64)
-			var snap map[netip.Prefix]RouteView
+			var snap []RouteView
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				clear(snap)
-				snap = tab.SnapshotRoutes(prefixes, snap)
-				for p, view := range snap {
+				snap = tab.SnapshotRoutesInto(prefixes, snap)
+				for i, view := range snap {
+					p := prefixes[i]
+					if view.Gen == 0 {
+						continue // absent
+					}
 					if len(view.Routes) == 0 {
 						readerErr <- fmt.Errorf("empty view for present prefix %v", p)
 						return
@@ -245,7 +247,7 @@ func TestTableWaitChange(t *testing.T) {
 	}
 }
 
-func BenchmarkSnapshotRoutes(b *testing.B) {
+func BenchmarkSnapshotRoutesInto(b *testing.B) {
 	tab := NewTable(DefaultPolicy())
 	var prefixes []netip.Prefix
 	for i := 0; i < 4096; i++ {
@@ -255,14 +257,13 @@ func BenchmarkSnapshotRoutes(b *testing.B) {
 			tab.Add(mkRoute(p, fmt.Sprintf("192.0.2.%d", j+1), PeerClass(j%4)+ClassPrivate, uint32(65001+j)))
 		}
 	}
-	var snap map[netip.Prefix]RouteView
+	var snap []RouteView
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		clear(snap)
-		snap = tab.SnapshotRoutes(prefixes, snap)
+		snap = tab.SnapshotRoutesInto(prefixes, snap)
 	}
-	if len(snap) != len(prefixes) {
+	if len(snap) != len(prefixes) || snap[len(snap)-1].Routes == nil {
 		b.Fatal("snapshot incomplete")
 	}
 }

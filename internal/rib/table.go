@@ -23,7 +23,7 @@ type BestChange struct {
 //
 // Per-prefix route lists are kept preference-sorted at mutation time and
 // rebuilt copy-on-write, so reads never sort and point-in-time snapshots
-// (SnapshotRoutes) can share the internal slices without copying.
+// (SnapshotRoutesInto) can share the internal slices without copying.
 type Table struct {
 	// OnBestChange, if non-nil, is invoked synchronously (with the
 	// table lock held) whenever the best route for a prefix changes.
@@ -564,7 +564,7 @@ func (t *Table) Routes(prefix netip.Prefix) []*Route {
 }
 
 // RouteView is a point-in-time view of one prefix's routes as returned
-// by SnapshotRoutes: the preference-sorted route slice (best first) and
+// by SnapshotRoutesInto: the preference-sorted route slice (best first) and
 // the generation at which the entry last changed. The slice is shared
 // with the table's copy-on-write storage — it is immutable, and callers
 // must not modify it or the routes it points to.
@@ -576,30 +576,12 @@ type RouteView struct {
 	Injected int
 }
 
-// SnapshotRoutes captures views for all given prefixes under a single
-// read-lock acquisition, amortizing lock traffic across a whole
-// controller cycle. Results are stored into dst (allocated when nil),
-// keyed by the prefixes as given; prefixes absent from the table are
-// left out. Because entries are copy-on-write, the returned views stay
+// SnapshotRoutesInto captures views for all given prefixes under a
+// single read-lock acquisition, amortizing lock traffic across a whole
+// controller cycle. dst[i] is the view for prefixes[i], the zero
+// RouteView (nil Routes, Gen 0) when absent; dst is reused when it has
+// capacity. Because entries are copy-on-write, the returned views stay
 // internally consistent even as the table keeps mutating.
-func (t *Table) SnapshotRoutes(prefixes []netip.Prefix, dst map[netip.Prefix]RouteView) map[netip.Prefix]RouteView {
-	if dst == nil {
-		dst = make(map[netip.Prefix]RouteView, len(prefixes))
-	}
-	t.mu.RLock()
-	for _, p := range prefixes {
-		if e, ok := t.entries[p.Masked()]; ok {
-			dst[p] = RouteView{Routes: e.routes, Gen: e.gen, Injected: e.ninj}
-		}
-	}
-	t.mu.RUnlock()
-	return dst
-}
-
-// SnapshotRoutesInto is SnapshotRoutes with an index-aligned result:
-// dst[i] is the view for prefixes[i], the zero RouteView (nil Routes)
-// when absent. It avoids building a map when the caller already holds
-// the prefixes in a slice; dst is reused when it has capacity.
 func (t *Table) SnapshotRoutesInto(prefixes []netip.Prefix, dst []RouteView) []RouteView {
 	if cap(dst) < len(prefixes) {
 		dst = make([]RouteView, len(prefixes))

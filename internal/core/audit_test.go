@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"net/netip"
 	"strings"
 	"testing"
@@ -71,25 +70,12 @@ func TestControllerWritesAudit(t *testing.T) {
 	inv := testInventory(t)
 	demand := staticTraffic{}
 	var buf bytes.Buffer
-	ctrl, err := New(Config{
+	ctrl, _ := readyController(t, Config{
 		Inventory: inv,
 		Traffic:   demand,
 		LocalAS:   64500,
 		Audit:     NewAuditLogger(&buf),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctrl.Close()
-	_, conn := newFakePR(t, 64500)
-	if err := ctrl.AddInjectionSession(netip.MustParseAddr("10.255.0.1"), conn); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := ctrl.WaitReady(ctx, 0); err != nil {
-		t.Fatal(err)
-	}
 	ctrl.Store().Table().Add(route("10.0.0.0/24", "172.20.0.1", rib.ClassPrivate, 0, 65010))
 	ctrl.Store().Table().Add(route("10.0.0.0/24", "172.20.0.9", rib.ClassTransit, 3, 64601, 65010))
 	demand[netip.MustParsePrefix("10.0.0.0/24")] = 11e9

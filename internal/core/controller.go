@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"net"
 	"net/netip"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -88,8 +87,8 @@ var controllerRouterID = netip.MustParseAddr("10.255.0.100")
 
 // OptimizerConfig configures the cycle's optimise stage: an
 // altpath.Measurer over the controller's route table measures the
-// planned prefixes, then MultipathAllocateTraced runs with the
-// injector's installed set as its hysteresis base.
+// planned prefixes, then the multipath optimizer runs (see Decide) with
+// the injector's installed set as its hysteresis base.
 type OptimizerConfig struct {
 	// Source measures sampled flows' RTT and retransmit rate per path;
 	// nil leaves the stage off. One measurement round calls it from
@@ -135,15 +134,12 @@ type CycleReport struct {
 // route store, traffic source, projection, allocator, injector, and the
 // input-health tracker that gates it all.
 type Controller struct {
-	cfg        Config
-	store      *RouteStore
-	injector   *Injector
-	registry   *metrics.Registry
-	projector  Projector
-	allocState AllocState
-	health     *HealthTracker
-	measurer   *altpath.Measurer // nil unless Config.Optimizer is set
-	measured   []netip.Prefix    // measure's reused prefix buffer
+	cfg      Config
+	store    *RouteStore
+	injector *Injector
+	registry *metrics.Registry
+	health   *HealthTracker
+	decide   DecideState // Measurer nil unless Config.Optimizer is set
 
 	collector *bmp.Collector
 	bmpWG     sync.WaitGroup
@@ -159,8 +155,9 @@ type Controller struct {
 	demandBuf map[netip.Prefix]float64
 
 	// Cycle-phase instrumentation (latency + heap allocations per
-	// phase, surfaced at /metrics as edgefabric_phase_*).
-	phCollect, phProject, phAllocate, phOptimise, phInject *metrics.Phase
+	// phase, surfaced at /metrics as edgefabric_phase_*); Decide's own
+	// stages time themselves through c.decide.
+	phCollect, phInject *metrics.Phase
 
 	mu        sync.Mutex
 	closed    bool
@@ -220,14 +217,19 @@ func New(cfg Config) (*Controller, error) {
 		injector: inj,
 		registry: registry,
 		health:   health,
-		measurer: meas,
-		projector: Projector{
-			Epsilon:        cfg.ProjectionEpsilon,
-			Workers:        cfg.ProjectionWorkers,
-			FullSweepEvery: cfg.FullSweepEvery,
-			HeavyK:         cfg.HeavyHitterK,
-			TailEpsilon:    cfg.TailEpsilon,
-			TailStride:     cfg.TailStride,
+		decide: DecideState{
+			Projector: Projector{
+				Epsilon:        cfg.ProjectionEpsilon,
+				Workers:        cfg.ProjectionWorkers,
+				FullSweepEvery: cfg.FullSweepEvery,
+				HeavyK:         cfg.HeavyHitterK,
+				TailEpsilon:    cfg.TailEpsilon,
+				TailStride:     cfg.TailStride,
+			},
+			Measurer:   meas,
+			phProject:  registry.Phase("edgefabric_phase_project"),
+			phAllocate: registry.Phase("edgefabric_phase_allocate"),
+			phOptimise: registry.Phase("edgefabric_phase_perf"),
 		},
 		bmpCtx:  ctx,
 		bmpStop: cancel,
@@ -237,9 +239,6 @@ func New(cfg Config) (*Controller, error) {
 		c.maxHist = cfg.MaxHistory
 	}
 	c.phCollect = registry.Phase("edgefabric_phase_collect")
-	c.phProject = registry.Phase("edgefabric_phase_project")
-	c.phAllocate = registry.Phase("edgefabric_phase_allocate")
-	c.phOptimise = registry.Phase("edgefabric_phase_perf")
 	c.phInject = registry.Phase("edgefabric_phase_inject")
 	c.collector = &bmp.Collector{
 		Handler: &healthHandler{inner: store, health: health},
@@ -295,7 +294,7 @@ func (c *Controller) Store() *RouteStore { return c.store }
 
 // Measurer exposes the optimise stage's alternate-path measurer (nil
 // when Config.Optimizer is unset), e.g. for gap CDFs and reports.
-func (c *Controller) Measurer() *altpath.Measurer { return c.measurer }
+func (c *Controller) Measurer() *altpath.Measurer { return c.decide.Measurer }
 
 // Inventory exposes the controller's peer/interface inventory (e.g. for
 // interface naming in the status API).
@@ -523,18 +522,25 @@ func (c *Controller) exportDeltaStats(ds DeltaStats) {
 	m.Gauge("edgefabric_delta_heavy_threshold_bps").Set(ds.HeavyThr)
 }
 
-// installedOverrides renders the injector's installed set as a sorted
-// override slice (the frozen cycle's "desired" set).
-func (c *Controller) installedOverrides() []Override {
+// frozenReport is a fail-static cycle's report: the injector's installed
+// set, sorted, as the desired set, and the demand it detours. It
+// deliberately does not read the demand window, which is decaying
+// toward zero while inputs are stale: acting on it would withdraw
+// detours while blind.
+func (c *Controller) frozenReport(now time.Time, reasons []string) *CycleReport {
 	installed := c.injector.Installed()
-	out := make([]Override, 0, len(installed))
+	frozen := make([]Override, 0, len(installed))
 	for _, o := range installed {
-		out = append(out, o)
+		frozen = append(frozen, o)
 	}
-	sort.Slice(out, func(a, b int) bool {
-		return rib.ComparePrefixes(out[a].Prefix, out[b].Prefix) < 0
+	sort.Slice(frozen, func(a, b int) bool {
+		return rib.ComparePrefixes(frozen[a].Prefix, frozen[b].Prefix) < 0
 	})
-	return out
+	rep := &CycleReport{Time: now, Health: HealthFailStatic, HealthReasons: reasons, IfUtil: map[int]float64{}, Overrides: frozen}
+	for _, o := range frozen {
+		rep.DetouredBps += o.RateBps
+	}
+	return rep
 }
 
 // finishReport numbers, retains, audits, and meters a cycle report.
@@ -589,13 +595,13 @@ func (c *Controller) finishReport(report *CycleReport, started time.Time) {
 }
 
 // RunCycle executes one full control cycle: evaluate input health, then
-// collect, project, allocate, optimise (when Config.Optimizer is set),
-// inject — or, when inputs are stale, freeze (fail-static) or withdraw
-// everything (fail-back). It returns the cycle's report. A panicking
-// cycle is recovered, counted, and triggers the fail-static hold rather
-// than killing the caller. RunCycle must not be invoked concurrently
-// with itself (the projector's plan cache is unguarded); the fleet
-// supervisor and the simulation harnesses drive it from one goroutine.
+// collect the demand, Decide, inject — or, when inputs are stale,
+// freeze (fail-static) or withdraw everything (fail-back). It returns
+// the cycle's report. A panicking cycle is recovered, counted, and
+// triggers the fail-static hold rather than killing the caller.
+// RunCycle must not be invoked concurrently with itself (Decide's state
+// is unguarded); the fleet supervisor and the simulation harnesses drive
+// it from one goroutine.
 func (c *Controller) RunCycle() (report *CycleReport, err error) {
 	started := time.Now()
 	now := c.cfg.Now()
@@ -608,19 +614,13 @@ func (c *Controller) RunCycle() (report *CycleReport, err error) {
 			// A panic mid-projection can leave the incremental
 			// projection state half-edited; force the next cycle to
 			// rebuild from scratch rather than trust it.
-			c.projector.ResetDelta()
-			c.allocState = AllocState{}
+			c.decide.Projector.ResetDelta()
+			c.decide.Alloc = AllocState{}
 			c.registry.Counter("edgefabric_cycle_panics_total").Inc()
 			if c.cfg.Logf != nil {
 				c.cfg.Logf("cycle panic recovered: %v", r)
 			}
-			report = &CycleReport{
-				Time:          now,
-				Health:        HealthFailStatic,
-				HealthReasons: []string{fmt.Sprintf("cycle panic: %v", r)},
-				IfUtil:        map[int]float64{},
-				Overrides:     c.installedOverrides(),
-			}
+			report = c.frozenReport(now, []string{fmt.Sprintf("cycle panic: %v", r)})
 			c.finishReport(report, started)
 			c.exportHealth(c.health.Evaluate())
 			err = fmt.Errorf("core: cycle panic recovered: %v", r)
@@ -655,22 +655,8 @@ func (c *Controller) RunCycle() (report *CycleReport, err error) {
 		}
 		return report, serr
 	case HealthFailStatic:
-		// Freeze: keep the installed set exactly as is. Deliberately do
-		// not read the demand window — it is decaying toward zero and
-		// acting on it would withdraw detours while blind.
-		frozen := c.installedOverrides()
-		var detoured float64
-		for _, o := range frozen {
-			detoured += o.RateBps
-		}
-		report = &CycleReport{
-			Time:          now,
-			Health:        ih.State,
-			HealthReasons: ih.Reasons,
-			IfUtil:        map[int]float64{},
-			Overrides:     frozen,
-			DetouredBps:   detoured,
-		}
+		// Freeze: keep the installed set exactly as is.
+		report = c.frozenReport(now, ih.Reasons)
 		c.finishReport(report, started)
 		return report, nil
 	}
@@ -691,55 +677,26 @@ func (c *Controller) RunCycle() (report *CycleReport, err error) {
 	}
 	span.End()
 
-	span = c.phProject.Start()
-	proj, ds := c.projector.ProjectDelta(c.store.Table(), demand)
-	c.exportDeltaStats(ds)
-	span.End()
-
-	span = c.phAllocate.Start()
-	// Snapshot the allocator config: ApplyConfig may mutate it
+	// The allocator config is a snapshot: ApplyConfig may mutate it
 	// concurrently (HTTP-driven), and a cycle must run under one
 	// coherent parameter set.
-	acfg := c.allocatorCfg()
-	installed := c.injector.Installed()
-	alloc := AllocateDelta(proj, c.cfg.Inventory, acfg, installed, tr, &ds, &c.allocState)
-	span.End()
-
-	overrides := alloc.Overrides
-	detoured := alloc.DetouredBps
-	if c.measurer != nil {
-		span = c.phOptimise.Start()
-		// The optimizer skips every prefix the overload pass moved, so its
-		// output appends to a copy of alloc's (reused verbatim next cycle)
-		// without conflicts; hysteresis reads the pre-cycle installed set.
-		perf := MultipathAllocateTraced(proj, c.cfg.Inventory, c.measure(proj), alloc, installed, acfg, c.cfg.Optimizer.Multipath, tr)
-		overrides = append(slices.Clip(overrides), perf...)
-		for _, o := range perf {
-			detoured += o.RateBps
-		}
-		span.End()
-	}
+	report, ds := Decide(CycleInput{
+		Routes:    c.store.Table(),
+		Demand:    demand,
+		Inventory: c.cfg.Inventory,
+		Allocator: c.allocatorCfg(),
+		Multipath: c.cfg.Optimizer.Multipath,
+		Installed: c.injector.Installed(),
+		Trace:     tr,
+	}, &c.decide)
+	c.exportDeltaStats(ds)
 
 	span = c.phInject.Start()
-	res, serr := c.injector.Sync(overrides)
+	res, serr := c.injector.Sync(report.Overrides)
 	span.End()
 
-	report = &CycleReport{
-		Time:                now,
-		Health:              ih.State,
-		HealthReasons:       ih.Reasons,
-		IfUtil:              make(map[int]float64),
-		Overrides:           overrides,
-		DemandBps:           proj.DemandBps,
-		DetouredBps:         detoured,
-		ResidualOverloadBps: alloc.ResidualOverloadBps,
-		Announced:           res.Announced,
-		Withdrawn:           res.Withdrawn,
-		Partial:             res.Partial,
-	}
-	for _, info := range c.cfg.Inventory.Interfaces() {
-		report.IfUtil[info.ID] = proj.IfLoadBps[info.ID] / info.CapacityBps
-	}
+	report.Time, report.Health, report.HealthReasons = now, ih.State, ih.Reasons
+	report.Announced, report.Withdrawn, report.Partial = res.Announced, res.Withdrawn, res.Partial
 	c.finishReport(report, started)
 	c.pushTrace(tr, report.Seq)
 
@@ -747,25 +704,12 @@ func (c *Controller) RunCycle() (report *CycleReport, err error) {
 		c.registry.Counter("edgefabric_injection_errors_total").Inc()
 		return report, serr
 	}
-	if c.cfg.Logf != nil && len(overrides) > 0 {
+	if c.cfg.Logf != nil && len(report.Overrides) > 0 {
 		c.cfg.Logf("cycle %d: demand %.1fG, %d overrides (%.1fG detoured), +%d/-%d",
-			report.Seq, report.DemandBps/1e9, len(overrides),
-			detoured/1e9, res.Announced, res.Withdrawn)
+			report.Seq, report.DemandBps/1e9, len(report.Overrides),
+			report.DetouredBps/1e9, res.Announced, res.Withdrawn)
 	}
 	return report, nil
-}
-
-// measure runs one measurement round over the projection's planned
-// prefixes and returns the round's reports, borrowed until the next
-// round. Each prefix's samples are keyed by the prefix itself, so the
-// map order the prefixes come in changes nothing.
-func (c *Controller) measure(proj *Projection) []*altpath.PrefixReport {
-	c.measured = c.measured[:0]
-	for p := range proj.Plans {
-		c.measured = append(c.measured, p)
-	}
-	c.measurer.MeasureRound(c.measured)
-	return c.measurer.Reports()
 }
 
 // History returns a copy of the retained cycle reports, oldest first.
@@ -850,10 +794,10 @@ func (c *Controller) Explain(p netip.Prefix) string {
 // is off or the prefix's measurements and last cycle do not show that
 // outcome.
 func (c *Controller) explainMeasured(p netip.Prefix, latest *CycleTrace) string {
-	if c.measurer == nil {
+	if c.decide.Measurer == nil {
 		return ""
 	}
-	rep := c.measurer.Report(p)
+	rep := c.decide.Measurer.Report(p)
 	if rep == nil || rep.BestAlt == nil || rep.BestAlt.Route == nil {
 		return ""
 	}
@@ -921,10 +865,7 @@ func (c *Controller) explainUnconsidered(p netip.Prefix, latest *CycleTrace) str
 	fmt.Fprintf(&b, "  demand %.2f Gbps, preferred %s via %s (%s), %d organic route(s)\n",
 		rate/1e9, ifName(c.cfg.Inventory, preferred.EgressIF), preferred.PeerAddr,
 		preferred.PeerClass, organic)
-	threshold := c.allocatorCfg().Threshold
-	if threshold == 0 {
-		threshold = 0.95
-	}
+	threshold := c.EffectiveConfig().Threshold
 	last, _ := c.LastReport()
 	if u, ok := last.IfUtil[preferred.EgressIF]; ok {
 		fmt.Fprintf(&b, "  preferred interface projected %.1f%% last cycle (threshold %.0f%%): %s\n",

@@ -60,6 +60,28 @@ func (pr *fakePR) HandleUpdate(p *bgp.Peer, u *bgp.Update) {
 	pr.gotCh <- u
 }
 
+// readyController builds a Controller over cfg with one established
+// injection session to a fake peering router; the test's cleanup closes
+// it.
+func readyController(t *testing.T, cfg Config) (*Controller, *fakePR) {
+	t.Helper()
+	ctrl, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, conn := newFakePR(t, cfg.LocalAS)
+	t.Cleanup(ctrl.Close)
+	if err := ctrl.AddInjectionSession(netip.MustParseAddr("10.255.0.1"), conn); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := ctrl.WaitReady(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	return ctrl, pr
+}
+
 func waitUpdate(t *testing.T, pr *fakePR) *bgp.Update {
 	t.Helper()
 	select {
@@ -243,26 +265,12 @@ func TestHistoryResize(t *testing.T) {
 func TestControllerRunCycle(t *testing.T) {
 	inv := testInventory(t)
 	demand := staticTraffic{}
-	ctrl, err := New(Config{
+	ctrl, pr := readyController(t, Config{
 		Inventory: inv,
 		Traffic:   demand,
 		LocalAS:   64500,
 		Allocator: AllocatorConfig{Threshold: 0.95},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctrl.Close()
-
-	pr, conn := newFakePR(t, 64500)
-	if err := ctrl.AddInjectionSession(netip.MustParseAddr("10.255.0.1"), conn); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := ctrl.WaitReady(ctx, 0); err != nil {
-		t.Fatal(err)
-	}
 
 	// Populate the route store directly (BMP path covered elsewhere).
 	for i := 0; i < 10; i++ {
@@ -386,6 +394,37 @@ func TestRouteStoreBMPFlow(t *testing.T) {
 	}
 }
 
+// TestPanicCycleReportsFrozenSet: a recovered cycle panic holds the
+// installed set and reports it as every fail-static cycle does, with
+// the demand it detours, so edgefabric_detoured_bps does not drop to 0
+// while edgefabric_overrides_active stays.
+func TestPanicCycleReportsFrozenSet(t *testing.T) {
+	demand := staticTraffic{}
+	ctrl, _ := readyController(t, Config{Inventory: testInventory(t), Traffic: demand, LocalAS: 64500})
+	for i := 0; i < 10; i++ {
+		prefix := fmt.Sprintf("10.0.%d.0/24", i)
+		ctrl.Store().Table().Add(route(prefix, "172.20.0.1", rib.ClassPrivate, 0, 65010))
+		ctrl.Store().Table().Add(route(prefix, "172.20.0.9", rib.ClassTransit, 3, 64601, 65010))
+		demand[netip.MustParsePrefix(prefix)] = 1.2e9
+	}
+	rep, err := ctrl.RunCycle()
+	if err != nil || rep.DetouredBps == 0 {
+		t.Fatalf("overloaded cycle detoured %v (err %v)", rep.DetouredBps, err)
+	}
+	ctrl.PanicNextCycle()
+	frozen, err := ctrl.RunCycle()
+	if err == nil || frozen.Health != HealthFailStatic {
+		t.Fatalf("panic cycle: %s, err %v", frozen.Health, err)
+	}
+	if len(frozen.Overrides) != len(rep.Overrides) || !floatClose(frozen.DetouredBps, rep.DetouredBps) {
+		t.Errorf("panic cycle: %d overrides detouring %v, want the held %d detouring %v",
+			len(frozen.Overrides), frozen.DetouredBps, len(rep.Overrides), rep.DetouredBps)
+	}
+	if got := ctrl.Metrics().Gauge("edgefabric_detoured_bps").Value(); got != frozen.DetouredBps {
+		t.Errorf("edgefabric_detoured_bps = %v, want %v", got, frozen.DetouredBps)
+	}
+}
+
 // TestResyncInvisibleToCycle: a BMP re-sync that re-announces exactly
 // what the store holds (a router reconnecting after a feed outage) must
 // not reach the cycle — no journal entries, no re-planned prefix, the
@@ -479,7 +518,7 @@ func TestResyncInvisibleToCycle(t *testing.T) {
 		t.Errorf("Stats routes = %d, want %d (suppressed routes still count at enqueue)", routes, 4*len(prefixes))
 	}
 	// What ProjectDelta is about to read: DeltaStats{Full: false, Changed: 0}.
-	if changed, _, ok := tab.ChangedSince(ctrl.projector.lastVer, nil); !ok || len(changed) != 0 || tab.Version() != ver {
+	if changed, _, ok := tab.ChangedSince(ctrl.decide.Projector.lastVer, nil); !ok || len(changed) != 0 || tab.Version() != ver {
 		t.Fatalf("re-sync reached the journal: %d changed, ok=%v, version %d → %d", len(changed), ok, ver, tab.Version())
 	}
 

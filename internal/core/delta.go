@@ -534,10 +534,8 @@ func samePrior(a, b map[netip.Prefix]Override) bool {
 // state either, and empties st, so an untraced call after it cannot
 // reuse a result from before it.
 func AllocateDelta(proj *Projection, inv *Inventory, cfg AllocatorConfig, prior map[netip.Prefix]Override, tr *CycleTrace, ds *DeltaStats, st *AllocState) *AllocResult {
-	if st == nil || tr != nil {
-		if st != nil {
-			*st = AllocState{}
-		}
+	if tr != nil {
+		*st = AllocState{}
 		return AllocateStickyTraced(proj, inv, cfg, prior, tr)
 	}
 	if ds != nil && ds.Unchanged && st.last != nil &&

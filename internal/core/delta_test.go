@@ -1,13 +1,12 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"net/netip"
 	"reflect"
 	"runtime"
-	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -440,105 +439,6 @@ func TestAllocateDeltaTracedKeepsNoState(t *testing.T) {
 	}
 }
 
-// TestControllerDeltaEquivalence is a per-cycle differential check of
-// the delta control loop: through overload onset, sticky retention,
-// route churn and decay, every cycle's decisions must equal a
-// from-scratch Project + AllocateStickyTraced over the same table,
-// demand and pre-cycle installed set. Tracing is off so AllocateDelta's
-// verbatim-reuse path runs on the idle cycles.
-func TestControllerDeltaEquivalence(t *testing.T) {
-	inv := testInventory(t)
-	acfg := AllocatorConfig{Threshold: 0.95}
-	demand := staticTraffic{}
-	ctrl, err := New(Config{
-		Inventory:      inv,
-		Traffic:        demand,
-		LocalAS:        64500,
-		Allocator:      acfg,
-		Trace:          TraceConfig{Disable: true},
-		FullSweepEvery: -1, // pure delta: no safety-sweep crutch
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctrl.Close()
-	_, conn := newFakePR(t, 64500)
-	if err := ctrl.AddInjectionSession(netip.MustParseAddr("10.255.0.1"), conn); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := ctrl.WaitReady(ctx, 0); err != nil {
-		t.Fatal(err)
-	}
-	tab := ctrl.Store().Table()
-
-	// Base: 10 prefixes preferring the 10G PNI with a transit alternate.
-	for i := 0; i < 10; i++ {
-		prefix := fmt.Sprintf("10.0.%d.0/24", i)
-		tab.Add(route(prefix, "172.20.0.1", rib.ClassPrivate, 0, 65010))
-		tab.Add(route(prefix, "172.20.0.9", rib.ClassTransit, 3, 64601, 65010))
-		demand[netip.MustParsePrefix(prefix)] = 0.5e9
-	}
-
-	idle := func() {}
-	steps := []func(){
-		idle,
-		func() { // overload onset
-			for p := range demand {
-				demand[p] = 1.2e9
-			}
-		},
-		idle, // sticky retention cycle
-		idle, // unchanged inputs and installed set: the reuse path
-		func() { // route churn under overload
-			tab.Add(route("10.0.3.0/24", "172.20.0.2", rib.ClassPrivate, 1, 65011))
-			tab.Remove(netip.MustParsePrefix("10.0.5.0/24"), netip.MustParseAddr("172.20.0.1"))
-		},
-		func() { // decay
-			for p := range demand {
-				demand[p] = 0.2e9
-			}
-		},
-		idle,
-	}
-	moved := 0
-	for i, step := range steps {
-		step()
-		prior := ctrl.Installed()
-		rep, err := ctrl.RunCycle()
-		if err != nil {
-			t.Fatalf("step %d: %v", i, err)
-		}
-		proj := Project(tab, demand)
-		want := AllocateStickyTraced(proj, inv, acfg, prior, nil)
-		if len(rep.Overrides) != len(want.Overrides) {
-			t.Fatalf("step %d: %d overrides (controller) != %d (from scratch)", i, len(rep.Overrides), len(want.Overrides))
-		}
-		for j := range rep.Overrides {
-			got, w := rep.Overrides[j], want.Overrides[j]
-			if got.Prefix != w.Prefix || got.ToIF != w.ToIF || got.FromIF != w.FromIF || got.RateBps != w.RateBps {
-				t.Fatalf("step %d override %d: %+v != %+v", i, j, got, w)
-			}
-		}
-		moved += len(rep.Overrides)
-		if !floatClose(rep.DetouredBps, want.DetouredBps) {
-			t.Fatalf("step %d: detoured %v != %v", i, rep.DetouredBps, want.DetouredBps)
-		}
-		for _, info := range inv.Interfaces() {
-			if u := proj.IfLoadBps[info.ID] / info.CapacityBps; !floatClose(rep.IfUtil[info.ID], u) {
-				t.Fatalf("step %d: if%d util %v != %v", i, info.ID, rep.IfUtil[info.ID], u)
-			}
-		}
-	}
-	if moved == 0 {
-		t.Fatal("no cycle overrode anything; the comparison is vacuous")
-	}
-	if ctrl.Metrics().Counter("edgefabric_delta_full_sweeps_total").Value() != 1 {
-		t.Error("delta controller should have exactly the initial full sweep")
-	}
-}
-
 // scriptedTraffic is a static demand source whose clock and last-ingest
 // time the test scripts, so a stale-traffic fail-back can be staged.
 type scriptedTraffic struct {
@@ -560,156 +460,171 @@ func (m pathModel) RTTForRoute(p netip.Prefix, r *rib.Route) float64 {
 
 func (m pathModel) LossForRoute(_ netip.Prefix, r *rib.Route) float64 { return m[r.PeerAddr].loss }
 
-// TestControllerOptimiseEquivalence is the per-cycle differential check
-// of RunCycle with the optimise stage on, at k = 1 and k = 3: every
-// healthy cycle's overrides must equal a from-scratch oracle — Project +
-// AllocateStickyTraced, a twin Measurer (same source, seed and prefix
-// order) and MultipathAllocateTraced with the pre-cycle installed set as
-// hysteresis base, merged — through measurement warm-up, jitter,
-// overload onset, route churn, a stale-traffic fail-back, recovery and
-// decay.
+// TestControllerDeltaEquivalence runs the decision oracle with the
+// optimise stage off: the delta projector and AllocateDelta's reuse path
+// against Decide from scratch.
+func TestControllerDeltaEquivalence(t *testing.T) {
+	checkDecideEquivalence(t, 0)
+}
+
+// TestControllerOptimiseEquivalence runs the decision oracle at k = 1
+// and k = 3; across both runs the optimise stage must place weighted
+// sets and whole-prefix moves.
 func TestControllerOptimiseEquivalence(t *testing.T) {
-	sets, moves := 0, 0
-	for _, maxPaths := range []int{1, 3} {
-		s, m := runOptimiseEquivalence(t, maxPaths)
-		t.Logf("k=%d: %d sets, %d moves", maxPaths, s, m)
-		sets += s
-		moves += m
-	}
+	sets, moves := checkDecideEquivalence(t, 1, 3)
 	if sets == 0 || moves == 0 {
 		t.Fatalf("%d weighted sets and %d whole-prefix moves over the runs; the comparison is vacuous", sets, moves)
 	}
 }
 
-func runOptimiseEquivalence(t *testing.T, maxPaths int) (sets, moves int) {
+// checkDecideEquivalence is the per-cycle differential check of
+// RunCycle at each k in ks (0: no optimise stage): every healthy
+// cycle's decision must equal Decide from scratch (a zero DecideState
+// and a twin Measurer, same source and seed, fed the same rounds) over
+// the same table, demand and pre-cycle installed set. The script runs
+// measurement warm-up, jitter, overload onset, sticky retention, an
+// unchanged cycle under a non-empty installed set (AllocateDelta's
+// reuse path; tracing is off so it runs), route churn, a recovered
+// cycle panic and its fail-static hold, a stale-traffic fail-back,
+// recovery and decay. Exactly the first cycle and the first after the
+// panic hold run a full sweep. It returns the weighted sets and
+// whole-prefix moves the from-scratch decisions held.
+func checkDecideEquivalence(t *testing.T, ks ...int) (sets, moves int) {
+	t.Helper()
 	inv := testInventory(t)
 	acfg := AllocatorConfig{Threshold: 0.95}
-	mcfg := MultipathConfig{MaxPaths: maxPaths, MaxMoves: 3}
 	src := pathModel{
 		netip.MustParseAddr("172.20.0.1"): {rtt: 70, loss: 0.01},
 		netip.MustParseAddr("172.20.0.2"): {rtt: 62},
 		netip.MustParseAddr("172.20.0.3"): {rtt: 40, slope: 3},
 		netip.MustParseAddr("172.20.0.9"): {rtt: 55, loss: 0.02},
 	}
-	demand := &scriptedTraffic{staticTraffic: staticTraffic{}}
-	start := time.Date(2017, 3, 1, 20, 0, 0, 0, time.UTC).UnixNano()
-	demand.now.Store(start)
-	demand.last.Store(start)
-	ctrl, err := New(Config{
-		Inventory: inv,
-		Traffic:   demand,
-		LocalAS:   64500,
-		Allocator: acfg,
-		Now:       demand.clock,
-		Trace:     TraceConfig{Disable: true},
-		Optimizer: OptimizerConfig{Source: src, Seed: 5, Multipath: mcfg},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctrl.Close()
-	_, conn := newFakePR(t, 64500)
-	if err := ctrl.AddInjectionSession(netip.MustParseAddr("10.255.0.1"), conn); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := ctrl.WaitReady(ctx, 0); err != nil {
-		t.Fatal(err)
-	}
-	tab := ctrl.Store().Table()
-	twin, err := altpath.NewMeasurer(altpath.Config{Routes: tab, Source: src, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// 10 prefixes preferring the 10G PNI, with IXP and transit
-	// alternates; whole-megabit demand keeps every load sum exact.
-	for i := 0; i < 10; i++ {
-		prefix := fmt.Sprintf("10.0.%d.0/24", i)
-		tab.Add(route(prefix, "172.20.0.1", rib.ClassPrivate, 0, 65010))
-		tab.Add(route(prefix, "172.20.0.3", rib.ClassPublic, 2, 65012, 65010))
-		tab.Add(route(prefix, "172.20.0.9", rib.ClassTransit, 3, 64601, 65010))
-		demand.staticTraffic[netip.MustParsePrefix(prefix)] = 500e6
-	}
-	setAll := func(bps float64) func() {
-		return func() {
-			for p := range demand.staticTraffic {
-				demand.staticTraffic[p] = bps
+	for _, maxPaths := range ks {
+		mcfg := MultipathConfig{MaxPaths: maxPaths, MaxMoves: 3}
+		demand := &scriptedTraffic{staticTraffic: staticTraffic{}}
+		demand.now.Store(time.Date(2017, 3, 1, 20, 0, 0, 0, time.UTC).UnixNano())
+		cfg := Config{
+			Inventory:      inv,
+			Traffic:        demand,
+			LocalAS:        64500,
+			Allocator:      acfg,
+			Now:            demand.clock,
+			Trace:          TraceConfig{Disable: true},
+			FullSweepEvery: -1, // pure delta: no safety-sweep crutch
+		}
+		var twin *altpath.Measurer
+		if maxPaths > 0 {
+			cfg.Optimizer = OptimizerConfig{Source: src, Seed: 5, Multipath: mcfg}
+		}
+		ctrl, _ := readyController(t, cfg)
+		tab := ctrl.Store().Table()
+		if maxPaths > 0 {
+			var err error
+			if twin, err = altpath.NewMeasurer(altpath.Config{Routes: tab, Source: src, Seed: 5}); err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	idle := func() {}
-	failBack := false
-	steps := []func(){
-		idle, idle, idle, // measurement warm-up (multipathMinSamples)
-		idle, idle, // first sets, then hysteresis
-		func() { // jitter
-			for i := 0; i < 10; i += 3 {
-				demand.staticTraffic[netip.MustParsePrefix(fmt.Sprintf("10.0.%d.0/24", i))] = 600e6
-			}
-		},
-		setAll(1200e6), // overload onset: the PNI is past target and congested
-		idle,
-		func() { // route churn under overload
-			tab.Add(route("10.0.3.0/24", "172.20.0.2", rib.ClassPrivate, 1, 65011))
-			tab.Remove(netip.MustParsePrefix("10.0.5.0/24"), netip.MustParseAddr("172.20.0.1"))
-		},
-		func() { failBack = true }, // sFlow silent past the fail-back threshold
-		idle, idle, idle,           // recovery under the move budget
-		setAll(200e6), // decay
-		idle,
-	}
-	for i, step := range steps {
-		demand.now.Add(int64(30 * time.Second))
-		step()
-		if failBack {
-			demand.last.Store(demand.now.Load() - int64(time.Hour))
-		} else {
-			demand.last.Store(demand.now.Load())
-		}
-		prior := ctrl.Installed()
-		rep, err := ctrl.RunCycle()
-		if err != nil {
-			t.Fatalf("k=%d step %d: %v", maxPaths, i, err)
-		}
-		if failBack {
-			if rep.Health != HealthFailBack || len(ctrl.Installed()) != 0 {
-				t.Fatalf("k=%d step %d: %s with %d installed, want fail-back with none", maxPaths, i, rep.Health, len(ctrl.Installed()))
-			}
-			failBack = false
-			continue
-		}
-		if rep.Health != HealthHealthy {
-			t.Fatalf("k=%d step %d: %s %v", maxPaths, i, rep.Health, rep.HealthReasons)
 		}
 
-		proj := Project(tab, demand.staticTraffic)
-		alloc := AllocateStickyTraced(proj, inv, acfg, prior, nil)
-		prefixes := make([]netip.Prefix, 0, len(proj.Plans))
-		for p := range proj.Plans {
-			prefixes = append(prefixes, p)
+		// 10 prefixes preferring the 10G PNI, with IXP and transit
+		// alternates; whole-megabit demand keeps every load sum exact.
+		for i := 0; i < 10; i++ {
+			prefix := fmt.Sprintf("10.0.%d.0/24", i)
+			tab.Add(route(prefix, "172.20.0.1", rib.ClassPrivate, 0, 65010))
+			tab.Add(route(prefix, "172.20.0.3", rib.ClassPublic, 2, 65012, 65010))
+			tab.Add(route(prefix, "172.20.0.9", rib.ClassTransit, 3, 64601, 65010))
+			demand.staticTraffic[netip.MustParsePrefix(prefix)] = 500e6
 		}
-		rib.SortPrefixes(prefixes)
-		twin.MeasureRound(prefixes)
-		perf := MultipathAllocateTraced(proj, inv, twin.Reports(), alloc, prior, acfg, mcfg, nil)
-		want := append(slices.Clip(alloc.Overrides), perf...)
-		detoured := alloc.DetouredBps
-		for _, o := range perf {
-			detoured += o.RateBps
+		setAll := func(bps float64) func() {
+			return func() {
+				for p := range demand.staticTraffic {
+					demand.staticTraffic[p] = bps
+				}
+			}
 		}
-		if !reflect.DeepEqual(rep.Overrides, want) {
-			t.Fatalf("k=%d step %d: controller decided\n%v\nfrom scratch\n%v", maxPaths, i, rep.Overrides, want)
+		idle := func() {}
+		want, panicked, sweepDue := HealthHealthy, false, true
+		hold := func() { want = HealthFailStatic }
+		steps := []func(){
+			idle, idle, idle, // measurement warm-up (multipathMinSamples)
+			idle, idle, // first sets, then hysteresis
+			func() { // jitter
+				for i := 0; i < 10; i += 3 {
+					demand.staticTraffic[netip.MustParsePrefix(fmt.Sprintf("10.0.%d.0/24", i))] = 600e6
+				}
+			},
+			setAll(1200e6), // overload onset: the PNI is past target and congested
+			idle,           // sticky retention
+			idle,           // unchanged inputs and installed set: the reuse path
+			func() { // route churn under overload
+				tab.Add(route("10.0.3.0/24", "172.20.0.2", rib.ClassPrivate, 1, 65011))
+				tab.Remove(netip.MustParsePrefix("10.0.5.0/24"), netip.MustParseAddr("172.20.0.1"))
+			},
+			func() { ctrl.PanicNextCycle(); panicked, sweepDue = true, true; hold() },
+			hold, hold, // the rest of the panicHoldCycles hold
+			idle,                             // a full sweep, from scratch
+			func() { want = HealthFailBack }, // sFlow silent past the fail-back threshold
+			idle, idle, idle,                 // recovery under the move budget
+			setAll(200e6), // decay
+			idle,
 		}
-		if !floatClose(rep.DetouredBps, detoured) {
-			t.Fatalf("k=%d step %d: detoured %v != %v", maxPaths, i, rep.DetouredBps, detoured)
-		}
-		for _, o := range perf {
-			if len(o.Multipath) > 0 {
-				sets++
+		sweeps := ctrl.Metrics().Counter("edgefabric_delta_full_sweeps_total")
+		detours := 0
+		for i, step := range steps {
+			demand.now.Add(int64(30 * time.Second))
+			want, panicked = HealthHealthy, false
+			step()
+			if want == HealthFailBack {
+				demand.last.Store(demand.now.Load() - int64(time.Hour))
 			} else {
-				moves++
+				demand.last.Store(demand.now.Load())
 			}
+			prior, swept := ctrl.Installed(), sweeps.Value()
+			rep, err := ctrl.RunCycle()
+			if (err != nil) != panicked || rep.Health != want {
+				t.Fatalf("k=%d step %d: %s %v (err %v), want %s", maxPaths, i, rep.Health, rep.HealthReasons, err, want)
+			}
+			if want == HealthFailBack && len(ctrl.Installed()) != 0 {
+				t.Fatalf("k=%d step %d: fail-back left %d installed", maxPaths, i, len(ctrl.Installed()))
+			}
+			if want == HealthFailStatic && !reflect.DeepEqual(ctrl.Installed(), prior) {
+				t.Fatalf("k=%d step %d: fail-static changed the installed set", maxPaths, i)
+			}
+			if want != HealthHealthy {
+				continue
+			}
+			if full := sweeps.Value() != swept; full != sweepDue {
+				t.Fatalf("k=%d step %d: full sweep %v, want %v", maxPaths, i, full, sweepDue)
+			}
+			sweepDue = false
+
+			dec, _ := Decide(CycleInput{
+				Routes: tab, Demand: demand.staticTraffic, Inventory: inv,
+				Allocator: acfg, Multipath: mcfg, Installed: prior,
+			}, &DecideState{Measurer: twin})
+			if !reflect.DeepEqual(rep.Overrides, dec.Overrides) {
+				t.Fatalf("k=%d step %d: controller decided\n%v\nfrom scratch\n%v", maxPaths, i, rep.Overrides, dec.Overrides)
+			}
+			if !floatClose(rep.DetouredBps, dec.DetouredBps) {
+				t.Fatalf("k=%d step %d: detoured %v != %v", maxPaths, i, rep.DetouredBps, dec.DetouredBps)
+			}
+			for _, info := range inv.Interfaces() {
+				if got, u := rep.IfUtil[info.ID], dec.IfUtil[info.ID]; !floatClose(got, u) {
+					t.Fatalf("k=%d step %d: if%d util %v != %v", maxPaths, i, info.ID, got, u)
+				}
+			}
+			for _, o := range dec.Overrides {
+				switch {
+				case len(o.Multipath) > 0:
+					sets++
+				case strings.HasPrefix(o.Reason, "alt path"):
+					moves++
+				default:
+					detours++
+				}
+			}
+		}
+		if detours == 0 {
+			t.Fatalf("k=%d: the overload pass moved nothing; the comparison is vacuous", maxPaths)
 		}
 	}
 	return sets, moves

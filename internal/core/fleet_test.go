@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"net/netip"
 	"strings"
@@ -237,13 +236,7 @@ func reconcileFleet(t *testing.T) (*FleetSupervisor, *Reconciler, []string) {
 	sup := NewFleetSupervisor(FleetSupervisorConfig{})
 	names := []string{"pop-a", "pop-b", "pop-c"}
 	for _, name := range names {
-		ctrl, _ := statusController(t)
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		if err := ctrl.WaitReady(ctx, 0); err != nil {
-			cancel()
-			t.Fatal(err)
-		}
-		cancel()
+		ctrl := statusController(t)
 		if err := sup.Add(FleetMember{Name: name, Ctrl: ctrl}); err != nil {
 			t.Fatal(err)
 		}

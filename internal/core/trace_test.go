@@ -1,11 +1,9 @@
 package core
 
 import (
-	"context"
 	"net/netip"
 	"strings"
 	"testing"
-	"time"
 
 	"edgefabric/internal/altpath"
 	"edgefabric/internal/rib"
@@ -15,30 +13,17 @@ import (
 // with a fake peering router, four prefixes that each have a private
 // and a transit route, and enough demand to force detours (12G of
 // demand preferring a 10G PNI).
-func statusController(t *testing.T) (*Controller, *fakePR) {
+func statusController(t *testing.T) *Controller {
 	t.Helper()
-	inv := testInventory(t)
 	demand := staticTraffic{}
-	ctrl, err := New(Config{
-		Inventory: inv,
-		Traffic:   demand,
-		LocalAS:   64500,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(ctrl.Close)
-	pr, conn := newFakePR(t, 64500)
-	if err := ctrl.AddInjectionSession(netip.MustParseAddr("10.255.0.1"), conn); err != nil {
-		t.Fatal(err)
-	}
+	ctrl, _ := readyController(t, Config{Inventory: testInventory(t), Traffic: demand, LocalAS: 64500})
 	for i := 0; i < 4; i++ {
 		prefix := []string{"10.0.0.0/24", "10.0.1.0/24", "10.0.2.0/24", "10.0.3.0/24"}[i]
 		ctrl.Store().Table().Add(route(prefix, "172.20.0.1", rib.ClassPrivate, 0, 65010))
 		ctrl.Store().Table().Add(route(prefix, "172.20.0.9", rib.ClassTransit, 3, 64601, 65010))
 		demand[netip.MustParsePrefix(prefix)] = 3e9 // 12G on a 10G PNI
 	}
-	return ctrl, pr
+	return ctrl
 }
 
 func TestTraceDetouredPrefix(t *testing.T) {
@@ -197,29 +182,16 @@ func TestExplainRendersUntracedNoOp(t *testing.T) {
 		netip.MustParseAddr("172.20.0.1"): {rtt: 40},
 		netip.MustParseAddr("172.20.0.9"): {rtt: 35}, // 5 ms faster: below multipathMinGainMS
 	}
-	ctrl, err := New(Config{
+	ctrl, _ := readyController(t, Config{
 		Inventory: inv,
 		Traffic:   demand,
 		LocalAS:   64500,
 		Optimizer: OptimizerConfig{Source: src, Seed: 3},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(ctrl.Close)
-	_, conn := newFakePR(t, 64500)
-	if err := ctrl.AddInjectionSession(netip.MustParseAddr("10.255.0.1"), conn); err != nil {
-		t.Fatal(err)
-	}
 	p := netip.MustParsePrefix("10.0.0.0/24")
 	ctrl.Store().Table().Add(route(p.String(), "172.20.0.1", rib.ClassPrivate, 0, 65010))
 	ctrl.Store().Table().Add(route(p.String(), "172.20.0.9", rib.ClassTransit, 3, 64601, 65010))
 	demand[p] = 1e9
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := ctrl.WaitReady(ctx, 0); err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 5; i++ {
 		if _, err := ctrl.RunCycle(); err != nil {
 			t.Fatal(err)
@@ -298,12 +270,7 @@ func TestTraceEnumStrings(t *testing.T) {
 }
 
 func TestControllerExplain(t *testing.T) {
-	ctrl, _ := statusController(t)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := ctrl.WaitReady(ctx, 0); err != nil {
-		t.Fatal(err)
-	}
+	ctrl := statusController(t)
 	if _, err := ctrl.RunCycle(); err != nil {
 		t.Fatal(err)
 	}
@@ -356,29 +323,15 @@ func TestControllerExplain(t *testing.T) {
 func TestControllerTraceDisabled(t *testing.T) {
 	inv := testInventory(t)
 	demand := staticTraffic{}
-	ctrl, err := New(Config{
+	ctrl, _ := readyController(t, Config{
 		Inventory: inv,
 		Traffic:   demand,
 		LocalAS:   64500,
 		Trace:     TraceConfig{Disable: true},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(ctrl.Close)
-	pr, conn := newFakePR(t, 64500)
-	_ = pr
-	if err := ctrl.AddInjectionSession(netip.MustParseAddr("10.255.0.1"), conn); err != nil {
-		t.Fatal(err)
-	}
 	ctrl.Store().Table().Add(route("10.0.0.0/24", "172.20.0.1", rib.ClassPrivate, 0, 65010))
 	ctrl.Store().Table().Add(route("10.0.0.0/24", "172.20.0.9", rib.ClassTransit, 3, 64601, 65010))
 	demand[netip.MustParsePrefix("10.0.0.0/24")] = 11e9
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := ctrl.WaitReady(ctx, 0); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := ctrl.RunCycle(); err != nil {
 		t.Fatal(err)
 	}
@@ -389,12 +342,7 @@ func TestControllerTraceDisabled(t *testing.T) {
 }
 
 func TestTraceRingBounded(t *testing.T) {
-	ctrl, _ := statusController(t)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := ctrl.WaitReady(ctx, 0); err != nil {
-		t.Fatal(err)
-	}
+	ctrl := statusController(t)
 	for i := 0; i < 12; i++ { // traceCycles is 8
 		if _, err := ctrl.RunCycle(); err != nil {
 			t.Fatal(err)

@@ -17,8 +17,8 @@ import (
 // a full Internet table — BGP convergence over emulated sessions is the
 // bottleneck, not the controller — so this experiment loads the RIB
 // directly from the synthesized announcements and drives the
-// delta-projection cycle (ProjectDelta + AllocateDelta) the way the
-// controller does, measuring what the paper's setting actually demands:
+// controller's decision (core.Decide: delta projection and allocation)
+// cycle by cycle, measuring what the paper's setting actually demands:
 // a cold full rebuild under a second and steady-state dirty cycles
 // (~1% churn) in tens of milliseconds.
 
@@ -164,7 +164,7 @@ func E14MillionPrefix(cfg ScaleConfig) (*ScaleResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	pj := &core.Projector{
+	st := &core.DecideState{Projector: core.Projector{
 		Epsilon:     scaleEpsilon,
 		HeavyK:      cfg.HeavyK,
 		TailEpsilon: scaleTailEpsilon,
@@ -172,26 +172,23 @@ func E14MillionPrefix(cfg ScaleConfig) (*ScaleResult, error) {
 		// The experiment times the sweep explicitly; keep it out of the
 		// dirty-cycle sample.
 		FullSweepEvery: -1,
-	}
-	acfg := core.AllocatorConfig{Threshold: 0.95}
-	var allocState core.AllocState
-	installed := map[netip.Prefix]core.Override{}
+	}}
+	in := core.CycleInput{Routes: tab, Demand: demand, Inventory: inv, Allocator: core.AllocatorConfig{Threshold: 0.95}}
 
-	runCycle := func() (time.Duration, core.DeltaStats, *core.AllocResult) {
+	runCycle := func() (time.Duration, core.DeltaStats, *core.CycleReport) {
 		t0 := time.Now()
-		proj, ds := pj.ProjectDelta(tab, demand)
-		alloc := core.AllocateDelta(proj, inv, acfg, installed, nil, &ds, &allocState)
+		dec, ds := core.Decide(in, st)
 		d := time.Since(t0)
-		installed = make(map[netip.Prefix]core.Override, len(alloc.Overrides))
-		for _, o := range alloc.Overrides {
-			installed[o.Prefix] = o
+		in.Installed = make(map[netip.Prefix]core.Override, len(dec.Overrides))
+		for _, o := range dec.Overrides {
+			in.Installed[o.Prefix] = o
 		}
-		return d, ds, alloc
+		return d, ds, dec
 	}
 
 	var ds core.DeltaStats
-	var alloc *core.AllocResult
-	res.Cold, ds, alloc = runCycle()
+	var dec *core.CycleReport
+	res.Cold, ds, dec = runCycle()
 	// The cold build allocates the bulk of the heap in one burst; collect
 	// it here so the resulting background mark doesn't bleed into the
 	// steady-state sample below.
@@ -233,21 +230,20 @@ func E14MillionPrefix(cfg ScaleConfig) (*ScaleResult, error) {
 			routeCursor = (routeCursor + cfg.RouteChurn) % len(transit.Announces)
 		}
 		var d time.Duration
-		d, ds, alloc = runCycle()
+		d, ds, dec = runCycle()
 		durations = append(durations, d)
 	}
 	sort.Slice(durations, func(a, b int) bool { return durations[a] < durations[b] })
 	res.DirtyP50 = durations[len(durations)/2]
 	res.DirtyP95 = durations[len(durations)*95/100]
 	res.DirtyMax = durations[len(durations)-1]
-	res.Overrides = len(alloc.Overrides)
+	res.Overrides = len(dec.Overrides)
 	res.Last = ds
 
 	// A warm full rebuild — what the periodic safety sweep costs.
-	pj.ResetDelta()
+	st.Projector.ResetDelta()
 	t0 := time.Now()
-	proj, _ := pj.ProjectDelta(tab, demand)
-	core.AllocateDelta(proj, inv, acfg, installed, nil, nil, &allocState)
+	core.Decide(in, st)
 	res.Sweep = time.Since(t0)
 	return res, nil
 }

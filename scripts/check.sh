@@ -60,6 +60,12 @@ go test -count=1 -timeout 4m -run '^TestE18ShiftSmoke$' ./internal/exp
 echo "==> decision pins (TestDecisionPins, -count=2, -cpu 1,2)"
 go test -count=2 -cpu 1,2 -run '^TestDecisionPins$' ./internal/exp
 
+# Decision oracle: every cycle RunCycle decides must equal core.Decide
+# from scratch. The from-scratch projector fans out by GOMAXPROCS, so one
+# and two cores compare both shard layouts against the controller's.
+echo "==> decision oracle (TestController{Delta,Optimise}Equivalence, -count=2, -cpu 1,2)"
+go test -count=2 -cpu 1,2 -run '^TestController(Delta|Optimise)Equivalence$' ./internal/core
+
 # Hot-path benchmarks, gated against the committed BENCH_hotpath.json
 # on allocs/op (a count: any rise fails); ns/op is recorded and
 # reported, not gated — see scripts/benchstat.sh. The run is written to

@@ -77,8 +77,10 @@ type HealthConfig struct {
 }
 
 const (
-	// panicHoldCycles is how many cycles the controller stays
-	// fail-static after a recovered cycle panic.
+	// panicHoldCycles is how many cycles are fail-static for a
+	// recovered cycle panic, counting the panicking cycle itself:
+	// BeginCycle spends one before each later cycle is evaluated, so
+	// the two cycles after the panic stay fail-static.
 	panicHoldCycles = 3
 	// overrunsForDegraded is the number of consecutive cycle-deadline
 	// overruns after which health reports degraded.

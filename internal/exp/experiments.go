@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"net/netip"
 	"sort"
@@ -336,34 +335,6 @@ type AvoidanceArm struct {
 	PeakUtil float64
 }
 
-// RunAvoidanceArm measures one arm of the E6 comparison over d.
-func RunAvoidanceArm(h *Harness, d time.Duration) AvoidanceArm {
-	var arm AvoidanceArm
-	var offered, dropped float64
-	ticks, dropTicks := 0, 0
-	h.Run(d, func(s *netsim.TickStats, _ *core.CycleReport) {
-		ticks++
-		offered += s.TotalDemandBps()
-		dr := s.TotalDropsBps()
-		dropped += dr
-		if dr > 0 {
-			dropTicks++
-		}
-		for _, ifc := range h.Scenario.Topo.Interfaces {
-			if u := s.IfLoadBps[ifc.ID] / ifc.CapacityBps; u > arm.PeakUtil {
-				arm.PeakUtil = u
-			}
-		}
-	})
-	if ticks > 0 {
-		arm.DropTicksFrac = float64(dropTicks) / float64(ticks)
-	}
-	if offered > 0 {
-		arm.DroppedFrac = dropped / offered
-	}
-	return arm
-}
-
 // String renders the comparison.
 func (r *AvoidanceResult) String() string {
 	return fmt.Sprintf(
@@ -553,9 +524,9 @@ type FlashReactionResult struct {
 	Cycles int
 }
 
-// E9FlashReaction injects a flash crowd and measures mitigation delay.
-// The harness's demand model must contain the flash event (see
-// FlashScenario); flashStart names its onset.
+// E9FlashReaction measures mitigation delay over d. The harness's event
+// timeline must hold the flash crowd (see flashReaction); flashStart
+// names its onset.
 func E9FlashReaction(h *Harness, flashStart time.Time, d time.Duration) *FlashReactionResult {
 	res := &FlashReactionResult{Reaction: -1}
 	var mitigated bool
@@ -640,45 +611,4 @@ func DefaultAblationVariants() []AblationVariant {
 		{"target=most-spare", core.AllocatorConfig{Threshold: 0.95, TargetSelect: core.TargetMostSpare}},
 		{"no-sticky (pure stateless)", core.AllocatorConfig{Threshold: 0.95, NoSticky: true}},
 	}
-}
-
-// RunAblation measures one variant over d using a fresh harness built
-// from base (whose Allocator field is replaced).
-func RunAblation(base HarnessConfig, v AblationVariant, d time.Duration) (*AblationRow, error) {
-	cfg := base
-	cfg.Allocator = v.Allocator
-	cfg.ControllerEnabled = true
-	h, err := NewHarness(context.Background(), cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer h.Close()
-	var offered, dropped, overridesSum, detourSum, cycles, residual, churn float64
-	h.Run(d, func(s *netsim.TickStats, r *core.CycleReport) {
-		offered += s.TotalDemandBps()
-		dropped += s.TotalDropsBps()
-		if r == nil {
-			return
-		}
-		cycles++
-		overridesSum += float64(len(r.Overrides))
-		churn += float64(r.Announced + r.Withdrawn)
-		if r.DemandBps > 0 {
-			detourSum += r.DetouredBps / r.DemandBps
-		}
-		if len(r.ResidualOverloadBps) > 0 {
-			residual++
-		}
-	})
-	row := &AblationRow{Name: v.Name}
-	if cycles > 0 {
-		row.MeanOverrides = overridesSum / cycles
-		row.DetourFrac = detourSum / cycles
-		row.ResidualFrac = residual / cycles
-		row.ChurnPerCycle = churn / cycles
-	}
-	if offered > 0 {
-		row.DroppedFrac = dropped / offered
-	}
-	return row, nil
 }

@@ -112,13 +112,11 @@ func TestE4E5DetourVolumeAndDurations(t *testing.T) {
 }
 
 func TestE6OverloadAvoidance(t *testing.T) {
-	base := testConfig(false)
-	withEF := testConfig(true)
-	hBase := newTestHarness(t, base)
-	hEF := newTestHarness(t, withEF)
-	res := &AvoidanceResult{
-		Baseline: RunAvoidanceArm(hBase, 20*time.Minute),
-		WithEF:   RunAvoidanceArm(hEF, 20*time.Minute),
+	ctx, cancel := context.WithTimeout(context.Background(), 180*time.Second)
+	defer cancel()
+	res, err := overloadAvoidance(ctx, testConfig(false), 20*time.Minute)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if res.Baseline.DroppedFrac == 0 {
 		t.Error("baseline should drop at peak")
@@ -184,26 +182,12 @@ func TestE9FlashReaction(t *testing.T) {
 	cfg.Synth.PNIHeadroomMax = 1.4
 	cfg.Start = time.Date(2017, 3, 1, 12, 0, 0, 0, time.UTC) // off-peak
 	// Flash: the biggest private AS triples 5 minutes in.
-	sc, err := netsim.Synthesize(cfg.Synth)
+	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
+	defer cancel()
+	res, err := flashReaction(ctx, cfg, 5*time.Minute, 30*time.Minute, 25*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var flashAS uint32
-	var best float64
-	for as, info := range sc.ASes {
-		if info.Class == rib.ClassPrivate && info.Weight > best {
-			best, flashAS = info.Weight, as
-		}
-	}
-	flashStart := cfg.Start.Add(5 * time.Minute)
-	h := newTestHarness(t, cfg)
-	if err := h.AttachEvents([]netsim.Event{{
-		Kind: netsim.EventFlashCrowd, At: flashStart.Sub(h.Clock.Now()),
-		Duration: 30 * time.Minute, Magnitude: 3, AS: flashAS,
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	res := E9FlashReaction(h, flashStart, 25*time.Minute)
 	if !res.OverloadAppeared {
 		t.Skip("flash did not overload; scenario too roomy for this seed")
 	}
@@ -219,15 +203,11 @@ func TestE9FlashReaction(t *testing.T) {
 }
 
 func TestE10Ablation(t *testing.T) {
-	base := testConfig(true)
-	variants := DefaultAblationVariants()[:2] // keep the test quick
-	var res AblationResult
-	for _, v := range variants {
-		row, err := RunAblation(base, v, 10*time.Minute)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res.Rows = append(res.Rows, *row)
+	// The first two variants (thresholds 0.90 and 0.95) keep the test
+	// quick.
+	res, err := ablations(context.Background(), testConfig(true), DefaultAblationVariants()[:2], 10*time.Minute)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(res.Rows) != 2 {
 		t.Fatal("missing rows")

@@ -27,8 +27,9 @@ type FaultMatrixResult struct {
 	// --- phase A: sFlow blackout mid-overload ---
 	// FreezeCycles is the number of cycles from blackout to fail-static.
 	FreezeCycles int
-	// FrozenStable reports that the installed override set never changed
-	// while frozen (no withdrawals on decayed demand).
+	// FrozenStable reports that the installed decision (prefixes, next
+	// hops, interfaces, members and weights) never changed while frozen
+	// (no withdrawals or re-weights on decayed demand).
 	FrozenStable bool
 	// FrozenOverrides is the size of the frozen set.
 	FrozenOverrides int
@@ -63,7 +64,7 @@ type FaultMatrixResult struct {
 	// PanicCounted reports the edgefabric_cycle_panics_total increment.
 	PanicCounted bool
 	// PanicFroze reports that the panicking cycle produced a fail-static
-	// report and held the installed set.
+	// report and held the installed decision through the hold.
 	PanicFroze bool
 	// PanicRecoverCycles is the number of cycles from the panic to a
 	// healthy cycle.
@@ -131,20 +132,6 @@ func waitWall(timeout time.Duration, cond func() bool) bool {
 	return cond()
 }
 
-// sameOverrides reports whether the installed set still covers exactly
-// the given prefixes.
-func sameOverrides(installed map[netip.Prefix]core.Override, want map[netip.Prefix]bool) bool {
-	if len(installed) != len(want) {
-		return false
-	}
-	for p := range installed {
-		if !want[p] {
-			return false
-		}
-	}
-	return true
-}
-
 // E11FaultMatrix runs the fault matrix against a controller-enabled
 // harness in sustained overload. The harness must have been built with
 // health thresholds that make staleness observable within a few cycles
@@ -165,11 +152,9 @@ func E11FaultMatrix(h *Harness) (*FaultMatrixResult, error) {
 	}
 
 	// ---- Phase A: total sFlow blackout mid-overload.
-	frozen := make(map[netip.Prefix]bool)
-	for p := range h.Controller.Installed() {
-		frozen[p] = true
-	}
-	res.FrozenOverrides = len(frozen)
+	installed := h.Controller.Installed()
+	frozen := installedDecision(installed)
+	res.FrozenOverrides = len(installed)
 	h.Loss.Kill()
 	res.FreezeCycles, ok = stepUntil(h, 4, func(r *core.CycleReport) bool {
 		return r.Health == core.HealthFailStatic
@@ -177,13 +162,13 @@ func E11FaultMatrix(h *Harness) (*FaultMatrixResult, error) {
 	if !ok {
 		return res, fmt.Errorf("exp: blackout never reached fail-static")
 	}
-	// While frozen, the installed set must not move (the demand window is
-	// decaying under the controller; acting on it would withdraw detours
-	// exactly while blind).
-	res.FrozenStable = sameOverrides(h.Controller.Installed(), frozen)
+	// While frozen, the installed decision must not move (the demand
+	// window is decaying under the controller; acting on it would
+	// withdraw or re-weight detours exactly while blind).
+	res.FrozenStable = installedDecision(h.Controller.Installed()) == frozen
 	failBack, reachedFB := stepUntil(h, 8, func(r *core.CycleReport) bool {
 		if r.Health == core.HealthFailStatic {
-			res.FrozenStable = res.FrozenStable && sameOverrides(h.Controller.Installed(), frozen)
+			res.FrozenStable = res.FrozenStable && installedDecision(h.Controller.Installed()) == frozen
 		}
 		return r.Health == core.HealthFailBack
 	})
@@ -261,17 +246,14 @@ func E11FaultMatrix(h *Harness) (*FaultMatrixResult, error) {
 
 	// ---- Phase C: injected cycle panic.
 	panicsBefore := h.Controller.Metrics().Counter("edgefabric_cycle_panics_total").Value()
-	held := make(map[netip.Prefix]bool)
-	for p := range h.Controller.Installed() {
-		held[p] = true
-	}
+	held := installedDecision(h.Controller.Installed())
 	h.Controller.PanicNextCycle()
 	r := stepCycles(h, 1)
 	res.PanicCounted = h.Controller.Metrics().Counter("edgefabric_cycle_panics_total").Value() == panicsBefore+1
-	res.PanicFroze = r.Health == core.HealthFailStatic && sameOverrides(h.Controller.Installed(), held)
+	res.PanicFroze = r.Health == core.HealthFailStatic && installedDecision(h.Controller.Installed()) == held
 	res.PanicRecoverCycles, ok = stepUntil(h, 6, func(r *core.CycleReport) bool {
 		if r.Health == core.HealthFailStatic {
-			res.PanicFroze = res.PanicFroze && sameOverrides(h.Controller.Installed(), held)
+			res.PanicFroze = res.PanicFroze && installedDecision(h.Controller.Installed()) == held
 		}
 		return r.Health == core.HealthHealthy
 	})

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"context"
 	"testing"
 	"time"
 
@@ -14,8 +13,6 @@ import (
 // decayed demand, fails back past the second threshold, self-heals its
 // feeds, and returns to the healthy steady state within bounded cycles.
 func TestE11FaultMatrix(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
 	cfg := testConfig(true)
 	// Thresholds scaled for a fast test: the steady-state traffic age is
 	// exactly one 30 s cycle, so 45 s flags the first blind cycle;
@@ -26,11 +23,7 @@ func TestE11FaultMatrix(t *testing.T) {
 		TrafficFailAfter:  150 * time.Second,
 		BMPFlushAfter:     90 * time.Second,
 	}
-	h, err := NewHarness(ctx, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
+	h := newTestHarness(t, cfg)
 
 	res, err := E11FaultMatrix(h)
 	if err != nil {

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"context"
 	"slices"
 	"sync"
 	"testing"
@@ -20,13 +19,7 @@ import (
 // health ladder and warms it into healthy steady-state overload.
 func restoreTestHarness(t *testing.T) *Harness {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	t.Cleanup(cancel)
-	h, err := NewHarness(ctx, soakTestConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(h.Close)
+	h := newTestHarness(t, soakTestConfig())
 	if _, ok := stepUntil(h, 15, func(r *core.CycleReport) bool {
 		return r.Health == core.HealthHealthy && len(h.Controller.Installed()) > 0
 	}); !ok {

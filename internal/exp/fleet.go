@@ -19,47 +19,31 @@ type Fleet struct {
 	PoPs []*Harness
 }
 
-// FleetConfig parameterizes NewFleet.
-type FleetConfig struct {
-	// Base is the per-PoP harness config; each PoP gets Base with a
-	// distinct seed (Base.Synth.Seed + index) and name.
-	Base HarnessConfig
-	// PoPs is the number of sites. Default 4.
-	PoPs int
-	// PeakHourSpreadH staggers each PoP's demand peak by this many
-	// hours times its index (time zones). Default 2.
-	PeakHourSpreadH float64
+// fleetConfigs derives n member configs from base: member i gets a
+// distinct seed (base seed + 1000i), name and router-ID block
+// (PoPIndex), and a demand peak spreadH hours after member i-1's (time
+// zones), the first at 20:00.
+func fleetConfigs(base HarnessConfig, n int, spreadH float64) []HarnessConfig {
+	cfgs := make([]HarnessConfig, n)
+	for i := range cfgs {
+		hc := base
+		hc.Synth.Seed = base.Synth.Seed + int64(i)*1000
+		hc.Synth.Name = fmt.Sprintf("pop-%d", i+1)
+		hc.Synth.PoPIndex = i + 1
+		hc.Demand.PeakHourUTC = 20 + float64(i)*spreadH
+		for hc.Demand.PeakHourUTC >= 24 {
+			hc.Demand.PeakHourUTC -= 24
+		}
+		cfgs[i] = hc
+	}
+	return cfgs
 }
 
-func (cfg *FleetConfig) setDefaults() {
-	if cfg.PoPs == 0 {
-		cfg.PoPs = 4
-	}
-	if cfg.PeakHourSpreadH == 0 {
-		cfg.PeakHourSpreadH = 2
-	}
-}
-
-// popConfig derives member i's harness config: a distinct seed, name,
-// router-ID block (PoPIndex), and staggered demand peak.
-func (cfg *FleetConfig) popConfig(i int) HarnessConfig {
-	hc := cfg.Base
-	hc.Synth.Seed = cfg.Base.Synth.Seed + int64(i)*1000
-	hc.Synth.Name = fmt.Sprintf("pop-%d", i+1)
-	hc.Synth.PoPIndex = i + 1
-	hc.Demand.PeakHourUTC = 20 + float64(i)*cfg.PeakHourSpreadH
-	for hc.Demand.PeakHourUTC >= 24 {
-		hc.Demand.PeakHourUTC -= 24
-	}
-	return hc
-}
-
-// NewFleet builds and converges all member PoPs.
-func NewFleet(ctx context.Context, cfg FleetConfig) (*Fleet, error) {
-	cfg.setDefaults()
+// NewFleet builds and converges one independent PoP per config.
+func NewFleet(ctx context.Context, cfgs []HarnessConfig) (*Fleet, error) {
 	f := &Fleet{}
-	for i := 0; i < cfg.PoPs; i++ {
-		h, err := NewHarness(ctx, cfg.popConfig(i))
+	for i, cfg := range cfgs {
+		h, err := NewHarness(ctx, cfg)
 		if err != nil {
 			f.Close()
 			return nil, fmt.Errorf("exp: fleet pop %d: %w", i+1, err)
@@ -105,57 +89,37 @@ type FleetResult struct {
 // Run steps every PoP through d of virtual time (interleaved round-robin
 // so the sites progress together) and aggregates the outcome.
 func (f *Fleet) Run(d time.Duration) *FleetResult {
-	n := len(f.PoPs)
-	sums := make([]PoPSummary, n)
-	overrides := make([]float64, n)
-	cycles := make([]float64, n)
-	offered := make([]float64, n)
-	dropped := make([]float64, n)
+	tallies := make([]tally, len(f.PoPs))
 	ticks := 0
-	if n > 0 {
+	if len(f.PoPs) > 0 {
 		ticks = int(d / f.PoPs[0].Cfg.TickLen)
 	}
 	for t := 0; t < ticks; t++ {
 		for i, h := range f.PoPs {
 			stats, report := h.Step()
-			offered[i] += stats.TotalDemandBps()
-			dropped[i] += stats.TotalDropsBps()
-			for _, ifc := range h.Scenario.Topo.Interfaces {
-				if u := stats.IfLoadBps[ifc.ID] / ifc.CapacityBps; u > sums[i].PeakUtil {
-					sums[i].PeakUtil = u
-				}
-			}
-			if report == nil {
-				continue
-			}
-			cycles[i]++
-			overrides[i] += float64(len(report.Overrides))
-			if report.DemandBps > 0 {
-				if frac := report.DetouredBps / report.DemandBps; frac > sums[i].PeakDetourFrac {
-					sums[i].PeakDetourFrac = frac
-				}
-			}
+			tallies[i].add(h.Scenario, stats, report)
 		}
 	}
 	res := &FleetResult{}
 	var peaks []float64
 	for i, h := range f.PoPs {
-		sums[i].Name = h.Scenario.Topo.Name
-		if offered[i] > 0 {
-			sums[i].DroppedFrac = dropped[i] / offered[i]
+		t := &tallies[i]
+		sum := PoPSummary{
+			Name:           h.Scenario.Topo.Name,
+			PeakUtil:       t.peakUtil,
+			DroppedFrac:    t.droppedFrac(),
+			PeakDetourFrac: t.peakDetour,
+			MeanOverrides:  t.perCycle(float64(t.overrides)),
 		}
-		if cycles[i] > 0 {
-			sums[i].MeanOverrides = overrides[i] / cycles[i]
-		}
-		if sums[i].PeakDetourFrac > 0 {
+		if sum.PeakDetourFrac > 0 {
 			res.PoPsWithDetours++
 		}
-		if sums[i].DroppedFrac > res.WorstDroppedFrac {
-			res.WorstDroppedFrac = sums[i].DroppedFrac
+		if sum.DroppedFrac > res.WorstDroppedFrac {
+			res.WorstDroppedFrac = sum.DroppedFrac
 		}
-		peaks = append(peaks, sums[i].PeakDetourFrac)
+		peaks = append(peaks, sum.PeakDetourFrac)
+		res.PoPs = append(res.PoPs, sum)
 	}
-	res.PoPs = sums
 	res.MedianPeakDetour = quantile(append([]float64(nil), peaks...), 0.5)
 	res.MaxPeakDetour = quantile(peaks, 1)
 	return res

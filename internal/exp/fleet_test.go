@@ -15,7 +15,7 @@ func TestFleetAcrossPoPs(t *testing.T) {
 	base.Synth.PNIHeadroomMax = 1.6
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	fleet, err := NewFleet(ctx, FleetConfig{Base: base, PoPs: 3, PeakHourSpreadH: 0})
+	fleet, err := NewFleet(ctx, fleetConfigs(base, 3, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,8 +32,9 @@ func TestFleetAcrossPoPs(t *testing.T) {
 	if len(res.PoPs) != 3 {
 		t.Fatalf("summaries = %d", len(res.PoPs))
 	}
-	// All sites start at the 20:00 peak with tight headroom somewhere:
-	// at least one should need detours.
+	// The sites peak at 20:00, 22:00 and 00:00, so all start near
+	// their peak with tight headroom somewhere: at least one should
+	// need detours.
 	if res.PoPsWithDetours == 0 {
 		t.Error("no PoP detoured at peak despite tight provisioning")
 	}
@@ -55,7 +56,7 @@ func TestFleetPeakStagger(t *testing.T) {
 	base := testConfig(false)
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	fleet, err := NewFleet(ctx, FleetConfig{Base: base, PoPs: 2, PeakHourSpreadH: 6})
+	fleet, err := NewFleet(ctx, fleetConfigs(base, 2, 6))
 	if err != nil {
 		t.Fatal(err)
 	}

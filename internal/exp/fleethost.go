@@ -8,6 +8,7 @@ import (
 
 	"edgefabric/internal/api"
 	"edgefabric/internal/core"
+	"edgefabric/internal/netsim"
 	"edgefabric/internal/sflow"
 )
 
@@ -35,18 +36,6 @@ type FleetHost struct {
 	// members; also reachable through the API's /v1/fleet/reconcile
 	// and PUT /v1/pops/{pop}/config.
 	Reconciler *core.Reconciler
-}
-
-// NewFleetHost builds and converges a fleet sharing one sFlow demux and
-// one API server. Controller-enabled members register with the API under
-// their PoP name.
-func NewFleetHost(ctx context.Context, cfg FleetConfig) (*FleetHost, error) {
-	cfg.setDefaults()
-	cfgs := make([]HarnessConfig, cfg.PoPs)
-	for i := range cfgs {
-		cfgs[i] = cfg.popConfig(i)
-	}
-	return NewFleetHostFromConfigs(ctx, cfgs)
 }
 
 // NewFleetHostFromConfigs builds a fleet host from explicit per-member
@@ -124,4 +113,61 @@ func NewFleetHostFromConfigs(ctx context.Context, cfgs []HarnessConfig) (*FleetH
 		fh.API.SetReconciler(fh.Reconciler)
 	}
 	return fh, nil
+}
+
+// newTwinFleets builds the fleet of cfgs twice: hosted (one process,
+// one sFlow demux, one supervisor, one API server) and as isolated
+// per-PoP harnesses.
+func newTwinFleets(ctx context.Context, cfgs []HarnessConfig) (*FleetHost, *Fleet, error) {
+	host, err := NewFleetHostFromConfigs(ctx, cfgs)
+	if err != nil {
+		return nil, nil, fmt.Errorf("host fleet: %w", err)
+	}
+	iso, err := NewFleet(ctx, cfgs)
+	if err != nil {
+		host.Close()
+		return nil, nil, fmt.Errorf("isolated fleet: %w", err)
+	}
+	return host, iso, nil
+}
+
+// TwinCheck counts the hosted-vs-isolated comparison of a twin fleet
+// stepped in lockstep: equal IdenticalCycles and ComparedCycles mean
+// hosting was behaviorally invisible.
+type TwinCheck struct {
+	ComparedCycles  int
+	IdenticalCycles int
+	// OverridesSeen counts the hosted overrides compared, to prove the
+	// equivalence was not vacuous.
+	OverridesSeen int
+	// FirstMismatch describes the first decision divergence (empty when
+	// none).
+	FirstMismatch string
+}
+
+// step advances a hosted member and its isolated twin one tick each,
+// compares their decisions when either ran a cycle (a cycle only one
+// side ran is a mismatch), and returns the hosted member's tick. at
+// labels the step in a mismatch.
+func (c *TwinCheck) step(hosted, isolated *Harness, at int) (*netsim.TickStats, *core.CycleReport) {
+	hs, hr := hosted.Step()
+	_, ir := isolated.Step()
+	if hr == nil && ir == nil {
+		return hs, hr
+	}
+	c.ComparedCycles++
+	hd, id := "no cycle", "no cycle"
+	if hr != nil {
+		c.OverridesSeen += len(hr.Overrides)
+		hd = decisionOf(hr.Overrides)
+	}
+	if ir != nil {
+		id = decisionOf(ir.Overrides)
+	}
+	if hd == id {
+		c.IdenticalCycles++
+	} else if c.FirstMismatch == "" {
+		c.FirstMismatch = fmt.Sprintf("%s step %d: hosted %q vs isolated %q", hosted.Scenario.Topo.Name, at, hd, id)
+	}
+	return hs, hr
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"edgefabric/internal/core"
 	"edgefabric/internal/netsim"
 )
 
@@ -41,27 +40,27 @@ import (
 // FleetShiftConfig parameterizes an E18 run.
 type FleetShiftConfig struct {
 	// Base is the per-PoP harness config; ControllerEnabled is
-	// required. Each member derives from Base exactly as in
-	// FleetConfig (distinct seed, name, router block, staggered peak).
+	// required. Each member derives from Base as in fleetConfigs
+	// (distinct seed, name, router block, peaks shiftPeakSpreadH
+	// apart).
 	Base HarnessConfig
 	// PoPs is the fleet size. Default 4, minimum 3 (a loss PoP plus at
 	// least two receivers; the re-homing pair needs a bystander to
 	// prove non-receivers are untouched).
 	PoPs int
-	// Quiet is the event-free lead-in establishing each PoP's demand
-	// baseline. Default 5m.
-	Quiet time.Duration
-	// EpisodeLen is each episode's duration. Default 20m.
+	// EpisodeLen is each episode's duration. Default 20m. The timeline
+	// around the episodes scales with it: an event-free lead-in of a
+	// quarter episode establishing each PoP's demand baseline, a
+	// quarter-episode gap between the two episodes, and a half-episode
+	// event-free run-out.
 	EpisodeLen time.Duration
-	// Gap separates the two episodes. Default 5m.
-	Gap time.Duration
-	// Tail is the event-free run-out after the second episode.
-	// Default 10m.
-	Tail time.Duration
 }
 
 // The E18 episodes' fixed shape and pass bounds.
 const (
+	// shiftPeakSpreadH is the hours between consecutive members' demand
+	// peaks.
+	shiftPeakSpreadH = 2
 	// shiftLossFrac is the fraction of PoP 1's demand the region-loss
 	// episode drains.
 	shiftLossFrac = 0.6
@@ -84,17 +83,8 @@ func (c *FleetShiftConfig) setDefaults() {
 	if c.PoPs == 0 {
 		c.PoPs = 4
 	}
-	if c.Quiet == 0 {
-		c.Quiet = 5 * time.Minute
-	}
 	if c.EpisodeLen == 0 {
 		c.EpisodeLen = 20 * time.Minute
-	}
-	if c.Gap == 0 {
-		c.Gap = 5 * time.Minute
-	}
-	if c.Tail == 0 {
-		c.Tail = 10 * time.Minute
 	}
 }
 
@@ -129,15 +119,10 @@ type ShiftEpisode struct {
 type FleetShiftResult struct {
 	PoPs   int
 	Cycles int
-	// IdenticalCycles / ComparedCycles count hosted-vs-isolated
-	// decision comparisons; equal means hosting is invisible under
-	// cross-PoP churn.
-	IdenticalCycles int
-	ComparedCycles  int
-	// OverridesSeen proves the equivalence was not vacuous.
-	OverridesSeen int
-	// FirstMismatch describes the first decision divergence.
-	FirstMismatch string
+	// TwinCheck counts the hosted-vs-isolated decision comparisons;
+	// equal IdenticalCycles and ComparedCycles mean hosting is
+	// invisible under cross-PoP churn.
+	TwinCheck
 	// Episodes are the two shift episodes' outcomes.
 	Episodes []ShiftEpisode
 }
@@ -164,16 +149,11 @@ func E18FleetShift(ctx context.Context, cfg FleetShiftConfig) (*FleetShiftResult
 	if cfg.PoPs < 3 {
 		return nil, fmt.Errorf("exp: E18 needs at least 3 PoPs, got %d", cfg.PoPs)
 	}
-	fcfg := FleetConfig{Base: cfg.Base, PoPs: cfg.PoPs}
-	host, err := NewFleetHost(ctx, fcfg)
+	host, iso, err := newTwinFleets(ctx, fleetConfigs(cfg.Base, cfg.PoPs, shiftPeakSpreadH))
 	if err != nil {
-		return nil, fmt.Errorf("exp: E18 host fleet: %w", err)
+		return nil, fmt.Errorf("exp: E18 %w", err)
 	}
 	defer host.Close()
-	iso, err := NewFleet(ctx, fcfg)
-	if err != nil {
-		return nil, fmt.Errorf("exp: E18 isolated fleet: %w", err)
-	}
 	defer iso.Close()
 
 	tickLen := host.PoPs[0].Cfg.TickLen
@@ -195,9 +175,10 @@ func E18FleetShift(ctx context.Context, cfg FleetShiftConfig) (*FleetShiftResult
 	rehomeMults[1] = 1 - shiftRehomeFrac
 	rehomeMults[2] = 1 + shiftRehomeFrac
 
-	lossAt := cfg.Quiet
-	rehomeAt := cfg.Quiet + cfg.EpisodeLen + cfg.Gap
-	total := rehomeAt + cfg.EpisodeLen + cfg.Tail
+	quiet, gap, tail := cfg.EpisodeLen/4, cfg.EpisodeLen/4, cfg.EpisodeLen/2
+	lossAt := quiet
+	rehomeAt := quiet + cfg.EpisodeLen + gap
+	total := rehomeAt + cfg.EpisodeLen + tail
 	plans := []shiftPlan{
 		{kind: "region-loss", mults: lossMults, at: lossAt,
 			from: ticksOf(lossAt), to: ticksOf(lossAt + cfg.EpisodeLen)},
@@ -228,21 +209,13 @@ func E18FleetShift(ctx context.Context, cfg FleetShiftConfig) (*FleetShiftResult
 	}
 
 	res := &FleetShiftResult{PoPs: n}
-	type popAcc struct {
-		baseSum, baseTicks float64
-		winSum, winTicks   []float64
-		worstDrop          []float64
-		sustainedDrop      []float64
-		peakDetour         []float64
-		unhealthy          []bool
-	}
-	accs := make([]popAcc, n)
-	for i := range accs {
-		accs[i] = popAcc{
-			winSum: make([]float64, len(plans)), winTicks: make([]float64, len(plans)),
-			worstDrop: make([]float64, len(plans)), sustainedDrop: make([]float64, len(plans)),
-			peakDetour: make([]float64, len(plans)), unhealthy: make([]bool, len(plans)),
-		}
+	// Each PoP's hosted member is tallied over the ticks outside both
+	// windows (its demand baseline), over each window, and over each
+	// window past the absorption grace.
+	base := make([]tally, n)
+	win, late := make([][]tally, len(plans)), make([][]tally, len(plans))
+	for w := range plans {
+		win[w], late[w] = make([]tally, n), make([]tally, n)
 	}
 	inWindow := func(t int) int {
 		for pi, p := range plans {
@@ -258,67 +231,33 @@ func E18FleetShift(ctx context.Context, cfg FleetShiftConfig) (*FleetShiftResult
 	for t := 0; t < ticks; t++ {
 		w := inWindow(t)
 		for i := 0; i < n; i++ {
-			hs, hr := host.PoPs[i].Step()
-			_, ir := iso.PoPs[i].Step()
-			if hr != nil && ir != nil {
-				res.ComparedCycles++
-				res.OverridesSeen += len(hr.Overrides)
-				hk, ik := decisionKey(hr.Overrides), decisionKey(ir.Overrides)
-				if hk == ik {
-					res.IdenticalCycles++
-				} else if res.FirstMismatch == "" {
-					res.FirstMismatch = fmt.Sprintf("%s tick %d: hosted {%s} vs isolated {%s}",
-						host.PoPs[i].Scenario.Topo.Name, t, hk, ik)
-				}
-			}
-			acc := &accs[i]
-			demand := hs.TotalDemandBps()
+			h := host.PoPs[i]
+			hs, hr := res.step(h, iso.PoPs[i], t)
 			if w < 0 {
-				acc.baseSum += demand
-				acc.baseTicks++
+				base[i].add(h.Scenario, hs, hr)
 				continue
 			}
-			acc.winSum[w] += demand
-			acc.winTicks[w]++
-			if demand > 0 {
-				frac := hs.TotalDropsBps() / demand
-				if frac > acc.worstDrop[w] {
-					acc.worstDrop[w] = frac
-				}
-				if t-plans[w].from >= shiftAbsorbGraceTicks && frac > acc.sustainedDrop[w] {
-					acc.sustainedDrop[w] = frac
-				}
-			}
-			if hr != nil {
-				if hr.Health != core.HealthHealthy {
-					acc.unhealthy[w] = true
-				}
-				if hr.DemandBps > 0 {
-					if frac := hr.DetouredBps / hr.DemandBps; frac > acc.peakDetour[w] {
-						acc.peakDetour[w] = frac
-					}
-				}
+			win[w][i].add(h.Scenario, hs, hr)
+			if t-plans[w].from >= shiftAbsorbGraceTicks {
+				late[w][i].add(h.Scenario, hs, hr)
 			}
 		}
 	}
 
-	for pi, p := range plans {
+	for w, p := range plans {
 		ep := ShiftEpisode{Kind: p.kind}
 		for i := 0; i < n; i++ {
-			acc := &accs[i]
+			in := &win[w][i]
 			row := ShiftPoPRow{
 				PoP:               host.PoPs[i].Scenario.Topo.Name,
 				Mult:              p.mults[i],
-				WorstDropFrac:     acc.worstDrop[pi],
-				SustainedDropFrac: acc.sustainedDrop[pi],
-				PeakDetourFrac:    acc.peakDetour[pi],
-				Healthy:           !acc.unhealthy[pi],
+				WorstDropFrac:     in.peakDropFrac,
+				SustainedDropFrac: late[w][i].peakDropFrac,
+				PeakDetourFrac:    in.peakDetour,
+				Healthy:           in.unhealthy == 0,
 			}
-			if acc.baseTicks > 0 && acc.winTicks[pi] > 0 {
-				base := acc.baseSum / acc.baseTicks
-				if base > 0 {
-					row.DemandRatio = (acc.winSum[pi] / acc.winTicks[pi]) / base
-				}
+			if b := base[i].meanDemand(); b > 0 && in.ticks > 0 {
+				row.DemandRatio = in.meanDemand() / b
 			}
 			ep.Rows = append(ep.Rows, row)
 		}

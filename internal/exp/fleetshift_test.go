@@ -21,14 +21,7 @@ func TestE18ShiftSmoke(t *testing.T) {
 	base.Synth.EdgeASes = 25
 	base.Synth.PublicPeers = 6
 	base.Synth.RouteServerMembers = 8
-	res, err := E18FleetShift(ctx, FleetShiftConfig{
-		Base:       base,
-		PoPs:       3,
-		Quiet:      150 * time.Second,
-		EpisodeLen: 4 * time.Minute,
-		Gap:        2 * time.Minute,
-		Tail:       2 * time.Minute,
-	})
+	res, err := E18FleetShift(ctx, FleetShiftConfig{Base: base, PoPs: 3, EpisodeLen: 4 * time.Minute})
 	if err != nil {
 		t.Fatalf("E18 aborted: %v", err)
 	}

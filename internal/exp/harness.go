@@ -8,7 +8,10 @@ package exp
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/netip"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -436,6 +439,47 @@ func installedAs(routes []*rib.Route, o *core.Override) bool {
 		return n == 1
 	}
 	return n == len(o.Multipath)
+}
+
+// foldDecisions folds one cycle's override set into w in
+// rib.ComparePrefixes order — prefix, next hop, egress interface, then
+// each weighted member's next hop and weight — and returns how many of
+// the overrides are weighted sets. It is the one form in which two
+// decisions compare: the decision pins hash it, and decisionOf renders
+// it for the hosted-vs-isolated and fail-static checks.
+func foldDecisions(w io.Writer, overrides []core.Override) (sets int) {
+	sorted := slices.Clone(overrides)
+	slices.SortFunc(sorted, func(a, b core.Override) int { return rib.ComparePrefixes(a.Prefix, b.Prefix) })
+	fmt.Fprintf(w, "cycle %d\n", len(sorted))
+	for _, o := range sorted {
+		fmt.Fprintf(w, "%s %s %d", o.Prefix, o.Via.NextHop, o.ToIF)
+		for _, pw := range o.Multipath {
+			fmt.Fprintf(w, " %s/%d", pw.Via.NextHop, pw.WeightPct)
+		}
+		w.Write([]byte{'\n'})
+		if len(o.Multipath) > 0 {
+			sets++
+		}
+	}
+	return sets
+}
+
+// decisionOf renders an override set in foldDecisions form; two sets
+// are the same decision when their renderings are equal.
+func decisionOf(overrides []core.Override) string {
+	var b strings.Builder
+	foldDecisions(&b, overrides)
+	return b.String()
+}
+
+// installedDecision renders a controller's installed set
+// (core.Controller.Installed) in foldDecisions form.
+func installedDecision(installed map[netip.Prefix]core.Override) string {
+	overrides := make([]core.Override, 0, len(installed))
+	for _, o := range installed {
+		overrides = append(overrides, o)
+	}
+	return decisionOf(overrides)
 }
 
 // Run steps the simulation for the given virtual duration, invoking

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"context"
 	"net/netip"
 	"testing"
 	"time"
@@ -35,13 +34,7 @@ func testConfig(controller bool) HarnessConfig {
 }
 
 func TestHarnessClosedLoop(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
-	defer cancel()
-	h, err := NewHarness(ctx, testConfig(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
+	h := newTestHarness(t, testConfig(true))
 
 	var lastStats *netsim.TickStats
 	var lastReport *core.CycleReport
@@ -85,13 +78,7 @@ func overridesInTable(h *Harness) bool {
 }
 
 func TestHarnessBaselineDropsWithoutController(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
-	defer cancel()
-	h, err := NewHarness(ctx, testConfig(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
+	h := newTestHarness(t, testConfig(false))
 	if h.Controller != nil {
 		t.Fatal("controller should be nil")
 	}
@@ -178,5 +165,45 @@ func TestOverridesAppliedComparesWeights(t *testing.T) {
 	}
 	if h.overridesApplied(move(ixp)) {
 		t.Error("a move to another path reads as applied before the table has it")
+	}
+}
+
+// TestDecisionOfComparesFullDecision pins the one decision form the twin
+// check and the fail-static checks compare: prefix order does not
+// matter, but a moved next hop, a moved interface, a re-weighted or a
+// shrunk member set each count as a change, where a comparison of
+// prefix sets alone would call them equal.
+func TestDecisionOfComparesFullDecision(t *testing.T) {
+	p, q := netip.MustParsePrefix("10.0.0.0/24"), netip.MustParsePrefix("10.0.1.0/24")
+	pni, ixp, transit := netip.MustParseAddr("172.20.0.1"), netip.MustParseAddr("172.20.0.3"), netip.MustParseAddr("172.20.0.9")
+	via := func(nh netip.Addr) *rib.Route { return &rib.Route{NextHop: nh} }
+	set := func(w0, w1 int) core.Override {
+		return core.Override{Prefix: p, Via: via(transit), ToIF: 3, Multipath: []core.PathWeight{
+			{Via: via(transit), ToIF: 3, WeightPct: w0},
+			{Via: via(ixp), ToIF: 2, WeightPct: w1},
+		}}
+	}
+	move := core.Override{Prefix: q, Via: via(ixp), ToIF: 2}
+	base := []core.Override{set(60, 40), move}
+	cases := []struct {
+		name string
+		b    []core.Override
+		same bool
+	}{
+		{"same overrides in another order", []core.Override{move, set(60, 40)}, true},
+		{"re-weighted member set", []core.Override{set(70, 30), move}, false},
+		{"moved next hop", []core.Override{set(60, 40), {Prefix: q, Via: via(pni), ToIF: 2}}, false},
+		{"moved interface", []core.Override{set(60, 40), {Prefix: q, Via: via(ixp), ToIF: 1}}, false},
+		{"member dropped", []core.Override{{Prefix: p, Via: via(transit), ToIF: 3, Multipath: set(60, 40).Multipath[:1]}, move}, false},
+		{"override withdrawn", []core.Override{move}, false},
+	}
+	for _, c := range cases {
+		if got := decisionOf(c.b) == decisionOf(base); got != c.same {
+			t.Errorf("%s: same decision = %v, want %v", c.name, got, c.same)
+		}
+	}
+	installed := map[netip.Prefix]core.Override{q: move, p: set(60, 40)}
+	if installedDecision(installed) != decisionOf(base) {
+		t.Error("an installed map renders differently from the same overrides as a report")
 	}
 }

@@ -46,12 +46,6 @@ type IngestConfig struct {
 	UDPRates []int
 	// UDPSeconds is the send time per ladder point. Default 2.0.
 	UDPSeconds float64
-	// DumpPrefixes sizes the BMP dump arm's table. Default 100,000
-	// (1,000,000 at paper scale).
-	DumpPrefixes int
-	// Cycles is the number of snapshot cycles measured per dump arm.
-	// Default 60 — p95 over fewer cycles is too noisy to gate on.
-	Cycles int
 	// Seed drives the synthesized scenario. Default 1.
 	Seed int64
 }
@@ -78,6 +72,9 @@ const (
 	// pace so that on a single-core host the arm measures lock
 	// behavior, not raw CPU sharing.
 	ingestDumpRate = 200_000
+	// ingestDumpCycles is the number of snapshot cycles measured per
+	// dump arm phase: p95 over fewer cycles is too noisy to gate on.
+	ingestDumpCycles = 60
 )
 
 func (c *IngestConfig) setDefaults() {
@@ -92,12 +89,6 @@ func (c *IngestConfig) setDefaults() {
 	}
 	if c.UDPSeconds == 0 {
 		c.UDPSeconds = 2.0
-	}
-	if c.DumpPrefixes == 0 {
-		c.DumpPrefixes = 100_000
-	}
-	if c.Cycles == 0 {
-		c.Cycles = 60
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -409,12 +400,13 @@ func runUDPArm(cfg *IngestConfig, pkts [][]byte, res *IngestResult) error {
 // runDumpArm measures the control cycle's table read path — a full
 // SnapshotRoutesInto plus a ChangedSince poll, the collect work a cycle
 // does per prefix — idle and then while a complete BMP dump replays
-// through the batched OnRoute path at a paced rate.
-func runDumpArm(cfg *IngestConfig, res *IngestResult) error {
+// through the batched OnRoute path at a paced rate. The table holds
+// tablePrefixes prefixes.
+func runDumpArm(cfg *IngestConfig, tablePrefixes int, res *IngestResult) error {
 	// Same GC damping as the UDP arm: idle and dump phases are both
 	// measured under it, so the inflation ratio is unaffected.
 	defer debug.SetGCPercent(debug.SetGCPercent(400))
-	sc, err := netsim.Synthesize(netsim.SynthConfig{Seed: cfg.Seed, Prefixes: cfg.DumpPrefixes})
+	sc, err := netsim.Synthesize(netsim.SynthConfig{Seed: cfg.Seed, Prefixes: tablePrefixes})
 	if err != nil {
 		return err
 	}
@@ -495,8 +487,8 @@ func runDumpArm(cfg *IngestConfig, res *IngestResult) error {
 		return time.Since(t0)
 	}
 	measure := func() (p50, p95 time.Duration) {
-		ds := make([]time.Duration, 0, cfg.Cycles)
-		for i := 0; i < cfg.Cycles; i++ {
+		ds := make([]time.Duration, 0, ingestDumpCycles)
+		for i := 0; i < ingestDumpCycles; i++ {
 			ds = append(ds, cycle())
 			time.Sleep(5 * time.Millisecond)
 		}
@@ -530,8 +522,9 @@ func runDumpArm(cfg *IngestConfig, res *IngestResult) error {
 	return nil
 }
 
-// E15IngestSaturation runs the ingest experiment.
-func E15IngestSaturation(cfg IngestConfig) (*IngestResult, error) {
+// E15IngestSaturation runs the ingest experiment; dumpPrefixes sizes the
+// BMP dump arm's table.
+func E15IngestSaturation(cfg IngestConfig, dumpPrefixes int) (*IngestResult, error) {
 	cfg.setDefaults()
 	res := &IngestResult{}
 
@@ -566,7 +559,7 @@ func E15IngestSaturation(cfg IngestConfig) (*IngestResult, error) {
 	}
 
 	// Arm 4: dump absorption.
-	if err := runDumpArm(&cfg, res); err != nil {
+	if err := runDumpArm(&cfg, dumpPrefixes, res); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
-	"net/netip"
 	"sort"
 	"strings"
 
@@ -30,18 +29,10 @@ import (
 type FleetIsolationResult struct {
 	// PoPs is the fleet size.
 	PoPs int
-	// CyclesCompared is how many lockstep cycles were diffed per PoP.
-	CyclesCompared int
-	// IdenticalCycles counts (pop, cycle) pairs whose override decisions
-	// matched the isolated twin exactly; equal to PoPs*CyclesCompared
-	// when hosting is behaviorally invisible.
-	IdenticalCycles int
-	// FirstMismatch describes the first decision divergence (empty when
-	// none).
-	FirstMismatch string
-	// OverridesSeen counts override decisions compared, to prove the
-	// equivalence was not vacuous.
-	OverridesSeen int
+	// TwinCheck counts the (pop, cycle) decisions compared against the
+	// isolated twin: PoPs times the compared cycles, all identical when
+	// hosting is behaviorally invisible.
+	TwinCheck
 
 	// Victim is the PoP whose BMP feeds were killed.
 	Victim string
@@ -60,22 +51,6 @@ type FleetIsolationResult struct {
 	// (worst member wins, so "fail-static" — while each sibling's own
 	// row stays "healthy").
 	FleetState string
-}
-
-// decisionKey canonicalizes one cycle's override set for comparison:
-// prefix, next hop, and target interface — the complete steering
-// decision — sorted into one string.
-func decisionKey(overrides []core.Override) string {
-	keys := make([]string, 0, len(overrides))
-	for _, o := range overrides {
-		nh := netip.Addr{}
-		if o.Via != nil {
-			nh = o.Via.NextHop
-		}
-		keys = append(keys, fmt.Sprintf("%s>%s@if%d", o.Prefix, nh, o.ToIF))
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, ",")
 }
 
 // fleetHealthRollup queries the host's /v1/fleet/health endpoint and
@@ -114,40 +89,27 @@ func fleetHealthRollup(srv *api.Server) (string, map[string]string, error) {
 // per-PoP harnesses — step both in lockstep comparing decisions for
 // compareCycles, then kill every BMP feed of the hosted fleet's first
 // PoP and run outageCycles more, asserting the blast radius is one PoP.
-func E13FleetIsolation(ctx context.Context, cfg FleetConfig, compareCycles, outageCycles int) (*FleetIsolationResult, error) {
-	if !cfg.Base.ControllerEnabled {
-		return nil, fmt.Errorf("exp: E13 needs ControllerEnabled")
+// cfgs are the members' configs (fleetConfigs).
+func E13FleetIsolation(ctx context.Context, cfgs []HarnessConfig, compareCycles, outageCycles int) (*FleetIsolationResult, error) {
+	if len(cfgs) < 2 || !cfgs[0].ControllerEnabled {
+		return nil, fmt.Errorf("exp: E13 needs two or more controller-enabled PoPs")
 	}
-	host, err := NewFleetHost(ctx, cfg)
+	host, iso, err := newTwinFleets(ctx, cfgs)
 	if err != nil {
-		return nil, fmt.Errorf("exp: E13 host fleet: %w", err)
+		return nil, fmt.Errorf("exp: E13 %w", err)
 	}
 	defer host.Close()
-	iso, err := NewFleet(ctx, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("exp: E13 isolated fleet: %w", err)
-	}
 	defer iso.Close()
 
 	res := &FleetIsolationResult{
-		PoPs:           len(host.PoPs),
-		CyclesCompared: compareCycles,
-		SiblingStates:  map[string]core.HealthState{},
+		PoPs:          len(host.PoPs),
+		SiblingStates: map[string]core.HealthState{},
 	}
 
 	// Phase 1: lockstep decision equivalence, hosted vs isolated.
 	for cyc := 1; cyc <= compareCycles; cyc++ {
 		for i := range host.PoPs {
-			hr := stepCycles(host.PoPs[i], 1)
-			ir := stepCycles(iso.PoPs[i], 1)
-			res.OverridesSeen += len(hr.Overrides)
-			hk, ik := decisionKey(hr.Overrides), decisionKey(ir.Overrides)
-			if hk == ik {
-				res.IdenticalCycles++
-			} else if res.FirstMismatch == "" {
-				res.FirstMismatch = fmt.Sprintf("%s cycle %d: hosted {%s} vs isolated {%s}",
-					host.PoPs[i].Scenario.Topo.Name, cyc, hk, ik)
-			}
+			res.step(host.PoPs[i], iso.PoPs[i], cyc)
 		}
 	}
 
@@ -160,7 +122,7 @@ func E13FleetIsolation(ctx context.Context, cfg FleetConfig, compareCycles, outa
 	// The ladder takes RoutesStaleAfter to reach fail-static, and the
 	// victim may legitimately re-decide during those first blind-but-
 	// not-yet-stale cycles; the freeze property is that the installed
-	// set is byte-stable from the first fail-static cycle onward.
+	// decision is unchanged from the first fail-static cycle onward.
 	var frozen string
 	sawFailStatic, held := false, true
 	siblingsCycled := true
@@ -169,7 +131,7 @@ func E13FleetIsolation(ctx context.Context, cfg FleetConfig, compareCycles, outa
 			r := stepCycles(h, 1)
 			if i == 0 {
 				if r != nil && r.Health == core.HealthFailStatic {
-					k := decisionKey(installedOverrides(h.Controller))
+					k := installedDecision(h.Controller.Installed())
 					if !sawFailStatic {
 						sawFailStatic, frozen = true, k
 					} else if k != frozen {
@@ -212,22 +174,11 @@ func E13FleetIsolation(ctx context.Context, cfg FleetConfig, compareCycles, outa
 	return res, nil
 }
 
-// installedOverrides flattens the controller's installed map for
-// decisionKey.
-func installedOverrides(c *core.Controller) []core.Override {
-	m := c.Installed()
-	out := make([]core.Override, 0, len(m))
-	for _, o := range m {
-		out = append(out, o)
-	}
-	return out
-}
-
 // String renders the E13 outcome.
 func (r *FleetIsolationResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "E13: %d-PoP fleet host vs isolated: %d/%d cycles identical (%d override decisions)\n",
-		r.PoPs, r.IdenticalCycles, r.PoPs*r.CyclesCompared, r.OverridesSeen)
+		r.PoPs, r.IdenticalCycles, r.ComparedCycles, r.OverridesSeen)
 	if r.FirstMismatch != "" {
 		fmt.Fprintf(&b, "  first mismatch: %s\n", r.FirstMismatch)
 	}

@@ -27,7 +27,7 @@ func TestE13FleetIsolation(t *testing.T) {
 		RoutesFailAfter:  time.Hour,
 		BMPFlushAfter:    time.Hour,
 	}
-	res, err := E13FleetIsolation(ctx, FleetConfig{Base: base, PoPs: 4, PeakHourSpreadH: 0}, 6, 4)
+	res, err := E13FleetIsolation(ctx, fleetConfigs(base, 4, 2), 6, 4)
 	if err != nil {
 		t.Fatalf("E13 aborted: %v (result so far: %+v)", err, res)
 	}
@@ -37,9 +37,9 @@ func TestE13FleetIsolation(t *testing.T) {
 		t.Fatalf("pops = %d, want 4", res.PoPs)
 	}
 	// Behavioral equivalence: every (pop, cycle) decision matched.
-	if want := res.PoPs * res.CyclesCompared; res.IdenticalCycles != want {
-		t.Errorf("identical cycles = %d/%d; first mismatch: %s",
-			res.IdenticalCycles, want, res.FirstMismatch)
+	if want := res.PoPs * 6; res.ComparedCycles != want || res.IdenticalCycles != want {
+		t.Errorf("identical cycles = %d of %d compared, want %d; first mismatch: %s",
+			res.IdenticalCycles, res.ComparedCycles, want, res.FirstMismatch)
 	}
 	if res.OverridesSeen == 0 {
 		t.Error("no overrides compared; equivalence was vacuous (tighten provisioning)")

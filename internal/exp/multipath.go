@@ -72,13 +72,11 @@ func weightedQuantile(samples []wsample, q float64) float64 {
 	return samples[len(samples)-1].v
 }
 
-// runMultipathArm runs one harness for d and summarizes it.
-func runMultipathArm(h *Harness, d time.Duration) MultipathArm {
+// multipathArm runs one arm from cfg for d and summarizes it.
+func multipathArm(ctx context.Context, cfg HarnessConfig, d time.Duration) (MultipathArm, error) {
 	var arm MultipathArm
 	var samples []wsample
-	var demand, drops float64
-	var churn int
-	h.Run(d, func(s *netsim.TickStats, r *core.CycleReport) {
+	t, err := runArm(ctx, cfg, d, func(s *netsim.TickStats, _ *core.CycleReport) {
 		for _, pt := range s.Prefix {
 			if pt.EgressIF < 0 || pt.DemandBps <= 0 {
 				continue
@@ -91,22 +89,16 @@ func runMultipathArm(h *Harness, d time.Duration) MultipathArm {
 				}
 			}
 		}
-		demand += s.TotalDemandBps()
-		drops += s.TotalDropsBps()
-		if r != nil {
-			arm.Cycles++
-			churn += r.Announced + r.Withdrawn
-		}
 	})
+	if err != nil {
+		return arm, err
+	}
 	arm.P50RTTms = weightedQuantile(samples, 0.5)
 	arm.P90RTTms = weightedQuantile(samples, 0.9)
-	if demand > 0 {
-		arm.DropFrac = drops / demand
-	}
-	if arm.Cycles > 0 {
-		arm.ChurnPerCycle = float64(churn) / float64(arm.Cycles)
-	}
-	return arm
+	arm.DropFrac = t.droppedFrac()
+	arm.Cycles = t.cycles
+	arm.ChurnPerCycle = t.perCycle(float64(t.churn))
+	return arm, nil
 }
 
 // E17MultipathPerf runs both arms over the same scenario: the
@@ -119,13 +111,11 @@ func E17MultipathPerf(ctx context.Context, base HarnessConfig, d time.Duration) 
 	capCfg.ControllerEnabled = true
 	capCfg.PerfAware = false
 	capCfg.Multipath = false
-	hc, err := NewHarness(ctx, capCfg)
-	if err != nil {
+	res := &MultipathPerfResult{}
+	var err error
+	if res.CapacityOnly, err = multipathArm(ctx, capCfg, d); err != nil {
 		return nil, fmt.Errorf("capacity arm: %w", err)
 	}
-	res := &MultipathPerfResult{}
-	res.CapacityOnly = runMultipathArm(hc, d)
-	hc.Close()
 
 	mpCfg := base
 	mpCfg.ControllerEnabled = true
@@ -138,12 +128,9 @@ func E17MultipathPerf(ctx context.Context, base HarnessConfig, d time.Duration) 
 		mpCfg.MultipathCfg.MaxMoves = 10
 	}
 	res.ChurnAllowance = 2*float64(mpCfg.MultipathCfg.MaxMoves) + 4
-	hm, err := NewHarness(ctx, mpCfg)
-	if err != nil {
+	if res.Multipath, err = multipathArm(ctx, mpCfg, d); err != nil {
 		return nil, fmt.Errorf("multipath arm: %w", err)
 	}
-	res.Multipath = runMultipathArm(hm, d)
-	hm.Close()
 	return res, nil
 }
 

@@ -4,15 +4,11 @@ import (
 	"crypto/sha256"
 	"flag"
 	"fmt"
-	"hash"
 	"math"
 	"os"
 	"slices"
 	"strings"
 	"testing"
-
-	"edgefabric/internal/core"
-	"edgefabric/internal/rib"
 )
 
 // testdata/pins.txt pins the decisions of closed-loop rungs: one line per
@@ -35,27 +31,6 @@ func perfAwareTestConfig() HarnessConfig {
 	cfg.Synth.PNIHeadroomMax = 1.6
 	cfg.Perf.AnomalyProb = 0.15
 	return cfg
-}
-
-// foldDecisions folds one cycle's override set into h in
-// rib.ComparePrefixes order — prefix, next hop, egress interface, then
-// each weighted member's next hop and weight — and returns how many of
-// the overrides are weighted sets.
-func foldDecisions(h hash.Hash, overrides []core.Override) (sets int) {
-	sorted := slices.Clone(overrides)
-	slices.SortFunc(sorted, func(a, b core.Override) int { return rib.ComparePrefixes(a.Prefix, b.Prefix) })
-	fmt.Fprintf(h, "cycle %d\n", len(sorted))
-	for _, o := range sorted {
-		fmt.Fprintf(h, "%s %s %d", o.Prefix, o.Via.NextHop, o.ToIF)
-		for _, pw := range o.Multipath {
-			fmt.Fprintf(h, " %s/%d", pw.Via.NextHop, pw.WeightPct)
-		}
-		h.Write([]byte{'\n'})
-		if len(o.Multipath) > 0 {
-			sets++
-		}
-	}
-	return sets
 }
 
 // pinRung runs cfg for the given number of controller cycles and

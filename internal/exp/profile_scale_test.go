@@ -18,7 +18,7 @@ func TestE14Profile(t *testing.T) {
 	if n == 0 {
 		t.Skip("profiling hook: set E14PROF=<prefix count> to run")
 	}
-	res, err := E14MillionPrefix(ScaleConfig{Prefixes: n, Cycles: 12})
+	res, err := E14MillionPrefix(ScaleConfig{Prefixes: n})
 	if err != nil {
 		t.Fatal(err)
 	}

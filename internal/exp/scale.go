@@ -28,9 +28,6 @@ type ScaleConfig struct {
 	Prefixes int
 	// Seed drives the scenario and the churn. Default 1.
 	Seed int64
-	// Cycles is the number of steady-state dirty cycles measured.
-	// Default 20.
-	Cycles int
 	// DirtyFrac is the fraction of prefixes whose demand moves beyond
 	// tolerance each cycle. Default 0.01.
 	DirtyFrac float64
@@ -50,6 +47,8 @@ const (
 	scaleEpsilon = 0.05
 	// scaleTailEpsilon is the same tolerance for the tail.
 	scaleTailEpsilon = 0.25
+	// scaleCycles is the number of steady-state dirty cycles measured.
+	scaleCycles = 20
 )
 
 func (c *ScaleConfig) setDefaults() {
@@ -58,9 +57,6 @@ func (c *ScaleConfig) setDefaults() {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.Cycles == 0 {
-		c.Cycles = 20
 	}
 	if c.DirtyFrac == 0 {
 		c.DirtyFrac = 0.01
@@ -204,7 +200,7 @@ func E14MillionPrefix(cfg ScaleConfig) (*ScaleResult, error) {
 	var durations []time.Duration
 	cursor, routeCursor := 0, 0
 	transit := transitPeer(sc.Topo)
-	for cyc := 0; cyc < cfg.Cycles; cyc++ {
+	for cyc := 0; cyc < scaleCycles; cyc++ {
 		for k := 0; k < dirtyN; k++ {
 			i := (cursor + k) % len(sc.Prefixes)
 			f := 1.6

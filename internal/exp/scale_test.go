@@ -14,7 +14,6 @@ import (
 func TestE14SmallScale(t *testing.T) {
 	res, err := E14MillionPrefix(ScaleConfig{
 		Prefixes:   3000,
-		Cycles:     6,
 		DirtyFrac:  0.02,
 		RouteChurn: 32,
 		HeavyK:     64,

@@ -27,8 +27,9 @@ import (
 //	                    than a grace window while the controller is
 //	                    healthy and its own store holds an alternate
 //	                    route with headroom
-//	fail-static-frozen  while frozen, the installed override set never
-//	                    moves (acting on a decayed demand window would
+//	fail-static-frozen  while frozen, the installed decision (next hops,
+//	                    interfaces, members and weights) never moves
+//	                    (acting on a decayed demand window would
 //	                    withdraw detours exactly while blind)
 //	fail-back-withdraw  past the second staleness threshold every
 //	                    override is withdrawn
@@ -61,23 +62,12 @@ type SoakConfig struct {
 	// Seed drives the scenario AND the chaos scheduler; it is the one
 	// number a red run needs to replay.
 	Seed int64
-	// Cycles is how many controller cycles to soak. Default 500.
-	Cycles int
 	// Events, when non-nil, is a scripted timeline; nil composes one
 	// with ChaosSchedule(seed).
 	Events []netsim.Event
-	// ChaosEvents is how many events ChaosSchedule composes when Events
-	// is nil. Default 12.
-	ChaosEvents int
 	// Logf, when set, receives progress lines (the seed is always
 	// logged at start).
 	Logf func(format string, args ...any)
-}
-
-func (c *SoakConfig) setDefaults() {
-	if c.Cycles == 0 {
-		c.Cycles = 500
-	}
 }
 
 // The invariant checker's fixed tolerances.
@@ -454,9 +444,9 @@ func (c *invariantChecker) observe(stats *netsim.TickStats, r *core.CycleReport,
 		if !c.inFreeze {
 			c.inFreeze = true
 			c.frozen = installed
-		} else if !overrideSetsEqual(installed, c.frozen) {
+		} else if installedDecision(installed) != installedDecision(c.frozen) {
 			c.violate(r.Time, "fail-static-frozen",
-				"installed override set changed while frozen: %d -> %d entries",
+				"installed decision changed while frozen: %d -> %d overrides",
 				len(c.frozen), len(installed))
 			c.frozen = installed
 		}
@@ -548,25 +538,12 @@ func (c *invariantChecker) findAlternate(stats *netsim.TickStats, hot int) (neti
 	return netip.Prefix{}, 0, false
 }
 
-// overrideSetsEqual compares two installed override sets by prefix.
-func overrideSetsEqual(a, b map[netip.Prefix]core.Override) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for p := range a {
-		if _, ok := b[p]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // E16ChaosSoak builds a controller-enabled harness, attaches a chaos (or
-// scripted) event timeline, soaks for cfg.Cycles cycles with the
-// invariant checker on every one, then checks bounded recovery. The
-// returned result is green iff Violations is empty.
-func E16ChaosSoak(ctx context.Context, cfg SoakConfig) (*SoakResult, error) {
-	cfg.setDefaults()
+// scripted) event timeline, soaks for cycles cycles with the invariant
+// checker on every one, then checks bounded recovery. chaosEvents is
+// how many events ChaosSchedule composes when cfg.Events is nil (0 for
+// its default). The returned result is green iff Violations is empty.
+func E16ChaosSoak(ctx context.Context, cfg SoakConfig, cycles, chaosEvents int) (*SoakResult, error) {
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -607,7 +584,7 @@ func E16ChaosSoak(ctx context.Context, cfg SoakConfig) (*SoakResult, error) {
 
 	events := cfg.Events
 	if events == nil {
-		horizon := time.Duration(cfg.Cycles) * h.Cfg.TickLen
+		horizon := time.Duration(cycles) * h.Cfg.TickLen
 		// Leave the tail of the run event-free so recovery is checkable.
 		if horizon > time.Hour {
 			horizon -= 30 * time.Minute
@@ -615,7 +592,7 @@ func E16ChaosSoak(ctx context.Context, cfg SoakConfig) (*SoakResult, error) {
 		events, err = netsim.ChaosSchedule(h.Scenario, netsim.ChaosConfig{
 			Seed:    cfg.Seed,
 			Horizon: horizon,
-			Events:  cfg.ChaosEvents,
+			Events:  chaosEvents,
 		})
 		if err != nil {
 			return nil, err
@@ -631,7 +608,7 @@ func E16ChaosSoak(ctx context.Context, cfg SoakConfig) (*SoakResult, error) {
 		HealthCycles: make(map[core.HealthState]int),
 	}
 	logf("E16 soak start: seed=%d cycles=%d events=%d (replay: -seed %d)",
-		cfg.Seed, cfg.Cycles, len(events), cfg.Seed)
+		cfg.Seed, cycles, len(events), cfg.Seed)
 
 	chk := newInvariantChecker(h, &cfg)
 	chk.armPerfInvariants(events, h.Clock.Now())
@@ -639,7 +616,7 @@ func E16ChaosSoak(ctx context.Context, cfg SoakConfig) (*SoakResult, error) {
 	res.LossyWindows = len(chk.lossyEvents)
 	res.ShiftWindows = len(chk.shiftEvents)
 	lastBoundaries := 0
-	for chk.cycle < cfg.Cycles {
+	for chk.cycle < cycles {
 		stats, r := h.Step()
 		fired := h.EventBoundaries() - lastBoundaries
 		lastBoundaries = h.EventBoundaries()
@@ -734,9 +711,8 @@ func E16ControlArm(ctx context.Context, seed int64) (*SoakResult, error) {
 		},
 	}
 	cfg := SoakConfig{
-		Base:   base,
-		Seed:   seed,
-		Cycles: 30,
+		Base: base,
+		Seed: seed,
 		Events: []netsim.Event{
 			// Total blackout from 3 minutes in through the end of the
 			// run: the demand window decays under a "healthy"
@@ -744,5 +720,5 @@ func E16ControlArm(ctx context.Context, seed int64) (*SoakResult, error) {
 			{Kind: netsim.EventSFlowLoss, At: 3 * time.Minute, Duration: 2 * time.Hour, Magnitude: 1},
 		},
 	}
-	return E16ChaosSoak(ctx, cfg)
+	return E16ChaosSoak(ctx, cfg, 30, 0)
 }

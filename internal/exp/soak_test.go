@@ -32,12 +32,10 @@ func TestE16SoakSmoke(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Second)
 	defer cancel()
 	res, err := E16ChaosSoak(ctx, SoakConfig{
-		Base:        soakTestConfig(),
-		Seed:        21,
-		Cycles:      120,
-		ChaosEvents: 6,
-		Logf:        t.Logf,
-	})
+		Base: soakTestConfig(),
+		Seed: 21,
+		Logf: t.Logf,
+	}, 120, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,6 +114,13 @@ func TestE16ControlArmReportsViolation(t *testing.T) {
 	if !strings.Contains(out, "sflow-loss") {
 		t.Errorf("violation report does not carry the event timeline:\n%s", out)
 	}
+	// The E16 rung's pass gate holds on this arm and fails on a green one.
+	if gate := (&soakRung{soak: res, control: res}); !gate.Pass() || !strings.Contains(gate.String(), "violations EXPECTED") {
+		t.Errorf("E16 rung gate failed on a control arm with %d violations:\n%s", len(res.Violations), gate)
+	}
+	if (&soakRung{soak: res, control: &SoakResult{}}).Pass() {
+		t.Error("E16 rung gate passed a control arm with no violations: the checker would be blind")
+	}
 	t.Logf("\n%s", res)
 }
 
@@ -143,9 +148,8 @@ func TestE16LossyPathQuarantine(t *testing.T) {
 		t.Fatal("scenario has no non-transit peer")
 	}
 	res, err := E16ChaosSoak(ctx, SoakConfig{
-		Base:   base,
-		Seed:   21,
-		Cycles: 70,
+		Base: base,
+		Seed: 21,
 		Events: []netsim.Event{{
 			Kind:      netsim.EventLossyPath,
 			Peer:      peerName,
@@ -154,7 +158,7 @@ func TestE16LossyPathQuarantine(t *testing.T) {
 			Magnitude: 0.18,
 		}},
 		Logf: t.Logf,
-	})
+	}, 70, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -281,6 +281,15 @@ if [ -z "$perfmoves" ] || [ "$perfmoves" -lt 1 ]; then
   exit 1
 fi
 
+# Experiment suite smoke: efbench runs two rungs of the rung table on
+# one shared plain-BGP harness at the small scale and must exit 0 with
+# both experiments' headers (the tests run the rungs' experiments, not
+# the command).
+echo "==> efbench -scale small -only E1,E3 smoke"
+go run ./cmd/efbench -scale small -only E1,E3 > "$fleettmp/efbench.out" 2>&1
+grep -q "^E1 route diversity" "$fleettmp/efbench.out"
+grep -q "^E3 egress share by policy tier" "$fleettmp/efbench.out"
+
 # Census ratchet: functions the tier-1 tests never run, exported
 # identifiers nothing outside their own file uses, and config fields no
 # caller outside their package sets, diffed against the committed

@@ -1,8 +1,10 @@
 package edgefabric_bench
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
@@ -11,7 +13,9 @@ import (
 
 	"edgefabric/internal/altpath"
 	"edgefabric/internal/api"
+	"edgefabric/internal/bgp"
 	"edgefabric/internal/core"
+	"edgefabric/internal/netsim"
 	"edgefabric/internal/rib"
 	"edgefabric/internal/sflow"
 )
@@ -529,6 +533,163 @@ func BenchmarkMultipathAllocate(b *testing.B) {
 	}
 	if len(out) == 0 {
 		b.Fatal("steady-state pass produced no overrides")
+	}
+}
+
+// stubRouter is the router end of an injection session: it answers
+// the injector's OPEN with its own, then reads nothing until drain, so
+// the injector's writes land in the pipe in the same pattern every op.
+type stubRouter struct {
+	conn net.Conn
+	buf  []byte
+}
+
+func newStubRouter(b *testing.B, conn net.Conn) *stubRouter {
+	b.Helper()
+	r := &stubRouter{conn: conn, buf: make([]byte, bgp.MaxMessageLen)}
+	// An hour's hold time keeps keepalives out of the measured ops.
+	for _, m := range []bgp.Message{bgp.NewOpen(64512, 3600, netip.MustParseAddr("10.255.0.1")), &bgp.Keepalive{}} {
+		raw, err := bgp.MarshalBytes(m, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := conn.Write(raw); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, want := range []bgp.MessageType{bgp.TypeOpen, bgp.TypeKeepalive} {
+		m, err := bgp.ReadMessage(conn, r.buf, nil)
+		if err != nil || m.MsgType() != want {
+			b.Fatalf("handshake: got %v (%v), want %v", m, err, want)
+		}
+	}
+	return r
+}
+
+// drain reads UPDATEs until they have carried n prefixes, announced or
+// withdrawn.
+func (r *stubRouter) drain(b *testing.B, n int) {
+	for n > 0 {
+		m, err := bgp.ReadMessage(r.conn, r.buf, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		u, ok := m.(*bgp.Update)
+		if !ok {
+			continue
+		}
+		n -= len(u.Withdrawn) + len(u.NLRI)
+		if u.Attrs.MPReach != nil {
+			n -= len(u.Attrs.MPReach.NLRI)
+		}
+		if u.Attrs.MPUnreach != nil {
+			n -= len(u.Attrs.MPUnreach.Withdrawn)
+		}
+	}
+}
+
+// BenchmarkInjectorSyncChurn measures the injector's steady-state Sync
+// over one iBGP session: 1 000 overrides, four in five of them 2- or
+// 3-member weighted sets, with a quarter of the sets re-weighted per op
+// (a withdrawal plus one UPDATE-able unit per member each). The stub
+// router reads each op's UPDATEs with the timer stopped, so allocs/op
+// is the injector's own: its diff, batching and encoding, and the pipe
+// buffer its writes grow.
+func BenchmarkInjectorSyncChurn(b *testing.B) {
+	const nOverrides = 1000
+	inj, err := core.NewInjector(core.InjectorConfig{
+		LocalAS: 64512, RouterID: netip.MustParseAddr("10.255.0.100"), HoldTime: time.Hour,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(inj.Close)
+	routerEnd, injEnd := netsim.BufferedPipe()
+	if err := inj.AddRouter(netip.MustParseAddr("10.255.0.1"), injEnd); err != nil {
+		b.Fatal(err)
+	}
+	router := newStubRouter(b, routerEnd)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := inj.WaitEstablished(ctx); err != nil {
+		b.Fatal(err)
+	}
+
+	vias := make([]*rib.Route, 8)
+	for i := range vias {
+		vias[i] = hotRoute(netip.Prefix{}, i, i)
+	}
+	// Each set has two weightings to flip between; both are built up
+	// front so the ops allocate nothing on the caller's side.
+	desired := make([]core.Override, nOverrides)
+	var weightings [][2][]core.PathWeight // per set: current, other
+	var sets []int                        // indexes of the weighted sets
+	for i := range desired {
+		o := &desired[i]
+		o.Prefix = netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0}), 24)
+		o.Via = vias[i%len(vias)]
+		o.ToIF = o.Via.EgressIF
+		if i%5 == 0 {
+			continue
+		}
+		pcts := [2][]int{{60, 40}, {55, 45}}
+		if i%2 == 1 {
+			pcts = [2][]int{{45, 35, 20}, {50, 30, 20}}
+		}
+		var w [2][]core.PathWeight
+		for v := range w {
+			for m, pct := range pcts[v] {
+				w[v] = append(w[v], core.PathWeight{Via: vias[(i+m)%len(vias)], ToIF: (i + m) % len(vias), WeightPct: pct})
+			}
+		}
+		o.Multipath = w[0]
+		weightings = append(weightings, w)
+		sets = append(sets, i)
+	}
+	wantEntries := func(quarter int) int {
+		n := 0
+		for j := quarter; j < len(sets); j += 4 {
+			n += 1 + len(desired[sets[j]].Multipath) // withdrawal + members
+		}
+		return n
+	}
+	// One op re-weights every fourth set, starting at op mod 4.
+	reweight := func(op int) {
+		for j := op % 4; j < len(sets); j += 4 {
+			w := &weightings[j]
+			w[0], w[1] = w[1], w[0]
+			desired[sets[j]].Multipath = w[0]
+		}
+	}
+	units := 0
+	for _, o := range desired {
+		units += max(1, len(o.Multipath))
+	}
+	if res, err := inj.Sync(desired); err != nil || res.Announced != nOverrides {
+		b.Fatalf("initial sync: %+v, %v", res, err)
+	}
+	router.drain(b, units)
+	// One round of re-weights settles the injector's scratch at the
+	// size a quarter's churn needs.
+	for i := 0; i < 4; i++ {
+		reweight(i)
+		if _, err := inj.Sync(desired); err != nil {
+			b.Fatal(err)
+		}
+		router.drain(b, wantEntries(i))
+	}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		reweight(i)
+		res, err := inj.Sync(desired)
+		b.StopTimer()
+		if err != nil || res.Announced != res.Withdrawn || res.Announced != (len(sets)+3-i%4)/4 {
+			b.Fatalf("op %d: %+v, %v", i, res, err)
+		}
+		router.drain(b, wantEntries(i%4))
+		b.StartTimer()
 	}
 }
 

@@ -198,26 +198,26 @@ func (a *PathAttrs) encode(w *wire.Writer, opts *CodecOptions) error {
 		w.Uint8(a.Origin)
 	}
 	if len(a.ASPath) > 0 || a.HasOrigin { // AS_PATH is mandatory with NLRI
-		body := wire.NewWriter(64)
+		at := beginAttr(w, flagTransitive, attrASPath)
 		for _, seg := range a.ASPath {
 			if len(seg.ASNs) > 255 {
 				return fmt.Errorf("%w: AS_PATH segment too long", ErrBadMessage)
 			}
-			body.Uint8(seg.Type)
-			body.Uint8(uint8(len(seg.ASNs)))
+			w.Uint8(seg.Type)
+			w.Uint8(uint8(len(seg.ASNs)))
 			for _, asn := range seg.ASNs {
 				if opts.AS4 {
-					body.Uint32(asn)
+					w.Uint32(asn)
 				} else {
 					if asn > 0xFFFF {
-						body.Uint16(ASTrans)
+						w.Uint16(ASTrans)
 					} else {
-						body.Uint16(uint16(asn))
+						w.Uint16(uint16(asn))
 					}
 				}
 			}
 		}
-		encodeAttrWithBody(w, flagTransitive, attrASPath, body.Bytes())
+		endAttr(w, at)
 	}
 	if a.NextHop.Is4() {
 		encodeAttrHeader(w, flagTransitive, attrNextHop, 4)
@@ -236,33 +236,33 @@ func (a *PathAttrs) encode(w *wire.Writer, opts *CodecOptions) error {
 		encodeAttrHeader(w, flagTransitive, attrAtomicAggregate, 0)
 	}
 	if len(a.Communities) > 0 {
-		body := wire.NewWriter(len(a.Communities) * 4)
+		at := beginAttr(w, flagOptional|flagTransitive, attrCommunities)
 		for _, c := range a.Communities {
-			body.Uint32(c)
+			w.Uint32(c)
 		}
-		encodeAttrWithBody(w, flagOptional|flagTransitive, attrCommunities, body.Bytes())
+		endAttr(w, at)
 	}
 	if a.MPReach != nil {
-		body := wire.NewWriter(64)
-		body.Uint16(a.MPReach.AFI)
-		body.Uint8(a.MPReach.SAFI)
+		at := beginAttr(w, flagOptional, attrMPReach)
+		w.Uint16(a.MPReach.AFI)
+		w.Uint8(a.MPReach.SAFI)
 		nh := a.MPReach.NextHop.As16()
-		body.Uint8(16)
-		body.Bytes2(nh[:])
-		body.Uint8(0) // reserved (SNPA count)
+		w.Uint8(16)
+		w.Bytes2(nh[:])
+		w.Uint8(0) // reserved (SNPA count)
 		for _, p := range a.MPReach.NLRI {
-			encodePrefix(body, p)
+			encodePrefix(w, p)
 		}
-		encodeAttrWithBody(w, flagOptional, attrMPReach, body.Bytes())
+		endAttr(w, at)
 	}
 	if a.MPUnreach != nil {
-		body := wire.NewWriter(64)
-		body.Uint16(a.MPUnreach.AFI)
-		body.Uint8(a.MPUnreach.SAFI)
+		at := beginAttr(w, flagOptional, attrMPUnreach)
+		w.Uint16(a.MPUnreach.AFI)
+		w.Uint8(a.MPUnreach.SAFI)
 		for _, p := range a.MPUnreach.Withdrawn {
-			encodePrefix(body, p)
+			encodePrefix(w, p)
 		}
-		encodeAttrWithBody(w, flagOptional, attrMPUnreach, body.Bytes())
+		endAttr(w, at)
 	}
 	for _, raw := range a.Unknown {
 		encodeAttrWithBody(w, raw.Flags, raw.Type, raw.Data)
@@ -281,16 +281,36 @@ func encodeAttrHeader(w *wire.Writer, flags, typ uint8, bodyLen int) {
 // encodeAttrWithBody writes an attribute choosing extended length as
 // needed.
 func encodeAttrWithBody(w *wire.Writer, flags, typ uint8, body []byte) {
-	if len(body) > 255 {
-		w.Uint8(flags | flagExtLen)
-		w.Uint8(typ)
-		w.Uint16(uint16(len(body)))
-	} else {
-		w.Uint8(flags &^ flagExtLen)
-		w.Uint8(typ)
-		w.Uint8(uint8(len(body)))
-	}
+	at := beginAttr(w, flags, typ)
 	w.Bytes2(body)
+	endAttr(w, at)
+}
+
+// beginAttr writes a short-form attribute header whose length byte is
+// patched by endAttr once the body is written straight into w; it
+// returns the header's offset.
+func beginAttr(w *wire.Writer, flags, typ uint8) int {
+	at := w.Len()
+	w.Uint8(flags &^ flagExtLen)
+	w.Uint8(typ)
+	w.Uint8(0)
+	return at
+}
+
+// endAttr back-patches the length of the attribute begun at at. A body
+// over 255 bytes takes the extended-length form: the body shifts one
+// byte right to make room for the two-byte length.
+func endAttr(w *wire.Writer, at int) {
+	n := w.Len() - at - 3
+	if n <= 255 {
+		w.Bytes()[at+2] = byte(n)
+		return
+	}
+	w.Uint8(0)
+	b := w.Bytes()
+	copy(b[at+4:], b[at+3:len(b)-1])
+	b[at] |= flagExtLen
+	b[at+2], b[at+3] = byte(n>>8), byte(n)
 }
 
 func (a *PathAttrs) decode(r *wire.Reader, opts *CodecOptions) error {

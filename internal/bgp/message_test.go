@@ -202,6 +202,44 @@ func TestExtendedLengthAttr(t *testing.T) {
 	if !reflect.DeepEqual(got.Attrs.Communities, attrs.Communities) {
 		t.Error("communities mismatch with extended length")
 	}
+	// The body is written before its length is known: the back-patched
+	// header must carry the extended-length flag and a two-byte 400.
+	b, err := MarshalBytes(u, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(b, []byte{flagOptional | flagTransitive | flagExtLen, attrCommunities, 400 >> 8, 400 & 0xFF, 0, 0, 0, 0})
+	if at < 0 {
+		t.Fatalf("no extended-length COMMUNITIES header of 400 bytes in % x", b)
+	}
+}
+
+// TestMarshalUpdateReusedWriterAllocs: an UPDATE with an AS path, four
+// communities and MP_REACH marshals into a reused writer without
+// allocating; attribute bodies go straight into the caller's buffer.
+func TestMarshalUpdateReusedWriterAllocs(t *testing.T) {
+	u := &Update{Attrs: PathAttrs{
+		HasOrigin: true, ASPath: Sequence(64601, 65010, 4200000001),
+		LocalPref: 100, HasLocalPref: true,
+		Communities: []uint32{1, 2, 3, 4},
+		MPReach: &MPReach{
+			AFI: AFIIPv6, SAFI: SAFIUnicast, NextHop: netip.MustParseAddr("2001:db8::1"),
+			NLRI: []netip.Prefix{netip.MustParsePrefix("2001:db8:1::/48"), netip.MustParsePrefix("2001:db8:2::/48")},
+		},
+	}}
+	w := wire.NewWriter(512)
+	allocs := testing.AllocsPerRun(100, func() {
+		w.Reset()
+		if err := Marshal(w, u, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Marshal into a reused writer: %.1f allocs, want 0", allocs)
+	}
+	if got := roundTrip(t, u, nil).(*Update); !reflect.DeepEqual(got, u) {
+		t.Errorf("round trip: got %+v", got)
+	}
 }
 
 func TestDecodeBadMarker(t *testing.T) {

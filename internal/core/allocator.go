@@ -253,22 +253,22 @@ func AllocateStickyTraced(proj *Projection, inv *Inventory, cfg AllocatorConfig,
 		var bestSpare float64
 		for _, alt := range plan.Alternates {
 			if alt.EgressIF == plan.Preferred.EgressIF {
-				pt.reject(CandidateTrace{Phase: phase, Via: alt, Reason: RejectSamePort})
+				tr.reject(pt, CandidateTrace{Phase: phase, Via: alt, Reason: RejectSamePort})
 				continue // same port (e.g. another peer on the same IXP interface)
 			}
 			c := capOf(alt.EgressIF)
 			if c == 0 {
-				pt.reject(CandidateTrace{Phase: phase, Via: alt, Reason: RejectNoInterface})
+				tr.reject(pt, CandidateTrace{Phase: phase, Via: alt, Reason: RejectNoInterface})
 				continue
 			}
 			if load[alt.EgressIF]+rate > cfg.Target*c {
-				pt.reject(CandidateTrace{
+				tr.reject(pt, CandidateTrace{
 					Phase: phase, Via: alt, Reason: RejectWouldExceedTarget,
 					LoadBps: load[alt.EgressIF], MoveBps: rate, LimitBps: cfg.Target * c,
 				})
 				continue // would overload the target
 			}
-			pt.reject(CandidateTrace{
+			tr.reject(pt, CandidateTrace{
 				Phase: phase, Via: alt, Reason: RejectOutranked,
 				LoadBps: load[alt.EgressIF], MoveBps: rate, LimitBps: cfg.Target * c,
 			})
@@ -346,14 +346,14 @@ func AllocateStickyTraced(proj *Projection, inv *Inventory, cfg AllocatorConfig,
 			}
 			viaLoad, viaLimit := at(load, via.EgressIF), cfg.Target*capOf(via.EgressIF)
 			if viaLimit == 0 || viaLoad+rate > viaLimit {
-				pt.reject(CandidateTrace{
+				tr.reject(pt, CandidateTrace{
 					Phase: "sticky", Via: via, Reason: RejectWouldExceedTarget,
 					LoadBps: viaLoad, MoveBps: rate, LimitBps: viaLimit,
 				})
 				pt.outcome(OutcomeNone, nil, "sticky detour lapsed: no longer feasible")
 				continue // no longer feasible
 			}
-			pt.accept("sticky", via, viaLoad, rate, viaLimit, 0)
+			tr.accept(pt, "sticky", via, viaLoad, rate, viaLimit, 0)
 			pt.outcome(OutcomeRetained, via, "retained: overload persists")
 			load[fromIF] -= rate
 			load[via.EgressIF] += rate
@@ -492,7 +492,7 @@ func AllocateStickyTraced(proj *Projection, inv *Inventory, cfg AllocatorConfig,
 				if tr != nil {
 					for _, rest := range cands[ci:] {
 						pt := tr.Prefix(rest.plan.Prefix)
-						pt.reject(CandidateTrace{Phase: "overload", Via: rest.detour, Reason: RejectMoveBudget})
+						tr.reject(pt, CandidateTrace{Phase: "overload", Via: rest.detour, Reason: RejectMoveBudget})
 						pt.outcome(OutcomeNone, nil, "move budget exhausted (MaxDetours)")
 					}
 				}

@@ -732,6 +732,7 @@ func (c *Controller) pushTrace(tr *CycleTrace, seq uint64) {
 		return
 	}
 	tr.Seq = seq
+	tr.compact()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.traces) < traceCycles {
@@ -808,7 +809,7 @@ func (c *Controller) explainMeasured(p netip.Prefix, latest *CycleTrace) string 
 		return ""
 	}
 	pt := &PrefixTrace{Prefix: p, Preferred: primary, RateBps: c.demandRate(p)}
-	pt.reject(CandidateTrace{
+	pt.Candidates = append(pt.Candidates, CandidateTrace{
 		Phase: "multipath", Via: rep.BestAlt.Route, Reason: RejectGapBelowThreshold,
 		GapMS: rep.GapMS, NeedGapMS: multipathMinGainMS,
 	})

@@ -1,11 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"net"
 	"net/netip"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -57,6 +58,30 @@ type Injector struct {
 	// view is the cached snapshot handed out by Installed; nil when a
 	// Sync has changed installed since the last snapshot was built.
 	view map[netip.Prefix]Override
+}
+
+// injScratch is the working memory one Sync or re-feed reuses across
+// its routers and UPDATEs. It is dropped with the call, as is Sync's
+// per-prefix map: kept between cycles, they held about 120 KB of live
+// heap on pop_multipath to save a few dozen allocations a cycle.
+// UPDATEs are marshalled synchronously, and what the call keeps
+// (installed, delivered) is copied out by value.
+type injScratch struct {
+	prefixes  []netip.Prefix // one router's withdrawals
+	adds      []*Override    // one router's announcements
+	units     []annUnit
+	got       []int32 // sent units per entry of adds
+	nlri      []netip.Prefix
+	upd       bgp.Update
+	seg       [1]bgp.PathSegment
+	mpReach   bgp.MPReach
+	mpUnreach bgp.MPUnreach
+}
+
+// prefixSync is one prefix's state within a Sync.
+type prefixSync struct {
+	want        *Override // into Sync's desired slice; nil when only withdrawn
+	tries, took int32     // routers it was sent to, routers that took it
 }
 
 // injRouter is the injector's per-router delivery state.
@@ -236,33 +261,29 @@ const (
 	CommunityMultipath uint16 = 4
 )
 
-// overrideCommunities returns the communities a single-path override is
-// announced with (multipath members build theirs in announceUnits).
-func overrideCommunities(o Override) []uint32 {
-	cs := []uint32{rib.Community(CommunityTagAS, CommunityOverride)}
-	if strings.Contains(o.Reason, "alt path") {
-		cs = append(cs, rib.Community(CommunityTagAS, CommunityPerf))
-	}
-	if o.SplitOf.IsValid() {
-		cs = append(cs, rib.Community(CommunityTagAS, CommunitySplit))
-	}
-	return cs
-}
-
 // overrideSig is the identity of an override on the wire: a router
 // holding a delivery with the same signature needs no updates. Single
 // detours key on the next hop (matching the pre-multipath behavior);
 // weighted sets key on the ordered members and their weights. It is a
-// comparable value as wide as the wire encoding's slots, so the
-// per-cycle diff formats and allocates nothing; slots are packed bytes
-// (17 each) because every router's delivery record holds one per prefix.
+// comparable value, so the per-cycle diff formats and allocates
+// nothing, and it is small: every router's delivery record holds one
+// per prefix, a Go map stores a value over 128 bytes out of line (an
+// allocation per insert), and an inline one costs its width in every
+// empty slot too. Slots are packed bytes (17 each); members past
+// sigInlineSlots, MaxPaths' default, spill into rest in the same
+// packing, which allocates.
 type overrideSig struct {
 	members uint8 // 0 for a single detour, which fills slot 0 alone
-	slots   [rib.MaxMultipathSlots]struct {
-		nextHop   [16]byte // Addr.As16: BGP next hops carry no zone
-		weightPct uint8
-	}
+	slots   [sigInlineSlots]sigSlot
+	rest    string
 }
+
+type sigSlot struct {
+	nextHop   [16]byte // Addr.As16: BGP next hops carry no zone
+	weightPct uint8
+}
+
+const sigInlineSlots = 3
 
 func sigOf(o *Override) (sig overrideSig) {
 	if len(o.Multipath) == 0 {
@@ -271,10 +292,22 @@ func sigOf(o *Override) (sig overrideSig) {
 	}
 	// Members past the last wire slot never reach a router as distinct
 	// routes, so they are not part of what it holds.
-	members := o.Multipath[:min(len(o.Multipath), len(sig.slots))]
+	members := o.Multipath[:min(len(o.Multipath), rib.MaxMultipathSlots)]
 	sig.members = uint8(len(members))
+	var rest [(rib.MaxMultipathSlots - sigInlineSlots) * 17]byte
+	n := 0
 	for i, pw := range members {
-		sig.slots[i].nextHop, sig.slots[i].weightPct = pw.Via.NextHop.As16(), uint8(pw.WeightPct)
+		nh := pw.Via.NextHop.As16()
+		if i < sigInlineSlots {
+			sig.slots[i] = sigSlot{nextHop: nh, weightPct: uint8(pw.WeightPct)}
+			continue
+		}
+		n += copy(rest[n:], nh[:])
+		rest[n] = uint8(pw.WeightPct)
+		n++
+	}
+	if n > 0 {
+		sig.rest = string(rest[:n])
 	}
 	return sig
 }
@@ -282,34 +315,72 @@ func sigOf(o *Override) (sig overrideSig) {
 // annUnit is one UPDATE-able announcement: a single-path override is
 // one unit, a multipath override is one unit per weighted member.
 type annUnit struct {
-	prefix      netip.Prefix
-	nh          netip.Addr
-	asPath      []uint32
-	communities []uint32
+	o      *Override  // its Prefix is the unit's NLRI
+	via    *rib.Route // the next hop and AS path announced
+	comms  [4]uint32  // the first ncomms are the unit's communities
+	ncomms uint8
+	sent   bool  // an UPDATE carrying the unit was taken
+	add    int32 // the override's index in the batch being announced
 }
 
-// announceUnits expands an override into its wire units. Multipath
-// members are announced add-path-style: each member its own UPDATE
-// carrying a slot community (so the router can hold all members at
-// once) and a weight community (the member's demand share).
-func announceUnits(o Override) []annUnit {
+func (u *annUnit) communities() []uint32 { return u.comms[:u.ncomms] }
+
+func (u *annUnit) tag(c uint16) {
+	u.comms[u.ncomms] = rib.Community(CommunityTagAS, c)
+	u.ncomms++
+}
+
+// appendUnits appends an override's wire units to dst. A single-path
+// override carries the marker community, plus CommunityPerf when its
+// reason starts "alt path" and CommunitySplit for a split half.
+// Multipath members are announced add-path-style: each member its own
+// UPDATE carrying a slot community (so the router can hold all members
+// at once) and a weight community (the member's demand share).
+func appendUnits(dst []annUnit, o *Override, add int) []annUnit {
 	if len(o.Multipath) == 0 {
-		return []annUnit{{prefix: o.Prefix, nh: o.Via.NextHop, asPath: o.Via.ASPath,
-			communities: overrideCommunities(o)}}
-	}
-	units := make([]annUnit, len(o.Multipath))
-	for i, pw := range o.Multipath {
-		units[i] = annUnit{
-			prefix: o.Prefix, nh: pw.Via.NextHop, asPath: pw.Via.ASPath,
-			communities: []uint32{
-				rib.Community(CommunityTagAS, CommunityOverride),
-				rib.Community(CommunityTagAS, CommunityMultipath),
-				rib.MultipathSlotCommunity(i),
-				rib.MultipathWeightCommunity(pw.WeightPct),
-			},
+		u := annUnit{o: o, via: o.Via, add: int32(add)}
+		u.tag(CommunityOverride)
+		if strings.Contains(o.Reason, "alt path") {
+			u.tag(CommunityPerf)
 		}
+		if o.SplitOf.IsValid() {
+			u.tag(CommunitySplit)
+		}
+		return append(dst, u)
 	}
-	return units
+	for i, pw := range o.Multipath {
+		u := annUnit{o: o, via: pw.Via, add: int32(add)}
+		u.tag(CommunityOverride)
+		u.tag(CommunityMultipath)
+		u.comms[2], u.comms[3], u.ncomms = rib.MultipathSlotCommunity(i), rib.MultipathWeightCommunity(pw.WeightPct), 4
+		dst = append(dst, u)
+	}
+	return dst
+}
+
+// compareGroups orders units by what one UPDATE shares: address family
+// (IPv4 first), next hop, AS path, communities.
+func compareGroups(a, b *annUnit) int {
+	if c := cmp.Compare(a.o.Prefix.Addr().BitLen(), b.o.Prefix.Addr().BitLen()); c != 0 {
+		return c
+	}
+	if c := a.via.NextHop.Compare(b.via.NextHop); c != 0 {
+		return c
+	}
+	if c := slices.Compare(a.via.ASPath, b.via.ASPath); c != 0 {
+		return c
+	}
+	return slices.Compare(a.communities(), b.communities())
+}
+
+// compareUnits is the batcher's total order: group, then prefix. Units
+// of one prefix never tie: multipath members differ in their slot
+// community.
+func compareUnits(a, b annUnit) int {
+	if c := compareGroups(&a, &b); c != 0 {
+		return c
+	}
+	return rib.ComparePrefixes(a.o.Prefix, b.o.Prefix)
 }
 
 // SyncResult reports what one Sync did, in prefixes (not messages, not
@@ -335,90 +406,104 @@ type SyncResult struct {
 // session handler when they return.
 func (inj *Injector) Sync(desired []Override) (SyncResult, error) {
 	var res SyncResult
-	want := make(map[netip.Prefix]Override, len(desired))
-	for _, o := range desired {
-		want[o.Prefix] = o
-	}
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
+	var s injScratch
+	track := make(map[netip.Prefix]prefixSync, len(desired))
+	for i := range desired {
+		track[desired[i].Prefix] = prefixSync{want: &desired[i]}
+	}
 
-	up := make([]*injRouter, 0, len(inj.routers))
+	var up []*injRouter
 	for _, r := range inj.routers {
 		if r.peer.State() == bgp.StateEstablished {
 			up = append(up, r)
 		}
 	}
-	sort.Slice(up, func(a, b int) bool { return up[a].addr.Less(up[b].addr) })
-
-	// Per-prefix delivery outcome across established routers.
-	okCount := make(map[netip.Prefix]int)
-	tries := make(map[netip.Prefix]int)
+	slices.SortFunc(up, func(a, b *injRouter) int { return a.addr.Compare(b.addr) })
 
 	// Withdraw stale state first so capacity frees before new load
 	// shifts in. Each router withdraws exactly the delivered prefixes it
 	// should no longer carry (no longer wanted, or next hop changed).
+	// A failed send means the session raced down; its state clears via
+	// HandleDown.
 	for _, r := range up {
-		var wd []netip.Prefix
+		wd := s.prefixes[:0]
 		for prefix, sig := range r.delivered {
-			if cur, ok := want[prefix]; ok && sigOf(&cur) == sig {
+			e := track[prefix]
+			if e.want != nil && sigOf(e.want) == sig {
 				continue
 			}
 			wd = append(wd, prefix)
-			tries[prefix]++
+			e.tries++
+			track[prefix] = e
 		}
-		for _, u := range withdrawUpdates(wd) {
-			prefixes := withdrawnPrefixes(u)
-			if err := r.peer.SendUpdate(u); err != nil {
-				continue // session raced down; its state clears via HandleDown
-			}
-			for _, p := range prefixes {
-				delete(r.delivered, p)
-				okCount[p]++
-			}
+		s.prefixes = wd
+		for _, p := range s.withdrawUpdates(wd, r.peer.SendUpdate) {
+			delete(r.delivered, p)
+			e := track[p]
+			e.took++
+			track[p] = e
 		}
 	}
 
 	// Announce what each router is missing.
 	for _, r := range up {
-		var adds []Override
-		for prefix, o := range want {
-			if sig, ok := r.delivered[prefix]; ok && sig == sigOf(&o) {
+		adds := slices.Grow(s.adds[:0], len(desired))
+		for prefix, e := range track {
+			if e.want == nil {
 				continue
 			}
-			adds = append(adds, o)
-			tries[prefix]++
+			if sig, ok := r.delivered[prefix]; ok && sig == sigOf(e.want) {
+				continue
+			}
+			adds = append(adds, e.want)
+			e.tries++
+			track[prefix] = e
 		}
-		for p, sig := range announceToRouter(r, adds) {
-			r.delivered[p] = sig
-			okCount[p]++
+		s.adds = adds
+		for _, o := range s.announce(r, adds) {
+			r.delivered[o.Prefix] = sigOf(o)
+			e := track[o.Prefix]
+			e.took++
+			track[o.Prefix] = e
 		}
 	}
 
 	// Global bookkeeping: the installed set is what the PoP actually
 	// carries somewhere. A prefix leaves when no longer desired (or its
 	// announcement changed); it enters once at least one router took it.
+	// A changed announcement some router took is both: it replaces the
+	// old entry in place, which reuses the map's storage for it.
 	var errNoRouter error
 	for prefix, old := range inj.installed {
-		if cur, ok := want[prefix]; ok && sigOf(&cur) == sigOf(&old) {
+		e := track[prefix]
+		if e.want != nil && sigOf(e.want) == sigOf(&old) {
+			continue
+		}
+		res.Withdrawn++
+		if e.want != nil && e.took > 0 {
+			inj.installed[prefix] = *e.want
+			res.Announced++
 			continue
 		}
 		delete(inj.installed, prefix)
-		res.Withdrawn++
 	}
-	for prefix, o := range want {
+	for prefix, e := range track {
+		if e.took > 0 && e.took < e.tries {
+			res.Partial++
+		}
+		if e.want == nil {
+			continue
+		}
 		if _, ok := inj.installed[prefix]; ok {
 			continue
 		}
-		if okCount[prefix] > 0 {
-			inj.installed[prefix] = o
+		if e.took > 0 {
+			inj.installed[prefix] = *e.want
 			res.Announced++
 		} else {
 			errNoRouter = fmt.Errorf("core: announce %s reached no router", prefix)
-		}
-	}
-	for prefix, n := range okCount {
-		if t := tries[prefix]; n > 0 && n < t {
-			res.Partial++
 		}
 	}
 	if res.Partial > 0 {
@@ -427,7 +512,7 @@ func (inj *Injector) Sync(desired []Override) (SyncResult, error) {
 	if res.Announced > 0 || res.Withdrawn > 0 {
 		inj.view = nil
 	}
-	if errNoRouter == nil && len(up) == 0 && len(want) > 0 {
+	if errNoRouter == nil && len(up) == 0 && len(desired) > 0 {
 		errNoRouter = fmt.Errorf("core: no injection session established")
 	}
 	return res, errNoRouter
@@ -442,37 +527,39 @@ func (inj *Injector) reannounce(addr netip.Addr) {
 	if !ok || r.peer.State() != bgp.StateEstablished {
 		return
 	}
+	var s injScratch
 	var stray []netip.Prefix
 	for prefix, sig := range r.delivered {
 		if cur, ok := inj.installed[prefix]; !ok || sigOf(&cur) != sig {
 			stray = append(stray, prefix)
 		}
 	}
-	for _, u := range withdrawUpdates(stray) {
-		prefixes := withdrawnPrefixes(u)
-		if err := r.peer.SendUpdate(u); err != nil {
-			return
-		}
-		for _, p := range prefixes {
-			delete(r.delivered, p)
-		}
+	withdrawn := s.withdrawUpdates(stray, r.peer.SendUpdate)
+	for _, p := range withdrawn {
+		delete(r.delivered, p)
 	}
-	var adds []Override
+	if len(withdrawn) < len(stray) {
+		return
+	}
+	var missing []Override
 	for prefix, o := range inj.installed {
 		if sig, ok := r.delivered[prefix]; ok && sig == sigOf(&o) {
 			continue
 		}
-		adds = append(adds, o)
+		missing = append(missing, o)
 	}
-	if len(adds) == 0 {
+	if len(missing) == 0 {
 		return
 	}
-	sent := 0
-	for p, sig := range announceToRouter(r, adds) {
-		r.delivered[p] = sig
-		sent++
+	adds := make([]*Override, len(missing))
+	for i := range missing {
+		adds[i] = &missing[i]
 	}
-	if sent > 0 {
+	done := s.announce(r, adds)
+	for _, o := range done {
+		r.delivered[o.Prefix] = sigOf(o)
+	}
+	if sent := len(done); sent > 0 {
 		inj.metrics.Counter("edgefabric_injection_reannounce_total").Add(uint64(sent))
 		if inj.cfg.Logf != nil {
 			inj.cfg.Logf("injector: re-announced %d overrides to %s", sent, addr)
@@ -480,144 +567,113 @@ func (inj *Injector) reannounce(addr netip.Addr) {
 	}
 }
 
-// withdrawnPrefixes lists the prefixes a withdraw UPDATE removes.
-func withdrawnPrefixes(u *bgp.Update) []netip.Prefix {
-	if u.Attrs.MPUnreach != nil {
-		return u.Attrs.MPUnreach.Withdrawn
-	}
-	return u.Withdrawn
-}
-
-// announcedPrefixes lists the prefixes an announce UPDATE carries and
-// their shared next hop.
-func announcedPrefixes(u *bgp.Update) ([]netip.Prefix, netip.Addr) {
-	if u.Attrs.MPReach != nil {
-		return u.Attrs.MPReach.NLRI, u.Attrs.MPReach.NextHop
-	}
-	return u.NLRI, u.Attrs.NextHop
-}
-
-// announceToRouter sends the overrides' units to one router and
-// returns the signature of each fully-delivered prefix. A multipath
-// prefix whose members were only partially taken (session raced down
-// mid-set) is not reported: it retries next cycle, and the session
-// drop that caused the partial already withdrew the router's state.
-func announceToRouter(r *injRouter, adds []Override) map[netip.Prefix]overrideSig {
-	if len(adds) == 0 {
-		return nil
-	}
-	var units []annUnit
+// announce sends the overrides' units to one router and returns the
+// fully-delivered overrides, compacted to the front of adds. A
+// multipath prefix whose members were only partially taken (session
+// raced down mid-set) is not returned: it retries next cycle, and the
+// session drop that caused the partial already withdrew the router's
+// state.
+func (s *injScratch) announce(r *injRouter, adds []*Override) []*Override {
+	n := 0
 	for _, o := range adds {
-		units = append(units, announceUnits(o)...)
+		n += max(1, len(o.Multipath))
 	}
-	got := make(map[netip.Prefix]int)
-	for _, u := range announceUpdates(units) {
-		prefixes, _ := announcedPrefixes(u)
-		if err := r.peer.SendUpdate(u); err != nil {
-			continue
-		}
-		// Units of one prefix never share an UPDATE (each multipath
-		// slot carries distinct communities), so counting per-UPDATE
-		// prefix occurrences counts delivered units.
-		for _, p := range prefixes {
-			got[p]++
+	units := slices.Grow(s.units[:0], n)
+	for i, o := range adds {
+		units = appendUnits(units, o, i)
+	}
+	s.units = units
+	s.announceUpdates(units, r.peer.SendUpdate)
+	got := slices.Grow(s.got[:0], len(adds))[:len(adds)]
+	clear(got)
+	s.got = got
+	for i := range units {
+		if units[i].sent {
+			got[units[i].add]++
 		}
 	}
-	done := make(map[netip.Prefix]overrideSig, len(got))
-	for i := range adds {
-		if o := &adds[i]; got[o.Prefix] == max(1, len(o.Multipath)) {
-			done[o.Prefix] = sigOf(o)
+	done := adds[:0]
+	for i, o := range adds {
+		if int(got[i]) == max(1, len(o.Multipath)) {
+			done = append(done, o)
 		}
 	}
 	return done
 }
 
-// announceUpdates renders announcement units as iBGP UPDATEs — the
-// member route's next hop with LOCAL_PREF above every organic tier —
-// batching prefixes that share a next hop, AS path, and community set.
-func announceUpdates(units []annUnit) []*bgp.Update {
-	type groupKey string
-	keyOf := func(u annUnit) groupKey {
-		return groupKey(fmt.Sprint(u.nh, "|", u.asPath, "|",
-			u.prefix.Addr().Is4(), "|", u.communities))
-	}
-	groups := make(map[groupKey][]annUnit)
-	var order []groupKey
-	for _, u := range units {
-		k := keyOf(u)
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
+// announceUpdates renders units as iBGP UPDATEs — the member route's
+// next hop with LOCAL_PREF above every organic tier — batching up to
+// batchSize prefixes that share a family, next hop, AS path and
+// community set, and hands each to send. It sorts units in place
+// (compareUnits) and marks the units of every UPDATE send took. The
+// UPDATE is scratch rebuilt for each send, which must not keep it.
+func (s *injScratch) announceUpdates(units []annUnit, send func(*bgp.Update) error) {
+	slices.SortFunc(units, compareUnits)
+	s.nlri = slices.Grow(s.nlri[:0], min(len(units), batchSize))
+	for i := 0; i < len(units); {
+		end := i + 1
+		for end < len(units) && end-i < batchSize && compareGroups(&units[i], &units[end]) == 0 {
+			end++
 		}
-		groups[k] = append(groups[k], u)
-	}
-	sort.Slice(order, func(a, b int) bool { return order[a] < order[b] })
-	var updates []*bgp.Update
-	for _, k := range order {
-		g := groups[k]
-		sort.Slice(g, func(a, b int) bool { return rib.ComparePrefixes(g[a].prefix, g[b].prefix) < 0 })
-		for i := 0; i < len(g); i += batchSize {
-			end := min(i+batchSize, len(g))
-			chunk := g[i:end]
-			attrs := bgp.PathAttrs{
-				HasOrigin:    true,
-				ASPath:       bgp.Sequence(chunk[0].asPath...),
-				LocalPref:    rib.PrefController,
-				HasLocalPref: true,
-				Communities:  chunk[0].communities,
-			}
-			u := &bgp.Update{Attrs: attrs}
-			prefixes := make([]netip.Prefix, len(chunk))
-			for j, au := range chunk {
-				prefixes[j] = au.prefix
-			}
-			if chunk[0].prefix.Addr().Is4() {
-				u.Attrs.NextHop = chunk[0].nh
-				u.NLRI = prefixes
-			} else {
-				u.Attrs.MPReach = &bgp.MPReach{
-					AFI:     bgp.AFIIPv6,
-					SAFI:    bgp.SAFIUnicast,
-					NextHop: chunk[0].nh,
-					NLRI:    prefixes,
-				}
-			}
-			updates = append(updates, u)
+		chunk := units[i:end]
+		s.nlri = s.nlri[:0]
+		for j := range chunk {
+			s.nlri = append(s.nlri, chunk[j].o.Prefix)
 		}
-	}
-	return updates
-}
-
-// withdrawUpdates renders withdrawals, batched per address family.
-func withdrawUpdates(prefixes []netip.Prefix) []*bgp.Update {
-	var v4, v6 []netip.Prefix
-	for _, p := range prefixes {
-		if p.Addr().Is4() {
-			v4 = append(v4, p)
+		first := &chunk[0]
+		s.upd = bgp.Update{Attrs: bgp.PathAttrs{
+			HasOrigin:    true,
+			LocalPref:    rib.PrefController,
+			HasLocalPref: true,
+			Communities:  first.communities(),
+		}}
+		if len(first.via.ASPath) > 0 {
+			s.seg[0] = bgp.PathSegment{Type: bgp.SegSequence, ASNs: first.via.ASPath}
+			s.upd.Attrs.ASPath = s.seg[:]
+		}
+		if first.o.Prefix.Addr().Is4() {
+			s.upd.Attrs.NextHop = first.via.NextHop
+			s.upd.NLRI = s.nlri
 		} else {
-			v6 = append(v6, p)
+			s.mpReach = bgp.MPReach{AFI: bgp.AFIIPv6, SAFI: bgp.SAFIUnicast, NextHop: first.via.NextHop, NLRI: s.nlri}
+			s.upd.Attrs.MPReach = &s.mpReach
 		}
+		if send(&s.upd) == nil {
+			for j := range chunk {
+				chunk[j].sent = true
+			}
+		}
+		i = end
 	}
-	sortPrefixes(v4)
-	sortPrefixes(v6)
-	var updates []*bgp.Update
-	for i := 0; i < len(v4); i += batchSize {
-		end := min(i+batchSize, len(v4))
-		updates = append(updates, &bgp.Update{Withdrawn: v4[i:end]})
-	}
-	for i := 0; i < len(v6); i += batchSize {
-		end := min(i+batchSize, len(v6))
-		updates = append(updates, &bgp.Update{Attrs: bgp.PathAttrs{
-			MPUnreach: &bgp.MPUnreach{
-				AFI:       bgp.AFIIPv6,
-				SAFI:      bgp.SAFIUnicast,
-				Withdrawn: v6[i:end],
-			},
-		}})
-	}
-	return updates
 }
 
-func sortPrefixes(ps []netip.Prefix) { rib.SortPrefixes(ps) }
+// withdrawUpdates renders withdrawals batched per address family and
+// hands each UPDATE to send, which must not keep it. It sorts prefixes
+// in place and returns those whose UPDATE send took, compacted to the
+// front of prefixes.
+func (s *injScratch) withdrawUpdates(prefixes []netip.Prefix, send func(*bgp.Update) error) []netip.Prefix {
+	rib.SortPrefixes(prefixes) // IPv4 sorts before IPv6
+	done := prefixes[:0]
+	for i := 0; i < len(prefixes); {
+		v4 := prefixes[i].Addr().Is4()
+		end := i + 1
+		for end < len(prefixes) && end-i < batchSize && prefixes[end].Addr().Is4() == v4 {
+			end++
+		}
+		chunk := prefixes[i:end]
+		if v4 {
+			s.upd = bgp.Update{Withdrawn: chunk}
+		} else {
+			s.mpUnreach = bgp.MPUnreach{AFI: bgp.AFIIPv6, SAFI: bgp.SAFIUnicast, Withdrawn: chunk}
+			s.upd = bgp.Update{Attrs: bgp.PathAttrs{MPUnreach: &s.mpUnreach}}
+		}
+		if send(&s.upd) == nil {
+			done = append(done, chunk...)
+		}
+		i = end
+	}
+	return done
+}
 
 // Close drops all injection sessions; the routers withdraw every
 // injected route (fail-safe to BGP policy).

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math/rand"
 	"net"
 	"net/netip"
 	"sync"
@@ -155,5 +156,77 @@ func waitSignal(t *testing.T, ch <-chan struct{}, msg string) {
 	case <-ch:
 	case <-time.After(10 * time.Second):
 		t.Fatal(msg)
+	}
+}
+
+// Sync and a re-established session's re-feed both send from their own
+// scratch under the injector's lock. Run them at once (under -race) and
+// check the router ends up holding exactly the last Sync's set.
+func TestInjectorSyncBesideReannounce(t *testing.T) {
+	sp, err := bgp.NewSpeaker(bgp.SpeakerConfig{
+		LocalAS: 64500, RouterID: netip.MustParseAddr("10.255.0.1"),
+		HoldTime: 30 * time.Second, Handler: bgp.NopHandler{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sp.Close)
+	peer, err := sp.AddPeer(bgp.PeerConfig{PeerAddr: netip.MustParseAddr("10.255.0.100")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prEnd, ctrlEnd := netsim.BufferedPipe()
+	if err := peer.Accept(prEnd); err != nil {
+		t.Fatal(err)
+	}
+	inj, err := NewInjector(InjectorConfig{LocalAS: 64500, RouterID: netip.MustParseAddr("10.255.0.100")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inj.Close()
+	router := netip.MustParseAddr("10.255.0.1")
+	if err := inj.AddRouter(router, ctrlEnd); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := inj.WaitEstablished(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	rng := rand.New(rand.NewSource(5))
+	sets := [][]Override{randomOverrides(rng, 300), randomOverrides(rng, 200), randomOverrides(rng, 250)}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 60; i++ {
+			if _, err := inj.Sync(sets[i%len(sets)]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 60; i++ {
+			inj.reannounce(router)
+		}
+	}()
+	wg.Wait()
+	last := sets[59%len(sets)]
+	if _, err := inj.Sync(last); err != nil {
+		t.Fatal(err)
+	}
+	if got := inj.DeliveredCount(router); got != len(last) {
+		t.Errorf("router holds %d prefixes, want %d", got, len(last))
+	}
+	installed := inj.Installed()
+	for i := range last {
+		o := &last[i]
+		got, ok := installed[o.Prefix]
+		if !ok || sigOf(&got) != sigOf(o) {
+			t.Fatalf("%s installed as %+v, want %+v", o.Prefix, got, *o)
+		}
 	}
 }

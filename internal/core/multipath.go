@@ -2,10 +2,10 @@ package core
 
 import (
 	"cmp"
-	"fmt"
 	"math"
 	"net/netip"
 	"slices"
+	"strconv"
 
 	"edgefabric/internal/altpath"
 	"edgefabric/internal/rib"
@@ -157,6 +157,15 @@ func MultipathAllocateTraced(
 	moves := 0
 	budgetSpent := false
 	var out []Override
+	// Re-affirmed member sets are built in pending, sized for every
+	// prior set, and packed into shared blocks on return (packMembers);
+	// reaffirmed indexes them in out.
+	priorMembers := 0
+	for _, po := range prev {
+		priorMembers += len(po.Multipath)
+	}
+	pending := make([]PathWeight, 0, priorMembers)
+	reaffirmed := make([]int, 0, len(prev))
 	// Per-prefix scratch, bounded by MaxPaths and reused across prefixes.
 	scratch := make([]mpMember, 0, cfg.MaxPaths)
 	fresh := make([]PathWeight, 0, cfg.MaxPaths)
@@ -190,7 +199,8 @@ func MultipathAllocateTraced(
 			// Hysteresis re-affirmations stay free even with the budget
 			// spent: dropping an installed set is itself churn.
 			if po, ok := prev[rep.Prefix]; ok {
-				if o, kept := reaffirm(po, plan, load, capOf, alloc); kept {
+				if o, kept := reaffirm(po, plan, load, capOf, alloc, &pending); kept {
+					reaffirmed = append(reaffirmed, len(out))
 					out = append(out, o)
 					applyShares(load, prefIF, o)
 					continue
@@ -202,7 +212,7 @@ func MultipathAllocateTraced(
 				if rep.BestAlt != nil && rep.BestAlt.Route != nil {
 					via = rep.BestAlt.Route
 				}
-				pt.reject(CandidateTrace{Phase: "multipath", Via: via, Reason: RejectMoveBudget})
+				tr.reject(pt, CandidateTrace{Phase: "multipath", Via: via, Reason: RejectMoveBudget})
 				pt.outcome(OutcomeNone, nil, "multipath move budget exhausted (MaxMoves)")
 			}
 			continue
@@ -210,7 +220,7 @@ func MultipathAllocateTraced(
 		pt := tr.Prefix(rep.Prefix)
 		pt.setPlan(plan)
 		if primary.N < multipathMinSamples {
-			pt.reject(CandidateTrace{
+			tr.reject(pt, CandidateTrace{
 				Phase: "multipath", Via: primary.Route, Reason: RejectInsufficientSamples,
 				Samples: primary.N, NeedSamples: multipathMinSamples, GapMS: rep.GapMS,
 			})
@@ -230,14 +240,14 @@ func MultipathAllocateTraced(
 			}
 			if !ps.Primary {
 				if ps.N < multipathMinSamples {
-					pt.reject(CandidateTrace{
+					tr.reject(pt, CandidateTrace{
 						Phase: "multipath", Via: ps.Route, Reason: RejectInsufficientSamples,
 						Samples: ps.N, NeedSamples: multipathMinSamples,
 					})
 					continue
 				}
 				if ps.P50 > primary.P50+multipathToleranceMS {
-					pt.reject(CandidateTrace{
+					tr.reject(pt, CandidateTrace{
 						Phase: "multipath", Via: ps.Route, Reason: RejectGapBelowThreshold,
 						GapMS: primary.P50 - ps.P50, NeedGapMS: -multipathToleranceMS,
 					})
@@ -245,12 +255,12 @@ func MultipathAllocateTraced(
 				}
 			}
 			if ps.RetransFrac > MultipathMaxLossFrac {
-				pt.reject(CandidateTrace{Phase: "multipath", Via: ps.Route, Reason: RejectLossyPath})
+				tr.reject(pt, CandidateTrace{Phase: "multipath", Via: ps.Route, Reason: RejectLossyPath})
 				continue
 			}
 			info, ok := inv.InterfaceByID(ps.Route.EgressIF)
 			if !ok {
-				pt.reject(CandidateTrace{Phase: "multipath", Via: ps.Route, Reason: RejectNoInterface})
+				tr.reject(pt, CandidateTrace{Phase: "multipath", Via: ps.Route, Reason: RejectNoInterface})
 				continue
 			}
 			if slices.ContainsFunc(members, func(m mpMember) bool { return m.stat.Route.EgressIF == ps.Route.EgressIF }) {
@@ -274,9 +284,9 @@ func MultipathAllocateTraced(
 			// paths that carry the whole rate below target.
 			switch {
 			case !ps.Primary && ps.Route.EgressIF == prefIF:
-				pt.reject(CandidateTrace{Phase: "multipath", Via: ps.Route, Reason: RejectSamePort})
+				tr.reject(pt, CandidateTrace{Phase: "multipath", Via: ps.Route, Reason: RejectSamePort})
 			case m.hdrm < rate:
-				pt.reject(CandidateTrace{
+				tr.reject(pt, CandidateTrace{
 					Phase: "multipath", Via: ps.Route, Reason: RejectWouldExceedTarget,
 					LoadBps: base, MoveBps: rate, LimitBps: limit,
 				})
@@ -295,7 +305,7 @@ func MultipathAllocateTraced(
 
 		if !assignShares(members, rate) {
 			worst := &members[0]
-			pt.reject(CandidateTrace{
+			tr.reject(pt, CandidateTrace{
 				Phase: "multipath", Via: worst.stat.Route, Reason: RejectWouldExceedTarget,
 				LoadBps: worst.limit - worst.hdrm, MoveBps: rate, LimitBps: worst.limit,
 			})
@@ -338,25 +348,28 @@ func MultipathAllocateTraced(
 		var o Override
 		changed := true
 		if po, ok := prev[rep.Prefix]; ok && sameMembers(po.Multipath, fresh) {
-			if ro, kept := reaffirm(po, plan, load, capOf, alloc); kept {
+			if ro, kept := reaffirm(po, plan, load, capOf, alloc, &pending); kept {
 				o, changed = ro, false
 			}
 		}
 		if changed {
-			o = buildOverride(rep.Prefix, plan, members[0].stat, fresh, rate, rep.GapMS, primary, congested, util)
+			o = buildOverride(rep.Prefix, plan, members[0].stat, fresh, rate, rep.GapMS, primary, congested, util, prev[rep.Prefix].Reason)
 		}
 
 		for _, pw := range o.Multipath {
-			pt.accept("multipath", pw.Via, load[pw.ToIF], pw.RateBps,
+			tr.accept(pt, "multipath", pw.Via, load[pw.ToIF], pw.RateBps,
 				alloc.Target*capOf(pw.ToIF), 0)
 		}
 		if len(o.Multipath) > 0 {
 			pt.outcome(OutcomeMultipath, o.Via, o.Reason)
 		} else {
-			pt.accept("multipath", o.Via, load[o.ToIF], rate, alloc.Target*capOf(o.ToIF), 0)
+			tr.accept(pt, "multipath", o.Via, load[o.ToIF], rate, alloc.Target*capOf(o.ToIF), 0)
 			pt.outcome(OutcomePerfMoved, o.Via, o.Reason)
 		}
 		applyShares(load, prefIF, o)
+		if !changed {
+			reaffirmed = append(reaffirmed, len(out))
+		}
 		out = append(out, o)
 		if changed {
 			moves++
@@ -368,6 +381,7 @@ func MultipathAllocateTraced(
 			}
 		}
 	}
+	packMembers(out, reaffirmed)
 	return out
 }
 
@@ -452,38 +466,59 @@ func memberWeights(dst []PathWeight, members []mpMember, rate float64) []PathWei
 	return dst
 }
 
+// packMembers moves the member sets of out[i], for each i in idx, into
+// shared blocks of packBlock members, the last one sized to what is
+// left, so the blocks carry almost no slack. The re-affirmed sets it
+// packs repeat their prior's members and weights, and the controller's
+// prior is what the injector holds, so the injector keeps its own copy
+// and only the cycle's report holds the blocks: a few allocations a
+// cycle, freed with the report. A changed set is what the injector
+// keeps for as long as it stays installed, so buildOverride gives each
+// its own allocation.
+func packMembers(out []Override, idx []int) {
+	left := 0
+	for _, i := range idx {
+		left += len(out[i].Multipath)
+	}
+	var block []PathWeight
+	for _, i := range idx {
+		ms := out[i].Multipath
+		if cap(block)-len(block) < len(ms) {
+			block = make([]PathWeight, 0, max(len(ms), min(left, packBlock)))
+		}
+		at := len(block)
+		block = append(block, ms...)
+		out[i].Multipath = block[at:len(block):len(block)]
+		left -= len(ms)
+	}
+}
+
+// packBlock is packMembers' block size in members. The Go allocator
+// puts an 8-byte header in front of a pointerful object over 512 bytes,
+// so 255 members (8 160 bytes) fill its 8 KiB size class, where 256
+// would take the 9 472-byte class and waste 14 %.
+const packBlock = 255
+
 // buildOverride renders a final member set into an Override: pws when
 // it has weights (copied; the caller reuses pws), else a plain
 // whole-prefix perf override onto the single non-preferred member best.
 // Its reason starts "alt path" (the injector tags those CommunityPerf).
-func buildOverride(prefix netip.Prefix, plan *PrefixPlan, best *altpath.PathStat, pws []PathWeight, rate, gapMS float64, primary *altpath.PathStat, congested bool, util float64) Override {
+// prevReason is the installed override's reason: when the new text is
+// the same, the installed string is reused.
+func buildOverride(prefix netip.Prefix, plan *PrefixPlan, best *altpath.PathStat, pws []PathWeight, rate, gapMS float64, primary *altpath.PathStat, congested bool, util float64, prevReason string) Override {
 	prefIF := plan.Preferred.EgressIF
+	var buf [96]byte
 	if len(pws) == 0 {
-		// A member no faster than the primary wins only on the primary's
-		// loss or its port's congestion: name those, not a negative gain.
-		reason := fmt.Sprintf("alt path %.0fms faster (p50 %.0f vs %.0f)",
-			primary.P50-best.P50, best.P50, primary.P50)
-		if primary.P50-best.P50 < 0.5 {
-			reason = fmt.Sprintf("alt path (p50 %.0f vs %.0f; primary loss %.0f%%, preferred util %.2f)",
-				best.P50, primary.P50, 100*primary.RetransFrac, util)
-		}
 		return Override{
 			Prefix:  prefix,
 			Via:     best.Route,
 			FromIF:  prefIF,
 			ToIF:    best.Route.EgressIF,
 			RateBps: rate,
-			Reason:  reason,
+			Reason:  reuseString(appendPerfReason(buf[:0], best, primary, util), prevReason),
 		}
 	}
 	pws = slices.Clone(pws)
-	why := "measured gap"
-	if congested {
-		why = fmt.Sprintf("preferred util %.2f", util)
-	}
-	if gapMS >= 0 && congested {
-		why = fmt.Sprintf("gap %.0fms + util %.2f", gapMS, util)
-	}
 	return Override{
 		Prefix:    prefix,
 		Via:       pws[0].Via,
@@ -491,20 +526,70 @@ func buildOverride(prefix netip.Prefix, plan *PrefixPlan, best *altpath.PathStat
 		ToIF:      pws[0].ToIF,
 		RateBps:   rate,
 		Multipath: pws,
-		Reason: fmt.Sprintf("multipath %d-way %s (%s)",
-			len(pws), weightsString(pws), why),
+		Reason:    reuseString(appendMultipathReason(buf[:0], pws, gapMS, congested, util), prevReason),
 	}
 }
 
-func weightsString(pws []PathWeight) string {
-	s := ""
+// reuseString returns prev when it spells b, else b as a new string.
+func reuseString(b []byte, prev string) string {
+	if string(b) == prev {
+		return prev
+	}
+	return string(b)
+}
+
+// appendPerfReason appends a whole-prefix move's reason: "alt path %.0fms
+// faster (p50 %.0f vs %.0f)". A member no faster than the primary wins
+// only on the primary's loss or its port's congestion: the reason names
+// those, not a negative gain.
+func appendPerfReason(b []byte, best, primary *altpath.PathStat, util float64) []byte {
+	b = append(b, "alt path "...)
+	if primary.P50-best.P50 < 0.5 {
+		b = append(b, "(p50 "...)
+		b = strconv.AppendFloat(b, best.P50, 'f', 0, 64)
+		b = append(b, " vs "...)
+		b = strconv.AppendFloat(b, primary.P50, 'f', 0, 64)
+		b = append(b, "; primary loss "...)
+		b = strconv.AppendFloat(b, 100*primary.RetransFrac, 'f', 0, 64)
+		b = append(b, "%, preferred util "...)
+		b = strconv.AppendFloat(b, util, 'f', 2, 64)
+		return append(b, ')')
+	}
+	b = strconv.AppendFloat(b, primary.P50-best.P50, 'f', 0, 64)
+	b = append(b, "ms faster (p50 "...)
+	b = strconv.AppendFloat(b, best.P50, 'f', 0, 64)
+	b = append(b, " vs "...)
+	b = strconv.AppendFloat(b, primary.P50, 'f', 0, 64)
+	return append(b, ')')
+}
+
+// appendMultipathReason appends a weighted set's reason: "multipath
+// %d-way %s (%s)" with the weights joined by "/" and why the split
+// fired: "measured gap", "preferred util %.2f", or "gap %.0fms + util
+// %.2f".
+func appendMultipathReason(b []byte, pws []PathWeight, gapMS float64, congested bool, util float64) []byte {
+	b = append(b, "multipath "...)
+	b = strconv.AppendInt(b, int64(len(pws)), 10)
+	b = append(b, "-way "...)
 	for i, pw := range pws {
 		if i > 0 {
-			s += "/"
+			b = append(b, '/')
 		}
-		s += fmt.Sprintf("%d", pw.WeightPct)
+		b = strconv.AppendInt(b, int64(pw.WeightPct), 10)
 	}
-	return s
+	switch {
+	case gapMS >= 0 && congested:
+		b = append(b, " (gap "...)
+		b = strconv.AppendFloat(b, gapMS, 'f', 0, 64)
+		b = append(b, "ms + util "...)
+		b = strconv.AppendFloat(b, util, 'f', 2, 64)
+	case congested:
+		b = append(b, " (preferred util "...)
+		b = strconv.AppendFloat(b, util, 'f', 2, 64)
+	default:
+		b = append(b, " (measured gap"...)
+	}
+	return append(b, ')')
 }
 
 // sameMembers reports whether the installed and freshly-computed member
@@ -529,8 +614,10 @@ func sameMembers(old, fresh []PathWeight) bool {
 // reaffirm re-emits a previously-installed multipath override against
 // the current plan: member routes must still exist among the plan's
 // routes and every member must still fit below target at the refreshed
-// rate. Returns false if the installed set is no longer valid.
-func reaffirm(po Override, plan *PrefixPlan, load map[int]float64, capOf func(int) float64, alloc AllocatorConfig) (Override, bool) {
+// rate. The re-emitted members are appended to pending, the call's
+// scratch, until packMembers moves them. Returns false if the installed
+// set is no longer valid.
+func reaffirm(po Override, plan *PrefixPlan, load map[int]float64, capOf func(int) float64, alloc AllocatorConfig, pending *[]PathWeight) (Override, bool) {
 	if len(po.Multipath) == 0 {
 		return Override{}, false
 	}
@@ -540,23 +627,24 @@ func reaffirm(po Override, plan *PrefixPlan, load map[int]float64, capOf func(in
 	}
 	rate := plan.RateBps
 	prefIF := plan.Preferred.EgressIF
-	pws := make([]PathWeight, len(po.Multipath))
-	for i, pw := range po.Multipath {
+	for _, pw := range po.Multipath {
 		if !current(pw.Via.PeerAddr) {
 			return Override{}, false
 		}
-		share := rate * float64(pw.WeightPct) / 100
 		base := load[pw.ToIF]
 		if pw.ToIF == prefIF {
 			base -= rate
 		}
-		if base+share > alloc.Target*capOf(pw.ToIF) {
+		if base+rate*float64(pw.WeightPct)/100 > alloc.Target*capOf(pw.ToIF) {
 			return Override{}, false
 		}
-		pws[i] = PathWeight{Via: pw.Via, ToIF: pw.ToIF, WeightPct: pw.WeightPct, RateBps: share}
+	}
+	at := len(*pending)
+	for _, pw := range po.Multipath {
+		*pending = append(*pending, PathWeight{Via: pw.Via, ToIF: pw.ToIF, WeightPct: pw.WeightPct, RateBps: rate * float64(pw.WeightPct) / 100})
 	}
 	o := po
-	o.Multipath = pws
+	o.Multipath = (*pending)[at:len(*pending):len(*pending)]
 	o.FromIF = prefIF
 	o.RateBps = rate
 	return o, true

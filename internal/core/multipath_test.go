@@ -2,6 +2,8 @@ package core
 
 import (
 	"cmp"
+	"fmt"
+	"math"
 	"math/rand"
 	"net/netip"
 	"reflect"
@@ -616,4 +618,165 @@ func TestMultipathWholePrefixReasonNeverNegative(t *testing.T) {
 			t.Errorf("k=%d: reason = %q, want %q", k, out[0].Reason, want)
 		}
 	}
+}
+
+// TestBuildOverrideReasonMatchesFmt: every reason branch renders the
+// bytes the fmt formats it replaced did, edge values included.
+func TestBuildOverrideReasonMatchesFmt(t *testing.T) {
+	oldWeights := func(pws []PathWeight) string {
+		s := ""
+		for i, pw := range pws {
+			if i > 0 {
+				s += "/"
+			}
+			s += fmt.Sprintf("%d", pw.WeightPct)
+		}
+		return s
+	}
+	oldReason := func(best, primary *altpath.PathStat, pws []PathWeight, gapMS float64, congested bool, util float64) string {
+		if len(pws) == 0 {
+			reason := fmt.Sprintf("alt path %.0fms faster (p50 %.0f vs %.0f)",
+				primary.P50-best.P50, best.P50, primary.P50)
+			if primary.P50-best.P50 < 0.5 {
+				reason = fmt.Sprintf("alt path (p50 %.0f vs %.0f; primary loss %.0f%%, preferred util %.2f)",
+					best.P50, primary.P50, 100*primary.RetransFrac, util)
+			}
+			return reason
+		}
+		why := "measured gap"
+		if congested {
+			why = fmt.Sprintf("preferred util %.2f", util)
+		}
+		if gapMS >= 0 && congested {
+			why = fmt.Sprintf("gap %.0fms + util %.2f", gapMS, util)
+		}
+		return fmt.Sprintf("multipath %d-way %s (%s)", len(pws), oldWeights(pws), why)
+	}
+	route := &rib.Route{EgressIF: 3}
+	plan := &PrefixPlan{Preferred: &rib.Route{EgressIF: 0}}
+	sets := [][]PathWeight{
+		nil,
+		{{Via: route, WeightPct: 100}},
+		{{Via: route, WeightPct: 55}, {Via: route, WeightPct: 45}},
+		{{Via: route, WeightPct: 90}, {Via: route, WeightPct: 5}, {Via: route, WeightPct: 5}},
+	}
+	values := []float64{0, -0.4, 0.4999, 0.5, 2.5, 3.5, 19.999, 20, 44.5, 1234.5678, -12, math.Inf(1), math.NaN()}
+	utils := []float64{0, 0.725, 0.72, 0.999, 1.005, 1.0149}
+	n := 0
+	for _, pws := range sets {
+		for _, bestP50 := range values {
+			for _, gap := range values {
+				for _, util := range utils {
+					for _, congested := range []bool{false, true} {
+						best := &altpath.PathStat{Route: route, P50: bestP50}
+						primary := &altpath.PathStat{P50: bestP50 + gap, RetransFrac: util / 7}
+						o := buildOverride(netip.MustParsePrefix("10.0.0.0/24"), plan, best, pws, 1e9, gap, primary, congested, util, "")
+						if want := oldReason(best, primary, pws, gap, congested, util); o.Reason != want {
+							t.Fatalf("reason = %q, want %q", o.Reason, want)
+						}
+						n++
+					}
+				}
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatal("no cases")
+	}
+}
+
+// A changed set is its own exact copy of the caller's scratch, and
+// packMembers moves re-affirmed sets into one exact block where they
+// never share memory: an append to one cannot overwrite the next, and
+// a set left out of idx stays as it was.
+func TestBuildOverrideCopiesAndPackMembers(t *testing.T) {
+	route := &rib.Route{EgressIF: 3}
+	plan := &PrefixPlan{Preferred: &rib.Route{EgressIF: 0}}
+	scratch := []PathWeight{{Via: route, WeightPct: 60}, {Via: route, WeightPct: 40}}
+	o := buildOverride(netip.MustParsePrefix("10.0.0.0/24"), plan, &altpath.PathStat{Route: route}, scratch, 1e9, 30, &altpath.PathStat{P50: 50}, false, 0.5, "")
+	scratch[0].WeightPct = 99
+	if o.Multipath[0].WeightPct != 60 || o.Multipath[1].WeightPct != 40 || cap(o.Multipath) != 2 {
+		t.Fatalf("built set %+v (cap %d) is not an exact copy", o.Multipath, cap(o.Multipath))
+	}
+
+	var pending []PathWeight
+	out := make([]Override, packBlock) // about two blocks of members
+	var idx []int
+	for i := range out {
+		if i%5 == 4 {
+			out[i].Multipath = []PathWeight{{WeightPct: -i}}
+			continue
+		}
+		at := len(pending)
+		for j := 0; j < 2+i%2; j++ {
+			pending = append(pending, PathWeight{WeightPct: i})
+		}
+		out[i].Multipath = pending[at:len(pending):len(pending)]
+		idx = append(idx, i)
+	}
+	left := &out[4].Multipath[0]
+	packMembers(out, idx)
+	clear(pending)
+	_ = append(out[0].Multipath, PathWeight{WeightPct: -1})
+	if &out[4].Multipath[0] != left {
+		t.Fatal("a set left out of idx moved")
+	}
+	for _, i := range idx {
+		o := out[i]
+		if len(o.Multipath) != 2+i%2 || cap(o.Multipath) != len(o.Multipath) {
+			t.Fatalf("set %d: len %d cap %d", i, len(o.Multipath), cap(o.Multipath))
+		}
+		for _, pw := range o.Multipath {
+			if pw.WeightPct != i {
+				t.Fatalf("set %d: %+v", i, o.Multipath)
+			}
+		}
+	}
+}
+
+// TestMultipathAllocateTracedAllocs bounds a traced steady-state pass
+// on the 3 000-prefix golden fixture: the previous pass's overrides
+// installed, so the pass re-affirms its sets and re-renders its
+// whole-prefix moves with unchanged reasons. What it allocates is a
+// handful of maps, slices and arena chunks, not an object per prefix,
+// record, candidate or set.
+func TestMultipathAllocateTracedAllocs(t *testing.T) {
+	f := newGoldenFixture(t)
+	reports := f.reports(1)
+	arrival := slices.Clone(reports)
+	cfg := MultipathConfig{MaxPaths: 3}
+	out := MultipathAllocateTraced(f.proj, f.inv, reports, f.prior, nil, f.alloc, cfg, nil)
+	// The hysteresis base is what the routers hold, as in Decide: every
+	// override, whole-prefix moves included.
+	prev := make(map[netip.Prefix]Override, len(out))
+	for _, o := range out {
+		prev[o.Prefix] = o
+	}
+	// Each trace is compacted, as RunCycle publishes its own.
+	var last *CycleTrace
+	allocs := testing.AllocsPerRun(10, func() {
+		copy(reports, arrival)
+		tr := NewCycleTrace(0)
+		out = MultipathAllocateTraced(f.proj, f.inv, reports, f.prior, prev, f.alloc, cfg, tr)
+		tr.compact()
+		last = tr
+	})
+	traced := last.Len()
+	sets, members := 0, 0
+	for _, o := range out {
+		if len(o.Multipath) > 0 {
+			sets++
+			members += len(o.Multipath)
+		}
+	}
+	if sets < 200 || traced < 1000 {
+		t.Fatalf("fixture is vacuous: %d weighted sets, %d traced prefixes", sets, traced)
+	}
+	// A constant: map growth, arena chunks, the compacted blocks, the
+	// re-affirmed sets' scratch growth and their packed block.
+	const ceiling = 96
+	if allocs > float64(ceiling) {
+		t.Errorf("traced steady-state pass: %.0f allocs for %d sets and %d traced prefixes, ceiling %d", allocs, sets, traced, ceiling)
+	}
+	t.Logf("%.0f allocs: %d overrides, %d weighted sets, %d traced prefixes", allocs, len(out), sets, traced)
 }

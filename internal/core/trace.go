@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"strings"
 	"time"
 
@@ -215,12 +216,13 @@ func (pt *PrefixTrace) setPlan(plan *PrefixPlan) {
 	pt.Preferred = plan.Preferred
 }
 
-// reject appends a rejected candidate.
-func (pt *PrefixTrace) reject(c CandidateTrace) {
+// reject appends a rejected candidate to pt, a record t handed out (so
+// pt is nil when t is).
+func (t *CycleTrace) reject(pt *PrefixTrace, c CandidateTrace) {
 	if pt == nil {
 		return
 	}
-	pt.Candidates = append(pt.Candidates, c)
+	pt.Candidates = t.appendCandidate(pt.Candidates, c)
 }
 
 // resetCandidates clears recorded candidates; the decisive evaluation
@@ -248,12 +250,9 @@ func (pt *PrefixTrace) markChosen(via *rib.Route) {
 	}
 }
 
-// accept appends the accepted candidate.
-func (pt *PrefixTrace) accept(phase string, via *rib.Route, load, move, limit, gapMS float64) {
-	if pt == nil {
-		return
-	}
-	pt.Candidates = append(pt.Candidates, CandidateTrace{
+// accept appends pt's accepted candidate.
+func (t *CycleTrace) accept(pt *PrefixTrace, phase string, via *rib.Route, load, move, limit, gapMS float64) {
+	t.reject(pt, CandidateTrace{
 		Phase: phase, Via: via, Reason: RejectNone,
 		LoadBps: load, MoveBps: move, LimitBps: limit, GapMS: gapMS,
 	})
@@ -323,6 +322,11 @@ func ifName(inv *Inventory, id int) string {
 // A CycleTrace is built single-threaded inside RunCycle and becomes
 // read-only once published to the controller's ring; readers access it
 // through Controller.Explain / ExplainText under the controller lock.
+//
+// Its records and their candidate lists are carved from chunked arenas
+// the trace owns: a traced cycle allocates a few chunks, not an object
+// per record and per candidate append, and publication compacts them
+// into exact blocks (see compact).
 type CycleTrace struct {
 	// Seq and Time identify the cycle (Seq is stamped at publication).
 	Seq  uint64
@@ -334,6 +338,65 @@ type CycleTrace struct {
 	max      int
 	byPrefix map[netip.Prefix]*PrefixTrace
 	order    []netip.Prefix
+	// recs and cands are the current arena chunks.
+	recs  []PrefixTrace
+	cands []CandidateTrace
+}
+
+// traceMinChunk is the smallest arena chunk, in records or candidates;
+// later chunks grow with the records the trace holds, so a cycle's
+// tracing costs a few chunks. compact drops the slack they leave.
+const traceMinChunk = 64
+
+// appendCandidate appends c to cs, a record's candidate list carved
+// from this trace's arena. A list carved with room to spare (a reset
+// one) refills its own slots; a list at the arena's tail (the record
+// being traced now) grows in place; any other moves to the tail.
+func (t *CycleTrace) appendCandidate(cs []CandidateTrace, c CandidateTrace) []CandidateTrace {
+	if len(cs) < cap(cs) {
+		return append(cs, c) // the slots up to cap are this record's alone
+	}
+	n, tail := len(cs), len(t.cands)
+	if n > 0 && tail >= n && tail < cap(t.cands) && &t.cands[tail-1] == &cs[n-1] {
+		t.cands = append(t.cands, c)
+		return t.cands[tail-n : tail+1 : tail+1]
+	}
+	if cap(t.cands)-tail < n+1 {
+		t.cands = make([]CandidateTrace, 0, max(n+1, traceMinChunk, 2*len(t.order)))
+		tail = 0
+	}
+	t.cands = append(t.cands, cs...)
+	t.cands = append(t.cands, c)
+	return t.cands[tail : tail+n+1 : tail+n+1]
+}
+
+// compact copies the trace's records, candidate lists and prefix order
+// into blocks of exactly their number, so a trace kept in the ring
+// retains none of the build's slack: chunk tails, candidate lists that
+// moved to grow, grown capacity. Records move: a *PrefixTrace taken
+// before compact is no longer the trace's. The controller compacts a
+// trace as it publishes it.
+func (t *CycleTrace) compact() {
+	if len(t.order) == 0 {
+		return
+	}
+	n := 0
+	for _, p := range t.order {
+		n += len(t.byPrefix[p].Candidates)
+	}
+	recs := make([]PrefixTrace, len(t.order))
+	cands := make([]CandidateTrace, n)
+	at := 0
+	for i, p := range t.order {
+		pt := &recs[i]
+		*pt = *t.byPrefix[p]
+		k := copy(cands[at:], pt.Candidates)
+		pt.Candidates = cands[at : at+k : at+k]
+		at += k
+		t.byPrefix[p] = pt
+	}
+	t.order = slices.Clone(t.order)
+	t.recs, t.cands = nil, nil
 }
 
 // NewCycleTrace returns an empty trace bounded to maxPrefixes records
@@ -362,7 +425,11 @@ func (t *CycleTrace) Prefix(p netip.Prefix) *PrefixTrace {
 	if t.byPrefix == nil {
 		t.byPrefix = make(map[netip.Prefix]*PrefixTrace)
 	}
-	pt := &PrefixTrace{Prefix: p, Outcome: OutcomeNone}
+	if len(t.recs) == cap(t.recs) {
+		t.recs = make([]PrefixTrace, 0, max(traceMinChunk, len(t.order)/2))
+	}
+	t.recs = append(t.recs, PrefixTrace{Prefix: p, Outcome: OutcomeNone})
+	pt := &t.recs[len(t.recs)-1]
 	t.byPrefix[p] = pt
 	t.order = append(t.order, p)
 	return pt

@@ -2,6 +2,7 @@ package core
 
 import (
 	"net/netip"
+	"slices"
 	"strings"
 	"testing"
 
@@ -241,10 +242,10 @@ func TestNilTracerIsSafe(t *testing.T) {
 		t.Fatal("nil tracer handed out a record")
 	}
 	pt.setPlan(&PrefixPlan{})
-	pt.reject(CandidateTrace{})
+	tr.reject(pt, CandidateTrace{})
 	pt.resetCandidates()
 	pt.markChosen(nil)
-	pt.accept("overload", nil, 0, 0, 0, 0)
+	tr.accept(pt, "overload", nil, 0, 0, 0, 0)
 	pt.outcome(OutcomeDetoured, nil, "x")
 	if tr.Lookup(p) != nil || tr.Len() != 0 || tr.Prefixes() != nil {
 		t.Error("nil tracer reported contents")
@@ -357,5 +358,40 @@ func TestTraceRingBounded(t *testing.T) {
 	}
 	if latest == nil || latest.Seq != 12 {
 		t.Errorf("latest trace seq = %v, want 12", latest)
+	}
+}
+
+// Records share their trace's candidate arena: interleaved appends,
+// resets and chunk turnovers must leave every record's list exactly
+// what was appended to it.
+func TestCycleTraceCandidateArena(t *testing.T) {
+	tr := NewCycleTrace(0)
+	var pts []*PrefixTrace
+	want := map[*PrefixTrace][]float64{}
+	for i := 0; i < 5; i++ {
+		pts = append(pts, tr.Prefix(netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 0, byte(i), 0}), 24)))
+	}
+	for step := 0; step < 3*traceMinChunk; step++ {
+		pt := pts[(step*step)%len(pts)]
+		if step%17 == 16 {
+			pt.resetCandidates()
+			want[pt] = nil
+			continue
+		}
+		for k := 0; k <= step%3; k++ {
+			gap := float64(step*10 + k)
+			tr.reject(pt, CandidateTrace{GapMS: gap})
+			want[pt] = append(want[pt], gap)
+		}
+	}
+	for i, pt := range pts {
+		var got []float64
+		for _, c := range pt.Candidates {
+			got = append(got, c.GapMS)
+		}
+		if !slices.Equal(got, want[pt]) {
+			t.Errorf("record %d: candidates %v, want %v", i, got, want[pt])
+		}
+
 	}
 }

@@ -1,10 +1,11 @@
 package exp
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -337,11 +338,16 @@ func (c *invariantChecker) observe(stats *netsim.TickStats, r *core.CycleReport,
 	}
 
 	installed := c.h.Controller.Installed()
+	// Maps are walked in a fixed order (prefixes in rib.ComparePrefixes
+	// order, interfaces by ID), so one cycle's violations, and the
+	// prefix or interface each names, repeat run to run.
+	installedPrefixes := sortedKeys(installed, rib.ComparePrefixes)
 
 	// --- multipath structure: every installed weighted member set is
 	// well-formed, whatever the health state (a frozen set was once
 	// installed by a healthy controller and must still be sound).
-	for p, o := range installed {
+	for _, p := range installedPrefixes {
+		o := installed[p]
 		if len(o.Multipath) == 0 || c.mpFired[p] {
 			continue
 		}
@@ -379,8 +385,8 @@ func (c *invariantChecker) observe(stats *netsim.TickStats, r *core.CycleReport,
 		if lw.streak <= soakLossyGrace || lw.fired {
 			continue
 		}
-		for p, o := range installed {
-			for _, pw := range o.Multipath {
+		for _, p := range installedPrefixes {
+			for _, pw := range installed[p].Multipath {
 				if pw.Via != nil && pw.Via.PeerAddr == lw.addr {
 					lw.fired = true // once per episode
 					c.violate(r.Time, "lossy-path-quarantine",
@@ -415,7 +421,8 @@ func (c *invariantChecker) observe(stats *netsim.TickStats, r *core.CycleReport,
 		}
 		var hotPrefix netip.Prefix
 		hotIf, altIf, addressable := 0, 0, false
-		for id, load := range stats.IfLoadBps {
+		for _, id := range sortedKeys(stats.IfLoadBps, cmp.Compare[int]) {
+			load := stats.IfLoadBps[id]
 			capBps := c.groundCap(id)
 			if capBps <= 0 || load/capBps <= c.threshold {
 				continue
@@ -468,7 +475,8 @@ func (c *invariantChecker) observe(stats *netsim.TickStats, r *core.CycleReport,
 			c.overStreak[id] = 0
 		}
 	} else {
-		for id, load := range stats.IfLoadBps {
+		for _, id := range sortedKeys(stats.IfLoadBps, cmp.Compare[int]) {
+			load := stats.IfLoadBps[id]
 			capBps := c.groundCap(id)
 			if capBps <= 0 || load/capBps <= c.threshold {
 				c.overStreak[id] = 0
@@ -500,11 +508,21 @@ func (c *invariantChecker) observe(stats *netsim.TickStats, r *core.CycleReport,
 	}
 }
 
+// sortedKeys returns m's keys in cmp order.
+func sortedKeys[K comparable, V any](m map[K]V, cmp func(a, b K) int) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, cmp)
+	return keys
+}
+
 // findAlternate looks for evidence the overload on hot was addressable:
 // a prefix currently egressing hot whose demand fits under the
 // threshold on another interface the controller's own store has a route
-// for. Checks the heaviest prefixes first; bounded to keep the checker
-// cheap.
+// for. Checks the heaviest prefixes first (ties in prefix order);
+// bounded to keep the checker cheap.
 func (c *invariantChecker) findAlternate(stats *netsim.TickStats, hot int) (netip.Prefix, int, bool) {
 	type cand struct {
 		p   netip.Prefix
@@ -516,7 +534,12 @@ func (c *invariantChecker) findAlternate(stats *netsim.TickStats, hot int) (neti
 			cands = append(cands, cand{p, pt.DemandBps})
 		}
 	}
-	sort.Slice(cands, func(a, b int) bool { return cands[a].bps > cands[b].bps })
+	slices.SortFunc(cands, func(a, b cand) int {
+		if o := cmp.Compare(b.bps, a.bps); o != 0 {
+			return o
+		}
+		return rib.ComparePrefixes(a.p, b.p)
+	})
 	if len(cands) > 20 {
 		cands = cands[:20]
 	}

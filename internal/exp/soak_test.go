@@ -2,6 +2,7 @@ package exp
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -169,4 +170,55 @@ func TestE16LossyPathQuarantine(t *testing.T) {
 		t.Fatalf("soak violations:\n%s", res)
 	}
 	t.Logf("\n%s", res)
+}
+
+// TestInvariantCheckerDeterministic feeds the same cycle to two
+// checkers and expects the same violations in the same order, naming
+// the same prefixes and interfaces: the checker walks its maps sorted,
+// so a red soak prints the same report on every replay.
+func TestInvariantCheckerDeterministic(t *testing.T) {
+	cfg := SoakConfig{Base: soakTestConfig(), Seed: 21}
+	h := newTestHarness(t, cfg.Base)
+	var stats *netsim.TickStats
+	var rep *core.CycleReport
+	for i := 0; i < 40 && (rep == nil || stats == nil); i++ {
+		s, r := h.Step()
+		if r != nil && s != nil {
+			stats, rep = s, r
+		}
+	}
+	if rep == nil {
+		t.Fatal("no cycle ran")
+	}
+	// Every other interface far over its capacity, the rest idle: each
+	// hot one has prefixes an idle one could take, so the overload
+	// invariant fires on several interfaces in the same cycle.
+	cycle := *stats
+	cycle.IfLoadBps = make(map[int]float64)
+	hot := 0
+	for i := range h.PoP.Topo.Interfaces {
+		ifc := &h.PoP.Topo.Interfaces[i]
+		if i%2 == 0 {
+			cycle.IfLoadBps[ifc.ID] = 2 * ifc.CapacityBps
+			hot++
+		} else {
+			cycle.IfLoadBps[ifc.ID] = 0
+		}
+	}
+	r := *rep
+	r.Health = core.HealthHealthy
+	var got [2][]SoakViolation
+	for k := range got {
+		chk := newInvariantChecker(h, &cfg)
+		for i := 0; i <= soakOverloadGrace; i++ {
+			chk.observe(&cycle, &r, 0)
+		}
+		got[k] = chk.violations
+	}
+	if len(got[0]) < 2 {
+		t.Fatalf("%d violations over %d hot interfaces; the check needs several in one cycle: %v", len(got[0]), hot, got[0])
+	}
+	if !reflect.DeepEqual(got[0], got[1]) {
+		t.Errorf("same cycle, different violations:\n%v\n%v", got[0], got[1])
+	}
 }

@@ -76,9 +76,56 @@ type PoP struct {
 	exporters map[string]*bmp.Exporter
 
 	flt faultState // scripted fault bookkeeping (see faults.go)
+	ctl ctlHeld    // which controller routes each router holds
 
 	mu      sync.Mutex
 	started bool
+}
+
+// ctlHeld records the slots of the controller routes each router's
+// session holds, as bitmasks over ControllerPathAddr(slot): 16 bits a
+// router, four routers to a key, so a two-router PoP keeps one map
+// entry per overridden prefix. The routers share one table but apply
+// the injector's UPDATEs at their own pace, each router a
+// withdraw-then-announce of a changed set. The table keeps a controller
+// route while any router holds its slot: one router's late withdraw
+// removes nothing another router already re-announced, so once the
+// table shows a cycle's set, the other router's copy of the same
+// UPDATEs leaves it as it is.
+type ctlHeld struct {
+	mu     sync.Mutex // held across one UPDATE or flush
+	held   map[ctlKey]uint64
+	groups int // keys per prefix: routers/4, rounded up
+}
+
+type ctlKey struct {
+	prefix netip.Prefix
+	group  uint8 // router index / 4
+}
+
+// hold records that router i holds slot of prefix.
+func (c *ctlHeld) hold(i int, prefix netip.Prefix, slot int) {
+	c.held[ctlKey{prefix, uint8(i / 4)}] |= 1 << (16*(i%4) + slot)
+}
+
+// release clears router i's slots in mask for prefix and removes from
+// tab every slot in mask that no router holds.
+func (c *ctlHeld) release(tab *rib.Table, i int, prefix netip.Prefix, mask uint16) {
+	k := ctlKey{prefix, uint8(i / 4)}
+	if left := c.held[k] &^ (uint64(mask) << (16 * (i % 4))); left != 0 {
+		c.held[k] = left
+	} else {
+		delete(c.held, k)
+	}
+	for g := 0; g < c.groups; g++ {
+		h := c.held[ctlKey{prefix, uint8(g)}]
+		mask &^= uint16(h | h>>16 | h>>32 | h>>48)
+	}
+	for slot := 0; slot < rib.MaxMultipathSlots; slot++ {
+		if mask&(1<<slot) != 0 {
+			tab.Remove(prefix, ControllerPathAddr(slot))
+		}
+	}
 }
 
 // NewPoP builds (but does not start) a PoP.
@@ -101,6 +148,7 @@ func NewPoP(cfg PoPConfig) (*PoP, error) {
 		routerIP:  make(map[string]netip.Addr),
 		exporters: make(map[string]*bmp.Exporter),
 		agents:    make(map[string]*sflow.Agent),
+		ctl:       ctlHeld{held: make(map[ctlKey]uint64), groups: (len(topo.Routers) + 3) / 4},
 		flt: faultState{
 			bmpKilled: make(map[string]bool),
 			bmpConn:   make(map[string]net.Conn),
@@ -128,6 +176,7 @@ func NewPoP(cfg PoPConfig) (*PoP, error) {
 type prHandler struct {
 	pop    *PoP
 	router string
+	idx    int // the router's index in Topo.Routers
 }
 
 // HandleEstablished implements bgp.SessionHandler.
@@ -143,18 +192,24 @@ func (h *prHandler) HandleEstablished(peer *bgp.Peer, open *bgp.Open) {
 // HandleDown implements bgp.SessionHandler: withdraw everything learned
 // from the dead session.
 func (h *prHandler) HandleDown(peer *bgp.Peer, err error) {
-	h.pop.Table.RemovePeer(peer.Addr())
 	if peer.Addr() != ControllerAddr {
+		h.pop.Table.RemovePeer(peer.Addr())
 		if exp := h.pop.exporter(h.router); exp != nil {
 			_ = exp.PeerDown(peer.Addr(), peer.AS(), 2)
 		}
 		return
 	}
 	// Controller session: multipath members live under synthetic per-slot
-	// peer addresses — sweep those too.
-	for slot := 1; slot < rib.MaxMultipathSlots; slot++ {
+	// peer addresses — sweep those too. The table is shared, so a drop
+	// on any router clears every controller route, whichever router
+	// holds it.
+	c := &h.pop.ctl
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for slot := 0; slot < rib.MaxMultipathSlots; slot++ {
 		h.pop.Table.RemovePeer(ControllerPathAddr(slot))
 	}
+	clear(c.held)
 }
 
 // HandleUpdate implements bgp.SessionHandler: convert the UPDATE into
@@ -164,7 +219,10 @@ func (h *prHandler) HandleUpdate(peer *bgp.Peer, u *bgp.Update) {
 	pop := h.pop
 	fromController := peer.Addr() == ControllerAddr
 	var spec *Peer
-	if !fromController {
+	if fromController {
+		pop.ctl.mu.Lock()
+		defer pop.ctl.mu.Unlock()
+	} else {
 		spec = pop.Topo.PeerByAddr(peer.Addr())
 		if spec == nil {
 			return // session from an unknown neighbor: drop
@@ -202,13 +260,14 @@ func (h *prHandler) HandleUpdate(peer *bgp.Peer, u *bgp.Update) {
 			// it under the synthetic per-slot peer address so the k
 			// members of the set coexist in the table. A plain override
 			// (no slot community) replaces any lingering members.
-			if slot, _, ok := rib.ParseMultipathCommunities(u.Attrs.Communities); ok {
+			slot, _, ok := rib.ParseMultipathCommunities(u.Attrs.Communities)
+			if ok {
 				r.PeerAddr = ControllerPathAddr(slot)
 			} else {
-				for s := 1; s < rib.MaxMultipathSlots; s++ {
-					pop.Table.Remove(prefix, ControllerPathAddr(s))
-				}
+				slot = 0
+				pop.ctl.release(pop.Table, h.idx, prefix, ^uint16(1))
 			}
+			pop.ctl.hold(h.idx, prefix, slot)
 		} else {
 			r.PeerClass = spec.Class
 			r.EgressIF = spec.InterfaceID
@@ -216,14 +275,14 @@ func (h *prHandler) HandleUpdate(peer *bgp.Peer, u *bgp.Update) {
 		pop.Table.Accept(r)
 	}
 	withdraw := func(prefix netip.Prefix) {
-		pop.Table.Remove(prefix, peer.Addr())
-		if fromController {
-			// A controller withdraw is prefix-scoped on the wire; clear
-			// every multipath member slot it may have installed.
-			for s := 1; s < rib.MaxMultipathSlots; s++ {
-				pop.Table.Remove(prefix, ControllerPathAddr(s))
-			}
+		if !fromController {
+			pop.Table.Remove(prefix, peer.Addr())
+			return
 		}
+		// A controller withdraw is prefix-scoped on the wire: it
+		// releases every slot, and each slot no other router holds
+		// leaves the table.
+		pop.ctl.release(pop.Table, h.idx, prefix, ^uint16(0))
 	}
 
 	for _, w := range u.Withdrawn {
@@ -266,7 +325,7 @@ func (p *PoP) Start(ctx context.Context) error {
 			LocalAS:  p.Topo.LocalAS,
 			RouterID: r.RouterID,
 			HoldTime: popHoldTime,
-			Handler:  &prHandler{pop: p, router: r.Name},
+			Handler:  &prHandler{pop: p, router: r.Name, idx: i},
 			Logf:     p.cfg.Logf,
 		})
 		if err != nil {

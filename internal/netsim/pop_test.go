@@ -2,10 +2,13 @@ package netsim
 
 import (
 	"context"
+	"fmt"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
+	"edgefabric/internal/bgp"
 	"edgefabric/internal/rib"
 	"edgefabric/internal/sflow"
 )
@@ -427,4 +430,135 @@ func TestRTTForRouteConcurrent(t *testing.T) {
 		}
 	}
 	<-done
+}
+
+// Both routers' controller sessions carry the same UPDATEs and apply
+// them to the shared table at their own pace. A router that withdraws a
+// set after the other router already re-announced it must not remove
+// the re-announced routes, and a slot leaves the table only once no
+// router holds it. A controller session drop on either router still
+// clears every controller route.
+func TestPoPControllerRoutesHeldAcrossRouters(t *testing.T) {
+	sc, err := Synthesize(SynthConfig{
+		Seed: 11, Prefixes: 50, EdgeASes: 10, PrivatePeers: 2, PublicPeers: 2,
+		RouteServerMembers: 2, Transits: 2, Routers: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	demand, err := sc.NewDemand(DemandConfig{PeakBps: 1e9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pop, err := NewPoP(PoPConfig{Scenario: sc, Demand: demand, Clock: NewClock(time.Date(2017, 3, 1, 20, 0, 0, 0, time.UTC))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := bgp.NewSpeaker(bgp.SpeakerConfig{
+		LocalAS: pop.Topo.LocalAS, RouterID: netip.MustParseAddr("10.255.0.10"),
+		HoldTime: 30 * time.Second, Handler: bgp.NopHandler{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sp.Close)
+	ctrl, err := sp.AddPeer(bgp.PeerConfig{PeerAddr: ControllerAddr, PeerAS: pop.Topo.LocalAS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1 := &prHandler{pop: pop, router: pop.Topo.Routers[0].Name, idx: 0}
+	r2 := &prHandler{pop: pop, router: pop.Topo.Routers[1].Name, idx: 1}
+
+	prefix := sc.Prefixes[0].Prefix
+	hopA, hopB := pop.Topo.Peers[0].Addr, pop.Topo.Peers[1].Addr
+	member := func(slot, pct int, nh netip.Addr) *bgp.Update {
+		return &bgp.Update{
+			Attrs: bgp.PathAttrs{
+				HasOrigin: true, NextHop: nh, LocalPref: rib.PrefController, HasLocalPref: true,
+				Communities: []uint32{rib.MultipathSlotCommunity(slot), rib.MultipathWeightCommunity(pct)},
+			},
+			NLRI: []netip.Prefix{prefix},
+		}
+	}
+	plain := &bgp.Update{
+		Attrs: bgp.PathAttrs{HasOrigin: true, NextHop: hopB, LocalPref: rib.PrefController, HasLocalPref: true},
+		NLRI:  []netip.Prefix{prefix},
+	}
+	withdraw := &bgp.Update{Withdrawn: []netip.Prefix{prefix}}
+	send := func(h *prHandler, us ...*bgp.Update) {
+		for _, u := range us {
+			h.HandleUpdate(ctrl, u)
+		}
+	}
+	// shown lists the table's controller routes for prefix as
+	// "slot:weight" (a plain override is "0:0").
+	shown := func() []string {
+		var out []string
+		for _, r := range pop.Table.Routes(prefix) {
+			if r.PeerClass == rib.ClassController {
+				slot, pct, _ := rib.ParseMultipathCommunities(r.Communities)
+				out = append(out, fmt.Sprintf("%d:%d", slot, pct))
+			}
+		}
+		slices.Sort(out)
+		return out
+	}
+	expect := func(step string, want ...string) {
+		t.Helper()
+		if got := shown(); !slices.Equal(got, want) {
+			t.Fatalf("%s: table holds %v, want %v", step, got, want)
+		}
+	}
+
+	set60 := []*bgp.Update{member(0, 60, hopA), member(1, 40, hopB)}
+	set70 := []*bgp.Update{member(0, 70, hopA), member(1, 30, hopB)}
+	send(r1, set60...)
+	send(r2, set60...)
+	expect("both hold 60/40", "0:60", "1:40")
+
+	send(r2, withdraw)
+	send(r2, set70...)
+	expect("router 2 re-weighted first", "0:70", "1:30")
+	send(r1, withdraw)
+	expect("router 1's late withdraw", "0:70", "1:30")
+	send(r1, set70...)
+	expect("router 1 re-weighted", "0:70", "1:30")
+
+	// The set shrinks to a plain override: slot 1 stays while router 2
+	// still holds it.
+	send(r1, withdraw, plain)
+	expect("router 1 moved to a plain override", "0:0", "1:30")
+	send(r2, withdraw)
+	expect("router 2 withdrew its set", "0:0")
+	send(r2, plain)
+	send(r1, withdraw)
+	expect("router 2 still holds the override", "0:0")
+	send(r2, withdraw)
+	expect("both withdrew")
+
+	send(r1, set60...)
+	send(r2, set60...)
+	r2.HandleDown(ctrl, nil)
+	expect("router 2's controller session dropped")
+	send(r1, withdraw)
+	expect("withdraw after the flush")
+}
+
+// Routers whose bits sit in different keys of ctlHeld (indexes 1 and 5)
+// still keep each other's slots in the table.
+func TestCtlHeldAcrossKeyGroups(t *testing.T) {
+	tab := rib.NewTable(nil)
+	p := netip.MustParsePrefix("203.0.113.0/24")
+	tab.Add(&rib.Route{Prefix: p, NextHop: netip.MustParseAddr("198.51.100.1"), PeerAddr: ControllerPathAddr(2), PeerClass: rib.ClassController})
+	c := ctlHeld{held: make(map[ctlKey]uint64), groups: 2}
+	c.hold(1, p, 2)
+	c.hold(5, p, 2)
+	c.release(tab, 1, p, ^uint16(0))
+	if n := len(tab.Routes(p)); n != 1 {
+		t.Fatalf("router 1's withdraw left %d routes; router 5 still holds the slot", n)
+	}
+	c.release(tab, 5, p, ^uint16(0))
+	if n := len(tab.Routes(p)); n != 0 || len(c.held) != 0 {
+		t.Fatalf("after both withdrew: %d routes, %d held keys", n, len(c.held))
+	}
 }

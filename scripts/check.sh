@@ -80,7 +80,7 @@ echo "==> hot-path benchmarks, gated against BENCH_hotpath.json"
 benchout=$(mktemp)
 benchjson=$(mktemp --suffix=.json)
 go test -run '^$' \
-  -bench='^(BenchmarkProject50k|BenchmarkProjectDeltaFlicker|BenchmarkTableRoutesSorted|BenchmarkRunCycleSteadyState|BenchmarkRunCycleSteadyStateNoTrace|BenchmarkMultipathAllocate|BenchmarkMeasureRoundReports|BenchmarkIngestDatagram|BenchmarkDecodeStream|BenchmarkFleetRollup)$' \
+  -bench='^(BenchmarkProject50k|BenchmarkProjectDeltaFlicker|BenchmarkTableRoutesSorted|BenchmarkRunCycleSteadyState|BenchmarkRunCycleSteadyStateNoTrace|BenchmarkMultipathAllocate|BenchmarkMeasureRoundReports|BenchmarkIngestDatagram|BenchmarkDecodeStream|BenchmarkFleetRollup|BenchmarkInjectorSyncChurn)$' \
   -benchtime=3x -count=2 -benchmem . | tee "$benchout"
 awk -v gover="$(go env GOVERSION)" '
 /^Benchmark/ {

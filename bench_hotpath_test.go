@@ -693,7 +693,8 @@ func BenchmarkInjectorSyncChurn(b *testing.B) {
 	}
 }
 
-// flatSource is an altpath path model: RTT and loss by egress port.
+// flatSource is an altpath path model: RTT by egress port, and loss on
+// a quarter of the ports only, so most windows stay clean.
 type flatSource struct{}
 
 func (flatSource) RTTForRoute(_ netip.Prefix, r *rib.Route) float64 {
@@ -701,16 +702,21 @@ func (flatSource) RTTForRoute(_ netip.Prefix, r *rib.Route) float64 {
 }
 
 func (flatSource) LossForRoute(_ netip.Prefix, r *rib.Route) float64 {
-	return 0.002 * float64(r.EgressIF%4)
+	if r.EgressIF%4 != 3 {
+		return 0
+	}
+	return 0.006
 }
 
 // BenchmarkMeasureRoundReports measures the optimizer's measurement
 // stage at the paper-scale PoP's shape: 4 000 prefixes with 3–4 organic
-// routes each (≈14 000 windows, all full), one MeasureRound plus one
-// Reports per op. The round builds the reports into arenas it reuses and
-// Reports borrows them, so a steady-state op allocates nothing: no
-// per-round closure, no `go` on a method with arguments (each builds a
-// heap closure), no per-window or per-prefix allocation. The ceiling
+// routes each (≈14 000 windows, all full, a quarter of them lossy), one
+// MeasureRound plus one Reports per op. The round builds the reports
+// into arenas it reuses and Reports borrows them, so a steady-state op
+// allocates nothing: no per-round closure, no `go` on a method with
+// arguments (each builds a heap closure), no per-window or per-prefix
+// allocation, and no retransmit ring beyond the one a lossy window
+// allocated at its first loss. The ceiling
 // below fails the benchmark if any creeps back in; AllocsPerRun runs
 // the op at GOMAXPROCS 1, and -cpu 2 shows the worker path.
 func BenchmarkMeasureRoundReports(b *testing.B) {
@@ -739,6 +745,9 @@ func BenchmarkMeasureRoundReports(b *testing.B) {
 	}
 	if len(reports) != len(prefixes) || reports[0].Paths[0].N != 64 {
 		b.Fatalf("warmup: %d reports, primary N=%d", len(reports), reports[0].Paths[0].N)
+	}
+	if windows, lossy := m.Windows(); lossy == 0 || 3*lossy > windows {
+		b.Fatalf("warmup: %d of %d windows lossy, want about a quarter", lossy, windows)
 	}
 	if got := testing.AllocsPerRun(3, op); got > allocCeiling {
 		b.Fatalf("%.0f allocs per MeasureRound+Reports, ceiling %d", got, allocCeiling)

@@ -120,6 +120,9 @@ type Measurer struct {
 	mu       sync.Mutex
 	byPrefix map[netip.Prefix]*prefixWindows
 	round    uint64 // rounds run so far; the current round's number during one
+	// windows counts the windows byPrefix holds, and rings those of them
+	// that hold a retransmit ring (see Windows).
+	windows, rings int
 
 	// Per-round scratch, reused across rounds.
 	views   []rib.RouteView // the round's RIB snapshot
@@ -153,6 +156,8 @@ type worker struct {
 	stats []PathStat
 	reps  []PrefixReport
 	out   []*PrefixReport
+	// windows and rings tally the round's measured window sets.
+	windows, rings int
 	// run is measure bound once at creation: `go w.run()` starts the
 	// worker without the heap closure a per-round method value or a call
 	// with arguments would build.
@@ -167,6 +172,17 @@ type prefixWindows struct {
 	paths []window
 	gen   uint64
 	last  uint64
+}
+
+// tally returns the set's window count and how many of its windows
+// hold a retransmit ring.
+func (pw *prefixWindows) tally() (windows, rings int) {
+	for i := range pw.paths {
+		if pw.paths[i].retrans != nil {
+			rings++
+		}
+	}
+	return len(pw.paths), rings
 }
 
 // find returns the window measuring peer's path, or nil.
@@ -186,9 +202,13 @@ const MaxWindowSamples = 256
 // window is one path's sample ring in arrival order plus an order index
 // over it: order lists the ring's slot numbers ascending by RTT, kept
 // current by add, so a percentile is a single indexed read instead of a
-// copy and a sort. lossy counts the ring's non-zero retransmit samples,
-// so a clean window's mean is known without a sum. Samples must not be
-// NaN (MeasureRound clamps).
+// copy and a sort. The sample and order rings are allocated once, at
+// their full size, on the first add. retrans is nil until the window's
+// first non-zero retransmit sample, so a clean path, the common case,
+// holds no retransmit ring at all; once allocated it runs in step with
+// the samples (earlier slots read zero). lossy counts the ring's
+// non-zero samples, so a clean window's mean is known without a sum.
+// Samples must not be NaN (MeasureRound clamps).
 type window struct {
 	samples []float64
 	retrans []float64
@@ -205,8 +225,17 @@ func (w *window) add(rtt, loss float64, max int) {
 	}
 	slot := len(w.samples)
 	if slot < max {
+		if w.samples == nil {
+			w.samples = make([]float64, 0, max)
+			w.order = make([]uint8, 0, max)
+		}
 		w.samples = append(w.samples, rtt)
-		w.retrans = append(w.retrans, loss)
+		if loss != 0 && w.retrans == nil {
+			w.retrans = make([]float64, slot, max)
+		}
+		if w.retrans != nil {
+			w.retrans = append(w.retrans, loss)
+		}
 		// Open a gap in the order index after the samples <= rtt.
 		at := w.rank(w.order, rtt)
 		w.order = append(w.order, 0)
@@ -214,12 +243,15 @@ func (w *window) add(rtt, loss float64, max int) {
 		w.order[at] = uint8(slot)
 		return
 	}
-	// Full: the oldest sample's slot takes the new one. A clean window's
-	// retransmit samples are all zero already, so it reads and writes
-	// them only once a loss arrives.
+	// Full: the oldest sample's slot takes the new one. A window whose
+	// retransmit samples are all zero reads and writes them only once a
+	// loss arrives.
 	slot = w.next
 	w.next = (w.next + 1) % max
 	if w.lossy > 0 {
+		if w.retrans == nil {
+			w.retrans = make([]float64, max)
+		}
 		if w.retrans[slot] != 0 {
 			w.lossy--
 		}
@@ -264,8 +296,9 @@ func (w *window) percentile(q float64) float64 {
 	return w.samples[w.order[int(q*float64(len(w.samples)-1))]]
 }
 
-// meanRetrans is the mean of the retransmit samples; a window with no
-// non-zero sample sums to exactly zero, so it skips the sum.
+// meanRetrans is the mean of the retransmit samples, summed in slot
+// order; a window with no non-zero sample sums to exactly zero, so it
+// skips the sum (and may hold no ring).
 func (w *window) meanRetrans() float64 {
 	if w.lossy == 0 {
 		return 0
@@ -277,9 +310,10 @@ func (w *window) meanRetrans() float64 {
 	return sum / float64(len(w.retrans))
 }
 
-// reset discards the sample buffers, keeping the backing arrays: the
-// path this window measured changed identity, so its history describes
-// a route that no longer exists.
+// reset discards the samples, keeping the rings allocated (an allocated
+// retransmit ring then fills in step with the samples again): the path
+// this window measured changed identity, so its history describes a
+// route that no longer exists.
 func (w *window) reset() {
 	w.samples = w.samples[:0]
 	w.retrans = w.retrans[:0]
@@ -353,7 +387,9 @@ func (m *Measurer) measureRound(prefixes []netip.Prefix, maxWorkers int) int {
 	m.reports = m.reports[:0]
 	for _, w := range m.workers[:nw] {
 		m.reports = append(m.reports, w.out...)
-		w.jobs = nil
+		m.windows += w.windows
+		m.rings += w.rings
+		w.jobs, w.windows, w.rings = nil, 0, 0
 	}
 	// Don't pin superseded route slices or windows between rounds.
 	clear(m.views)
@@ -362,6 +398,7 @@ func (m *Measurer) measureRound(prefixes []netip.Prefix, maxWorkers int) int {
 	if m.round%m.maxAge == 0 {
 		for p, pw := range m.byPrefix {
 			if m.round-pw.last >= m.maxAge {
+				m.untally(pw)
 				delete(m.byPrefix, p)
 			}
 		}
@@ -392,12 +429,16 @@ func (m *Measurer) plan(prefixes []netip.Prefix) int {
 			// No measurable alternate (or no routes at all): drop any
 			// windows left from when the prefix had more paths.
 			if pw != nil {
+				m.untally(pw)
 				delete(m.byPrefix, p)
 			}
 			continue
 		}
 		if pw != nil && pw.last == m.round {
 			continue // listed twice
+		}
+		if pw != nil {
+			m.untally(pw) // its worker tallies the set again once measured
 		}
 		limit := min(len(routes), 1+m.cfg.MaxAltPaths)
 		if gen := m.views[i].Gen; pw == nil || m.round-pw.last > m.maxAge {
@@ -460,12 +501,23 @@ func (w *worker) measure() {
 			// in a fresh one, which the next round reuses whole.
 			w.stats = make([]PathStat, 0, max(2*cap(w.stats), len(pw.paths)))
 		}
+		windows, rings := pw.tally()
+		w.windows += windows
+		w.rings += rings
 		rep := &w.reps[len(w.out)]
 		if stats, ok := pw.report(j.p, rep, w.stats); ok {
 			w.stats = stats
 			w.out = append(w.out, rep)
 		}
 	}
+}
+
+// untally takes a window set that is being dropped or re-measured out
+// of the measurer's window counts.
+func (m *Measurer) untally(pw *prefixWindows) {
+	windows, rings := pw.tally()
+	m.windows -= windows
+	m.rings -= rings
 }
 
 // golden is splitmix64's increment between successive stream states.
@@ -595,6 +647,15 @@ func statBefore(a, b *PathStat) bool {
 		return a.Primary
 	}
 	return a.P50 < b.P50
+}
+
+// Windows returns how many windows the measurer holds, and how many of
+// them hold a retransmit ring because their path reported a loss: the
+// two sizes its heap grows with.
+func (m *Measurer) Windows() (windows, lossy int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.windows, m.rings
 }
 
 // Reports returns the last round's reports, one per prefix it measured,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
+	"runtime"
 	"testing"
 
 	"edgefabric/internal/rib"
@@ -405,5 +406,66 @@ func TestMeasurerResetsWindowOnRouteIdentityChange(t *testing.T) {
 				t.Errorf("transit window N = %d after identity change, want fresh window", ps.N)
 			}
 		}
+	}
+}
+
+// flatSource measures every path alike: a fixed RTT, and a fixed loss.
+type flatSource struct{ loss float64 }
+
+func (flatSource) RTTForRoute(netip.Prefix, *rib.Route) float64    { return 30 }
+func (s flatSource) LossForRoute(netip.Prefix, *rib.Route) float64 { return s.loss }
+
+// The bytes a measurer keeps per measured window once every window is
+// full, with the round's arenas and per-prefix state shared out: a
+// clean window holds its sample and order rings and no retransmit ring,
+// a lossy one all three.
+func TestMeasurerBytesPerWindow(t *testing.T) {
+	const (
+		n     = 4000 // prefixes, four measured routes each
+		paths = 4
+	)
+	for _, tc := range []struct {
+		name    string
+		loss    float64
+		ceiling float64 // bytes per window
+	}{
+		{"clean", 0, 900},     // ≈ 810 B; ≈ 1 320 B when every window held a retransmit ring
+		{"lossy", 0.01, 1400}, // ≈ 1 320 B
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tab := rib.NewTable(rib.DefaultPolicy())
+			ps := make([]netip.Prefix, n)
+			for i := range ps {
+				ps[i] = netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0}), 24)
+				for k := range paths {
+					addShapeRoute(tab, ps[i], k, shapePeers[k].pref, shapePeers[k].addr)
+				}
+			}
+			heapLive := func() uint64 {
+				runtime.GC()
+				runtime.GC()
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				return ms.HeapAlloc
+			}
+			before := heapLive()
+			m, err := NewMeasurer(Config{Routes: tab, Source: flatSource{tc.loss}, Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for range 2 * m.cfg.WindowSamples / m.cfg.SamplesPerRound {
+				m.measureRound(ps, 1)
+			}
+			perWindow := float64(heapLive()-before) / (n * paths)
+			runtime.KeepAlive(m)
+			runtime.KeepAlive(tab)
+			if windows, _ := m.Windows(); windows != n*paths {
+				t.Fatalf("%d windows, want %d", windows, n*paths)
+			}
+			t.Logf("measurer keeps %.0f B per %s window", perWindow, tc.name)
+			if perWindow > tc.ceiling {
+				t.Fatalf("measurer keeps %.0f B per %s window, ceiling %.0f", perWindow, tc.name, tc.ceiling)
+			}
+		})
 	}
 }

@@ -76,8 +76,41 @@ func sameBits(a, b *PrefixReport) error {
 	return nil
 }
 
-// sameWindows compares two measurers' window state.
+// retransAt reads a window's retransmit sample in slot s; a window that
+// holds no ring has seen no loss, so every slot reads zero.
+func retransAt(w *window, s int) float64 {
+	if w.retrans == nil {
+		return 0
+	}
+	return w.retrans[s]
+}
+
+// tallyErr checks a measurer's window counts against a walk of its
+// window sets.
+func tallyErr(m *Measurer) error {
+	var windows, rings int
+	for _, pw := range m.byPrefix {
+		for i := range pw.paths {
+			windows++
+			if pw.paths[i].retrans != nil {
+				rings++
+			}
+		}
+	}
+	if gw, gr := m.Windows(); gw != windows || gr != rings {
+		return fmt.Errorf("Windows() = %d, %d; the window sets hold %d, %d", gw, gr, windows, rings)
+	}
+	return nil
+}
+
+// sameWindows compares two measurers' window state, and each one's
+// window counts with its window sets.
 func sameWindows(a, b *Measurer) error {
+	for _, m := range []*Measurer{a, b} {
+		if err := tallyErr(m); err != nil {
+			return err
+		}
+	}
 	if len(a.byPrefix) != len(b.byPrefix) {
 		return fmt.Errorf("%d vs %d prefixes", len(a.byPrefix), len(b.byPrefix))
 	}
@@ -94,7 +127,7 @@ func sameWindows(a, b *Measurer) error {
 			}
 			for s := range x.samples {
 				if math.Float64bits(x.samples[s]) != math.Float64bits(y.samples[s]) ||
-					math.Float64bits(x.retrans[s]) != math.Float64bits(y.retrans[s]) {
+					math.Float64bits(retransAt(x, s)) != math.Float64bits(retransAt(y, s)) {
 					return fmt.Errorf("%v path %d sample %d differs", p, i, s)
 				}
 			}
@@ -247,6 +280,9 @@ func TestMeasurerAgesOutUnmeasuredPrefixes(t *testing.T) {
 	}
 	if _, ok := m.byPrefix[gone]; ok {
 		t.Error("windows of a prefix unmeasured for 32 rounds are still held")
+	}
+	if err := tallyErr(m); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -53,12 +53,19 @@ func oracleMean(vs []float64) float64 {
 }
 
 // checkWindow asserts the window's statistics equal the oracle's bit
-// for bit, and that the order index is a value-sorted permutation of
-// the live slots.
-func checkWindow(t *testing.T, step int, w *window, o *oracleWindow) {
+// for bit, that the order index is a value-sorted permutation of the
+// live slots, that the sample ring was allocated whole, and that a
+// retransmit ring, once there, runs in step with the samples.
+func checkWindow(t *testing.T, step, max int, w *window, o *oracleWindow) {
 	t.Helper()
 	if len(w.samples) != len(o.samples) {
 		t.Fatalf("step %d: N = %d, oracle %d", step, len(w.samples), len(o.samples))
+	}
+	if w.samples != nil && (cap(w.samples) != max || cap(w.order) != max) {
+		t.Fatalf("step %d: rings of capacity %d and %d, want %d", step, cap(w.samples), cap(w.order), max)
+	}
+	if w.retrans != nil && len(w.retrans) != len(w.samples) {
+		t.Fatalf("step %d: retransmit ring holds %d slots for %d samples", step, len(w.retrans), len(w.samples))
 	}
 	for _, q := range []float64{0.50, 0.90} {
 		got, want := w.percentile(q), oraclePercentile(o.samples, q)
@@ -103,8 +110,28 @@ func driveWindow(t *testing.T, max int, ops []byte) {
 			w.add(rtt, loss, max)
 			o.add(rtt, loss, max)
 		}
-		checkWindow(t, step, &w, &o)
+		checkWindow(t, step, max, &w, &o)
 	}
+}
+
+// lossSequences returns driveWindow ops for a window of max samples
+// whose first loss comes late: in mid-fill, after the ring has wrapped
+// (then rolls off and returns), and after a reset of a lossy window.
+// Every other sample is clean (a zero high nibble).
+func lossSequences(max int) [][]byte {
+	clean := func(ops []byte, n int) []byte {
+		for i := range n {
+			ops = append(ops, byte(len(ops)*7+i)&0x0F)
+		}
+		return ops
+	}
+	const lossy = 0x35
+	midFill := append(clean(nil, max/2), lossy)
+	afterWrap := append(clean(nil, 2*max+1), lossy)
+	afterWrap = append(clean(afterWrap, max+1), lossy)
+	afterReset := append(clean([]byte{lossy}, max/3), 0xFF)
+	afterReset = append(clean(afterReset, max/2), lossy)
+	return [][]byte{clean(midFill, 2*max), clean(afterWrap, max), clean(afterReset, 2*max)}
 }
 
 func TestWindowOrderStatsMatchOracle(t *testing.T) {
@@ -118,6 +145,9 @@ func TestWindowOrderStatsMatchOracle(t *testing.T) {
 			}
 		}
 		driveWindow(t, max, ops)
+		for _, ops := range lossSequences(max) {
+			driveWindow(t, max, ops)
+		}
 
 		// Continuous values: no duplicates, windows wrapping many times.
 		var w window
@@ -126,7 +156,7 @@ func TestWindowOrderStatsMatchOracle(t *testing.T) {
 			rtt, loss := math.Max(0.1, 40+rng.NormFloat64()*30), rng.Float64()
 			w.add(rtt, loss, max)
 			o.add(rtt, loss, max)
-			checkWindow(t, step, &w, &o)
+			checkWindow(t, step, max, &w, &o)
 		}
 	}
 }
@@ -136,6 +166,11 @@ func FuzzWindowOrderStats(f *testing.F) {
 	f.Add(uint8(1), []byte{5, 0, 5, 0xFF, 3})
 	f.Add(uint8(63), []byte("the quick brown fox jumps over the lazy dog, twice over the window"))
 	f.Add(uint8(255), []byte{0, 0x10, 0x20, 0xFF, 0xF0})
+	for _, max := range []int{1, 5, 64} {
+		for _, ops := range lossSequences(max) {
+			f.Add(uint8(max-1), ops)
+		}
+	}
 	f.Fuzz(func(t *testing.T, max uint8, ops []byte) {
 		driveWindow(t, int(max)+1, ops)
 	})

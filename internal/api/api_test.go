@@ -361,6 +361,42 @@ func TestV1Errors(t *testing.T) {
 	}
 }
 
+// Every retained cycle row carries its cycle's override count, however
+// far back it is: the ring keeps the count after it drops the set.
+func TestCyclesKeepOverrideCounts(t *testing.T) {
+	ctrl := testController(t, "10.255.0.1")
+	s := api.NewServer()
+	if err := s.AddPoP("sea", ctrl); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(s.Handler())
+	t.Cleanup(srv.Close)
+	want := map[uint64]int{}
+	for i := 0; i < 105; i++ {
+		rep, err := ctrl.RunCycle()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[rep.Seq] = len(rep.Overrides)
+	}
+	_, env := get(t, srv, "/v1/pops/sea/cycles?limit=1000")
+	var d struct {
+		Items []api.CycleDoc `json:"items"`
+	}
+	data(t, env, &d)
+	if len(d.Items) != 108 {
+		t.Fatalf("%d cycle rows, want 108", len(d.Items))
+	}
+	for _, it := range d.Items[3:] {
+		if it.Overrides != want[it.Seq] {
+			t.Errorf("cycle %d: %d overrides, its report had %d", it.Seq, it.Overrides, want[it.Seq])
+		}
+	}
+	if old := d.Items[len(d.Items)-101]; old.Overrides == 0 {
+		t.Errorf("cycle %d, 100 cycles back, reads 0 overrides", old.Seq)
+	}
+}
+
 // TestPagination walks cycle and route cursors and asserts
 // non-overlapping, exhaustive pages.
 func TestPagination(t *testing.T) {

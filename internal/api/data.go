@@ -248,7 +248,7 @@ func cyclesPage(c *core.Controller, after uint64, limit int) page {
 	return pg
 }
 
-func cycleDoc(r *core.CycleReport, inv *core.Inventory) CycleDoc {
+func cycleDoc(r *core.CycleSummary, inv *core.Inventory) CycleDoc {
 	doc := CycleDoc{
 		Seq:         r.Seq,
 		Time:        r.Time,
@@ -256,7 +256,7 @@ func cycleDoc(r *core.CycleReport, inv *core.Inventory) CycleDoc {
 		Reasons:     r.HealthReasons,
 		DemandBps:   r.DemandBps,
 		DetouredBps: r.DetouredBps,
-		Overrides:   len(r.Overrides),
+		Overrides:   r.Overrides,
 		Announced:   r.Announced,
 		Withdrawn:   r.Withdrawn,
 		Partial:     r.Partial,

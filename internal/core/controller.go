@@ -73,9 +73,12 @@ type Config struct {
 	// demand only every TailStride-th delta cycle (rotating stripes);
 	// see Projector.TailStride. Values <= 1 visit everything.
 	TailStride int
-	// MaxHistory bounds the retained cycle-report ring. Default 4096; a
-	// fleet host packing hundreds of PoPs into one process sets this
-	// much lower (the ring is per PoP, ~1 KB per report).
+	// MaxHistory bounds the retained cycle-summary ring. Default 4096.
+	// The ring is per PoP and keeps no override set (only the newest
+	// report does): an entry costs 136 bytes plus its per-interface
+	// utilization map, ≈ 510 B on a 14-interface PoP, so ≈ 2 MB a PoP at
+	// the default. A fleet host packing hundreds of PoPs into one
+	// process may set it lower.
 	MaxHistory int
 	// Logf, when set, receives one-line log events.
 	Logf func(format string, args ...any)
@@ -130,6 +133,32 @@ type CycleReport struct {
 	Elapsed time.Duration
 }
 
+// CycleSummary is what the controller's cycle history retains of one
+// cycle: its CycleReport without the override set, whose size it keeps
+// as a count. The maps and HealthReasons are shared with the report.
+type CycleSummary struct {
+	Time                          time.Time
+	Seq                           uint64
+	Health                        HealthState
+	HealthReasons                 []string
+	DemandBps                     float64
+	IfUtil                        map[int]float64
+	Overrides                     int // len(CycleReport.Overrides)
+	DetouredBps                   float64
+	ResidualOverloadBps           map[int]float64
+	Announced, Withdrawn, Partial int
+	Elapsed                       time.Duration
+}
+
+func summarize(r *CycleReport) CycleSummary {
+	return CycleSummary{
+		Time: r.Time, Seq: r.Seq, Health: r.Health, HealthReasons: r.HealthReasons,
+		DemandBps: r.DemandBps, IfUtil: r.IfUtil, Overrides: len(r.Overrides),
+		DetouredBps: r.DetouredBps, ResidualOverloadBps: r.ResidualOverloadBps,
+		Announced: r.Announced, Withdrawn: r.Withdrawn, Partial: r.Partial, Elapsed: r.Elapsed,
+	}
+}
+
 // Controller is the per-PoP Edge Fabric control loop, assembling the
 // route store, traffic source, projection, allocator, injector, and the
 // input-health tracker that gates it all.
@@ -164,8 +193,9 @@ type Controller struct {
 	seq       uint64
 	cfgGen    uint64 // config updates applied (see ApplyConfig)
 	lastState HealthState
-	history   []CycleReport // ring buffer once full
-	histNext  int           // next overwrite index when len == maxHist
+	last      CycleReport    // the newest report, whole (Seq 0 until a cycle ran)
+	history   []CycleSummary // ring buffer once full
+	histNext  int            // next overwrite index when len == maxHist
 	maxHist   int
 	traces    []*CycleTrace // decision-provenance ring, bounded by traceCycles
 	traceNext int
@@ -237,6 +267,10 @@ func New(cfg Config) (*Controller, error) {
 	}
 	if cfg.MaxHistory > 0 {
 		c.maxHist = cfg.MaxHistory
+	}
+	if meas != nil {
+		c.decide.gWindows = registry.Gauge("edgefabric_altpath_windows")
+		c.decide.gLossyWindows = registry.Gauge("edgefabric_altpath_lossy_windows")
 	}
 	c.phCollect = registry.Phase("edgefabric_phase_collect")
 	c.phInject = registry.Phase("edgefabric_phase_inject")
@@ -550,13 +584,15 @@ func (c *Controller) finishReport(report *CycleReport, started time.Time) {
 	c.mu.Lock()
 	c.seq++
 	report.Seq = c.seq
-	// Ring retention: once full, overwrite in place instead of
-	// re-slicing (the old append+reslice pinned an ever-growing backing
-	// array).
+	// The newest report is kept whole; the ring keeps summaries, so no
+	// override set outlives the cycle that superseded it. Once full, the
+	// ring overwrites in place instead of re-slicing (an append+reslice
+	// would pin an ever-growing backing array).
+	c.last = *report
 	if len(c.history) < c.maxHist {
-		c.history = append(c.history, *report)
+		c.history = append(c.history, summarize(report))
 	} else {
-		c.history[c.histNext] = *report
+		c.history[c.histNext] = summarize(report)
 		c.histNext = (c.histNext + 1) % c.maxHist
 	}
 	c.mu.Unlock()
@@ -712,18 +748,18 @@ func (c *Controller) RunCycle() (report *CycleReport, err error) {
 	return report, nil
 }
 
-// History returns a copy of the retained cycle reports, oldest first.
-func (c *Controller) History() []CycleReport {
+// History returns a copy of the retained cycle summaries, oldest first.
+func (c *Controller) History() []CycleSummary {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	older, newer := c.historyLocked()
-	return append(append(make([]CycleReport, 0, len(c.history)), older...), newer...)
+	return c.historyLocked()
 }
 
-// historyLocked returns the report ring, oldest first, as its two runs
-// (no copy); histNext is 0 until the ring fills. Caller holds c.mu.
-func (c *Controller) historyLocked() (older, newer []CycleReport) {
-	return c.history[c.histNext:], c.history[:c.histNext]
+// historyLocked returns a copy of the summary ring, oldest first
+// (histNext is 0 until the ring fills). Caller holds c.mu.
+func (c *Controller) historyLocked() []CycleSummary {
+	lin := make([]CycleSummary, 0, len(c.history))
+	return append(append(lin, c.history[c.histNext:]...), c.history[:c.histNext]...)
 }
 
 // pushTrace publishes a completed cycle trace into the bounded ring.

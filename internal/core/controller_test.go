@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -260,6 +261,91 @@ func TestHistoryResize(t *testing.T) {
 	check(26)
 	run(50)
 	check(64)
+}
+
+// The report ring's retained bytes per entry do not grow with the
+// cycle's override count: only the newest report keeps its override
+// set. Each synthetic cycle carries fresh overrides of three weighted
+// members, as the multipath stage emits them.
+func TestHistoryBytesPerEntry(t *testing.T) {
+	const (
+		cycles  = 200
+		ceiling = 1024 // bytes per entry with a 4-interface IfUtil; this design keeps ≈ 400
+	)
+	heapLive := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	perEntry := func(overrides int) float64 {
+		ctrl, err := New(Config{Inventory: testInventory(t), Traffic: staticTraffic{}, LocalAS: 64500, MaxHistory: cycles})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ctrl.Close()
+		via := route("10.0.0.0/24", "172.20.0.9", rib.ClassTransit, 3, 64601, 65010)
+		var mid uint64
+		for i := range cycles {
+			rep := &CycleReport{IfUtil: map[int]float64{0: 0.9, 1: 0.5, 2: 0.4, 3: 0.1}, Overrides: make([]Override, overrides)}
+			for k := range rep.Overrides {
+				rep.Overrides[k] = Override{
+					Prefix: netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(k >> 8), byte(k), 0}), 24),
+					Via:    via, ToIF: 3, RateBps: 1e9, Reason: "multipath k-way",
+					Multipath: []PathWeight{{Via: via, ToIF: 3, WeightPct: 50}, {Via: via, ToIF: 2, WeightPct: 30}, {Via: via, ToIF: 1, WeightPct: 20}},
+				}
+			}
+			ctrl.finishReport(rep, time.Now())
+			if i == cycles/2-1 {
+				mid = heapLive()
+			}
+		}
+		// Between the two readings the ring gained cycles/2 entries and
+		// the newest report was replaced by one of the same size.
+		b := float64(int64(heapLive())-int64(mid)) / (cycles / 2)
+		if h := ctrl.History(); len(h) != cycles || h[0].Overrides != overrides {
+			t.Fatalf("history holds %d entries, the oldest with %d overrides; want %d and %d", len(h), h[0].Overrides, cycles, overrides)
+		}
+		t.Logf("%d overrides a cycle: %.0f B per ring entry", overrides, b)
+		return b
+	}
+	few, many := perEntry(20), perEntry(500)
+	if few > ceiling || many > ceiling {
+		t.Fatalf("ring keeps %.0f B per entry at 20 overrides a cycle, %.0f B at 500; ceiling %d", few, many, ceiling)
+	}
+	if many > few+128 {
+		t.Fatalf("ring keeps %.0f B per entry at 500 overrides a cycle, %.0f B at 20: entries grow with the override set", many, few)
+	}
+}
+
+// The optimise stage exports the measurer's window counts: every
+// measured path's window, and those whose path lost packets.
+func TestOptimiseStageWindowGauges(t *testing.T) {
+	demand := staticTraffic{}
+	src := pathModel{
+		netip.MustParseAddr("172.20.0.1"): {rtt: 40},
+		netip.MustParseAddr("172.20.0.9"): {rtt: 35, loss: 0.01},
+	}
+	ctrl, _ := readyController(t, Config{
+		Inventory: testInventory(t),
+		Traffic:   demand,
+		LocalAS:   64500,
+		Optimizer: OptimizerConfig{Source: src, Seed: 3},
+	})
+	for i := 0; i < 3; i++ {
+		p := fmt.Sprintf("10.0.%d.0/24", i)
+		ctrl.Store().Table().Add(route(p, "172.20.0.1", rib.ClassPrivate, 0, 65010))
+		ctrl.Store().Table().Add(route(p, "172.20.0.9", rib.ClassTransit, 3, 64601, 65010))
+		demand[netip.MustParsePrefix(p)] = 1e9
+	}
+	if _, err := ctrl.RunCycle(); err != nil {
+		t.Fatal(err)
+	}
+	m := ctrl.Metrics()
+	if w, l := m.Gauge("edgefabric_altpath_windows").Value(), m.Gauge("edgefabric_altpath_lossy_windows").Value(); w != 6 || l != 3 {
+		t.Errorf("window gauges = %v, %v lossy; want 6, 3", w, l)
+	}
 }
 
 func TestControllerRunCycle(t *testing.T) {

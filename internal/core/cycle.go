@@ -39,9 +39,11 @@ type DecideState struct {
 	Measurer  *altpath.Measurer
 
 	measured []netip.Prefix // the measure stage's reused prefix buffer
-	// Stage spans (edgefabric_phase_{project,allocate,perf}); nil
-	// outside a Controller.
+	// Stage spans (edgefabric_phase_{project,allocate,perf}) and the
+	// measurer's window gauges (edgefabric_altpath_{windows,lossy_windows});
+	// nil outside a Controller.
 	phProject, phAllocate, phOptimise *metrics.Phase
+	gWindows, gLossyWindows           *metrics.Gauge
 }
 
 // Decide computes one cycle's override set: project the demand over
@@ -76,6 +78,11 @@ func Decide(in CycleInput, st *DecideState) (*CycleReport, DeltaStats) {
 			st.measured = append(st.measured, p)
 		}
 		st.Measurer.MeasureRound(st.measured)
+		if st.gWindows != nil {
+			windows, lossy := st.Measurer.Windows()
+			st.gWindows.Set(float64(windows))
+			st.gLossyWindows.Set(float64(lossy))
+		}
 		// The optimizer skips every prefix the overload pass moved, so its
 		// output appends to a copy of alloc's (reused verbatim next cycle)
 		// without conflicts.

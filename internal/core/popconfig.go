@@ -22,7 +22,8 @@ type PoPConfigUpdate struct {
 	NoSticky *bool `json:"no_sticky,omitempty"`
 	// AllowSplit enables sub-prefix detours.
 	AllowSplit *bool `json:"allow_split,omitempty"`
-	// MaxHistory bounds the per-PoP cycle-report ring (16..65536).
+	// MaxHistory bounds the per-PoP cycle-summary ring (16..65536); an
+	// entry costs ≈ 510 B on a 14-interface PoP (see Config.MaxHistory).
 	MaxHistory *int `json:"max_history,omitempty"`
 }
 
@@ -240,11 +241,11 @@ func (c *Controller) ApplyConfig(u PoPConfigUpdate, dryRun bool) (ConfigChange, 
 	return ch, nil
 }
 
-// resizeHistoryLocked rebuilds the cycle-report ring at a new bound,
-// keeping the most recent reports. Caller holds c.mu.
+// resizeHistoryLocked rebuilds the cycle-summary ring at a new bound,
+// keeping the most recent summaries (the newest report stays whole
+// beside it). Caller holds c.mu.
 func (c *Controller) resizeHistoryLocked(n int) {
-	older, newer := c.historyLocked()
-	lin := append(append(make([]CycleReport, 0, len(c.history)), older...), newer...)
+	lin := c.historyLocked()
 	if len(lin) > n {
 		lin = lin[len(lin)-n:]
 	}
@@ -270,14 +271,7 @@ func (c *Controller) InstalledCount() int {
 func (c *Controller) LastReport() (CycleReport, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	older, newer := c.historyLocked()
-	if len(newer) == 0 {
-		newer = older
-	}
-	if len(newer) == 0 {
-		return CycleReport{}, false
-	}
-	return newer[len(newer)-1], true
+	return c.last, c.last.Seq != 0
 }
 
 // Drain withdraws every installed override, returning the PoP to

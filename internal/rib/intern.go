@@ -65,7 +65,7 @@ func (in *u32Interner) intern(s []uint32) []uint32 {
 // routeArena chunk-allocates the Table's long-lived Route values, the
 // same trade the projector's planChunk makes for PrefixPlans: one heap
 // object per arenaChunk routes instead of one per route, which keeps a
-// million-route table's object count (and GC scan work) three orders of
+// million-route table's object count (and GC scan work) two orders of
 // magnitude lower. Blocks never move, so handed-out pointers stay valid
 // for the life of any snapshot that references them; a block is
 // reclaimed only once every route in it is unreachable.
@@ -73,7 +73,13 @@ type routeArena struct {
 	block []Route
 }
 
-const arenaChunk = 256
+// arenaChunk is the routes per block, sized so that a block stays a
+// size-classed object, as core's routeSlabMax is: a block over 32 KB is
+// a large object of whole pages, whose allocation cost depends on how far
+// the sweep of the last GC has got, and BMP dump replays in the stretch
+// after a collection then ran at about 60 % of the rate of those before
+// the next one.
+const arenaChunk = 128
 
 // put copies *r into the arena and returns the arena's stable pointer.
 func (a *routeArena) put(r *Route) *Route {

@@ -520,7 +520,7 @@ func BenchmarkMultipathAllocate(b *testing.B) {
 	// the same arrival (map) order, as a fresh Reports() would give it.
 	arrival := append([]*altpath.PrefixReport(nil), reports...)
 	var cfg core.MultipathConfig
-	prev := core.MultipathPrior(core.MultipathAllocateTraced(proj, inv, reports, prior, nil, alloc, cfg, nil))
+	prev := core.NewOverrideSet(core.MultipathAllocate(proj, inv, reports, prior, nil, alloc, cfg, nil))
 	if len(prev) == 0 {
 		b.Fatal("warmup installed no multipath sets")
 	}
@@ -529,7 +529,7 @@ func BenchmarkMultipathAllocate(b *testing.B) {
 	var out []core.Override
 	for i := 0; i < b.N; i++ {
 		copy(reports, arrival)
-		out = core.MultipathAllocateTraced(proj, inv, reports, prior, prev, alloc, cfg, nil)
+		out = core.MultipathAllocate(proj, inv, reports, prior, prev, alloc, cfg, nil)
 	}
 	if len(out) == 0 {
 		b.Fatal("steady-state pass produced no overrides")

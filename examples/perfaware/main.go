@@ -49,14 +49,14 @@ func main() {
 
 	// Let the measurer accumulate samples over a few cycles, then show
 	// what it found and what the controller did about it.
-	perfOverrides := map[string]string{}
+	var perf []core.Override
 	h.Run(10*time.Minute, func(_ *netsim.TickStats, r *core.CycleReport) {
 		if r == nil {
 			return
 		}
 		for _, o := range r.Overrides {
 			if strings.Contains(o.Reason, "alt path") {
-				perfOverrides[o.Prefix.String()] = o.Reason
+				perf = append(perf, o)
 			}
 		}
 	})
@@ -79,12 +79,9 @@ func main() {
 			rep.Prefix, rep.Paths[0].P50, rep.BestAlt.P50, rep.BestAlt.Route.PeerClass, rep.GapMS)
 	}
 
-	fmt.Printf("\nperformance overrides installed this run: %d\n", len(perfOverrides))
-	shown := 0
-	for prefix, reason := range perfOverrides {
-		fmt.Printf("  %-22s %s\n", prefix, reason)
-		if shown++; shown >= 8 {
-			break
-		}
+	moved := core.NewOverrideSet(perf) // each prefix's latest move
+	fmt.Printf("\nperformance overrides installed this run: %d\n", len(moved))
+	for _, o := range moved[:min(len(moved), 8)] {
+		fmt.Printf("  %-22s %s\n", o.Prefix, o.Reason)
 	}
 }

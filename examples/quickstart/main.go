@@ -61,14 +61,13 @@ func main() {
 	})
 
 	fmt.Println("\nfinal override set (prefix → detour):")
-	n := 0
-	for prefix, o := range h.Controller.Installed() {
-		fmt.Printf("  %-20s -> %s (%s, if %d -> %d)\n",
-			prefix, o.Via.NextHop, o.Via.PeerClass, o.FromIF, o.ToIF)
-		if n++; n >= 10 {
+	for i, o := range h.Controller.Installed() {
+		if i == 10 {
 			fmt.Println("  ...")
 			break
 		}
+		fmt.Printf("  %-20s -> %s (%s, if %d -> %d)\n",
+			o.Prefix, o.Via.NextHop, o.Via.PeerClass, o.FromIF, o.ToIF)
 	}
 	fmt.Println("\ncontroller metrics:")
 	fmt.Print(h.Controller.Metrics().Render())

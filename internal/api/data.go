@@ -2,7 +2,6 @@ package api
 
 import (
 	"net/netip"
-	"sort"
 	"strconv"
 	"time"
 
@@ -155,16 +154,10 @@ type PathWeightDoc struct {
 
 func overrideDocs(c *core.Controller) []OverrideDoc {
 	installed := c.Installed()
-	prefixes := make([]netip.Prefix, 0, len(installed))
-	for p := range installed {
-		prefixes = append(prefixes, p)
-	}
-	sortPrefixes(prefixes)
-	out := make([]OverrideDoc, 0, len(prefixes))
-	for _, p := range prefixes {
-		o := installed[p]
+	out := make([]OverrideDoc, 0, len(installed))
+	for _, o := range installed {
 		doc := OverrideDoc{
-			Prefix:  p.String(),
+			Prefix:  o.Prefix.String(),
 			FromIF:  o.FromIF,
 			ToIF:    o.ToIF,
 			RateBps: o.RateBps,
@@ -300,7 +293,7 @@ type PrefixRoutesDoc struct {
 func routesPage(c *core.Controller, after netip.Prefix, limit int) page {
 	tab := c.Store().Table()
 	prefixes := tab.Prefixes()
-	sortPrefixes(prefixes)
+	rib.SortPrefixes(prefixes)
 	start := 0
 	if after.IsValid() {
 		for start < len(prefixes) && rib.ComparePrefixes(prefixes[start], after) <= 0 {
@@ -336,10 +329,6 @@ func routesPage(c *core.Controller, after netip.Prefix, limit int) page {
 		pg.NextAfter = items[len(items)-1].Prefix
 	}
 	return pg
-}
-
-func sortPrefixes(ps []netip.Prefix) {
-	sort.Slice(ps, func(i, j int) bool { return rib.ComparePrefixes(ps[i], ps[j]) < 0 })
 }
 
 func ifName(inv *core.Inventory, id int) string {

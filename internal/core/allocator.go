@@ -151,20 +151,6 @@ type PathWeight struct {
 	RateBps float64
 }
 
-// SameMultipath reports whether two weighted member sets are
-// identical: same routes in the same order with the same weights.
-func SameMultipath(a, b []PathWeight) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Via != b[i].Via || a[i].ToIF != b[i].ToIF || a[i].WeightPct != b[i].WeightPct {
-			return false
-		}
-	}
-	return true
-}
-
 // AllocResult is the allocator's outcome for one cycle.
 type AllocResult struct {
 	// Overrides are the decisions, in the order they were made.
@@ -205,7 +191,7 @@ var allocEpoch atomic.Uint64
 // When tr is non-nil, every prefix the allocator considers gets a
 // structured trace record (candidates with rejection reasons, final
 // outcome) in tr. A nil tr records nothing and costs nothing.
-func AllocateStickyTraced(proj *Projection, inv *Inventory, cfg AllocatorConfig, prior map[netip.Prefix]Override, tr *CycleTrace) *AllocResult {
+func AllocateStickyTraced(proj *Projection, inv *Inventory, cfg AllocatorConfig, prior OverrideSet, tr *CycleTrace) *AllocResult {
 	cfg.setDefaults()
 	res := &AllocResult{ResidualOverloadBps: make(map[int]float64)}
 
@@ -295,14 +281,9 @@ func AllocateStickyTraced(proj *Projection, inv *Inventory, cfg AllocatorConfig,
 
 	// Stickiness pass: retain still-needed, still-feasible detours from
 	// the previous cycle before choosing any new ones.
-	if !cfg.NoSticky && len(prior) > 0 {
-		keys := make([]netip.Prefix, 0, len(prior))
-		for p := range prior {
-			keys = append(keys, p)
-		}
-		rib.SortPrefixes(keys)
-		for _, prefix := range keys {
-			old := prior[prefix]
+	if !cfg.NoSticky {
+		for i := range prior {
+			old, prefix := &prior[i], prior[i].Prefix
 			// Multipath overrides belong to the perf pass, which applies
 			// its own hysteresis; retaining one here as a single-path
 			// detour would collapse the weighted set.

@@ -483,7 +483,7 @@ func TestAllocateStampsDoNotLeak(t *testing.T) {
 		demand[netip.MustParsePrefix(fmt.Sprintf("10.0.%d.0/24", i))] = 1.2e9 // 12G on the 10G PNI
 	}
 	cfg := AllocatorConfig{Threshold: 0.95}
-	fresh := func(prior map[netip.Prefix]Override) *AllocResult {
+	fresh := func(prior OverrideSet) *AllocResult {
 		return AllocateStickyTraced(Project(tab, demand), inv, cfg, prior, nil)
 	}
 
@@ -506,10 +506,7 @@ func TestAllocateStampsDoNotLeak(t *testing.T) {
 	if got := AllocateStickyTraced(second, inv, cfg, nil, nil); !reflect.DeepEqual(got, got1) {
 		t.Fatalf("second projection over stamped plans: %+v, want %+v", got, got1)
 	}
-	prior := map[netip.Prefix]Override{}
-	for _, o := range got1.Overrides[:len(got1.Overrides)/2] {
-		prior[o.Prefix] = o
-	}
+	prior := NewOverrideSet(got1.Overrides[:len(got1.Overrides)/2])
 	got2 := AllocateStickyTraced(second, inv, cfg, prior, nil)
 	if want := fresh(prior); !reflect.DeepEqual(got2, want) || got2.Retained == 0 {
 		t.Fatalf("sticky call over stamped plans: %+v, fresh %+v", got2, want)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net"
 	"net/netip"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -556,20 +557,13 @@ func (c *Controller) exportDeltaStats(ds DeltaStats) {
 	m.Gauge("edgefabric_delta_heavy_threshold_bps").Set(ds.HeavyThr)
 }
 
-// frozenReport is a fail-static cycle's report: the injector's installed
-// set, sorted, as the desired set, and the demand it detours. It
+// frozenReport is a fail-static cycle's report: a copy of the injector's
+// installed set as the desired set, and the demand it detours. It
 // deliberately does not read the demand window, which is decaying
 // toward zero while inputs are stale: acting on it would withdraw
 // detours while blind.
 func (c *Controller) frozenReport(now time.Time, reasons []string) *CycleReport {
-	installed := c.injector.Installed()
-	frozen := make([]Override, 0, len(installed))
-	for _, o := range installed {
-		frozen = append(frozen, o)
-	}
-	sort.Slice(frozen, func(a, b int) bool {
-		return rib.ComparePrefixes(frozen[a].Prefix, frozen[b].Prefix) < 0
-	})
+	frozen := slices.Clone(c.injector.Installed())
 	rep := &CycleReport{Time: now, Health: HealthFailStatic, HealthReasons: reasons, IfUtil: map[int]float64{}, Overrides: frozen}
 	for _, o := range frozen {
 		rep.DetouredBps += o.RateBps
@@ -938,7 +932,7 @@ func (c *Controller) ExplainSummary() string {
 }
 
 // Installed returns the injector's currently-announced override set.
-func (c *Controller) Installed() map[netip.Prefix]Override {
+func (c *Controller) Installed() OverrideSet {
 	return c.injector.Installed()
 }
 

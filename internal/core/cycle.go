@@ -23,7 +23,7 @@ type CycleInput struct {
 	Multipath MultipathConfig
 	// Installed is the override set the routers hold before the cycle:
 	// the sticky pass's prior and the optimizer's hysteresis base.
-	Installed map[netip.Prefix]Override
+	Installed OverrideSet
 	// Trace receives decision provenance; nil records nothing.
 	Trace *CycleTrace
 }
@@ -86,7 +86,7 @@ func Decide(in CycleInput, st *DecideState) (*CycleReport, DeltaStats) {
 		// The optimizer skips every prefix the overload pass moved, so its
 		// output appends to a copy of alloc's (reused verbatim next cycle)
 		// without conflicts.
-		perf := MultipathAllocateTraced(proj, in.Inventory, st.Measurer.Reports(), alloc, in.Installed, in.Allocator, in.Multipath, in.Trace)
+		perf := MultipathAllocate(proj, in.Inventory, st.Measurer.Reports(), alloc, in.Installed, in.Allocator, in.Multipath, in.Trace)
 		rep.Overrides = append(slices.Clip(rep.Overrides), perf...)
 		for _, o := range perf {
 			rep.DetouredBps += o.RateBps

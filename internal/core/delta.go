@@ -498,26 +498,21 @@ func kthLargest(a []float64, k int) float64 {
 // that produced it.
 type AllocState struct {
 	last      *AllocResult
-	lastPrior map[netip.Prefix]Override
+	lastPrior OverrideSet // immutable, so kept without a copy
 	lastThr   float64
 }
 
-// samePrior reports whether two prior-override maps would drive the
-// sticky pass identically: same prefixes, same detour route, same
-// split/rate shape.
-func samePrior(a, b map[netip.Prefix]Override) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for p, oa := range a {
-		ob, ok := b[p]
-		if !ok || oa.Via != ob.Via || oa.SplitOf != ob.SplitOf ||
-			oa.FromIF != ob.FromIF || oa.ToIF != ob.ToIF || oa.RateBps != ob.RateBps ||
-			!SameMultipath(oa.Multipath, ob.Multipath) {
-			return false
-		}
-	}
-	return true
+// samePrior reports whether two prior sets would drive the sticky pass
+// identically: same prefixes, same detour route, same split/rate shape,
+// same member routes and weights.
+func samePrior(a, b OverrideSet) bool {
+	return slices.EqualFunc(a, b, func(oa, ob Override) bool {
+		return oa.Prefix == ob.Prefix && oa.Via == ob.Via && oa.SplitOf == ob.SplitOf &&
+			oa.FromIF == ob.FromIF && oa.ToIF == ob.ToIF && oa.RateBps == ob.RateBps &&
+			slices.EqualFunc(oa.Multipath, ob.Multipath, func(x, y PathWeight) bool {
+				return x.Via == y.Via && x.ToIF == y.ToIF && x.WeightPct == y.WeightPct
+			})
+	})
 }
 
 // AllocateDelta is AllocateStickyTraced with the projection delta
@@ -533,7 +528,7 @@ func samePrior(a, b map[netip.Prefix]Override) bool {
 // the cycle without fresh per-prefix decision traces. It keeps no reuse
 // state either, and empties st, so an untraced call after it cannot
 // reuse a result from before it.
-func AllocateDelta(proj *Projection, inv *Inventory, cfg AllocatorConfig, prior map[netip.Prefix]Override, tr *CycleTrace, ds *DeltaStats, st *AllocState) *AllocResult {
+func AllocateDelta(proj *Projection, inv *Inventory, cfg AllocatorConfig, prior OverrideSet, tr *CycleTrace, ds *DeltaStats, st *AllocState) *AllocResult {
 	if tr != nil {
 		*st = AllocState{}
 		return AllocateStickyTraced(proj, inv, cfg, prior, tr)
@@ -545,9 +540,6 @@ func AllocateDelta(proj *Projection, inv *Inventory, cfg AllocatorConfig, prior 
 	res := AllocateStickyTraced(proj, inv, cfg, prior, tr)
 	st.last = res
 	st.lastThr = proj.HeavyThrBps
-	st.lastPrior = make(map[netip.Prefix]Override, len(prior))
-	for p, o := range prior {
-		st.lastPrior[p] = o
-	}
+	st.lastPrior = prior
 	return res
 }

@@ -340,7 +340,7 @@ func TestAllocateDeltaReuse(t *testing.T) {
 	var st AllocState
 
 	proj, ds := pj.ProjectDelta(tab, demand)
-	prior := map[netip.Prefix]Override{}
+	var prior OverrideSet
 	r1 := AllocateDelta(proj, inv, cfg, prior, nil, &ds, &st)
 	want1 := AllocateStickyTraced(proj, inv, cfg, prior, nil)
 	if len(r1.Overrides) != len(want1.Overrides) {
@@ -385,10 +385,7 @@ func TestAllocateDeltaReuse(t *testing.T) {
 	if !ds.Unchanged {
 		t.Fatalf("stats = %+v, want unchanged on idle cycle", ds)
 	}
-	prior2 := map[netip.Prefix]Override{}
-	for _, o := range r4.Overrides {
-		prior2[o.Prefix] = o
-	}
+	prior2 := NewOverrideSet(r4.Overrides)
 	if len(prior2) > 0 {
 		r5 := AllocateDelta(proj, inv, cfg, prior2, nil, &ds, &st)
 		if r5 == r4 {
@@ -406,7 +403,7 @@ func TestAllocateDeltaTracedKeepsNoState(t *testing.T) {
 	tab, demand := equivScenario(300, 17)
 	pj := &Projector{Workers: 1, FullSweepEvery: -1}
 	cfg := AllocatorConfig{Threshold: 0.95}
-	prior := map[netip.Prefix]Override{}
+	var prior OverrideSet
 	var st AllocState
 
 	proj, ds := pj.ProjectDelta(tab, demand)

@@ -247,7 +247,7 @@ func reconcileFleet(t *testing.T) (*FleetSupervisor, *Reconciler, []string) {
 	}
 	for _, name := range names {
 		ctrl, _ := sup.Controller(name)
-		if ctrl.InstalledCount() == 0 {
+		if len(ctrl.Installed()) == 0 {
 			t.Fatalf("%s installed no overrides during warmup", name)
 		}
 	}
@@ -285,7 +285,7 @@ func TestReconcilerRollingApply(t *testing.T) {
 				continue
 			}
 			ctrl, _ := sup.Controller(ps.PoP)
-			if n := ctrl.InstalledCount(); n != 0 {
+			if n := len(ctrl.Installed()); n != 0 {
 				t.Fatalf("%s draining with %d overrides still installed", ps.PoP, n)
 			}
 			if !sup.Draining(ps.PoP) {
@@ -321,7 +321,7 @@ func TestReconcilerRollingApply(t *testing.T) {
 	sup.RunCycleAll()
 	for _, name := range names {
 		ctrl, _ := sup.Controller(name)
-		if ctrl.InstalledCount() == 0 {
+		if len(ctrl.Installed()) == 0 {
 			t.Errorf("%s installed nothing after the rollout resumed it", name)
 		}
 	}

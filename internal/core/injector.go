@@ -53,16 +53,13 @@ type Injector struct {
 	metrics *metrics.Registry
 
 	mu        sync.Mutex
-	installed map[netip.Prefix]Override
+	installed OverrideSet
 	routers   map[netip.Addr]*injRouter
-	// view is the cached snapshot handed out by Installed; nil when a
-	// Sync has changed installed since the last snapshot was built.
-	view map[netip.Prefix]Override
 }
 
 // injScratch is the working memory one Sync or re-feed reuses across
 // its routers and UPDATEs. It is dropped with the call, as is Sync's
-// per-prefix map: kept between cycles, they held about 120 KB of live
+// per-prefix slice: kept between cycles, they held about 120 KB of live
 // heap on pop_multipath to save a few dozen allocations a cycle.
 // UPDATEs are marshalled synchronously, and what the call keeps
 // (installed, delivered) is copied out by value.
@@ -80,6 +77,7 @@ type injScratch struct {
 
 // prefixSync is one prefix's state within a Sync.
 type prefixSync struct {
+	prefix      netip.Prefix
 	want        *Override // into Sync's desired slice; nil when only withdrawn
 	tries, took int32     // routers it was sent to, routers that took it
 }
@@ -116,11 +114,10 @@ func NewInjector(cfg InjectorConfig) (*Injector, error) {
 		return nil, err
 	}
 	return &Injector{
-		speaker:   sp,
-		cfg:       cfg,
-		metrics:   cfg.Metrics,
-		installed: make(map[netip.Prefix]Override),
-		routers:   make(map[netip.Addr]*injRouter),
+		speaker: sp,
+		cfg:     cfg,
+		metrics: cfg.Metrics,
+		routers: make(map[netip.Addr]*injRouter),
 	}, nil
 }
 
@@ -221,20 +218,12 @@ func (inj *Injector) WaitEstablished(ctx context.Context) error {
 	return nil
 }
 
-// Installed returns a snapshot of the currently-announced override set.
-// The snapshot is cached and shared between callers until the next Sync
-// changes something, so steady-state cycles don't rebuild it; callers
-// must not modify the returned map.
-func (inj *Injector) Installed() map[netip.Prefix]Override {
+// Installed returns the currently-announced override set. The set is
+// shared, not copied: a Sync that changes it installs a new set.
+func (inj *Injector) Installed() OverrideSet {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
-	if inj.view == nil {
-		inj.view = make(map[netip.Prefix]Override, len(inj.installed))
-		for k, v := range inj.installed {
-			inj.view[k] = v
-		}
-	}
-	return inj.view
+	return inj.installed
 }
 
 // batchSize bounds prefixes per UPDATE; conservative against the 4 KiB
@@ -405,13 +394,27 @@ type SyncResult struct {
 // the drop already withdrew their state — and are refreshed by the
 // session handler when they return.
 func (inj *Injector) Sync(desired []Override) (SyncResult, error) {
-	var res SyncResult
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
 	var s injScratch
-	track := make(map[netip.Prefix]prefixSync, len(desired))
+	// track has one entry per desired prefix, sorted (a prefix listed
+	// twice keeps its last override), then one per prefix only withdrawn,
+	// indexed by gone. entry's pointer is valid until its next call.
+	track := make([]prefixSync, len(desired))
 	for i := range desired {
-		track[desired[i].Prefix] = prefixSync{want: &desired[i]}
+		track[i] = prefixSync{prefix: desired[i].Prefix, want: &desired[i]}
+	}
+	track = lastPerPrefix(track, func(e prefixSync) netip.Prefix { return e.prefix })
+	nwant, gone := len(track), map[netip.Prefix]int{}
+	entry := func(p netip.Prefix) *prefixSync {
+		i, ok := slices.BinarySearchFunc(track[:nwant], p, func(e prefixSync, p netip.Prefix) int { return rib.ComparePrefixes(e.prefix, p) })
+		if !ok {
+			if i, ok = gone[p]; !ok {
+				i, gone[p] = len(track), len(track)
+				track = append(track, prefixSync{prefix: p})
+			}
+		}
+		return &track[i]
 	}
 
 	var up []*injRouter
@@ -430,92 +433,86 @@ func (inj *Injector) Sync(desired []Override) (SyncResult, error) {
 	for _, r := range up {
 		wd := s.prefixes[:0]
 		for prefix, sig := range r.delivered {
-			e := track[prefix]
-			if e.want != nil && sigOf(e.want) == sig {
-				continue
+			if e := entry(prefix); e.want == nil || sigOf(e.want) != sig {
+				wd = append(wd, prefix)
+				e.tries++
 			}
-			wd = append(wd, prefix)
-			e.tries++
-			track[prefix] = e
 		}
 		s.prefixes = wd
 		for _, p := range s.withdrawUpdates(wd, r.peer.SendUpdate) {
 			delete(r.delivered, p)
-			e := track[p]
-			e.took++
-			track[p] = e
+			entry(p).took++
 		}
 	}
 
 	// Announce what each router is missing.
 	for _, r := range up {
-		adds := slices.Grow(s.adds[:0], len(desired))
-		for prefix, e := range track {
-			if e.want == nil {
-				continue
+		adds := slices.Grow(s.adds[:0], nwant)
+		for i := range track[:nwant] {
+			e := &track[i]
+			if sig, ok := r.delivered[e.prefix]; !ok || sig != sigOf(e.want) {
+				adds = append(adds, e.want)
+				e.tries++
 			}
-			if sig, ok := r.delivered[prefix]; ok && sig == sigOf(e.want) {
-				continue
-			}
-			adds = append(adds, e.want)
-			e.tries++
-			track[prefix] = e
 		}
 		s.adds = adds
 		for _, o := range s.announce(r, adds) {
 			r.delivered[o.Prefix] = sigOf(o)
-			e := track[o.Prefix]
-			e.took++
-			track[o.Prefix] = e
+			entry(o.Prefix).took++
 		}
 	}
 
-	// Global bookkeeping: the installed set is what the PoP actually
-	// carries somewhere. A prefix leaves when no longer desired (or its
-	// announcement changed); it enters once at least one router took it.
-	// A changed announcement some router took is both: it replaces the
-	// old entry in place, which reuses the map's storage for it.
-	var errNoRouter error
-	for prefix, old := range inj.installed {
-		e := track[prefix]
-		if e.want != nil && sigOf(e.want) == sigOf(&old) {
-			continue
-		}
-		res.Withdrawn++
-		if e.want != nil && e.took > 0 {
-			inj.installed[prefix] = *e.want
-			res.Announced++
-			continue
-		}
-		delete(inj.installed, prefix)
-	}
-	for prefix, e := range track {
-		if e.took > 0 && e.took < e.tries {
-			res.Partial++
-		}
-		if e.want == nil {
-			continue
-		}
-		if _, ok := inj.installed[prefix]; ok {
-			continue
-		}
-		if e.took > 0 {
-			inj.installed[prefix] = *e.want
-			res.Announced++
-		} else {
-			errNoRouter = fmt.Errorf("core: announce %s reached no router", prefix)
-		}
-	}
+	// Merge the prefixes only withdrawn into the sorted desired ones.
+	slices.SortFunc(track, func(a, b prefixSync) int { return rib.ComparePrefixes(a.prefix, b.prefix) })
+	installed, res, err := settle(inj.installed, track)
+	inj.installed = installed
 	if res.Partial > 0 {
 		inj.metrics.Counter("edgefabric_injection_partial_total").Add(uint64(res.Partial))
 	}
-	if res.Announced > 0 || res.Withdrawn > 0 {
-		inj.view = nil
+	if err == nil && len(up) == 0 && len(desired) > 0 {
+		err = fmt.Errorf("core: no injection session established")
 	}
-	if errNoRouter == nil && len(up) == 0 && len(desired) > 0 {
-		errNoRouter = fmt.Errorf("core: no injection session established")
+	return res, err
+}
+
+// settle is Sync's global bookkeeping, a pure function of the set
+// installed before and the Sync's outcome (track: one entry per prefix,
+// sorted; its wants are overwritten). A prefix leaves when no longer
+// desired or changed, and enters once a router took it; an unchanged
+// one keeps its override. A changed set is built in one allocation.
+func settle(old OverrideSet, track []prefixSync) (set OverrideSet, res SyncResult, err error) {
+	i, kept := 0, 0
+	for j := range track {
+		e := &track[j]
+		for i < len(old) && rib.ComparePrefixes(old[i].Prefix, e.prefix) < 0 {
+			i++
+		}
+		if e.took > 0 && e.took < e.tries {
+			res.Partial++
+		}
+		switch {
+		case e.want == nil:
+		case i < len(old) && old[i].Prefix == e.prefix && sigOf(e.want) == sigOf(&old[i]):
+			e.want = &old[i]
+			kept++
+		case e.took > 0:
+			res.Announced++
+		default:
+			err = fmt.Errorf("core: announce %s reached no router", e.prefix)
+			e.want = nil
+		}
 	}
-	return res, errNoRouter
+	res.Withdrawn = len(old) - kept
+	if res.Announced == 0 && res.Withdrawn == 0 {
+		return old, res, err
+	}
+	set = make(OverrideSet, 0, kept+res.Announced)
+	for _, e := range track {
+		if e.want != nil {
+			set = append(set, *e.want)
+		}
+	}
+	return set, res, err
 }
 
 // reannounce re-feeds one router the installed override set (called when
@@ -530,7 +527,7 @@ func (inj *Injector) reannounce(addr netip.Addr) {
 	var s injScratch
 	var stray []netip.Prefix
 	for prefix, sig := range r.delivered {
-		if cur, ok := inj.installed[prefix]; !ok || sigOf(&cur) != sig {
+		if cur, ok := inj.installed.Lookup(prefix); !ok || sigOf(&cur) != sig {
 			stray = append(stray, prefix)
 		}
 	}
@@ -541,19 +538,12 @@ func (inj *Injector) reannounce(addr netip.Addr) {
 	if len(withdrawn) < len(stray) {
 		return
 	}
-	var missing []Override
-	for prefix, o := range inj.installed {
-		if sig, ok := r.delivered[prefix]; ok && sig == sigOf(&o) {
-			continue
+	var adds []*Override
+	for i := range inj.installed {
+		o := &inj.installed[i]
+		if sig, ok := r.delivered[o.Prefix]; !ok || sig != sigOf(o) {
+			adds = append(adds, o)
 		}
-		missing = append(missing, o)
-	}
-	if len(missing) == 0 {
-		return
-	}
-	adds := make([]*Override, len(missing))
-	for i := range missing {
-		adds[i] = &missing[i]
 	}
 	done := s.announce(r, adds)
 	for _, o := range done {

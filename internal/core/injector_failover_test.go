@@ -114,7 +114,7 @@ func TestInjectorSessionDropReestablish(t *testing.T) {
 	if got := inj.DeliveredCount(router); got != 0 {
 		t.Errorf("DeliveredCount after drop = %d, want 0", got)
 	}
-	if _, ok := inj.Installed()[o1.Prefix]; !ok {
+	if _, ok := inj.Installed().Lookup(o1.Prefix); !ok {
 		t.Error("installed set lost the override on session drop")
 	}
 
@@ -125,7 +125,7 @@ func TestInjectorSessionDropReestablish(t *testing.T) {
 	if _, err := inj.Sync([]Override{o1, o2}); err == nil {
 		t.Error("Sync with no session up returned nil error")
 	}
-	if _, ok := inj.Installed()[o2.Prefix]; ok {
+	if _, ok := inj.Installed().Lookup(o2.Prefix); ok {
 		t.Error("undeliverable override was recorded as installed")
 	}
 
@@ -224,7 +224,7 @@ func TestInjectorSyncBesideReannounce(t *testing.T) {
 	installed := inj.Installed()
 	for i := range last {
 		o := &last[i]
-		got, ok := installed[o.Prefix]
+		got, ok := installed.Lookup(o.Prefix)
 		if !ok || sigOf(&got) != sigOf(o) {
 			t.Fatalf("%s installed as %+v, want %+v", o.Prefix, got, *o)
 		}

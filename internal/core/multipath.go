@@ -26,7 +26,7 @@ type MultipathConfig struct {
 	// MaxPaths caps the members of one weighted set. Default 3 (the
 	// measured primary plus the MaxAltPaths measured alternates). 1 moves
 	// the whole prefix onto the single best path instead (see
-	// MultipathAllocateTraced).
+	// MultipathAllocate).
 	MaxPaths int
 	// MaxMoves caps new or changed multipath overrides per cycle
 	// (0 = unlimited). Hysteresis re-affirmations are free.
@@ -74,8 +74,8 @@ const (
 	multipathMinSamples = 16
 )
 
-// MultipathPrior indexes the multipath overrides of a previous cycle by
-// prefix, for hysteresis.
+// MultipathPrior indexes a cycle's multipath overrides by prefix for
+// MultipathAllocateTraced, kept for bench/sut.go until it passes a set.
 func MultipathPrior(overrides []Override) map[netip.Prefix]Override {
 	out := make(map[netip.Prefix]Override)
 	for _, o := range overrides {
@@ -84,6 +84,16 @@ func MultipathPrior(overrides []Override) map[netip.Prefix]Override {
 		}
 	}
 	return out
+}
+
+// MultipathAllocateTraced is MultipathAllocate over a MultipathPrior.
+func MultipathAllocateTraced(proj *Projection, inv *Inventory, reports []*altpath.PrefixReport, prior *AllocResult,
+	prev map[netip.Prefix]Override, alloc AllocatorConfig, cfg MultipathConfig, tr *CycleTrace) []Override {
+	set := make([]Override, 0, len(prev))
+	for _, o := range prev {
+		set = append(set, o)
+	}
+	return MultipathAllocate(proj, inv, reports, prior, NewOverrideSet(set), alloc, cfg, tr)
 }
 
 // mpMember is one candidate member during weight computation.
@@ -95,7 +105,7 @@ type mpMember struct {
 	weight float64 // assignShares scratch: this iteration's spread weight
 }
 
-// MultipathAllocateTraced computes weighted multipath overrides from
+// MultipathAllocate computes weighted multipath overrides from
 // alternate-path measurements: for each reported prefix whose measured
 // alternate is at least multipathMinGainMS faster OR whose preferred
 // interface sits above multipathSpreadUtil, demand is split across up to MaxPaths measured
@@ -104,18 +114,18 @@ type mpMember struct {
 // onto the eligible path with the lowest loss-discounted median that
 // carries the whole rate below target, unless that is the primary.
 // prior is the overload pass's result (its moves take precedence and
-// its capacity consumption is accounted); prev is the previous cycle's
-// installed multipath set (hysteresis). reports is reordered in place
+// its capacity consumption is accounted); prev is the installed set,
+// whose weighted sets are the hysteresis base. reports is reordered in place
 // (largest gap first, ties by prefix), so the result does not depend on
 // the order it arrives in. tr receives decision provenance for every
 // prefix a trigger fired on; a nil tr records nothing and keeps the
 // sorted-loop early exits.
-func MultipathAllocateTraced(
+func MultipathAllocate(
 	proj *Projection,
 	inv *Inventory,
 	reports []*altpath.PrefixReport,
 	prior *AllocResult,
-	prev map[netip.Prefix]Override,
+	prev OverrideSet,
 	alloc AllocatorConfig,
 	cfg MultipathConfig,
 	tr *CycleTrace,
@@ -161,8 +171,8 @@ func MultipathAllocateTraced(
 	// prior set, and packed into shared blocks on return (packMembers);
 	// reaffirmed indexes them in out.
 	priorMembers := 0
-	for _, po := range prev {
-		priorMembers += len(po.Multipath)
+	for i := range prev {
+		priorMembers += len(prev[i].Multipath)
 	}
 	pending := make([]PathWeight, 0, priorMembers)
 	reaffirmed := make([]int, 0, len(prev))
@@ -198,7 +208,7 @@ func MultipathAllocateTraced(
 		if budgetSpent {
 			// Hysteresis re-affirmations stay free even with the budget
 			// spent: dropping an installed set is itself churn.
-			if po, ok := prev[rep.Prefix]; ok {
+			if po, ok := prev.Lookup(rep.Prefix); ok {
 				if o, kept := reaffirm(po, plan, load, capOf, alloc, &pending); kept {
 					reaffirmed = append(reaffirmed, len(out))
 					out = append(out, o)
@@ -347,13 +357,14 @@ func MultipathAllocateTraced(
 		// changed set is rendered.
 		var o Override
 		changed := true
-		if po, ok := prev[rep.Prefix]; ok && sameMembers(po.Multipath, fresh) {
+		po, _ := prev.Lookup(rep.Prefix)
+		if sameMembers(po.Multipath, fresh) {
 			if ro, kept := reaffirm(po, plan, load, capOf, alloc, &pending); kept {
 				o, changed = ro, false
 			}
 		}
 		if changed {
-			o = buildOverride(rep.Prefix, plan, members[0].stat, fresh, rate, rep.GapMS, primary, congested, util, prev[rep.Prefix].Reason)
+			o = buildOverride(rep.Prefix, plan, members[0].stat, fresh, rate, rep.GapMS, primary, congested, util, po.Reason)
 		}
 
 		for _, pw := range o.Multipath {

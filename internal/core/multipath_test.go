@@ -190,7 +190,7 @@ func TestMultipathHysteresisSuppressesJitter(t *testing.T) {
 	if len(second) != 1 {
 		t.Fatalf("second = %+v", second)
 	}
-	if !SameMultipath(first[0].Multipath, second[0].Multipath) {
+	if !first[0].SameDecision(&second[0]) {
 		t.Errorf("weights churned under hysteresis:\n first %+v\nsecond %+v",
 			first[0].Multipath, second[0].Multipath)
 	}
@@ -261,7 +261,7 @@ func TestStickySkipsMultipathPriors(t *testing.T) {
 	proj := Project(tab, map[netip.Prefix]float64{p: 11e9})
 	plan := proj.Plans[p]
 	transit := plan.Alternates[0]
-	prior := map[netip.Prefix]Override{p: {
+	prior := OverrideSet{{
 		Prefix: p, Via: transit, FromIF: 0, ToIF: 3, RateBps: 11e9,
 		Multipath: []PathWeight{
 			{Via: transit, ToIF: 3, WeightPct: 60, RateBps: 6.6e9},
@@ -274,23 +274,27 @@ func TestStickySkipsMultipathPriors(t *testing.T) {
 	}
 }
 
-func TestSameMultipath(t *testing.T) {
+// samePrior compares member sets route by route with their weights.
+func TestSamePriorMembers(t *testing.T) {
 	r1 := route("10.0.0.0/24", "172.20.0.1", rib.ClassPrivate, 0, 65010)
 	r2 := route("10.0.0.0/24", "172.20.0.9", rib.ClassTransit, 3, 64601, 65010)
-	a := []PathWeight{{Via: r2, ToIF: 3, WeightPct: 60}, {Via: r1, ToIF: 0, WeightPct: 40}}
-	b := []PathWeight{{Via: r2, ToIF: 3, WeightPct: 60}, {Via: r1, ToIF: 0, WeightPct: 40}}
-	if !SameMultipath(a, b) {
+	set := func(members ...PathWeight) OverrideSet {
+		return OverrideSet{{Prefix: r1.Prefix, Via: r2, ToIF: 3, Multipath: members}}
+	}
+	a := set(PathWeight{Via: r2, ToIF: 3, WeightPct: 60}, PathWeight{Via: r1, ToIF: 0, WeightPct: 40})
+	b := set(PathWeight{Via: r2, ToIF: 3, WeightPct: 60}, PathWeight{Via: r1, ToIF: 0, WeightPct: 40})
+	if !samePrior(a, b) {
 		t.Error("identical sets compare unequal")
 	}
-	b[1].WeightPct = 39
-	if SameMultipath(a, b) {
+	b[0].Multipath[1].WeightPct = 39
+	if samePrior(a, b) {
 		t.Error("different weights compare equal")
 	}
-	if !SameMultipath(nil, nil) {
-		t.Error("nil sets must compare equal")
+	if !samePrior(set(), set()) || !samePrior(nil, nil) {
+		t.Error("sets without members must compare equal")
 	}
-	if SameMultipath(a, nil) {
-		t.Error("set vs nil must compare unequal")
+	if samePrior(a, set()) || samePrior(a, nil) {
+		t.Error("a weighted set must differ from none")
 	}
 }
 

@@ -261,12 +261,6 @@ func (c *Controller) allocatorCfg() AllocatorConfig {
 	return c.cfg.Allocator
 }
 
-// InstalledCount returns the number of currently-announced overrides
-// (the reconciler's drain-completion check).
-func (c *Controller) InstalledCount() int {
-	return len(c.injector.Installed())
-}
-
 // LastReport returns the most recent cycle report, if any cycle ran.
 func (c *Controller) LastReport() (CycleReport, bool) {
 	c.mu.Lock()

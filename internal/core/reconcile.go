@@ -227,7 +227,7 @@ func (r *Reconciler) Step() bool {
 
 	switch st.phase {
 	case PhaseDraining:
-		if n := ctrl.InstalledCount(); n > 0 {
+		if n := len(ctrl.Installed()); n > 0 {
 			st.rounds++
 			st.detail = fmt.Sprintf("%d overrides still installed", n)
 			if st.rounds > r.cfg.MaxRoundsPerPhase {

@@ -84,7 +84,7 @@ func TestAllocateStickyRetainsSplit(t *testing.T) {
 	if len(first.Overrides) != 1 || !first.Overrides[0].SplitOf.IsValid() {
 		t.Fatalf("setup: %+v", first.Overrides)
 	}
-	prior := map[netip.Prefix]Override{first.Overrides[0].Prefix: first.Overrides[0]}
+	prior := OverrideSet{first.Overrides[0]}
 	second := AllocateStickyTraced(Project(tab, demand), inv, cfg, prior, nil)
 	if second.Retained != 1 {
 		t.Fatalf("retained = %d, overrides %+v", second.Retained, second.Overrides)

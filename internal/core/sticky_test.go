@@ -32,10 +32,7 @@ func TestAllocateStickyRetainsDetours(t *testing.T) {
 	if len(first.Overrides) == 0 {
 		t.Fatal("no initial overrides")
 	}
-	prior := make(map[netip.Prefix]Override)
-	for _, o := range first.Overrides {
-		prior[o.Prefix] = o
-	}
+	prior := NewOverrideSet(first.Overrides)
 
 	// Demand wiggles slightly; a fresh stateless run could pick
 	// different prefixes, but the sticky run must keep the same set.
@@ -47,7 +44,7 @@ func TestAllocateStickyRetainsDetours(t *testing.T) {
 		t.Fatal("nothing retained")
 	}
 	for _, o := range second.Overrides[:second.Retained] {
-		old, ok := prior[o.Prefix]
+		old, ok := prior.Lookup(o.Prefix)
 		if !ok {
 			t.Errorf("retained override for %s was not in prior", o.Prefix)
 			continue
@@ -62,10 +59,7 @@ func TestAllocateStickyReleasesWhenOverloadGone(t *testing.T) {
 	inv, tab, demand := stickyFixture(t)
 	cfg := AllocatorConfig{Threshold: 0.95}
 	first := AllocateStickyTraced(Project(tab, demand), inv, cfg, nil, nil)
-	prior := make(map[netip.Prefix]Override)
-	for _, o := range first.Overrides {
-		prior[o.Prefix] = o
-	}
+	prior := NewOverrideSet(first.Overrides)
 	// Demand collapses: no interface is hot, every detour must lapse.
 	for p := range demand {
 		demand[p] = 0.1e9
@@ -80,10 +74,7 @@ func TestAllocateStickyRespectsFeasibility(t *testing.T) {
 	inv, tab, demand := stickyFixture(t)
 	cfg := AllocatorConfig{Threshold: 0.95}
 	first := AllocateStickyTraced(Project(tab, demand), inv, cfg, nil, nil)
-	prior := make(map[netip.Prefix]Override)
-	for _, o := range first.Overrides {
-		prior[o.Prefix] = o
-	}
+	prior := NewOverrideSet(first.Overrides)
 	// The previously-used detour target becomes saturated by growing
 	// every prefix hugely: retention must not overload it.
 	for p := range demand {
@@ -102,10 +93,7 @@ func TestAllocateStickyNoStickyFlag(t *testing.T) {
 	inv, tab, demand := stickyFixture(t)
 	cfg := AllocatorConfig{Threshold: 0.95, NoSticky: true}
 	first := AllocateStickyTraced(Project(tab, demand), inv, cfg, nil, nil)
-	prior := make(map[netip.Prefix]Override)
-	for _, o := range first.Overrides {
-		prior[o.Prefix] = o
-	}
+	prior := NewOverrideSet(first.Overrides)
 	res := AllocateStickyTraced(Project(tab, demand), inv, cfg, prior, nil)
 	if res.Retained != 0 {
 		t.Errorf("NoSticky retained %d", res.Retained)
@@ -132,8 +120,8 @@ func TestAllocateStickySplitRetention(t *testing.T) {
 	if !ok {
 		t.Fatal("split failed")
 	}
-	prior := map[netip.Prefix]Override{
-		lo: {Prefix: lo, SplitOf: agg, Via: transit, FromIF: 0, ToIF: 3, RateBps: 11e9},
+	prior := OverrideSet{
+		{Prefix: lo, SplitOf: agg, Via: transit, FromIF: 0, ToIF: 3, RateBps: 11e9},
 	}
 	res := AllocateStickyTraced(proj, inv, cfg, prior, nil)
 	if res.Retained != 1 {
@@ -167,10 +155,7 @@ func TestAllocateStickyDropsVanishedRoute(t *testing.T) {
 	if len(first.Overrides) == 0 {
 		t.Fatal("no initial overrides")
 	}
-	prior := make(map[netip.Prefix]Override)
-	for _, o := range first.Overrides {
-		prior[o.Prefix] = o
-	}
+	prior := NewOverrideSet(first.Overrides)
 	// The detour peer's session dies: its routes vanish.
 	tab.RemovePeer(first.Overrides[0].Via.PeerAddr)
 	res := AllocateStickyTraced(Project(tab, demand), inv, cfg, prior, nil)

@@ -279,10 +279,7 @@ func TestControllerExplain(t *testing.T) {
 	if len(installed) == 0 {
 		t.Fatal("no overrides installed")
 	}
-	var detoured netip.Prefix
-	for p := range installed {
-		detoured = p
-	}
+	detoured := installed[len(installed)-1].Prefix
 	s := ctrl.Explain(detoured)
 	if !strings.Contains(s, "override installed") || !strings.Contains(s, "ACCEPTED") {
 		t.Errorf("Explain(detoured %s):\n%s", detoured, s)
@@ -302,7 +299,7 @@ func TestControllerExplain(t *testing.T) {
 	others := 0
 	for _, p := range []string{"10.0.0.0/24", "10.0.1.0/24", "10.0.2.0/24", "10.0.3.0/24"} {
 		pfx := netip.MustParsePrefix(p)
-		if _, ok := installed[pfx]; ok {
+		if _, ok := installed.Lookup(pfx); ok {
 			continue
 		}
 		others++

@@ -283,15 +283,14 @@ func E5DetourDurations(h *Harness, d time.Duration) *DetourDurationResult {
 			return
 		}
 		now := r.Time
-		current := make(map[netip.Prefix]bool, len(r.Overrides))
-		for _, o := range r.Overrides {
-			current[o.Prefix] = true
+		current := core.NewOverrideSet(r.Overrides)
+		for _, o := range current {
 			if _, ok := started[o.Prefix]; !ok {
 				started[o.Prefix] = now
 			}
 		}
 		for p, t0 := range started {
-			if !current[p] {
+			if _, ok := current.Lookup(p); !ok {
 				res.Durations = append(res.Durations, now.Sub(t0))
 				delete(started, p)
 			}

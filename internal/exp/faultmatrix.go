@@ -152,9 +152,8 @@ func E11FaultMatrix(h *Harness) (*FaultMatrixResult, error) {
 	}
 
 	// ---- Phase A: total sFlow blackout mid-overload.
-	installed := h.Controller.Installed()
-	frozen := installedDecision(installed)
-	res.FrozenOverrides = len(installed)
+	frozen := h.Controller.Installed()
+	res.FrozenOverrides = len(frozen)
 	h.Loss.Kill()
 	res.FreezeCycles, ok = stepUntil(h, 4, func(r *core.CycleReport) bool {
 		return r.Health == core.HealthFailStatic
@@ -165,10 +164,10 @@ func E11FaultMatrix(h *Harness) (*FaultMatrixResult, error) {
 	// While frozen, the installed decision must not move (the demand
 	// window is decaying under the controller; acting on it would
 	// withdraw or re-weight detours exactly while blind).
-	res.FrozenStable = installedDecision(h.Controller.Installed()) == frozen
+	res.FrozenStable = h.Controller.Installed().Equal(frozen)
 	failBack, reachedFB := stepUntil(h, 8, func(r *core.CycleReport) bool {
 		if r.Health == core.HealthFailStatic {
-			res.FrozenStable = res.FrozenStable && installedDecision(h.Controller.Installed()) == frozen
+			res.FrozenStable = res.FrozenStable && h.Controller.Installed().Equal(frozen)
 		}
 		return r.Health == core.HealthFailBack
 	})
@@ -246,14 +245,14 @@ func E11FaultMatrix(h *Harness) (*FaultMatrixResult, error) {
 
 	// ---- Phase C: injected cycle panic.
 	panicsBefore := h.Controller.Metrics().Counter("edgefabric_cycle_panics_total").Value()
-	held := installedDecision(h.Controller.Installed())
+	held := h.Controller.Installed()
 	h.Controller.PanicNextCycle()
 	r := stepCycles(h, 1)
 	res.PanicCounted = h.Controller.Metrics().Counter("edgefabric_cycle_panics_total").Value() == panicsBefore+1
-	res.PanicFroze = r.Health == core.HealthFailStatic && installedDecision(h.Controller.Installed()) == held
+	res.PanicFroze = r.Health == core.HealthFailStatic && h.Controller.Installed().Equal(held)
 	res.PanicRecoverCycles, ok = stepUntil(h, 6, func(r *core.CycleReport) bool {
 		if r.Health == core.HealthFailStatic {
-			res.PanicFroze = res.PanicFroze && installedDecision(h.Controller.Installed()) == held
+			res.PanicFroze = res.PanicFroze && h.Controller.Installed().Equal(held)
 		}
 		return r.Health == core.HealthHealthy
 	})

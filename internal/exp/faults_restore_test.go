@@ -137,10 +137,7 @@ func TestResetInjectionDuringSync(t *testing.T) {
 // drops the datagrams.
 func TestLossySinkFullLossRate(t *testing.T) {
 	h := restoreTestHarness(t)
-	frozen := make(map[string]bool)
-	for p := range h.Controller.Installed() {
-		frozen[p.String()] = true
-	}
+	frozen := h.Controller.Installed()
 	droppedBefore := h.Loss.Dropped()
 
 	h.Loss.SetLossRate(1.0)
@@ -158,9 +155,9 @@ func TestLossySinkFullLossRate(t *testing.T) {
 	if len(inst) != len(frozen) {
 		t.Errorf("frozen set moved: %d overrides, had %d", len(inst), len(frozen))
 	}
-	for p := range inst {
-		if !frozen[p.String()] {
-			t.Errorf("override %s appeared while frozen", p)
+	for _, o := range inst {
+		if _, ok := frozen.Lookup(o.Prefix); !ok {
+			t.Errorf("override %s appeared while frozen", o.Prefix)
 		}
 	}
 	if _, ok := stepUntil(h, 10, func(r *core.CycleReport) bool {
@@ -228,7 +225,7 @@ func TestFailBackRecoveryRespectsMoveBudget(t *testing.T) {
 		}
 		fresh := 0
 		for _, o := range r.Overrides {
-			if len(o.Multipath) > 0 && !sameWeightedSet(pre[o.Prefix], o) {
+			if po, _ := pre.Lookup(o.Prefix); len(o.Multipath) > 0 && !sameWeightedSet(po, o) {
 				fresh++
 			}
 		}

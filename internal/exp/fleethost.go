@@ -146,28 +146,30 @@ type TwinCheck struct {
 }
 
 // step advances a hosted member and its isolated twin one tick each,
-// compares their decisions when either ran a cycle (a cycle only one
-// side ran is a mismatch), and returns the hosted member's tick. at
+// compares their decisions, and returns the hosted member's tick. at
 // labels the step in a mismatch.
 func (c *TwinCheck) step(hosted, isolated *Harness, at int) (*netsim.TickStats, *core.CycleReport) {
 	hs, hr := hosted.Step()
 	_, ir := isolated.Step()
+	c.compare(hosted.Scenario.Topo.Name, at, hr, ir)
+	return hs, hr
+}
+
+// compare counts a step of member pop in which either twin ran a cycle;
+// a mismatch names the first prefix whose decision differs.
+func (c *TwinCheck) compare(pop string, at int, hr, ir *core.CycleReport) {
 	if hr == nil && ir == nil {
-		return hs, hr
+		return
 	}
 	c.ComparedCycles++
-	hd, id := "no cycle", "no cycle"
-	if hr != nil {
+	diff := "only one twin ran a cycle"
+	if hr != nil && ir != nil {
 		c.OverridesSeen += len(hr.Overrides)
-		hd = decisionOf(hr.Overrides)
+		diff = firstDiff(core.NewOverrideSet(hr.Overrides), core.NewOverrideSet(ir.Overrides))
 	}
-	if ir != nil {
-		id = decisionOf(ir.Overrides)
-	}
-	if hd == id {
+	if diff == "" {
 		c.IdenticalCycles++
 	} else if c.FirstMismatch == "" {
-		c.FirstMismatch = fmt.Sprintf("%s step %d: hosted %q vs isolated %q", hosted.Scenario.Topo.Name, at, hd, id)
+		c.FirstMismatch = fmt.Sprintf("%s step %d: hosted vs isolated: %s", pop, at, diff)
 	}
-	return hs, hr
 }

@@ -8,10 +8,7 @@ package exp
 import (
 	"context"
 	"fmt"
-	"io"
 	"net/netip"
-	"slices"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -388,14 +385,11 @@ func (h *Harness) waitOverridesApplied(report *core.CycleReport) {
 // alone would pass a re-weighted set, or a whole-prefix move to another
 // path, before the routers have it.
 func (h *Harness) overridesApplied(report *core.CycleReport) bool {
-	want := make(map[netip.Prefix]*core.Override, len(report.Overrides))
-	for i := range report.Overrides {
-		want[report.Overrides[i].Prefix] = &report.Overrides[i]
-	}
+	want := core.NewOverrideSet(report.Overrides)
 	applied, stale := 0, false
 	h.PoP.Table.EachRoutes(func(p netip.Prefix, routes []*rib.Route) {
-		if o := want[p]; o != nil {
-			if installedAs(routes, o) {
+		if o, ok := want.Lookup(p); ok {
+			if installedAs(routes, &o) {
 				applied++
 			}
 			return
@@ -441,45 +435,23 @@ func installedAs(routes []*rib.Route, o *core.Override) bool {
 	return n == len(o.Multipath)
 }
 
-// foldDecisions folds one cycle's override set into w in
-// rib.ComparePrefixes order — prefix, next hop, egress interface, then
-// each weighted member's next hop and weight — and returns how many of
-// the overrides are weighted sets. It is the one form in which two
-// decisions compare: the decision pins hash it, and decisionOf renders
-// it for the hosted-vs-isolated and fail-static checks.
-func foldDecisions(w io.Writer, overrides []core.Override) (sets int) {
-	sorted := slices.Clone(overrides)
-	slices.SortFunc(sorted, func(a, b core.Override) int { return rib.ComparePrefixes(a.Prefix, b.Prefix) })
-	fmt.Fprintf(w, "cycle %d\n", len(sorted))
-	for _, o := range sorted {
-		fmt.Fprintf(w, "%s %s %d", o.Prefix, o.Via.NextHop, o.ToIF)
-		for _, pw := range o.Multipath {
-			fmt.Fprintf(w, " %s/%d", pw.Via.NextHop, pw.WeightPct)
-		}
-		w.Write([]byte{'\n'})
-		if len(o.Multipath) > 0 {
-			sets++
-		}
+// firstDiff names the first prefix whose decision a and b differ on,
+// with its line in each ("none" where a set lacks it), or "" when they
+// are Equal: past their common run, the lower of the next two prefixes.
+func firstDiff(a, b core.OverrideSet) string {
+	i := 0
+	for i < len(a) && i < len(b) && a[i].SameDecision(&b[i]) {
+		i++
 	}
-	return sets
-}
-
-// decisionOf renders an override set in foldDecisions form; two sets
-// are the same decision when their renderings are equal.
-func decisionOf(overrides []core.Override) string {
-	var b strings.Builder
-	foldDecisions(&b, overrides)
-	return b.String()
-}
-
-// installedDecision renders a controller's installed set
-// (core.Controller.Installed) in foldDecisions form.
-func installedDecision(installed map[netip.Prefix]core.Override) string {
-	overrides := make([]core.Override, 0, len(installed))
-	for _, o := range installed {
-		overrides = append(overrides, o)
+	switch {
+	case i == len(a) && i == len(b):
+		return ""
+	case i == len(b) || i < len(a) && rib.ComparePrefixes(a[i].Prefix, b[i].Prefix) < 0:
+		return fmt.Sprintf("%s: %q vs none", a[i].Prefix, a[i].AppendDecision(nil))
+	case i == len(a) || rib.ComparePrefixes(a[i].Prefix, b[i].Prefix) > 0:
+		return fmt.Sprintf("%s: none vs %q", b[i].Prefix, b[i].AppendDecision(nil))
 	}
-	return decisionOf(overrides)
+	return fmt.Sprintf("%s: %q vs %q", a[i].Prefix, a[i].AppendDecision(nil), b[i].AppendDecision(nil))
 }
 
 // Run steps the simulation for the given virtual duration, invoking

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"net/netip"
+	"strings"
 	"testing"
 	"time"
 
@@ -69,8 +70,8 @@ func TestHarnessClosedLoop(t *testing.T) {
 
 func overridesInTable(h *Harness) bool {
 	found := false
-	for p := range h.Controller.Installed() {
-		if best := h.PoP.Table.Best(p); best != nil && best.FromIBGP {
+	for _, o := range h.Controller.Installed() {
+		if best := h.PoP.Table.Best(o.Prefix); best != nil && best.FromIBGP {
 			found = true
 		}
 	}
@@ -169,10 +170,11 @@ func TestOverridesAppliedComparesWeights(t *testing.T) {
 }
 
 // TestDecisionOfComparesFullDecision pins the one decision form the twin
-// check and the fail-static checks compare: prefix order does not
-// matter, but a moved next hop, a moved interface, a re-weighted or a
-// shrunk member set each count as a change, where a comparison of
-// prefix sets alone would call them equal.
+// check and the fail-static checks compare, core.OverrideSet.Equal, and
+// firstDiff, which names the difference: prefix order does not matter,
+// but a moved next hop, a moved interface, a re-weighted or a shrunk
+// member set each count as a change, where a comparison of prefix sets
+// alone would call them equal. Equal sets render equal.
 func TestDecisionOfComparesFullDecision(t *testing.T) {
 	p, q := netip.MustParsePrefix("10.0.0.0/24"), netip.MustParsePrefix("10.0.1.0/24")
 	pni, ixp, transit := netip.MustParseAddr("172.20.0.1"), netip.MustParseAddr("172.20.0.3"), netip.MustParseAddr("172.20.0.9")
@@ -184,26 +186,40 @@ func TestDecisionOfComparesFullDecision(t *testing.T) {
 		}}
 	}
 	move := core.Override{Prefix: q, Via: via(ixp), ToIF: 2}
-	base := []core.Override{set(60, 40), move}
+	base := core.NewOverrideSet([]core.Override{set(60, 40), move})
 	cases := []struct {
 		name string
 		b    []core.Override
-		same bool
+		diff string // firstDiff(b, base)
 	}{
-		{"same overrides in another order", []core.Override{move, set(60, 40)}, true},
-		{"re-weighted member set", []core.Override{set(70, 30), move}, false},
-		{"moved next hop", []core.Override{set(60, 40), {Prefix: q, Via: via(pni), ToIF: 2}}, false},
-		{"moved interface", []core.Override{set(60, 40), {Prefix: q, Via: via(ixp), ToIF: 1}}, false},
-		{"member dropped", []core.Override{{Prefix: p, Via: via(transit), ToIF: 3, Multipath: set(60, 40).Multipath[:1]}, move}, false},
-		{"override withdrawn", []core.Override{move}, false},
+		{"same overrides in another order", []core.Override{move, set(60, 40)}, ""},
+		{"re-weighted member set", []core.Override{set(70, 30), move},
+			`10.0.0.0/24: "10.0.0.0/24 172.20.0.9 3 172.20.0.9/70 172.20.0.3/30" vs "10.0.0.0/24 172.20.0.9 3 172.20.0.9/60 172.20.0.3/40"`},
+		{"moved next hop", []core.Override{set(60, 40), {Prefix: q, Via: via(pni), ToIF: 2}},
+			`10.0.1.0/24: "10.0.1.0/24 172.20.0.1 2" vs "10.0.1.0/24 172.20.0.3 2"`},
+		{"moved interface", []core.Override{set(60, 40), {Prefix: q, Via: via(ixp), ToIF: 1}},
+			`10.0.1.0/24: "10.0.1.0/24 172.20.0.3 1" vs "10.0.1.0/24 172.20.0.3 2"`},
+		{"member dropped", []core.Override{{Prefix: p, Via: via(transit), ToIF: 3, Multipath: set(60, 40).Multipath[:1]}, move},
+			`10.0.0.0/24: "10.0.0.0/24 172.20.0.9 3 172.20.0.9/60" vs "10.0.0.0/24 172.20.0.9 3 172.20.0.9/60 172.20.0.3/40"`},
+		{"override withdrawn", []core.Override{move}, `10.0.0.0/24: none vs "10.0.0.0/24 172.20.0.9 3 172.20.0.9/60 172.20.0.3/40"`},
 	}
+	var want strings.Builder
+	base.WriteTo(&want)
 	for _, c := range cases {
-		if got := decisionOf(c.b) == decisionOf(base); got != c.same {
-			t.Errorf("%s: same decision = %v, want %v", c.name, got, c.same)
+		b := core.NewOverrideSet(c.b)
+		if got := b.Equal(base); got != (c.diff == "") {
+			t.Errorf("%s: Equal = %v, want %v", c.name, got, c.diff == "")
+		}
+		if got := firstDiff(b, base); got != c.diff {
+			t.Errorf("%s: firstDiff = %s, want %s", c.name, got, c.diff)
+		}
+		var got strings.Builder
+		b.WriteTo(&got)
+		if same := got.String() == want.String(); same != (c.diff == "") {
+			t.Errorf("%s: renderings equal = %v, want %v", c.name, same, c.diff == "")
 		}
 	}
-	installed := map[netip.Prefix]core.Override{q: move, p: set(60, 40)}
-	if installedDecision(installed) != decisionOf(base) {
-		t.Error("an installed map renders differently from the same overrides as a report")
+	if got := firstDiff(base, core.NewOverrideSet([]core.Override{move})); got != `10.0.0.0/24: "10.0.0.0/24 172.20.0.9 3 172.20.0.9/60 172.20.0.3/40" vs none` {
+		t.Errorf("firstDiff of a prefix only the first set holds = %s", got)
 	}
 }

@@ -123,7 +123,7 @@ func E13FleetIsolation(ctx context.Context, cfgs []HarnessConfig, compareCycles,
 	// victim may legitimately re-decide during those first blind-but-
 	// not-yet-stale cycles; the freeze property is that the installed
 	// decision is unchanged from the first fail-static cycle onward.
-	var frozen string
+	var frozen core.OverrideSet
 	sawFailStatic, held := false, true
 	siblingsCycled := true
 	for cyc := 0; cyc < outageCycles; cyc++ {
@@ -131,10 +131,10 @@ func E13FleetIsolation(ctx context.Context, cfgs []HarnessConfig, compareCycles,
 			r := stepCycles(h, 1)
 			if i == 0 {
 				if r != nil && r.Health == core.HealthFailStatic {
-					k := installedDecision(h.Controller.Installed())
+					k := h.Controller.Installed()
 					if !sawFailStatic {
 						sawFailStatic, frozen = true, k
-					} else if k != frozen {
+					} else if !k.Equal(frozen) {
 						held = false
 					}
 				}

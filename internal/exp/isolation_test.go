@@ -2,11 +2,13 @@ package exp
 
 import (
 	"context"
+	"net/netip"
 	"strings"
 	"testing"
 	"time"
 
 	"edgefabric/internal/core"
+	"edgefabric/internal/rib"
 )
 
 // TestE13FleetIsolation asserts the fleet host's two claims: hosting is
@@ -65,5 +67,36 @@ func TestE13FleetIsolation(t *testing.T) {
 	}
 	if !strings.Contains(res.String(), "fleet rollup") {
 		t.Errorf("String() = %q", res.String())
+	}
+}
+
+// TestTwinCheckMismatchNamesPrefix: a twin mismatch names the first
+// prefix whose decision differs, with both canonical lines, instead of
+// quoting both whole sets; a cycle only one twin ran is a mismatch too.
+func TestTwinCheckMismatchNamesPrefix(t *testing.T) {
+	p, q := netip.MustParsePrefix("10.0.0.0/24"), netip.MustParsePrefix("10.0.1.0/24")
+	via := &rib.Route{NextHop: netip.MustParseAddr("172.20.0.9")}
+	report := func(toIF int) *core.CycleReport {
+		return &core.CycleReport{Overrides: []core.Override{
+			{Prefix: q, Via: via, ToIF: 3},
+			{Prefix: p, Via: via, ToIF: toIF},
+		}}
+	}
+	var c TwinCheck
+	c.compare("pop-a", 1, report(3), report(3))
+	c.compare("pop-a", 2, nil, nil)
+	c.compare("pop-a", 3, report(3), report(2))
+	c.compare("pop-a", 4, report(3), nil)
+	if c.ComparedCycles != 3 || c.IdenticalCycles != 1 || c.OverridesSeen != 4 {
+		t.Errorf("counts = %+v, want 3 compared, 1 identical, 4 overrides seen", c)
+	}
+	want := `pop-a step 3: hosted vs isolated: 10.0.0.0/24: "10.0.0.0/24 172.20.0.9 3" vs "10.0.0.0/24 172.20.0.9 2"`
+	if c.FirstMismatch != want {
+		t.Errorf("FirstMismatch = %s\nwant %s", c.FirstMismatch, want)
+	}
+	var one TwinCheck
+	one.compare("pop-a", 7, nil, report(3))
+	if want := "pop-a step 7: hosted vs isolated: only one twin ran a cycle"; one.FirstMismatch != want {
+		t.Errorf("FirstMismatch = %s, want %s", one.FirstMismatch, want)
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"edgefabric/internal/core"
 )
 
 // testdata/pins.txt pins the decisions of closed-loop rungs: one line per
@@ -43,7 +45,12 @@ func pinRung(t *testing.T, name string, cfg HarnessConfig, cycles int) string {
 	for ran := 0; ran < cycles; {
 		if _, r := h.Step(); r != nil {
 			overrides += len(r.Overrides)
-			sets += foldDecisions(d, r.Overrides)
+			for _, o := range r.Overrides {
+				if len(o.Multipath) > 0 {
+					sets++
+				}
+			}
+			core.NewOverrideSet(r.Overrides).WriteTo(d)
 			ran++
 		}
 	}

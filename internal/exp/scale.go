@@ -175,10 +175,7 @@ func E14MillionPrefix(cfg ScaleConfig) (*ScaleResult, error) {
 		t0 := time.Now()
 		dec, ds := core.Decide(in, st)
 		d := time.Since(t0)
-		in.Installed = make(map[netip.Prefix]core.Override, len(dec.Overrides))
-		for _, o := range dec.Overrides {
-			in.Installed[o.Prefix] = o
-		}
+		in.Installed = core.NewOverrideSet(dec.Overrides)
 		return d, ds, dec
 	}
 

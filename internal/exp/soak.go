@@ -191,7 +191,7 @@ type invariantChecker struct {
 
 	overStreak map[int]int // interface -> consecutive addressable-overload cycles
 	overFired  map[int]bool
-	frozen     map[netip.Prefix]core.Override
+	frozen     core.OverrideSet
 	inFreeze   bool
 	lastHealth core.HealthState
 	haveHealth bool
@@ -337,18 +337,15 @@ func (c *invariantChecker) observe(stats *netsim.TickStats, r *core.CycleReport,
 			r.Announced, r.Withdrawn, c.churnBudget, soakBoundaryGrace)
 	}
 
+	// The installed set is in prefix order and maps are walked by sorted
+	// key, so one cycle's violations, and what each names, repeat.
 	installed := c.h.Controller.Installed()
-	// Maps are walked in a fixed order (prefixes in rib.ComparePrefixes
-	// order, interfaces by ID), so one cycle's violations, and the
-	// prefix or interface each names, repeat run to run.
-	installedPrefixes := sortedKeys(installed, rib.ComparePrefixes)
 
 	// --- multipath structure: every installed weighted member set is
 	// well-formed, whatever the health state (a frozen set was once
 	// installed by a healthy controller and must still be sound).
-	for _, p := range installedPrefixes {
-		o := installed[p]
-		if len(o.Multipath) == 0 || c.mpFired[p] {
+	for _, o := range installed {
+		if len(o.Multipath) == 0 || c.mpFired[o.Prefix] {
 			continue
 		}
 		bad := ""
@@ -366,8 +363,8 @@ func (c *invariantChecker) observe(stats *netsim.TickStats, r *core.CycleReport,
 			bad = fmt.Sprintf("weights sum to %d, want 100", sum)
 		}
 		if bad != "" {
-			c.mpFired[p] = true // once per prefix, not per cycle
-			c.violate(r.Time, "multipath-weights", "%s: %s", p, bad)
+			c.mpFired[o.Prefix] = true // once per prefix, not per cycle
+			c.violate(r.Time, "multipath-weights", "%s: %s", o.Prefix, bad)
 		}
 	}
 
@@ -385,13 +382,13 @@ func (c *invariantChecker) observe(stats *netsim.TickStats, r *core.CycleReport,
 		if lw.streak <= soakLossyGrace || lw.fired {
 			continue
 		}
-		for _, p := range installedPrefixes {
-			for _, pw := range installed[p].Multipath {
+		for _, o := range installed {
+			for _, pw := range o.Multipath {
 				if pw.Via != nil && pw.Via.PeerAddr == lw.addr {
 					lw.fired = true // once per episode
 					c.violate(r.Time, "lossy-path-quarantine",
 						"%s still steers %d%% via %s %d healthy cycles into a %.0f%% scripted loss event",
-						p, pw.WeightPct, lw.peer, lw.streak, 100*lw.mag)
+						o.Prefix, pw.WeightPct, lw.peer, lw.streak, 100*lw.mag)
 					break
 				}
 			}
@@ -445,27 +442,7 @@ func (c *invariantChecker) observe(stats *netsim.TickStats, r *core.CycleReport,
 		}
 	}
 
-	// --- fail-static / fail-back correctness.
-	switch r.Health {
-	case core.HealthFailStatic:
-		if !c.inFreeze {
-			c.inFreeze = true
-			c.frozen = installed
-		} else if installedDecision(installed) != installedDecision(c.frozen) {
-			c.violate(r.Time, "fail-static-frozen",
-				"installed decision changed while frozen: %d -> %d overrides",
-				len(c.frozen), len(installed))
-			c.frozen = installed
-		}
-	case core.HealthFailBack:
-		c.inFreeze = false
-		if n := len(installed); n != 0 {
-			c.violate(r.Time, "fail-back-withdraw",
-				"%d overrides still installed past the fail-back threshold", n)
-		}
-	default:
-		c.inFreeze = false
-	}
+	c.checkFreeze(r, installed)
 
 	// --- overload with headroom: only while the controller is healthy
 	// (a frozen or failed-back controller is deliberately not acting,
@@ -516,6 +493,31 @@ func sortedKeys[K comparable, V any](m map[K]V, cmp func(a, b K) int) []K {
 	}
 	slices.SortFunc(keys, cmp)
 	return keys
+}
+
+// checkFreeze checks that a frozen controller's installed decision does
+// not move and that a failed-back one has withdrawn every override.
+func (c *invariantChecker) checkFreeze(r *core.CycleReport, installed core.OverrideSet) {
+	switch r.Health {
+	case core.HealthFailStatic:
+		if !c.inFreeze {
+			c.inFreeze = true
+			c.frozen = installed
+		} else if diff := firstDiff(c.frozen, installed); diff != "" {
+			c.violate(r.Time, "fail-static-frozen",
+				"installed decision changed while frozen (%d -> %d overrides), first at %s",
+				len(c.frozen), len(installed), diff)
+			c.frozen = installed
+		}
+	case core.HealthFailBack:
+		c.inFreeze = false
+		if n := len(installed); n != 0 {
+			c.violate(r.Time, "fail-back-withdraw",
+				"%d overrides still installed past the fail-back threshold", n)
+		}
+	default:
+		c.inFreeze = false
+	}
 }
 
 // findAlternate looks for evidence the overload on hot was addressable:

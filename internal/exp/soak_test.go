@@ -2,6 +2,7 @@ package exp
 
 import (
 	"context"
+	"net/netip"
 	"reflect"
 	"strings"
 	"testing"
@@ -220,5 +221,36 @@ func TestInvariantCheckerDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got[0], got[1]) {
 		t.Errorf("same cycle, different violations:\n%v\n%v", got[0], got[1])
+	}
+}
+
+// TestSoakFrozenViolationNamesPrefix: E16's fail-static-frozen
+// violation names the first prefix whose installed decision moved while
+// frozen, with its canonical line before and after.
+func TestSoakFrozenViolationNamesPrefix(t *testing.T) {
+	p, q := netip.MustParsePrefix("10.0.0.0/24"), netip.MustParsePrefix("10.0.1.0/24")
+	via := func(nh string) *rib.Route { return &rib.Route{NextHop: netip.MustParseAddr(nh)} }
+	frozen := core.NewOverrideSet([]core.Override{
+		{Prefix: p, Via: via("172.20.0.9"), ToIF: 3},
+		{Prefix: q, Via: via("172.20.0.3"), ToIF: 2},
+	})
+	moved := core.NewOverrideSet([]core.Override{
+		{Prefix: p, Via: via("172.20.0.9"), ToIF: 3},
+		{Prefix: q, Via: via("172.20.0.1"), ToIF: 2},
+	})
+	var c invariantChecker
+	static := &core.CycleReport{Health: core.HealthFailStatic}
+	c.checkFreeze(static, frozen)
+	c.checkFreeze(static, frozen)
+	if len(c.violations) != 0 {
+		t.Fatalf("an unchanged frozen set violated: %+v", c.violations)
+	}
+	c.checkFreeze(static, moved)
+	if len(c.violations) != 1 || c.violations[0].Invariant != "fail-static-frozen" {
+		t.Fatalf("violations = %+v, want one fail-static-frozen", c.violations)
+	}
+	want := `installed decision changed while frozen (2 -> 2 overrides), first at 10.0.1.0/24: "10.0.1.0/24 172.20.0.3 2" vs "10.0.1.0/24 172.20.0.1 2"`
+	if got := c.violations[0].Detail; got != want {
+		t.Errorf("detail = %s\nwant %s", got, want)
 	}
 }

@@ -112,13 +112,14 @@ scripts/benchstat.sh BENCH_hotpath.json "$benchjson"
 # rib.Table's write path (adds, duplicate adds, removes, peer flushes,
 # batches) against a naive map model, and 10 s of the delta projector
 # (demand flicker, route churn, duplicate journal entries, tail
-# striding, forced sweeps) against a from-scratch projection. Catches
-# decode panics, order-statistic drift, journal/version drift and
-# record/bucket drift the seed corpora miss; a real finding reproduces
-# via the usual testdata crasher files.
+# striding, forced sweeps) against a from-scratch projection, and 10 s
+# of the injector's installed-set merge against its map model. Catches
+# decode panics, order-statistic drift, journal/version drift,
+# record/bucket drift and installed-set drift the seed corpora miss; a
+# real finding reproduces via the usual testdata crasher files.
 for target in ./internal/bgp:FuzzDecode ./internal/bmp:FuzzDecode ./internal/sflow:FuzzDecode \
   ./internal/altpath:FuzzWindowOrderStats ./internal/rib:FuzzTableModel \
-  ./internal/core:FuzzProjectDeltaModel; do
+  ./internal/core:FuzzProjectDeltaModel ./internal/core:FuzzInstalledSetModel; do
   pkg=${target%%:*} fuzz=${target##*:}
   echo "==> go test -fuzz=$fuzz -fuzztime=10s $pkg"
   go test -run '^$' -fuzz="$fuzz" -fuzztime=10s "$pkg"

@@ -385,19 +385,17 @@ func runEmbeddedFleet(ctx context.Context, ff *FleetFile, o runOpts) {
 	tallies := make([]popTally, len(fh.PoPs))
 	ticks := int(duration / fh.PoPs[0].Cfg.TickLen)
 	for t := 1; t <= ticks && ctx.Err() == nil; t++ {
+		// A round cycles every member and steps the reconciler, so
+		// rollouts queued through PUT /v1/pops/{pop}/config march
+		// drain→apply→converge in cycle time.
+		stats, reports := fh.Step()
 		for i, h := range fh.PoPs {
-			stats, r := h.Step()
-			tallies[i].add(stats, r)
+			r := reports[i]
+			tallies[i].add(stats[i], r)
 			if r != nil && chatty && (r.Seq%40 == 0 || len(r.ResidualOverloadBps) > 0) {
 				fmt.Printf("[%s] %s\n", h.Scenario.Topo.Name, core.FormatReport(r, h.Inventory))
 			}
 		}
-		// The reconciler advances one transition per fleet round (every
-		// tick is a cycle), so rollouts queued through PUT
-		// /v1/pops/{pop}/config march drain→apply→converge in cycle
-		// time. A round counts even when no member cycled: a fleet of
-		// one pauses its only member while the reconciler drains it.
-		fh.Reconciler.Step()
 	}
 	printDemuxSummary(len(fh.PoPs), fh.Demux)
 	for i, h := range fh.PoPs {

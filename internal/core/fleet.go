@@ -16,14 +16,9 @@ import (
 type FleetMember struct {
 	// Name is the PoP name (unique within the supervisor).
 	Name string
-	// Ctrl is the member's controller.
+	// Ctrl is the member's controller. Only the supervisor's
+	// RunCycleAll cycles it, so a drained member stops cycling.
 	Ctrl *Controller
-	// Pause, when set, pauses (true) / resumes (false) the member's
-	// external cycle driver. The supervisor's own RunCycleAll skips
-	// draining members regardless; the hook exists for members cycled
-	// by something else (a harness, a daemon ticker) that must stop
-	// stepping a PoP while the reconciler drains it.
-	Pause func(bool)
 }
 
 // FleetSupervisorConfig configures a FleetSupervisor.
@@ -126,21 +121,16 @@ func (s *FleetSupervisor) Controller(name string) (*Controller, bool) {
 func (s *FleetSupervisor) Metrics() *metrics.Registry { return s.registry }
 
 // Drain takes a member out of cycling and withdraws its installed
-// overrides: the supervisor skips it in RunCycleAll, its Pause hook
-// (if any) stops the external driver, and the PoP falls back to
-// default BGP policy until Resume.
+// overrides: RunCycleAll skips it, and the PoP falls back to default
+// BGP policy until Resume.
 func (s *FleetSupervisor) Drain(name string) error {
 	m, ok := s.Member(name)
 	if !ok {
 		return fmt.Errorf("core: unknown fleet member %q", name)
 	}
 	s.mu.Lock()
-	already := s.draining[name]
 	s.draining[name] = true
 	s.mu.Unlock()
-	if !already && m.Pause != nil {
-		m.Pause(true)
-	}
 	if _, err := m.Ctrl.Drain(); err != nil {
 		return fmt.Errorf("core: drain %q: %w", name, err)
 	}
@@ -153,17 +143,13 @@ func (s *FleetSupervisor) Drain(name string) error {
 
 // Resume returns a drained member to normal cycling.
 func (s *FleetSupervisor) Resume(name string) error {
-	m, ok := s.Member(name)
-	if !ok {
+	if _, ok := s.Member(name); !ok {
 		return fmt.Errorf("core: unknown fleet member %q", name)
 	}
 	s.mu.Lock()
 	wasDraining := s.draining[name]
 	delete(s.draining, name)
 	s.mu.Unlock()
-	if wasDraining && m.Pause != nil {
-		m.Pause(false)
-	}
 	if s.cfg.Logf != nil && wasDraining {
 		s.cfg.Logf("fleet: resumed %s", name)
 	}

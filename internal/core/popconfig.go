@@ -269,10 +269,10 @@ func (c *Controller) LastReport() (CycleReport, bool) {
 }
 
 // Drain withdraws every installed override, returning the PoP to
-// default BGP policy. The reconciler drains a PoP (with its cycle
-// driver paused) before applying new config, so the new allocator
-// parameters start from a clean slate instead of inheriting detours
-// chosen under the old ones.
+// default BGP policy. The reconciler drains a PoP (the fleet supervisor
+// skips its cycles meanwhile) before applying new config, so the new
+// allocator parameters start from a clean slate instead of inheriting
+// detours chosen under the old ones.
 func (c *Controller) Drain() (SyncResult, error) {
 	return c.injector.Sync(nil)
 }

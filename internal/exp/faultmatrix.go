@@ -93,26 +93,12 @@ func countControllerRoutes(p *netsim.PoP) int {
 	return n
 }
 
-// stepCycles advances the harness until a controller cycle has run n
-// times, returning the last report.
-func stepCycles(h *Harness, n int) *core.CycleReport {
-	var last *core.CycleReport
-	for got := 0; got < n; {
-		_, r := h.Step()
-		if r != nil {
-			last = r
-			got++
-		}
-	}
-	return last
-}
-
-// stepUntil advances cycle by cycle until pred holds or maxCycles pass,
-// returning how many cycles ran and whether pred held.
+// stepUntil steps cycle by cycle until pred holds or maxCycles pass,
+// returning how many cycles ran and whether pred held. h must have its
+// controller enabled, so every Step cycles.
 func stepUntil(h *Harness, maxCycles int, pred func(*core.CycleReport) bool) (int, bool) {
 	for i := 1; i <= maxCycles; i++ {
-		r := stepCycles(h, 1)
-		if pred(r) {
+		if _, r := h.Step(); pred(r) {
 			return i, true
 		}
 	}
@@ -247,7 +233,7 @@ func E11FaultMatrix(h *Harness) (*FaultMatrixResult, error) {
 	panicsBefore := h.Controller.Metrics().Counter("edgefabric_cycle_panics_total").Value()
 	held := h.Controller.Installed()
 	h.Controller.PanicNextCycle()
-	r := stepCycles(h, 1)
+	_, r := h.Step()
 	res.PanicCounted = h.Controller.Metrics().Counter("edgefabric_cycle_panics_total").Value() == panicsBefore+1
 	res.PanicFroze = r.Health == core.HealthFailStatic && h.Controller.Installed().Equal(held)
 	res.PanicRecoverCycles, ok = stepUntil(h, 6, func(r *core.CycleReport) bool {
@@ -300,7 +286,7 @@ func E11FaultMatrix(h *Harness) (*FaultMatrixResult, error) {
 	res.Reannounced = waitWall(5*time.Second, func() bool {
 		return len(h.Controller.Installed()) == 0 || countControllerRoutes(h.PoP) > 0
 	})
-	stepCycles(h, 2)
+	h.Run(2*h.Cfg.TickLen, nil)
 
 	res.FinalState = health.Evaluate().State
 	return res, nil

@@ -219,7 +219,7 @@ func TestFailBackRecoveryRespectsMoveBudget(t *testing.T) {
 	added := 0
 	for cycle := 1; cycle <= 12; cycle++ {
 		pre := h.Controller.Installed()
-		r := stepCycles(h, 1)
+		_, r := h.Step()
 		if r.Health != core.HealthHealthy {
 			continue
 		}

@@ -6,6 +6,9 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"edgefabric/internal/core"
+	"edgefabric/internal/netsim"
 )
 
 // Fleet runs several PoPs, each with its own independent controller —
@@ -86,8 +89,19 @@ type FleetResult struct {
 	WorstDroppedFrac float64
 }
 
-// Run steps every PoP through d of virtual time (interleaved round-robin
-// so the sites progress together) and aggregates the outcome.
+// Step advances every PoP one Harness.Step, in order, and returns their
+// tick stats and cycle reports indexed like PoPs.
+func (f *Fleet) Step() ([]*netsim.TickStats, []*core.CycleReport) {
+	stats := make([]*netsim.TickStats, len(f.PoPs))
+	reports := make([]*core.CycleReport, len(f.PoPs))
+	for i, h := range f.PoPs {
+		stats[i], reports[i] = h.Step()
+	}
+	return stats, reports
+}
+
+// Run steps every PoP through d of virtual time, one Step round per
+// tick so the sites progress together, and aggregates the outcome.
 func (f *Fleet) Run(d time.Duration) *FleetResult {
 	tallies := make([]tally, len(f.PoPs))
 	ticks := 0
@@ -95,9 +109,9 @@ func (f *Fleet) Run(d time.Duration) *FleetResult {
 		ticks = int(d / f.PoPs[0].Cfg.TickLen)
 	}
 	for t := 0; t < ticks; t++ {
+		stats, reports := f.Step()
 		for i, h := range f.PoPs {
-			stats, report := h.Step()
-			tallies[i].add(h.Scenario, stats, report)
+			tallies[i].add(h.Scenario, stats[i], reports[i])
 		}
 	}
 	res := &FleetResult{}

@@ -16,10 +16,10 @@ import (
 // daemon's --fleet mode in harness form. Unlike Fleet (independent
 // harnesses, one collector each), the member PoPs share a single sFlow
 // ingest point: every router exports into one Demux, which routes each
-// datagram to its PoP's collector by agent address. Everything else —
-// inventories, route stores, BMP feeds, injection sessions, health
-// ladders — stays strictly per-PoP, so one member entering fail-static
-// never gates another.
+// datagram to its PoP's collector by agent address; one Supervisor
+// cycles them all. Everything else — inventories, route stores, BMP
+// feeds, injection sessions, health ladders — stays strictly per-PoP,
+// so one member entering fail-static never gates another.
 type FleetHost struct {
 	Fleet
 	// Demux is the shared ingest point standing in for the process's
@@ -28,9 +28,8 @@ type FleetHost struct {
 	// API is the versioned PoP-scoped surface over every member
 	// controller.
 	API *api.Server
-	// Supervisor hosts the controller-enabled members: drain/resume
-	// gating (a drained member's harness pauses cycling via
-	// SetCyclesPaused) and fleet-level counters.
+	// Supervisor cycles the members in Step's rounds, skips a drained
+	// member's cycles, and keeps the fleet-level counters.
 	Supervisor *core.FleetSupervisor
 	// Reconciler rolls declarative config across the supervised
 	// members; also reachable through the API's /v1/fleet/reconcile
@@ -40,8 +39,9 @@ type FleetHost struct {
 
 // NewFleetHostFromConfigs builds a fleet host from explicit per-member
 // harness configs (the daemon's --fleet mode derives these from its
-// fleet file). Each member's SFlowDemux is forced to the shared demux;
-// a zero PoPIndex is assigned positionally so router IDs stay disjoint.
+// fleet file). Each member's SFlowDemux is forced to the shared demux
+// and its ControllerEnabled to true; a zero PoPIndex is assigned
+// positionally so router IDs stay disjoint.
 //
 // Members build concurrently through a bounded worker pool — at
 // hundreds of PoPs, sequential BGP convergence would dominate startup —
@@ -64,6 +64,7 @@ func NewFleetHostFromConfigs(ctx context.Context, cfgs []HarnessConfig) (*FleetH
 			for i := range jobs {
 				hc := cfgs[i]
 				hc.SFlowDemux = fh.Demux
+				hc.ControllerEnabled = true
 				if hc.Synth.PoPIndex == 0 {
 					hc.Synth.PoPIndex = i + 1
 				}
@@ -92,27 +93,44 @@ func NewFleetHostFromConfigs(ctx context.Context, cfgs []HarnessConfig) (*FleetH
 	fh.Supervisor = core.NewFleetSupervisor(core.FleetSupervisorConfig{})
 	for i, h := range built {
 		fh.PoPs = append(fh.PoPs, h)
-		if h.Controller == nil {
-			continue
-		}
 		if err := fh.API.AddPoP(h.Scenario.Topo.Name, h.Controller); err != nil {
 			fh.Close()
 			return nil, err
 		}
-		if err := fh.Supervisor.Add(core.FleetMember{
-			Name:  h.Scenario.Topo.Name,
-			Ctrl:  h.Controller,
-			Pause: h.SetCyclesPaused,
-		}); err != nil {
+		if err := fh.Supervisor.Add(core.FleetMember{Name: h.Scenario.Topo.Name, Ctrl: h.Controller}); err != nil {
 			fh.Close()
 			return nil, fmt.Errorf("exp: fleet host pop %d: %w", i+1, err)
 		}
 	}
-	if len(fh.Supervisor.Members()) > 0 {
-		fh.Reconciler = core.NewReconciler(fh.Supervisor, core.ReconcilerConfig{})
-		fh.API.SetReconciler(fh.Reconciler)
-	}
+	fh.Reconciler = core.NewReconciler(fh.Supervisor, core.ReconcilerConfig{})
+	fh.API.SetReconciler(fh.Reconciler)
 	return fh, nil
+}
+
+// Step runs one daemon round: every member ticks, the supervisor cycles
+// the members it is not draining, each member that cycled waits for its
+// PoP table to hold its overrides, and the reconciler steps, even when
+// no member cycled. It returns each member's tick stats and cycle report
+// indexed like PoPs; a drained member's report is nil.
+func (fh *FleetHost) Step() ([]*netsim.TickStats, []*core.CycleReport) {
+	stats := make([]*netsim.TickStats, len(fh.PoPs))
+	seqs := make([]uint64, len(fh.PoPs))
+	for i, h := range fh.PoPs {
+		seqs[i] = h.Controller.LastSeq()
+		stats[i] = h.tick()
+	}
+	fh.Supervisor.RunCycleAll()
+	reports := make([]*core.CycleReport, len(fh.PoPs))
+	for i, h := range fh.PoPs {
+		if h.Controller.LastSeq() == seqs[i] {
+			continue
+		}
+		r, _ := h.Controller.LastReport()
+		reports[i] = &r
+		h.waitOverridesApplied(&r)
+	}
+	fh.Reconciler.Step()
+	return stats, reports
 }
 
 // newTwinFleets builds the fleet of cfgs twice: hosted (one process,
@@ -145,13 +163,15 @@ type TwinCheck struct {
 	FirstMismatch string
 }
 
-// step advances a hosted member and its isolated twin one tick each,
-// compares their decisions, and returns the hosted member's tick. at
-// labels the step in a mismatch.
-func (c *TwinCheck) step(hosted, isolated *Harness, at int) (*netsim.TickStats, *core.CycleReport) {
-	hs, hr := hosted.Step()
-	_, ir := isolated.Step()
-	c.compare(hosted.Scenario.Topo.Name, at, hr, ir)
+// step runs one round of the hosted fleet and of its isolated twin,
+// compares each member's decisions with its twin's, and returns the
+// hosted round. at labels the round in a mismatch.
+func (c *TwinCheck) step(host *FleetHost, iso *Fleet, at int) ([]*netsim.TickStats, []*core.CycleReport) {
+	hs, hr := host.Step()
+	_, ir := iso.Step()
+	for i, h := range host.PoPs {
+		c.compare(h.Scenario.Topo.Name, at, hr[i], ir[i])
+	}
 	return hs, hr
 }
 

@@ -230,16 +230,15 @@ func E18FleetShift(ctx context.Context, cfg FleetShiftConfig) (*FleetShiftResult
 	res.Cycles = ticks
 	for t := 0; t < ticks; t++ {
 		w := inWindow(t)
-		for i := 0; i < n; i++ {
-			h := host.PoPs[i]
-			hs, hr := res.step(h, iso.PoPs[i], t)
+		hs, hr := res.step(host, iso, t)
+		for i, h := range host.PoPs {
 			if w < 0 {
-				base[i].add(h.Scenario, hs, hr)
+				base[i].add(h.Scenario, hs[i], hr[i])
 				continue
 			}
-			win[w][i].add(h.Scenario, hs, hr)
+			win[w][i].add(h.Scenario, hs[i], hr[i])
 			if t-plans[w].from >= shiftAbsorbGraceTicks {
-				late[w][i].add(h.Scenario, hs, hr)
+				late[w][i].add(h.Scenario, hs[i], hr[i])
 			}
 		}
 	}

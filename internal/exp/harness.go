@@ -102,14 +102,7 @@ type Harness struct {
 
 	cancel          context.CancelFunc
 	eventBoundaries int
-	cyclesPaused    atomic.Bool
 }
-
-// SetCyclesPaused gates the controller leg of Step: while paused, ticks
-// still move the dataplane and virtual clock but no cycles run. The
-// fleet supervisor uses this as a member's Pause hook so a draining
-// PoP's controller stops writing overrides while its PoP keeps serving.
-func (h *Harness) SetCyclesPaused(paused bool) { h.cyclesPaused.Store(paused) }
 
 // lateMapper lets the sFlow collector be constructed before the route
 // store that backs its prefix mapping exists.
@@ -331,23 +324,30 @@ func (h *Harness) AttachEvents(events []netsim.Event) error {
 // reverts) have fired during Steps so far.
 func (h *Harness) EventBoundaries() int { return h.eventBoundaries }
 
-// Step advances the simulation by one tick: scheduled events fire, the
-// dataplane moves demand (feeding sFlow), virtual time advances, and
-// the controller runs one cycle (unless disabled or paused). It returns
-// the tick's dataplane stats and the cycle report if a cycle ran (nil
-// otherwise).
+// Step advances the simulation by one tick and, when the controller is
+// enabled, runs one cycle and waits for the PoP table to hold its
+// overrides. It returns the tick's dataplane stats and the cycle report
+// (nil without a controller).
 func (h *Harness) Step() (*netsim.TickStats, *core.CycleReport) {
+	stats := h.tick()
+	var report *core.CycleReport
+	if h.Controller != nil {
+		report, _ = h.Controller.RunCycle()
+		h.waitOverridesApplied(report)
+	}
+	return stats, report
+}
+
+// tick is the controller-free half of a step: scheduled events fire,
+// the dataplane moves demand (feeding sFlow), and virtual time
+// advances.
+func (h *Harness) tick() *netsim.TickStats {
 	if h.Events != nil {
 		h.eventBoundaries += h.Events.Advance(h.Clock.Now())
 	}
 	stats := h.PoP.Plane.Tick(h.Clock.Now(), h.Cfg.TickLen)
 	h.Clock.Advance(h.Cfg.TickLen)
-	var report *core.CycleReport
-	if h.Controller != nil && !h.cyclesPaused.Load() {
-		report, _ = h.Controller.RunCycle()
-		h.waitOverridesApplied(report)
-	}
-	return stats, report
+	return stats
 }
 
 // waitOverridesApplied blocks briefly until the PoP table reflects the

@@ -108,9 +108,7 @@ func E13FleetIsolation(ctx context.Context, cfgs []HarnessConfig, compareCycles,
 
 	// Phase 1: lockstep decision equivalence, hosted vs isolated.
 	for cyc := 1; cyc <= compareCycles; cyc++ {
-		for i := range host.PoPs {
-			res.step(host.PoPs[i], iso.PoPs[i], cyc)
-		}
+		res.step(host, iso, cyc)
 	}
 
 	// Phase 2: total BMP outage at PoP 0 of the hosted fleet.
@@ -127,8 +125,9 @@ func E13FleetIsolation(ctx context.Context, cfgs []HarnessConfig, compareCycles,
 	sawFailStatic, held := false, true
 	siblingsCycled := true
 	for cyc := 0; cyc < outageCycles; cyc++ {
+		_, reports := host.Step()
 		for i, h := range host.PoPs {
-			r := stepCycles(h, 1)
+			r := reports[i]
 			if i == 0 {
 				if r != nil && r.Health == core.HealthFailStatic {
 					k := h.Controller.Installed()

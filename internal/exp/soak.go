@@ -641,26 +641,22 @@ func E16ChaosSoak(ctx context.Context, cfg SoakConfig, cycles, chaosEvents int) 
 	res.LossyWindows = len(chk.lossyEvents)
 	res.ShiftWindows = len(chk.shiftEvents)
 	lastBoundaries := 0
-	for chk.cycle < cycles {
-		stats, r := h.Step()
+	// The controller is enabled, so every tick is one cycle.
+	h.Run(time.Duration(cycles)*h.Cfg.TickLen, func(stats *netsim.TickStats, r *core.CycleReport) {
 		fired := h.EventBoundaries() - lastBoundaries
 		lastBoundaries = h.EventBoundaries()
-		if stats != nil {
-			for id, load := range stats.IfLoadBps {
-				if capBps := chk.groundCap(id); capBps > 0 && load/capBps > res.MaxUtil {
-					res.MaxUtil = load / capBps
-				}
+		for id, load := range stats.IfLoadBps {
+			if capBps := chk.groundCap(id); capBps > 0 && load/capBps > res.MaxUtil {
+				res.MaxUtil = load / capBps
 			}
 		}
 		chk.observe(stats, r, fired)
-		if r != nil {
-			res.HealthCycles[r.Health]++
-			res.TotalChurn += r.Announced + r.Withdrawn
-			if n := len(r.Overrides); n > res.PeakOverrides {
-				res.PeakOverrides = n
-			}
+		res.HealthCycles[r.Health]++
+		res.TotalChurn += r.Announced + r.Withdrawn
+		if n := len(r.Overrides); n > res.PeakOverrides {
+			res.PeakOverrides = n
 		}
-	}
+	})
 	res.Cycles = chk.cycle
 
 	// --- bounded recovery after the last event.

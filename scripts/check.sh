@@ -133,7 +133,8 @@ go test -count=1 -run 'TestAPISurfaceGolden' ./internal/api
 
 # Fleet smoke: a 2-PoP embedded fleet must build, share one sFlow demux
 # with zero misrouted datagrams, and print a per-PoP summary, with the
-# multipath optimizer running in every member.
+# multipath optimizer running in every member. Each member must cycle
+# on every fleet round: 60 cycles in 30 m of 30 s ticks.
 echo "==> edgefabricd --fleet 2-PoP multipath smoke"
 fleettmp=$(mktemp -d)
 trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$fleettmp"' EXIT
@@ -152,6 +153,8 @@ EOF
   --multipath > "$fleettmp/fleet.out" 2>&1
 grep -q "fleet summary (2 PoPs; shared sFlow demux: 0 malformed, 0 unknown-agent)" \
   "$fleettmp/fleet.out"
+grep -Eq "^  smoke-a +60 cycles," "$fleettmp/fleet.out"
+grep -Eq "^  smoke-b +60 cycles," "$fleettmp/fleet.out"
 
 # Fleet scale smoke: a 64-PoP fleet stamped from one count template must
 # come up, run shared-demux cycles for every member, and shut down with
